@@ -13,7 +13,9 @@
 # gate (with the campaign speedup gate on >= 4 cores) and which
 # self-asserts checkpoint resume equality, a checkpoint/resume smoke
 # that SIGKILLs a `campaign_run` mid-flight and byte-diffs the resumed
-# result against an uninterrupted reference, an observability smoke run (a tiny repro
+# result against an uninterrupted reference, a torn-tail gate that cuts
+# the last 13 bytes off a finished checkpoint log and byte-diffs the
+# resumed result the same way, an observability smoke run (a tiny repro
 # experiment whose run report must pass the full metrics_check gate),
 # and the serving-layer gate: `caf-serve` is started on an ephemeral
 # port at two HTTP worker counts, its `/v1/table2` response is
@@ -194,6 +196,23 @@ timeout -s KILL 2 ./target/release/campaign_run --scale 20 --workers 2 \
   --out "$ci_out/campaign_resumed.bin" 2>/dev/null
 cmp "$ci_out/campaign_ref.bin" "$ci_out/campaign_resumed.bin"
 echo "    resumed campaign result is byte-identical to the uninterrupted run"
+
+# Torn-tail gate: the deterministic companion of the SIGKILL smoke, whose
+# kill mostly lands after a checkpointed run has finished. A completed
+# checkpoint log loses its last 13 bytes — a torn final append — and the
+# resumed run must cut the torn frame, re-run its tasks and match the
+# uninterrupted reference byte for byte.
+gate "campaign checkpoint torn-tail gate: truncate -> resume -> byte-diff"
+torn_smoke="$ci_out/campaign_torn"
+rm -rf "$torn_smoke"
+./target/release/campaign_run --scale 20 --workers 2 \
+  --checkpoint-dir "$torn_smoke" --checkpoint-every 500 2>/dev/null
+truncate -s -13 "$torn_smoke"/campaign-*.ckpt
+./target/release/campaign_run --scale 20 --workers 2 \
+  --checkpoint-dir "$torn_smoke" --checkpoint-every 500 \
+  --out "$ci_out/campaign_torn.bin" 2>/dev/null
+cmp "$ci_out/campaign_ref.bin" "$ci_out/campaign_torn.bin"
+echo "    torn-tail resume is byte-identical to the uninterrupted run"
 
 gate "observability smoke: repro --metrics + golden artifacts + full gate"
 golden="$ci_out/golden"

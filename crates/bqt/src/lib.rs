@@ -27,8 +27,8 @@
 //!   that drains a task list the way the paper ran many Docker containers
 //!   in parallel, plus coverage telemetry (Figures 7/8) and traceback
 //!   aggregation (Table 2).
-//! * [`checkpoint`] — periodic `caf-snap`-based campaign checkpoints so a
-//!   killed campaign resumes byte-identically.
+//! * [`checkpoint`] — append-only campaign checkpoints on a
+//!   [`caf_snap::Log`], so a killed campaign resumes byte-identically.
 //!
 //! Every stochastic draw derives from a per-(address, ISP) seed, so a
 //! campaign's results are identical regardless of worker count, shard

@@ -27,13 +27,23 @@
 //! yields a [`SnapError`], never a panic and never silently wrong
 //! bytes. That property is what lets `caf-serve` treat a bad snapshot
 //! as "fall back to a cold build" instead of a crash loop.
+//!
+//! ## Frame log
+//!
+//! For state that grows by appends, [`Log`] is a headerless run of
+//! `len u64 · payload · content_hash64(payload) u64` frames, made
+//! durable by `write_all` plus `sync_data` of the new frames only.
+//! [`LogReader`] yields the verified frames and stops at the first torn
+//! or corrupt one; reopening a log cuts that tail before appending.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes every snapshot file starts with.
 pub const MAGIC: [u8; 8] = *b"CAFSNAP1";
@@ -379,10 +389,13 @@ impl<'a> Reader<'a> {
 
     /// Decodes a length-prefixed sequence. Each element costs at least
     /// one byte, so the length prefix is validated against the
-    /// remaining input before any allocation.
+    /// remaining input before any allocation, and the up-front
+    /// reservation is capped at the remaining input's size in bytes: a
+    /// forged count never reserves more memory than the input holds.
     pub fn get_seq<T: Snap>(&mut self) -> Result<Vec<T>, SnapError> {
         let len = self.len_prefix()?;
-        let mut items = Vec::with_capacity(len);
+        let fits = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(len.min(fits));
         for _ in 0..len {
             items.push(T::decode(self)?);
         }
@@ -725,17 +738,25 @@ impl<'a> Snapshot<'a> {
     }
 }
 
-/// Writes `bytes` to `path` atomically: a unique temp file in the same
+/// Writes `bytes` to `path` atomically: a temp file in the same
 /// directory, flushed, then renamed over the target. Readers never see
 /// a partial file; a crash leaves at worst a `.tmp` that directory
-/// scans ignore.
+/// scans ignore. The temp name is unique per call (pid plus a
+/// process-wide counter), so concurrent writers of one target never
+/// share a temp file: each rename lands one writer's complete bytes.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("snapshot");
-    let tmp = dir.join(format!(".{}.{}.tmp", name, std::process::id()));
+    let tmp = dir.join(format!(
+        ".{}.{}.{}.tmp",
+        name,
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
@@ -747,6 +768,130 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Bytes a log frame adds around its payload: the `u64` length prefix
+/// and the trailing `u64` checksum.
+const LOG_FRAME_OVERHEAD: usize = 8 + 8;
+
+/// An append-only log of checksummed frames, open for appending.
+///
+/// ```text
+/// frame*   repeated  len u64 · payload · content_hash64(payload) u64
+/// ```
+///
+/// There is no header; what the frames mean is the caller's business.
+/// A frame becomes durable through [`Log::append`]: one `write_all` of
+/// whole frames, then `sync_data`. So a flush costs the new bytes, not
+/// the file. A crash mid-append leaves a torn tail: [`LogReader`] stops
+/// before it, and [`Log::open_for_append`] cuts it off before writing.
+pub struct Log {
+    file: File,
+    torn: u64,
+}
+
+impl Log {
+    /// Appends one frame around `payload` to `out`. Frames can be built
+    /// anywhere (outside a lock, on a worker) and handed to
+    /// [`Log::append`] in batches.
+    pub fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+        out.reserve(payload.len() + LOG_FRAME_OVERHEAD);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&content_hash64(payload).to_le_bytes());
+    }
+
+    /// Creates the log at `path`, replacing any file there, with
+    /// `first` as its only frame. The frame is synced, and so is the
+    /// parent directory, once, so the file's name is as durable as its
+    /// bytes.
+    pub fn create(path: &Path, first: &[u8]) -> io::Result<Log> {
+        let mut log = Log {
+            file: File::create(path)?,
+            torn: 0,
+        };
+        let mut framed = Vec::new();
+        Log::frame(&mut framed, first);
+        log.append(&framed)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+        Ok(log)
+    }
+
+    /// Opens the existing log at `path` for appending. Returns the log
+    /// and the file's intact prefix: every byte up to the first torn or
+    /// corrupt frame (read it with [`LogReader`]). Anything after that
+    /// prefix is cut from the file, and [`Log::torn_bytes`] says how
+    /// much, so the next append lands right after the last good frame.
+    pub fn open_for_append(path: &Path) -> io::Result<(Log, Vec<u8>)> {
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let mut reader = LogReader::new(&bytes);
+        reader.by_ref().for_each(drop);
+        let intact = reader.intact();
+        let torn = (bytes.len() - intact) as u64;
+        if torn > 0 {
+            file.set_len(intact as u64)?;
+            bytes.truncate(intact);
+        }
+        file.seek(SeekFrom::Start(intact as u64))?;
+        Ok((Log { file, torn }, bytes))
+    }
+
+    /// Bytes [`Log::open_for_append`] cut from a torn or corrupt tail
+    /// (0 for a created log).
+    pub fn torn_bytes(&self) -> u64 {
+        self.torn
+    }
+
+    /// Appends whole frames (built with [`Log::frame`]) and syncs them
+    /// to disk with `sync_data`.
+    pub fn append(&mut self, frames: &[u8]) -> io::Result<()> {
+        self.file.write_all(frames)?;
+        self.file.sync_data()
+    }
+}
+
+/// Reads a [`Log`]'s bytes: yields each verified frame's payload in
+/// order and stops, without panicking, at the first frame that is torn
+/// (runs past the end) or corrupt (fails its checksum). It never
+/// allocates; a forged length is checked against the bytes left.
+pub struct LogReader<'a> {
+    bytes: &'a [u8],
+    intact: usize,
+}
+
+impl<'a> LogReader<'a> {
+    /// A reader over a log's bytes, positioned at the first frame.
+    pub fn new(bytes: &'a [u8]) -> LogReader<'a> {
+        LogReader { bytes, intact: 0 }
+    }
+
+    /// Length of the intact prefix: the bytes of every frame yielded
+    /// so far. After the reader is exhausted, this is where a writer
+    /// must resume appending.
+    pub fn intact(&self) -> usize {
+        self.intact
+    }
+}
+
+impl<'a> Iterator for LogReader<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let mut r = Reader::new(&self.bytes[self.intact..]);
+        let len = r.len_prefix().ok()?;
+        let payload = r.take(len).ok()?;
+        if r.u64().ok()? != content_hash64(payload) {
+            return None;
+        }
+        self.intact += len + LOG_FRAME_OVERHEAD;
+        Some(payload)
+    }
 }
 
 #[cfg(test)]
@@ -1000,6 +1145,128 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "no temp files after a clean write");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn test_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("caf-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_target_land_one_whole_payload() {
+        let dir = test_dir("race");
+        let path = dir.join("shared.snap");
+        let big = vec![0xA5u8; 1 << 20];
+        let small = vec![0x5Au8; 1 << 19];
+        let start = std::sync::Barrier::new(2);
+        for round in 0..20 {
+            std::thread::scope(|scope| {
+                let writers = [&big, &small].map(|payload| {
+                    let (path, start) = (&path, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        write_atomic(path, payload)
+                    })
+                });
+                for writer in writers {
+                    writer.join().unwrap().unwrap_or_else(|e| {
+                        panic!("round {round}: a concurrent write failed: {e}")
+                    });
+                }
+            });
+            let landed = std::fs::read(&path).unwrap();
+            assert!(
+                landed == big || landed == small,
+                "round {round}: the file equals neither payload"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn sample_log() -> (Vec<Vec<u8>>, Vec<u8>) {
+        let payloads = vec![
+            b"meta".to_vec(),
+            Vec::new(),
+            vec![7u8; 21],
+            b"span".to_vec(),
+        ];
+        let mut bytes = Vec::new();
+        for payload in &payloads {
+            Log::frame(&mut bytes, payload);
+        }
+        (payloads, bytes)
+    }
+
+    #[test]
+    fn log_reader_yields_the_frames_before_any_cut() {
+        let (payloads, bytes) = sample_log();
+        let mut ends = vec![0];
+        for payload in &payloads {
+            ends.push(ends.last().unwrap() + payload.len() + LOG_FRAME_OVERHEAD);
+        }
+        assert_eq!(*ends.last().unwrap(), bytes.len());
+        for cut in 0..=bytes.len() {
+            let whole = ends.iter().rposition(|&end| end <= cut).unwrap();
+            let mut reader = LogReader::new(&bytes[..cut]);
+            let frames: Vec<&[u8]> = reader.by_ref().collect();
+            assert_eq!(frames, payloads[..whole], "cut at {cut}");
+            assert_eq!(reader.intact(), ends[whole], "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn log_reader_stops_at_a_corrupt_or_forged_frame() {
+        let (payloads, bytes) = sample_log();
+        let third = 2 * LOG_FRAME_OVERHEAD + payloads[0].len();
+        let mut flipped = bytes.clone();
+        flipped[third + 8] ^= 0x10;
+        let mut reader = LogReader::new(&flipped);
+        assert_eq!(reader.by_ref().count(), 2);
+        assert_eq!(reader.intact(), third);
+        let mut forged = bytes.clone();
+        forged[third..third + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut reader = LogReader::new(&forged);
+        assert_eq!(reader.by_ref().count(), 2);
+        assert_eq!(reader.intact(), third);
+        assert_eq!(LogReader::new(&sample_container()).count(), 0);
+    }
+
+    #[test]
+    fn log_reopen_cuts_a_torn_tail_and_appends_after_the_intact_prefix() {
+        let dir = test_dir("log");
+        let path = dir.join("a.log");
+        let (payloads, bytes) = sample_log();
+        let mut log = Log::create(&path, &payloads[0]).unwrap();
+        let mut rest = Vec::new();
+        for payload in &payloads[1..] {
+            Log::frame(&mut rest, payload);
+        }
+        log.append(&rest).unwrap();
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        let (_, intact) = Log::open_for_append(&path).unwrap();
+        assert_eq!(intact, bytes);
+        // A torn append: half a frame after the intact prefix.
+        let mut torn = bytes.clone();
+        Log::frame(&mut torn, b"lost");
+        torn.truncate(bytes.len() + 9);
+        std::fs::write(&path, &torn).unwrap();
+        let (mut log, intact) = Log::open_for_append(&path).unwrap();
+        assert_eq!(log.torn_bytes(), 9);
+        assert_eq!(intact, bytes);
+        let mut next = Vec::new();
+        Log::frame(&mut next, b"next");
+        log.append(&next).unwrap();
+        drop(log);
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(on_disk, [bytes, next].concat());
+        let mut reader = LogReader::new(&on_disk);
+        assert_eq!(reader.by_ref().last(), Some(&b"next"[..]));
+        assert_eq!(reader.intact(), on_disk.len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
