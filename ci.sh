@@ -28,7 +28,9 @@
 # the gate). The snapshot restart gate boots a server with
 # `--snapshot-dir`, advances three challenge epochs, snapshots, and
 # restarts: the restarted server must report the snapshot loaded and
-# serve byte-identical `/v1/table2` bytes at epoch 0 and epoch 3, and
+# serve byte-identical `/v1/table2` bytes at epoch 0 and epoch 3 (plus
+# `/v1/serviceability?isp=Frontier` and `/v1/compliance?q3_scale=12`
+# warm vs cold), and
 # (on >= 4 cores) the in-process restore must be >= 10x faster than the
 # cold first-200 wall. The challenge-replay gate runs the committed
 # sample delta stream through `challenge_replay` in incremental and
@@ -311,6 +313,9 @@ cargo run --release -q -p caf-serve --bin challenge_replay -- \
   --workers 2 --emit-resolved "$ci_out/resolved_deltas.jsonl" --quiet
 snap_dir="$ci_out/snapshots"
 mkdir -p "$snap_dir"
+# Bodies of the restored entries beyond table2: an isp= form, and a
+# q3_scale override (the one query value outside the cache key).
+snap_queries=("serviceability?isp=Frontier" "compliance?q3_scale=12")
 cold_first_200_ms=0
 for boot in cold warm; do
   port_file="$ci_out/serve_port.snap.$boot"
@@ -346,6 +351,9 @@ for boot in cold warm; do
         --data-binary @- "http://$addr/v1/challenge" >/dev/null
     done
     curl -fsS "http://$addr/v1/table2?epoch=3" -o "$ci_out/snap_table2.e3.cold.json"
+    for query in "${snap_queries[@]}"; do
+      curl -fsS "http://$addr/v1/$query" -o "$ci_out/snap_${query//[?=]/_}.cold.json"
+    done
     snap_reply=$(curl -fsS -X POST "http://$addr/v1/snapshot")
     case "$snap_reply" in
       *'"epoch":3'*) ;;
@@ -360,6 +368,11 @@ for boot in cold warm; do
     curl -fsS "http://$addr/v1/table2?epoch=3" -o "$ci_out/snap_table2.e3.warm.json"
     cmp "$ci_out/snap_table2.e3.warm.json" "$ci_out/snap_table2.e3.cold.json"
     echo "    warm boot: epoch-3 /v1/table2 is byte-identical to the pre-restart bytes"
+    for query in "${snap_queries[@]}"; do
+      curl -fsS "http://$addr/v1/$query" -o "$ci_out/snap_${query//[?=]/_}.warm.json"
+      cmp "$ci_out/snap_${query//[?=]/_}.warm.json" "$ci_out/snap_${query//[?=]/_}.cold.json"
+      echo "    warm boot: /v1/$query is byte-identical to the pre-restart bytes"
+    done
     curl -fsS "http://$addr/metrics" -o "$ci_out/snap_metrics.json"
     # The no-rebuild proof: both warm requests must be cache hits served
     # from restored views. The miss counter only appears once it

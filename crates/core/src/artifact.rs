@@ -19,6 +19,7 @@
 //! (`ci.sh`'s serve gate diffs the two).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use caf_obs::json::Json;
 use caf_stats::{median, quantile};
@@ -89,6 +90,31 @@ impl ScenarioMeta {
 pub fn to_canonical_bytes(wrapped: &Json) -> String {
     let mut out = wrapped.to_pretty();
     out.push('\n');
+    out
+}
+
+/// Renders an artifact body at envelope depth: the text [`envelope`]
+/// splices in as the `"artifact"` member.
+pub fn render_body(body: &Json) -> String {
+    body.to_pretty_at(1)
+}
+
+/// Assembles canonical bytes around a body pre-rendered by
+/// [`render_body`]: `envelope(&meta, &render_body(&body))` equals
+/// `to_canonical_bytes(&meta.wrap(body))` for every meta and body. Only
+/// the `"scenario"` block is written here, so a server can render a
+/// body once and serve it under any meta (`q3_scale`, epoch) for the
+/// cost of a copy.
+pub fn envelope(meta: &ScenarioMeta, body: &str) -> String {
+    let mut out = String::with_capacity(body.len() + 160);
+    out.push_str("{\n  \"artifact\": ");
+    out.push_str(body);
+    let _ = write!(
+        out,
+        ",\n  \"scenario\": {{\n    \"epoch\": {},\n    \"q3_scale\": {},\n    \
+         \"scale\": {},\n    \"seed\": {}\n  }}\n}}\n",
+        meta.epoch, meta.q3_scale, meta.scale, meta.seed
+    );
     out
 }
 
@@ -354,6 +380,42 @@ mod tests {
                 assert_sorted_keys(item, &format!("{path}[{i}]"));
             }
         }
+    }
+
+    #[test]
+    fn envelope_equals_wrap_for_random_metas() {
+        use caf_exec::prop;
+        let bodies = [
+            Json::Obj(Vec::new()),
+            Json::Null,
+            Json::Obj(vec![
+                ("experiment".to_string(), Json::Str("x\"y".to_string())),
+                (
+                    "isps".to_string(),
+                    Json::Obj(vec![(
+                        "AT&T".to_string(),
+                        Json::Arr(vec![Json::Num(0.25), Json::UInt(3), Json::Arr(Vec::new())]),
+                    )]),
+                ),
+            ]),
+        ];
+        let metas = (0..=u64::MAX, 0..=u32::MAX, 0..=u32::MAX, 0..=u64::MAX);
+        prop::check(
+            256,
+            (metas, prop::select(bodies.to_vec())),
+            |((seed, scale, q3_scale, epoch), body)| {
+                let meta = ScenarioMeta {
+                    seed,
+                    scale,
+                    q3_scale,
+                    epoch,
+                };
+                assert_eq!(
+                    envelope(&meta, &render_body(&body)),
+                    to_canonical_bytes(&meta.wrap(body))
+                );
+            },
+        );
     }
 
     #[test]

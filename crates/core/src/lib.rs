@@ -52,7 +52,6 @@ pub mod report;
 pub mod sampling;
 pub mod sensitivity;
 pub mod serviceability;
-pub mod snap;
 
 pub use artifact::ScenarioMeta;
 pub use audit::{Audit, AuditConfig, AuditDataset, AuditRow};

@@ -81,20 +81,21 @@ impl Json {
 
     /// Serializes with two-space indentation, keys in stored order.
     pub fn to_pretty(&self) -> String {
+        self.to_pretty_at(0)
+    }
+
+    /// Serializes with two-space indentation as if the value sat `depth`
+    /// levels deep in an enclosing pretty document: the first line is
+    /// not indented, and every later line carries `depth` extra levels.
+    /// Splicing the result in as a member value of that document gives
+    /// the same bytes as pretty-printing the whole document.
+    pub fn to_pretty_at(&self, depth: usize) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, Some(2), depth);
         out
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (open_sep, close_sep, item_sep) = match indent {
-            Some(width) => (
-                format!("\n{}", " ".repeat(width * (depth + 1))),
-                format!("\n{}", " ".repeat(width * depth)),
-                format!(",\n{}", " ".repeat(width * (depth + 1))),
-            ),
-            None => (String::new(), String::new(), ",".to_string()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -115,14 +116,14 @@ impl Json {
                     return;
                 }
                 out.push('[');
-                out.push_str(&open_sep);
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(&item_sep);
+                        out.push(',');
                     }
+                    break_line(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(&close_sep);
+                break_line(out, indent, depth);
                 out.push(']');
             }
             Json::Obj(entries) => {
@@ -131,11 +132,11 @@ impl Json {
                     return;
                 }
                 out.push('{');
-                out.push_str(&open_sep);
                 for (i, (key, value)) in entries.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(&item_sep);
+                        out.push(',');
                     }
+                    break_line(out, indent, depth + 1);
                     write_escaped(out, key);
                     out.push(':');
                     if indent.is_some() {
@@ -143,9 +144,20 @@ impl Json {
                     }
                     value.write(out, indent, depth + 1);
                 }
-                out.push_str(&close_sep);
+                break_line(out, indent, depth);
                 out.push('}');
             }
+        }
+    }
+}
+
+/// In pretty mode, starts a new line indented `depth` levels; in
+/// compact mode, writes nothing.
+fn break_line(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        for _ in 0..width * depth {
+            out.push(' ');
         }
     }
 }
@@ -407,6 +419,26 @@ mod tests {
         assert_eq!(
             value.to_compact(),
             r#"{"a":7,"b":{"inner":"x \"quoted\"\n","list":[1,null]},"c":true}"#
+        );
+    }
+
+    #[test]
+    fn pretty_at_depth_splices_into_the_enclosing_document() {
+        let inner = Json::Obj(vec![
+            ("empty".to_string(), Json::Arr(Vec::new())),
+            (
+                "list".to_string(),
+                Json::Arr(vec![Json::UInt(1), Json::Obj(Vec::new()), Json::Null]),
+            ),
+            ("x".to_string(), Json::Num(0.5)),
+        ]);
+        let outer = Json::Arr(vec![Json::Obj(vec![("k".to_string(), inner.clone())])]);
+        let spliced = format!("[\n  {{\n    \"k\": {}\n  }}\n]", inner.to_pretty_at(2));
+        assert_eq!(outer.to_pretty(), spliced);
+        assert_eq!(inner.to_pretty_at(0), inner.to_pretty());
+        assert_eq!(
+            inner.to_pretty(),
+            "{\n  \"empty\": [],\n  \"list\": [\n    1,\n    {},\n    null\n  ],\n  \"x\": 0.5\n}"
         );
     }
 

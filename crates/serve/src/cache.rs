@@ -1,9 +1,9 @@
 //! The scenario cache: LRU over materialized results + single-flight
 //! deduplication of concurrent identical computations.
 //!
-//! Scenario bundles are expensive (a `Fixture` at repro scale takes
-//! seconds and holds the whole synthetic world), so the cache bounds
-//! *both* axes of waste:
+//! Scenario entries are expensive to compute (a `Fixture` at repro
+//! scale takes seconds and builds the whole synthetic world), so the
+//! cache bounds *both* axes of waste:
 //!
 //! * **Memory** — at most `capacity` ready entries; inserting past the
 //!   cap evicts the least-recently-used entry. Recency is a monotonic

@@ -17,12 +17,13 @@
 //!   and `forbid(unsafe_code)`, so there is no signal handler; see
 //!   `DESIGN.md`).
 //!
-//! The heart is the [`cache::ScenarioCache`]: materialized scenario
-//! bundles (world + audit dataset + analyses) keyed by the canonical
-//! scenario parameters, with LRU eviction and **single-flight**
-//! deduplication — N concurrent requests for the same uncached
-//! scenario trigger exactly one computation; the other N−1 block on
-//! the in-flight entry and share the result.
+//! The heart is the [`cache::ScenarioCache`]: scenario entries — every
+//! artifact body a scenario's routes can return, rendered once per
+//! build ([`entry`]) — keyed by the canonical scenario parameters, with
+//! LRU eviction and **single-flight** deduplication — N concurrent
+//! requests for the same uncached scenario trigger exactly one
+//! computation; the other N−1 block on the in-flight entry and share
+//! the result.
 //!
 //! Backpressure is explicit and bounded everywhere: a fixed worker
 //! pool (sized via [`caf_exec::EngineConfig::share`]) drains a bounded
@@ -40,7 +41,8 @@
 //!   serving its first byte-identical response in milliseconds instead
 //!   of rebuilding the world.
 //! * [`tier`] — a disk LRU tier under the in-memory cache. Evicted
-//!   ready entries spill to disk keyed by scenario + epoch and are
+//!   ready entries (their rendered bodies) spill to disk keyed by
+//!   scenario + epoch and are
 //!   promoted back on the next request, so the working set can exceed
 //!   the in-memory capacity without paying recomputation.
 
@@ -49,6 +51,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod entry;
 pub mod http;
 pub mod scenario;
 pub mod server;

@@ -1,5 +1,5 @@
 //! The application handler: routes HTTP requests to cached scenario
-//! computations and renders canonical artifact bytes.
+//! computations and serves canonical artifact bytes.
 //!
 //! The cache key is the *canonical scenario identity* — the parameters
 //! that change the result. Compute-side knobs (`workers=`) are
@@ -9,6 +9,13 @@
 //! anyway. That contract is what lets `/v1/*` responses be compared
 //! byte-for-byte against `repro --artifacts` goldens in CI.
 //!
+//! A cache entry is the scenario's rendered artifact bodies (see
+//! [`crate::entry`]). A read picks its body and wraps it in the
+//! request's `"scenario"` block ([`artifact::envelope`]) — the one part
+//! of the response that depends on query values outside the key
+//! (`q3_scale` on Q1/Q2 routes) — so a warm read costs a copy and a
+//! hash, never a render.
+//!
 //! ## Challenges and epochs
 //!
 //! The server is not just a batch cache: `POST /v1/challenge` ingests a
@@ -17,23 +24,24 @@
 //! Each accepted batch is applied via [`World::apply_deltas`] (atomic —
 //! an invalid delta rejects the whole batch with `400`) and recomputed
 //! incrementally via [`IncrementalAudit::refresh`], which re-audits only
-//! the invalidated (state, CBG, ISP) cells. The refreshed view is
-//! published into the scenario cache under its epoch, so reads are
-//! consistent without any cache flush:
+//! the invalidated (state, CBG, ISP) cells. The refreshed scenario is
+//! rendered and published into the scenario cache under its epoch, so
+//! reads are consistent without any cache flush:
 //!
 //! * `GET /v1/{serviceability,compliance,table2}?epoch=E` serves the
 //!   world after the first `E` deltas (`epoch` defaults to `0`, the
 //!   pristine pre-challenge world — existing clients and the CI goldens
-//!   are unaffected).
+//!   are unaffected). An epoch not yet reached is a `404`.
 //! * A historical epoch that has fallen out of the cache is rebuilt
 //!   from scratch from the delta log prefix; by the determinism
-//!   contract the bytes equal what the incremental path produced.
+//!   contract the bytes equal what the incremental path produced. Only
+//!   that rebuild reads the live world: a hit takes no lock on it.
 //! * `/v1/q3` takes no `epoch`: challenges correct the Q1/Q2 CAF-Map
 //!   world, not the Q3 monopoly comparison's dedicated world.
 //!
 //! Conditional GETs: every `/v1/*` artifact response carries a
-//! deterministic FNV-1a `ETag`; a request presenting it back via
-//! `If-None-Match` is answered `304 Not Modified` with no body.
+//! deterministic FNV-1a `ETag` of its bytes; a request presenting it
+//! back via `If-None-Match` is answered `304 Not Modified` with no body.
 //!
 //! ## Snapshots and the disk tier
 //!
@@ -41,254 +49,38 @@
 //! `caf-snap` containers (see [`crate::snapshot`]): `POST /v1/snapshot`
 //! writes one synchronously, every accepted challenge batch writes one
 //! on a detached background thread, and startup restores the newest
-//! compatible snapshot. The restore is split for latency: warm cache
-//! views are decoded synchronously (milliseconds — the next `GET` is
-//! served from them without rebuilding the world), while the live
-//! world + challenge log decode on a background thread behind a
-//! condvar gate that epoch-dependent requests wait on. The same
+//! compatible snapshot. The restore is split for latency: the warm
+//! cache entries (rendered bodies) are installed synchronously — the
+//! next `GET` is served from them without rebuilding the world — while
+//! the live world + challenge log decode on a background thread behind
+//! a condvar gate that rebuilds and challenge batches wait on. The same
 //! directory hosts the disk LRU tier (`tier/`): cache evictions spill
-//! there and are promoted back on demand, byte-identically.
+//! their bodies there and are promoted back on demand, byte-identically.
 
 use crate::cache::{CacheError, CacheOutcome, ScenarioCache, SpillHook};
+use crate::entry::{body_index, decode_views, put_views, Bundle, Kind, ScenarioKey, TierSpill};
 use crate::http::{Request, Response};
 use crate::server::Handler;
 use crate::snapshot::{self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS, SECTION_WORLD};
 use crate::tier::DiskTier;
 use caf_bench::{campaign_config, Fixture};
 use caf_core::{
-    artifact, Audit, AuditConfig, AuditDataset, AuditIndex, ComplianceAnalysis, EngineConfig,
-    IncrementalAudit, ProgramRules, Q3Analysis, SamplingRule, ScenarioMeta, ServiceabilityAnalysis,
-    SubsidyRule,
+    artifact, Audit, AuditConfig, AuditIndex, ComplianceAnalysis, EngineConfig, IncrementalAudit,
+    ProgramRules, SamplingRule, ScenarioMeta, ServiceabilityAnalysis, SubsidyRule,
 };
 use caf_geo::UsState;
 use caf_obs::json::Json;
 use caf_obs::{FlightRecorder, Slo};
-use caf_snap::{write_atomic, Reader, Snap, SnapError, Snapshot, SnapshotBuilder, Writer};
+use caf_snap::{fnv1a, write_atomic, Reader, SnapError, Snapshot, SnapshotBuilder};
 use caf_sweep::SweepSpec;
 use caf_synth::challenge::deltas_from_jsonl;
 use caf_synth::{ChallengeDelta, Isp, SynthConfig, World};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
-
-/// Which pipeline a cache entry materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Kind {
-    /// The Q1/Q2 fixture: world + campaign + serviceability/compliance.
-    Q12,
-    /// The Q3 monopoly/competitive analysis (its own world build).
-    Q3,
-    /// One policy-sweep grid cell (its own single-state world; the
-    /// key's `seed` field carries the cell's content hash).
-    Sweep,
-}
-
-/// Canonical scenario identity: result-changing parameters only. The
-/// challenge epoch is identity — the same `(seed, scale)` before and
-/// after a correction batch are different results — which is exactly
-/// what lets pre- and post-challenge views coexist in the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ScenarioKey {
-    kind: Kind,
-    seed: u64,
-    scale: u32,
-    epoch: u64,
-}
-
-/// The slice of a Q1/Q2 fixture the artifact routes actually read.
-/// (The world itself stays out of the cache; the live challenge
-/// scenario owns the only resident world.)
-struct Q12View {
-    dataset: AuditDataset,
-    index: AuditIndex,
-    serviceability: ServiceabilityAnalysis,
-    compliance: ComplianceAnalysis,
-}
-
-impl Q12View {
-    fn from_fixture(fixture: Fixture) -> Q12View {
-        Q12View {
-            dataset: fixture.dataset,
-            index: fixture.index,
-            serviceability: fixture.serviceability,
-            compliance: fixture.compliance,
-        }
-    }
-
-    /// Rebuilds a view from its serialized substrate. Only the dataset
-    /// and the columnar index are persisted; the derived analyses are
-    /// cheap linear passes over the index, so recomputing them on load
-    /// is faster than decoding them would be — and sidesteps
-    /// serializing their internals entirely.
-    fn from_parts(dataset: AuditDataset, index: AuditIndex) -> Result<Q12View, SnapError> {
-        if index.len() != dataset.rows.len() {
-            return Err(SnapError::Malformed(format!(
-                "index covers {} rows but dataset has {}",
-                index.len(),
-                dataset.rows.len()
-            )));
-        }
-        Ok(Q12View {
-            serviceability: ServiceabilityAnalysis::from_index(&index),
-            compliance: ComplianceAnalysis::from_index(&dataset, &index),
-            dataset,
-            index,
-        })
-    }
-}
-
-/// A materialized scenario bundle held by the cache.
-enum Bundle {
-    Q12(Box<Q12View>),
-    Q3(Box<Q3Analysis>),
-    /// A sweep cell's canonical artifact-body bytes. Cells are stored
-    /// rendered: the bytes are the cache/tier/snapshot payload *and*
-    /// the response fragment, so a disk round-trip is trivially
-    /// byte-identical.
-    Sweep(Vec<u8>),
-}
-
-impl Bundle {
-    /// Serializes the bundle for the disk tier / snapshot `VIEWS`
-    /// section. Q1/Q2 persists `(dataset, index)`; Q3 persists the
-    /// analysis itself (its artifact reads every field).
-    fn encode_payload(&self, w: &mut Writer) {
-        match self {
-            Bundle::Q12(view) => {
-                w.put_u8(0);
-                // Rows and records dominate decode time, so they are
-                // written as independent byte chunks that restore can
-                // decode on parallel threads. The chunk split is a
-                // fixed constant — never derived from the runtime core
-                // count — so the encoded bytes stay identical across
-                // hosts and worker configurations.
-                put_chunked(w, &view.dataset.rows);
-                put_chunked(w, &view.dataset.records);
-                w.put_seq(&view.dataset.coverage);
-                w.put(&view.index);
-            }
-            Bundle::Q3(q3) => {
-                w.put_u8(1);
-                w.put(&**q3);
-            }
-            Bundle::Sweep(bytes) => {
-                w.put_u8(2);
-                w.put_bytes(bytes);
-            }
-        }
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> Result<Bundle, SnapError> {
-        Ok(match r.u8()? {
-            0 => {
-                let rows = get_chunked(r)?;
-                let records = get_chunked(r)?;
-                let coverage = r.get_seq()?;
-                let dataset = AuditDataset {
-                    rows,
-                    records,
-                    coverage,
-                };
-                let index: AuditIndex = r.get()?;
-                Bundle::Q12(Box::new(Q12View::from_parts(dataset, index)?))
-            }
-            1 => Bundle::Q3(Box::new(r.get()?)),
-            2 => Bundle::Sweep(r.bytes()?.to_vec()),
-            other => {
-                return Err(SnapError::Malformed(format!(
-                    "bundle: unknown kind tag {other}"
-                )))
-            }
-        })
-    }
-}
-
-/// How many byte chunks [`put_chunked`] splits a sequence into. Fixed
-/// so encoded bytes are host-independent; 8 keeps per-chunk decode work
-/// worth a thread at serving scales without oversplitting tiny sets.
-const DECODE_CHUNKS: usize = 8;
-
-/// Writes `items` as a chunk-count-prefixed list of independently
-/// decodable byte blobs (each a standard `put_seq` encoding of its
-/// slice), enabling [`get_chunked`] to fan decode out across threads.
-fn put_chunked<T: Snap>(w: &mut Writer, items: &[T]) {
-    let chunk_len = items.len().div_ceil(DECODE_CHUNKS).max(1);
-    let chunks: Vec<&[T]> = items.chunks(chunk_len).collect();
-    w.put_u32(chunks.len() as u32);
-    for chunk in &chunks {
-        let mut inner = Writer::new();
-        inner.put_seq(chunk);
-        w.put_bytes(&inner.into_bytes());
-    }
-}
-
-/// Decodes a [`put_chunked`] sequence across a few scoped threads.
-/// Restore latency is the point of the snapshot subsystem, and chunk
-/// decode is its hot path. Thread spawns are ~50µs apiece — comparable
-/// to decoding a whole chunk — so chunks are striped over at most four
-/// workers (the calling thread takes the first stripe) instead of one
-/// thread per chunk. The workers borrow the payload; no extra copy.
-fn get_chunked<T: Snap + Send>(r: &mut Reader<'_>) -> Result<Vec<T>, SnapError> {
-    let count = r.u32()? as usize;
-    if count > 64 {
-        return Err(SnapError::Malformed(format!(
-            "chunked sequence: implausible chunk count {count}"
-        )));
-    }
-    let mut blobs = Vec::with_capacity(count);
-    for _ in 0..count {
-        blobs.push(r.bytes()?);
-    }
-    let decode_blob = |blob: &[u8]| -> Result<Vec<T>, SnapError> {
-        let mut r = Reader::new(blob);
-        let items: Vec<T> = r.get_seq()?;
-        r.finish()?;
-        Ok(items)
-    };
-    // Worker count is a runtime choice (it cannot affect the decoded
-    // value, only the wall clock), so sizing it to the host is safe —
-    // and on a single-core host spawning anything is pure overhead.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = blobs.len().clamp(1, cores.min(4));
-    let mut results: Vec<Result<Vec<T>, SnapError>> =
-        blobs.iter().map(|_| Ok(Vec::new())).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|worker| {
-                let stripe: Vec<(usize, &[u8])> = blobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % workers == worker)
-                    .map(|(i, blob)| (i, *blob))
-                    .collect();
-                scope.spawn(move || {
-                    stripe
-                        .into_iter()
-                        .map(|(i, blob)| (i, decode_blob(blob)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for (i, blob) in blobs.iter().enumerate() {
-            if i % workers == 0 {
-                results[i] = decode_blob(blob);
-            }
-        }
-        for handle in handles {
-            for (i, result) in handle.join().expect("chunk decode thread") {
-                results[i] = result;
-            }
-        }
-    });
-    let mut items = Vec::new();
-    for result in results {
-        items.extend(result?);
-    }
-    Ok(items)
-}
 
 /// The live, epoch-versioned default scenario: the world of record, the
 /// incremental audit tracking it cell-by-cell, and the full delta log
@@ -303,11 +95,12 @@ struct Live {
     log: Vec<ChallengeDelta>,
 }
 
-/// Blocks epoch-dependent requests while the background thread is still
-/// decoding the snapshot's world + challenge log. The gate starts open,
-/// closes for the duration of a restore, and reopens whether the decode
-/// succeeded or not (failure just means `live` stays empty — a 404 for
-/// historical epochs, exactly as on a cold boot).
+/// Blocks what needs the live world — a rebuild of a past epoch, a
+/// challenge batch, a snapshot write — while the background thread is
+/// still decoding the snapshot's world + challenge log. The gate starts
+/// open, closes for the duration of a restore, and reopens whether the
+/// decode succeeded or not (failure just means `live` stays empty — a
+/// 404 for historical epochs, exactly as on a cold boot).
 struct RestoreGate {
     restoring: Mutex<bool>,
     done: Condvar,
@@ -335,52 +128,6 @@ impl RestoreGate {
         while *restoring {
             restoring = self.done.wait(restoring).unwrap();
         }
-    }
-}
-
-/// Bridges cache evictions into the [`DiskTier`]: spilled bundles are
-/// serialized with [`Bundle::encode_payload`] under a key that carries
-/// the full scenario identity, and loads re-validate that identity
-/// against the tier file's header before decoding.
-struct TierSpill {
-    tier: Arc<DiskTier>,
-}
-
-/// The tier file key for a scenario: kind, seed, scale, epoch — the
-/// same identity the cache keys on, so a promoted entry is exactly the
-/// entry that was evicted.
-fn tier_key(key: &ScenarioKey) -> String {
-    let kind = match key.kind {
-        Kind::Q12 => "q12",
-        Kind::Q3 => "q3",
-        Kind::Sweep => "sweep",
-    };
-    format!("{kind}-{:016x}-{}-{}", key.seed, key.scale, key.epoch)
-}
-
-impl SpillHook<ScenarioKey, Bundle> for TierSpill {
-    fn spill(&self, key: &ScenarioKey, bundle: &Bundle) {
-        let _span = caf_obs::span("snap.tier.spill");
-        let mut payload = Writer::new();
-        bundle.encode_payload(&mut payload);
-        self.tier.put(
-            &tier_key(key),
-            key.seed,
-            key.scale,
-            key.epoch,
-            &payload.into_bytes(),
-        );
-    }
-
-    fn load(&self, key: &ScenarioKey) -> Option<Bundle> {
-        let _span = caf_obs::span("snap.tier.load");
-        let payload = self
-            .tier
-            .load(&tier_key(key), key.seed, key.scale, key.epoch)?;
-        let mut r = Reader::new(&payload);
-        let bundle = Bundle::decode_payload(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(bundle)
     }
 }
 
@@ -486,6 +233,10 @@ pub struct App {
     tier: Option<Arc<DiskTier>>,
     active_computes: Arc<AtomicUsize>,
     live: Arc<Mutex<Option<Live>>>,
+    /// The newest epoch a read may ask for: the live world's epoch once
+    /// its entry is published, and during a snapshot restore the
+    /// snapshot's epoch. Reads check it without touching `live`.
+    reached: Arc<AtomicU64>,
     restore: Arc<RestoreGate>,
     snap_status: SnapshotStatus,
     /// At most one background snapshot write at a time; a batch that
@@ -514,7 +265,7 @@ impl Drop for ActiveGuard {
 impl App {
     /// Creates the application with the given tuning. With
     /// [`AppConfig::snapshot_dir`] set this also opens the disk tier
-    /// and restores the newest compatible snapshot: cache views are
+    /// and restores the newest compatible snapshot: cache entries are
     /// installed synchronously (they are what makes the first request
     /// fast), while the live world + challenge log decode on a
     /// background thread behind [`RestoreGate`]. Any problem with the
@@ -540,9 +291,10 @@ impl App {
             None => ScenarioCache::new(config.cache_capacity),
         };
         let live: Arc<Mutex<Option<Live>>> = Arc::new(Mutex::new(None));
+        let reached = Arc::new(AtomicU64::new(0));
         let restore = Arc::new(RestoreGate::new());
         let snap_status = match &config.snapshot_dir {
-            Some(dir) => restore_snapshot(dir, &config, &cache, &live, &restore),
+            Some(dir) => restore_snapshot(dir, &config, &cache, &live, &reached, &restore),
             None => SnapshotStatus::default(),
         };
 
@@ -561,6 +313,7 @@ impl App {
             tier,
             active_computes: Arc::new(AtomicUsize::new(0)),
             live,
+            reached,
             restore,
             snap_status,
             snapshot_inflight: Arc::new(AtomicBool::new(false)),
@@ -593,11 +346,7 @@ impl App {
     /// this reports the snapshot's epoch — the epoch the server is
     /// already answering cached reads at.
     pub fn live_epoch(&self) -> u64 {
-        self.live
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(self.snap_status.epoch, |live| live.world.epoch)
+        self.reached.load(Ordering::SeqCst)
     }
 
     /// `GET /healthz`: liveness plus staleness — the live challenge
@@ -750,7 +499,7 @@ impl App {
     /// Handles `POST /v1/challenge`: parses the JSONL delta batch,
     /// applies it to the live world (atomically — any invalid delta
     /// rejects the batch), refreshes the incremental audit over the
-    /// invalidated cells only, and publishes the refreshed view into
+    /// invalidated cells only, and renders the refreshed scenario into
     /// the scenario cache under the new epoch.
     fn challenge_response(&self, request: &Request) -> Response {
         let body = match std::str::from_utf8(&request.body) {
@@ -824,18 +573,18 @@ impl App {
         caf_obs::gauge("caf.serve.challenge.epoch", outcome.epoch);
         caf_obs::trace::annotate("epoch", &outcome.epoch.to_string());
 
-        // Publish the refreshed view so reads at this epoch hit the
-        // cache instead of rebuilding from scratch.
+        // Publish the refreshed scenario, rendered, so reads at this
+        // epoch hit the cache instead of rebuilding from scratch. The
+        // epoch becomes readable only once its entry is in place.
         let dataset = live.inc.as_ref().expect("materialized above").dataset();
-        let index = AuditIndex::build_at(&dataset, live.world.epoch);
-        let view = Q12View {
-            serviceability: ServiceabilityAnalysis::from_index(&index),
-            compliance: ComplianceAnalysis::from_index(&dataset, &index),
-            dataset,
-            index,
-        };
         let epoch = live.world.epoch;
         drop(slot);
+        let index = AuditIndex::build_at(&dataset, epoch);
+        let bundle = Bundle::q12(
+            &dataset,
+            &ServiceabilityAnalysis::from_index(&index),
+            &ComplianceAnalysis::from_index(&dataset, &index),
+        );
         self.cache.insert(
             ScenarioKey {
                 kind: Kind::Q12,
@@ -843,8 +592,9 @@ impl App {
                 scale,
                 epoch,
             },
-            Bundle::Q12(Box::new(view)),
+            bundle,
         );
+        self.reached.fetch_max(epoch, Ordering::SeqCst);
         // Persist the advanced world off the request path, so a crash
         // after this response restarts at (or near) the new epoch.
         self.spawn_snapshot_write();
@@ -970,33 +720,17 @@ impl App {
             );
         }
 
-        // The delta prefix that defines the requested epoch (empty at
-        // epoch 0). The epoch counts applied deltas, so epoch E is the
-        // first E entries of the log.
-        let deltas: Vec<ChallengeDelta> = if params.epoch == 0 {
-            Vec::new()
-        } else {
-            // Historical epochs need the live world (for the delta-log
-            // prefix); a restored one may still be decoding.
-            self.restore.wait();
-            let live = self.live.lock().unwrap();
-            match live.as_ref() {
-                Some(live) if live.world.epoch >= params.epoch => {
-                    live.log[..params.epoch as usize].to_vec()
-                }
-                other => {
-                    let reached = other.map_or(0, |live| live.world.epoch);
-                    return Response::error(
-                        404,
-                        &format!(
-                            "epoch {} has not been reached (live epoch is {reached}; \
-                             apply challenges via POST /v1/challenge)",
-                            params.epoch
-                        ),
-                    );
-                }
-            }
-        };
+        let reached = self.live_epoch();
+        if params.epoch > reached {
+            return Response::error(
+                404,
+                &format!(
+                    "epoch {} has not been reached (live epoch is {reached}; \
+                     apply challenges via POST /v1/challenge)",
+                    params.epoch
+                ),
+            );
+        }
 
         let key = match route {
             "q3" => ScenarioKey {
@@ -1015,6 +749,7 @@ impl App {
         let result = self
             .cache
             .get_or_compute(key, self.config.compute_timeout, || {
+                let deltas = self.delta_prefix(key.epoch)?;
                 let (engine, _guard) = self.compute_engine(params.engine);
                 let _span = caf_obs::span_with(|| format!("serve.compute.{:?}", key.kind));
                 match key.kind {
@@ -1025,10 +760,10 @@ impl App {
                         engine,
                         &deltas,
                     )
-                    .map(|fixture| Bundle::Q12(Box::new(Q12View::from_fixture(fixture))))
+                    .map(|f| Bundle::q12(&f.dataset, &f.serviceability, &f.compliance))
                     .map_err(|error| error.to_string()),
-                    Kind::Q3 => Ok(Bundle::Q3(Box::new(
-                        Fixture::build_q3_tuned(key.seed, key.scale, engine).1,
+                    Kind::Q3 => Ok(Bundle::one(&artifact::q3(
+                        &Fixture::build_q3_tuned(key.seed, key.scale, engine).1,
                     ))),
                     // Sweep cells are computed by `sweep_response`,
                     // which never routes through here.
@@ -1060,24 +795,32 @@ impl App {
 
         let bytes = {
             let _span = caf_obs::span("render");
-            let body = match (&*bundle, route) {
-                (Bundle::Q12(view), "serviceability") => {
-                    artifact::serviceability(&view.serviceability, params.isp)
-                }
-                (Bundle::Q12(view), "compliance") => {
-                    artifact::compliance(&view.compliance, &view.dataset, params.isp)
-                }
-                (Bundle::Q12(view), "table2") => artifact::table2(&view.dataset),
-                (Bundle::Q3(q3), "q3") => artifact::q3(q3),
-                _ => return Response::error(500, "bundle/route mismatch"),
+            let Some(body) = bundle.bodies().get(body_index(route, params.isp)) else {
+                return Response::error(500, "bundle/route mismatch");
             };
-            artifact::to_canonical_bytes(&params.meta.at_epoch(params.epoch).wrap(body))
+            artifact::envelope(&params.meta.at_epoch(params.epoch), body)
         };
         let etag = format!("\"{:016x}\"", fnv1a(bytes.as_bytes()));
         if client_has(request, &etag) {
             return Response::not_modified().with_header("ETag", etag);
         }
         Response::json(bytes.into_bytes()).with_header("ETag", etag)
+    }
+
+    /// The delta-log prefix that defines `epoch` (empty at epoch 0): the
+    /// epoch counts applied deltas, so epoch E is the first E entries.
+    /// Only a rebuild needs it, so only a miss waits for a restoring
+    /// world and takes the live lock.
+    fn delta_prefix(&self, epoch: u64) -> Result<Vec<ChallengeDelta>, String> {
+        if epoch == 0 {
+            return Ok(Vec::new());
+        }
+        self.restore.wait();
+        let live = self.live.lock().unwrap();
+        match live.as_ref() {
+            Some(live) if live.world.epoch >= epoch => Ok(live.log[..epoch as usize].to_vec()),
+            _ => Err(format!("the delta log does not reach epoch {epoch}")),
+        }
     }
 
     /// Parses the sweep grid axes from comma-separated query
@@ -1203,9 +946,7 @@ impl App {
                     let (_engine, _guard) = self.compute_engine(self.config.engine);
                     let _span = caf_obs::span("serve.compute.sweep");
                     let computed = caf_sweep::compute_cell(seed, cell);
-                    Ok(Bundle::Sweep(
-                        artifact::to_canonical_bytes(&caf_sweep::cell_body(&computed)).into_bytes(),
-                    ))
+                    Ok(Bundle::one(&caf_sweep::cell_body(&computed)))
                 });
             let bundle = match result {
                 Ok((bundle, outcome)) => {
@@ -1227,15 +968,9 @@ impl App {
                     return Response::error(500, &format!("sweep cell failed: {message}"));
                 }
             };
-            let Bundle::Sweep(bytes) = &*bundle else {
-                return Response::error(500, "bundle/route mismatch");
-            };
-            let body = std::str::from_utf8(bytes)
-                .ok()
-                .and_then(|text| caf_obs::json::parse(text).ok());
-            match body {
-                Some(body) => bodies.push(body),
-                None => return Response::error(500, "stored sweep cell is not canonical JSON"),
+            match caf_obs::json::parse(&bundle.bodies()[0]) {
+                Ok(body) => bodies.push(body),
+                Err(_) => return Response::error(500, "stored sweep cell is not canonical JSON"),
             }
         }
         caf_obs::trace::annotate("cache", &format!("hit={hits} miss={misses}"));
@@ -1261,17 +996,20 @@ impl App {
 /// binary, not on a request thread.
 const MAX_SWEEP_CELLS: usize = 64;
 
-/// Restores the newest compatible snapshot from `dir`, if any: views
-/// into `cache` synchronously, the world + log onto a background
-/// thread that installs `live` and then opens `gate`. Returns the
-/// status `/healthz` reports. Every failure path prints one line and
-/// returns a cold status — a bad snapshot must never take the server
-/// down or slow it below a plain cold boot.
+/// Restores the newest compatible snapshot from `dir`, if any: cache
+/// entries into `cache` synchronously, the world + log onto a
+/// background thread that installs `live` and then opens `gate`.
+/// `reached` reports the snapshot's epoch while the world decodes, and
+/// falls back to 0 if it fails to. Returns the status `/healthz`
+/// reports. Every failure path prints one line and returns a cold
+/// status — a bad snapshot must never take the server down or slow it
+/// below a plain cold boot.
 fn restore_snapshot(
     dir: &Path,
     config: &AppConfig,
     cache: &ScenarioCache<ScenarioKey, Bundle>,
     live: &Arc<Mutex<Option<Live>>>,
+    reached: &Arc<AtomicU64>,
     gate: &Arc<RestoreGate>,
 ) -> SnapshotStatus {
     if let Err(error) = fs::create_dir_all(dir) {
@@ -1299,6 +1037,9 @@ fn restore_snapshot(
             return SnapshotStatus::default();
         }
     };
+    // A snapshot from before rendered entries carries its views under
+    // a retired tag, which is never read: its world still restores, and
+    // the views are rebuilt on demand.
     let views = match parsed.section(SECTION_VIEWS).map(decode_views) {
         Some(Ok(views)) => views,
         Some(Err(error)) => {
@@ -1312,9 +1053,9 @@ fn restore_snapshot(
         cache.insert(key, bundle);
     }
 
-    // The world is only needed for epoch-dependent requests (historical
-    // reads, the next challenge batch); decode it off the startup path
-    // so restart-to-first-200 stays view-decode fast. Moving the file
+    // The world is only needed to rebuild a past epoch or apply the next
+    // challenge batch; decode it off the startup path so
+    // restart-to-first-200 costs only the entries' copy. Moving the file
     // buffer (with the section ranges lifted out of the parse borrow)
     // keeps the multi-megabyte world payload from being copied on the
     // synchronous path.
@@ -1323,7 +1064,9 @@ fn restore_snapshot(
     drop(parsed);
     if let Some(world_range) = world_range {
         let live = Arc::clone(live);
+        let reached = Arc::clone(reached);
         let gate_bg = Arc::clone(gate);
+        reached.store(epoch, Ordering::SeqCst);
         gate.begin();
         std::thread::spawn(move || {
             let _span = caf_obs::span("snap.restore.world");
@@ -1339,6 +1082,7 @@ fn restore_snapshot(
                          historical epochs unavailable until rebuilt"
                     );
                     caf_obs::count("caf.snap.restore_rejected", 1);
+                    reached.store(0, Ordering::SeqCst);
                 }
             }
             // Open the gate after installing (or giving up), never
@@ -1366,42 +1110,6 @@ fn restore_snapshot(
         file,
         mtime: fs::metadata(&path).ok().and_then(|m| m.modified().ok()),
     }
-}
-
-/// Decodes the `VIEWS` section: a counted sequence of
-/// `(kind, seed, scale, epoch, payload)` cache entries.
-fn decode_views(bytes: &[u8]) -> Result<Vec<(ScenarioKey, Bundle)>, SnapError> {
-    // The smallest view: kind, seed, scale, epoch, payload length.
-    const VIEW_FRAME_BYTES: usize = 1 + 8 + 4 + 8 + 8;
-    let mut r = Reader::new(bytes);
-    let count = r.u32()?;
-    let count = r.check_count(count.into(), VIEW_FRAME_BYTES)?;
-    let mut views = Vec::with_capacity(count);
-    for _ in 0..count {
-        let kind = match r.u8()? {
-            0 => Kind::Q12,
-            1 => Kind::Q3,
-            2 => Kind::Sweep,
-            other => {
-                return Err(SnapError::Malformed(format!(
-                    "views: unknown kind tag {other}"
-                )))
-            }
-        };
-        let key = ScenarioKey {
-            kind,
-            seed: r.u64()?,
-            scale: r.u32()?,
-            epoch: r.u64()?,
-        };
-        let payload = r.bytes()?;
-        let mut pr = Reader::new(payload);
-        let bundle = Bundle::decode_payload(&mut pr)?;
-        pr.finish()?;
-        views.push((key, bundle));
-    }
-    r.finish()?;
-    Ok(views)
 }
 
 /// Decodes the `WORLD` (+ optional `LOG`) sections into a [`Live`]
@@ -1457,22 +1165,7 @@ fn write_snapshot_file(
         builder.section(SECTION_WORLD, |w| w.put(world));
         builder.section(SECTION_LOG, |w| w.put_seq(log));
     }
-    builder.section(SECTION_VIEWS, |w| {
-        w.put_u32(views.len() as u32);
-        for (key, bundle) in views {
-            w.put_u8(match key.kind {
-                Kind::Q12 => 0,
-                Kind::Q3 => 1,
-                Kind::Sweep => 2,
-            });
-            w.put_u64(key.seed);
-            w.put_u32(key.scale);
-            w.put_u64(key.epoch);
-            let mut payload = Writer::new();
-            bundle.encode_payload(&mut payload);
-            w.put_bytes(&payload.into_bytes());
-        }
-    });
+    builder.section(SECTION_VIEWS, |w| put_views(w, views));
     let bytes = builder.finish();
     let path = dir.join(snapshot::file_name(seed, scale, epoch));
     write_atomic(&path, &bytes)?;
@@ -1489,17 +1182,6 @@ fn client_has(request: &Request, etag: &str) -> bool {
             .split(',')
             .any(|candidate| candidate.trim() == etag || candidate.trim() == "*")
     })
-}
-
-/// 64-bit FNV-1a over the canonical body; deterministic across runs,
-/// so clients can revalidate artifacts cheaply.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Parsed and validated `/v1/*` query parameters.

@@ -7,10 +7,11 @@
 //!   ground truth, challenge state, epoch).
 //! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
 //!   server can keep serving per-epoch delta prefixes.
-//! * [`SECTION_VIEWS`] — rendered scenario bundles (audit dataset +
-//!   columnar index per epoch), i.e. the warm contents of the scenario
-//!   cache. Restoring these is what makes restart-to-first-200 a
-//!   decode instead of a recomputation.
+//! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
+//!   entry, its identity and its rendered artifact bodies (13 per Q1/Q2
+//!   epoch, one per Q3 world or sweep cell). Restoring these is what
+//!   makes restart-to-first-200 a copy of a few kilobytes instead of a
+//!   recomputation.
 //!
 //! Files are named `world-<seed>-<scale>-<epoch>.snap`; the header
 //! carries the same identity, and [`find_newest`] trusts only the
@@ -29,8 +30,11 @@ use caf_snap::peek_header;
 pub const SECTION_WORLD: u32 = 0x10;
 /// Section tag for the accepted challenge-delta log.
 pub const SECTION_LOG: u32 = 0x11;
-/// Section tag for the warm scenario-cache views.
-pub const SECTION_VIEWS: u32 = 0x20;
+/// Section tag for the warm scenario-cache entries (rendered bodies).
+/// Tag `0x20` held them as decoded audit datasets and indexes; a
+/// snapshot carrying that section still restores its world, and the
+/// old section is ignored.
+pub const SECTION_VIEWS: u32 = 0x21;
 
 /// How the server started, surfaced in `/healthz` under `"snapshot"`.
 #[derive(Debug, Clone, Default)]

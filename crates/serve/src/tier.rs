@@ -2,17 +2,19 @@
 //!
 //! The in-memory [`ScenarioCache`](crate::cache::ScenarioCache) bounds
 //! RAM; this tier bounds *recomputation*. When the LRU cap pushes a
-//! ready bundle out, its serialized payload lands here as a `caf-snap`
-//! container file keyed by scenario + epoch; the next request for that
-//! scenario promotes the file back into memory instead of rebuilding
-//! the world. The tier has its own LRU cap (in entries), so disk usage
-//! stays bounded too.
+//! ready entry out, its payload — the entry's rendered artifact bodies,
+//! a few kilobytes — lands here as a `caf-snap` container file keyed
+//! by scenario + epoch; the next request for that scenario promotes the
+//! file back into memory instead of rebuilding the world. The tier has
+//! its own LRU cap (in entries), so disk usage stays bounded too.
 //!
-//! Durability is best-effort by design: every file is checksummed and
+//! Durability is best-effort by design: files are written by temp file
+//! and rename but never synced, every file is checksummed and
 //! header-validated on load, and *any* anomaly — truncation, bit flip,
-//! version or scenario mismatch — deletes the file and reports a miss,
-//! so the caller falls back to recomputing. A tier can never serve
-//! wrong bytes; at worst it serves none.
+//! version or scenario mismatch, an older payload format, a payload
+//! the caller cannot decode — deletes the file and reports a miss, so
+//! the caller falls back to recomputing. A tier can never serve wrong
+//! bytes; at worst it serves none.
 
 use std::collections::HashMap;
 use std::fs;
@@ -21,12 +23,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
-use caf_snap::{write_atomic, Snapshot, SnapshotBuilder};
+use caf_snap::{write_replace, Snapshot, SnapshotBuilder};
 
-/// Section tag for the serialized bundle payload inside a tier file.
-/// (Snapshot files use `0x10`..`0x20` for their sections; tier files
-/// hold exactly one section under this tag.)
-pub const SECTION_TIER: u32 = 0x30;
+/// Section tag for the payload inside a tier file; tier files hold
+/// exactly this one section. (Snapshot files use `0x10`..`0x21`. Tag
+/// `0x30` held a decoded-view payload format that is no longer read:
+/// such a file is a miss and is removed.)
+pub const SECTION_TIER: u32 = 0x31;
 
 struct TierEntry {
     path: PathBuf,
@@ -102,15 +105,16 @@ impl DiskTier {
 
     /// Stores `payload` under `key`, stamped with the scenario identity
     /// `(seed, scale, epoch)` that [`DiskTier::load`] will verify. The
-    /// write is atomic (tmp + rename); failures are counted and
-    /// swallowed — a tier that cannot write degrades to recomputation,
-    /// never to an error on the serving path.
+    /// write replaces the file by tmp + rename without syncing (a crash
+    /// can only cost a miss); failures are counted and swallowed — a
+    /// tier that cannot write degrades to recomputation, never to an
+    /// error on the serving path.
     pub fn put(&self, key: &str, seed: u64, scale: u32, epoch: u64, payload: &[u8]) {
         let mut builder = SnapshotBuilder::new(seed, scale, epoch);
         builder.section(SECTION_TIER, |w| w.put_raw(payload));
         let bytes = builder.finish();
         let path = self.file_path(key);
-        if let Err(error) = write_atomic(&path, &bytes) {
+        if let Err(error) = write_replace(&path, &bytes) {
             caf_obs::count("caf.snap.tier.write_errors", 1);
             eprintln!("caf-serve: disk tier write failed for {key}: {error}");
             return;
@@ -141,12 +145,21 @@ impl DiskTier {
         self.publish_gauges(&inner);
     }
 
-    /// Loads and validates the payload for `key`. Returns `None` — and
-    /// removes the file — on any mismatch between the stored container
-    /// and the expected `(seed, scale, epoch)`, or on any corruption
-    /// the `caf-snap` checksums catch. A successful load refreshes the
-    /// entry's recency.
-    pub fn load(&self, key: &str, seed: u64, scale: u32, epoch: u64) -> Option<Vec<u8>> {
+    /// Loads, validates and decodes the payload for `key`. Returns
+    /// `None` — and removes the file, counting it in
+    /// `caf.snap.tier.invalid` — on any mismatch between the stored
+    /// container and the expected `(seed, scale, epoch)`, on any
+    /// corruption the `caf-snap` checksums catch, on a missing payload
+    /// section, and when `decode` rejects the payload. A successful
+    /// load refreshes the entry's recency.
+    pub fn load<T>(
+        &self,
+        key: &str,
+        seed: u64,
+        scale: u32,
+        epoch: u64,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<T> {
         let path = {
             let inner = self.inner.lock().unwrap();
             inner.entries.get(key)?.path.clone()
@@ -160,7 +173,7 @@ impl DiskTier {
             if header.seed != seed || header.scale != scale || header.epoch != epoch {
                 return None;
             }
-            snapshot.section(SECTION_TIER).map(<[u8]>::to_vec)
+            decode(snapshot.section(SECTION_TIER)?)
         });
         let mut inner = self.inner.lock().unwrap();
         match result {
@@ -221,6 +234,11 @@ impl DiskTier {
 mod tests {
     use super::*;
 
+    /// The identity decoder: the payload bytes as stored.
+    fn bytes(payload: &[u8]) -> Option<Vec<u8>> {
+        Some(payload.to_vec())
+    }
+
     fn temp_dir(label: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "caf-tier-{label}-{}-{:?}",
@@ -237,7 +255,7 @@ mod tests {
         let tier = DiskTier::open(&dir, 4).unwrap();
         let payload = b"canonical bundle bytes \x00\x01\x02".to_vec();
         tier.put("q12-2a-150-0", 42, 150, 0, &payload);
-        assert_eq!(tier.load("q12-2a-150-0", 42, 150, 0), Some(payload));
+        assert_eq!(tier.load("q12-2a-150-0", 42, 150, 0, bytes), Some(payload));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -248,7 +266,7 @@ mod tests {
         tier.put("k", 42, 150, 3, b"payload");
         // Wrong epoch: the stored container does not match what the
         // caller expects, so the entry must be dropped, not served.
-        assert_eq!(tier.load("k", 42, 150, 4), None);
+        assert_eq!(tier.load("k", 42, 150, 4, bytes), None);
         assert!(!tier.contains("k"));
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         fs::remove_dir_all(&dir).unwrap();
@@ -260,11 +278,11 @@ mod tests {
         let tier = DiskTier::open(&dir, 4).unwrap();
         tier.put("k", 7, 30, 0, b"payload");
         let path = dir.join("k.tier");
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(tier.load("k", 7, 30, 0), None);
+        let mut flipped = fs::read(&path).unwrap();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0xff;
+        fs::write(&path, &flipped).unwrap();
+        assert_eq!(tier.load("k", 7, 30, 0, bytes), None);
         assert!(!path.exists());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -276,7 +294,7 @@ mod tests {
         tier.put("a", 1, 1, 0, b"a");
         tier.put("b", 1, 1, 0, b"b");
         // Touch "a" so "b" becomes the LRU entry.
-        assert!(tier.load("a", 1, 1, 0).is_some());
+        assert!(tier.load("a", 1, 1, 0, bytes).is_some());
         tier.put("c", 1, 1, 0, b"c");
         assert!(tier.contains("a") && tier.contains("c") && !tier.contains("b"));
         assert!(!dir.join("b.tier").exists());
@@ -294,9 +312,52 @@ mod tests {
         let tier = DiskTier::open(&dir, 4).unwrap();
         assert!(tier.contains("persisted"));
         assert_eq!(
-            tier.load("persisted", 9, 5, 2),
+            tier.load("persisted", 9, 5, 2, bytes),
             Some(b"still here".to_vec())
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_or_empty_files_are_misses_and_are_removed() {
+        let dir = temp_dir("short");
+        let tier = DiskTier::open(&dir, 4).unwrap();
+        tier.put("half", 7, 30, 0, b"payload bytes");
+        tier.put("empty", 7, 30, 0, b"payload bytes");
+        let half = dir.join("half.tier");
+        let full = fs::read(&half).unwrap();
+        fs::write(&half, &full[..full.len() / 2]).unwrap();
+        fs::write(dir.join("empty.tier"), b"").unwrap();
+        for key in ["half", "empty"] {
+            assert_eq!(tier.load(key, 7, 30, 0, bytes), None, "{key}");
+            assert!(!tier.contains(key), "{key}");
+        }
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn old_format_and_undecodable_payloads_are_misses_and_are_removed() {
+        let dir = temp_dir("format");
+        {
+            // A file from the retired payload format: a valid container
+            // whose payload sits under the old section tag.
+            fs::create_dir_all(&dir).unwrap();
+            let mut builder = SnapshotBuilder::new(7, 30, 0);
+            builder.section(0x30, |w| w.put_raw(b"decoded view"));
+            fs::write(dir.join("old.tier"), builder.finish()).unwrap();
+        }
+        let tier = DiskTier::open(&dir, 4).unwrap();
+        assert!(tier.contains("old"));
+        assert_eq!(tier.load("old", 7, 30, 0, bytes), None);
+        assert!(!dir.join("old.tier").exists());
+
+        // A container that validates but whose payload the caller
+        // rejects: removed, so later misses do not re-read it.
+        tier.put("bad", 7, 30, 0, b"not what the caller expects");
+        assert_eq!(tier.load("bad", 7, 30, 0, |_| None::<()>), None);
+        assert!(!tier.contains("bad"));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,12 +1,18 @@
 //! Deterministic fuzz loops over the decoders that read untrusted bytes:
-//! snapshot containers, HTTP request heads and bodies, and challenge
-//! JSONL. Each loop mutates valid inputs with seeded edits from
+//! snapshot containers and their rendered-views section, HTTP request
+//! heads and bodies, `/v1/*` query strings, challenge JSONL and sweep
+//! specs. Each loop mutates valid inputs with seeded edits from
 //! `caf_exec::prop`, and the invariant is always the same: the decoder
 //! returns (a value or a typed error) and never panics or aborts.
 
+use caf_core::EngineConfig;
 use caf_exec::prop::{self, Select, VecOf};
+use caf_serve::entry::decode_views;
 use caf_serve::http::parse_request;
+use caf_serve::snapshot::SECTION_VIEWS;
+use caf_serve::{App, AppConfig, Handler};
 use caf_snap::{content_hash64, content_hash64_seeded, Snapshot, SnapshotBuilder};
+use caf_sweep::SweepSpec;
 use caf_synth::challenge::deltas_from_jsonl;
 use std::ops::{Range, RangeInclusive};
 
@@ -101,4 +107,120 @@ fn deltas_from_jsonl_never_panics() {
         let bytes = mutate(base, &edits);
         let _ = deltas_from_jsonl(&String::from_utf8_lossy(&bytes));
     });
+}
+
+/// A snapshot whose `VIEWS` section holds one Q1/Q2 entry (13 bodies)
+/// and one Q3 entry, in the section's wire form.
+fn views_snapshot() -> Vec<u8> {
+    let mut b = SnapshotBuilder::new(0xCAF_2024, 150, 1);
+    b.section(0x10, |w| w.put_str("world"));
+    b.section(SECTION_VIEWS, |w| {
+        w.put_u32(2);
+        for (kind, bodies) in [(0u8, 13), (1, 1)] {
+            w.put_u8(kind);
+            w.put_u64(0xCAF_2024);
+            w.put_u32(150);
+            w.put_u64(u64::from(kind == 0));
+            w.put_u32(bodies);
+            for i in 0..bodies {
+                w.put_str(&format!("{{\n    \"experiment\": \"body {i}\"\n  }}"));
+            }
+        }
+    });
+    b.finish()
+}
+
+#[test]
+fn views_decode_never_panics_on_resealed_mutations() {
+    let base = views_snapshot();
+    let section = Snapshot::parse(&base)
+        .unwrap()
+        .section(SECTION_VIEWS)
+        .unwrap();
+    assert_eq!(decode_views(section).unwrap().len(), 2);
+    prop::check(CASES, edits(), |edits| {
+        let mut bytes = mutate(&base, &edits);
+        reseal(&mut bytes);
+        let Ok(snapshot) = Snapshot::parse(&bytes) else {
+            return;
+        };
+        let Some(section) = snapshot.section(SECTION_VIEWS) else {
+            return;
+        };
+        if let Ok(views) = decode_views(section) {
+            // Valid views: each entry holds its kind's body count, and
+            // the bodies never add up to more than the input held.
+            let mut total = 0;
+            for (key, bundle) in &views {
+                assert_eq!(bundle.bodies().len(), key.kind.bodies(), "{key:?}");
+                total += bundle.bodies().iter().map(String::len).sum::<usize>();
+            }
+            assert!(total <= section.len());
+        }
+    });
+}
+
+#[test]
+fn sweep_spec_from_json_gives_a_typed_error() {
+    let base = include_str!("../../../testdata/sweep_spec.json").as_bytes();
+    assert!(SweepSpec::from_json(std::str::from_utf8(base).unwrap()).is_ok());
+    prop::check(CASES, edits(), |edits| {
+        let bytes = mutate(base, &edits);
+        let _ = SweepSpec::from_json(&String::from_utf8_lossy(&bytes));
+    });
+}
+
+/// The smallest world scale the fuzzed app accepts: any accepted
+/// `scale=`, `q3_scale=` or `scales=` builds a world of a few hundred
+/// addresses at most.
+const FUZZ_SCALE: u32 = 20_000;
+
+#[test]
+fn app_answers_mutated_queries_without_server_errors() {
+    let app = App::new(AppConfig {
+        default_scale: FUZZ_SCALE,
+        min_scale: FUZZ_SCALE,
+        engine: EngineConfig::serial(),
+        cache_capacity: 64,
+        ..AppConfig::default()
+    });
+    let routes = [
+        ("GET", "serviceability"),
+        ("GET", "compliance"),
+        ("GET", "table2"),
+        ("GET", "q3"),
+        ("GET", "sweep"),
+        ("GET", "debug/traces"),
+        ("GET", "challenge"),
+        ("POST", "challenge"),
+        ("POST", "snapshot"),
+    ];
+    let queries: [&[u8]; 4] = [
+        b"seed=7&scale=20000&isp=AT%26T&q3_scale=30000&epoch=0&workers=2",
+        b"isp=frontier&q3_scale=25000&epoch=1&scale=20001",
+        b"states=VT,NH&scales=20000,30000&tiers=10_1,25_3&caps=0.75,1.0&rules=status_quo,targeted_rural",
+        b"k=5&route=v1.table2&epoch=0&format=prometheus",
+    ];
+    let strategy = (prop::select(routes), prop::select(queries), edits());
+    let statuses = std::sync::Mutex::new(std::collections::BTreeMap::new());
+    prop::check(CASES, strategy, |((method, route), query, edits)| {
+        let mut head = format!("{method} /v1/{route}?").into_bytes();
+        head.extend(mutate(query, &edits));
+        head.extend_from_slice(b" HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        let Ok(request) = parse_request(&mut &head[..]) else {
+            return;
+        };
+        let response = app.handle(&request);
+        assert!(
+            matches!(response.status, 200..=299 | 304 | 400..=499),
+            "{} for {method} /v1/{route} {:?}: {}",
+            response.status,
+            request.query,
+            String::from_utf8_lossy(&response.body)
+        );
+        *statuses.lock().unwrap().entry(response.status).or_insert(0) += 1;
+    });
+    // The loop reaches both answers: built scenarios and rejections.
+    let statuses = statuses.into_inner().unwrap();
+    assert!(statuses.contains_key(&200) && statuses.contains_key(&400));
 }

@@ -745,6 +745,18 @@ impl<'a> Snapshot<'a> {
 /// process-wide counter), so concurrent writers of one target never
 /// share a temp file: each rename lands one writer's complete bytes.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_via_temp(path, bytes, true)
+}
+
+/// [`write_atomic`] without the flush to stable storage: readers still
+/// never see a partial file, but a crash may lose the new contents or
+/// leave a short one. For files whose loss costs a recomputation and
+/// whose loader rejects what a crash can leave (checksummed caches).
+pub fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_via_temp(path, bytes, false)
+}
+
+fn write_via_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let name = path
@@ -760,7 +772,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
-        file.sync_all()?;
+        if sync {
+            file.sync_all()?;
+        }
         drop(file);
         std::fs::rename(&tmp, path)
     })();
