@@ -30,7 +30,9 @@
 # restarts: the restarted server must report the snapshot loaded and
 # serve byte-identical `/v1/table2` bytes at epoch 0 and epoch 3 (plus
 # `/v1/serviceability?isp=Frontier` and `/v1/compliance?q3_scale=12`
-# warm vs cold), and
+# warm vs cold), then take a fourth challenge batch on the restored
+# world whose epoch-4 `/v1/table2` must equal a cold server's fed the
+# same four batches, and
 # (on >= 4 cores) the in-process restore must be >= 10x faster than the
 # cold first-200 wall. The challenge-replay gate runs the committed
 # sample delta stream through `challenge_replay` in incremental and
@@ -386,6 +388,13 @@ for boot in cold warm; do
       exit 1
     fi
     echo "    warm boot: zero cache misses (both epochs served from the snapshot)"
+    # Everything above is served from restored views and never reads
+    # the restored world's truth. A fourth batch does: it refreshes the
+    # audit over the restored world, and its epoch-4 bytes are checked
+    # against a cold server fed the same four batches below.
+    sed -n "4p" "$ci_out/resolved_deltas.jsonl" | curl -fsS -X POST \
+      --data-binary @- "http://$addr/v1/challenge" >/dev/null
+    curl -fsS "http://$addr/v1/table2?epoch=4" -o "$ci_out/snap_table2.e4.warm.json"
   fi
 
   curl -fsS "http://$addr/quitquitquit" >/dev/null
@@ -400,6 +409,42 @@ for boot in cold warm; do
   wait "$serve_pid"
   serve_pid=""
 done
+
+gate "snapshot restart gate: a restored world takes a challenge like a cold one"
+port_file="$ci_out/serve_port.snap.cold4"
+rm -f "$port_file"
+./target/release/caf-serve --addr 127.0.0.1:0 --workers 2 \
+  --engine-workers 2 --port-file "$port_file" --quiet &
+serve_pid=$!
+for _ in $(seq 1 100); do
+  [ -s "$port_file" ] && break
+  if ! kill -0 "$serve_pid" 2>/dev/null; then
+    echo "caf-serve (cold four-batch boot) exited before startup" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+[ -s "$port_file" ] || { echo "caf-serve never wrote its port file" >&2; exit 1; }
+addr=$(cat "$port_file")
+for i in 1 2 3 4; do
+  sed -n "${i}p" "$ci_out/resolved_deltas.jsonl" | curl -fsS -X POST \
+    --data-binary @- "http://$addr/v1/challenge" >/dev/null
+done
+curl -fsS "http://$addr/v1/table2?epoch=4" -o "$ci_out/snap_table2.e4.cold.json"
+cmp "$ci_out/snap_table2.e4.warm.json" "$ci_out/snap_table2.e4.cold.json"
+echo "    epoch-4 /v1/table2 after a restart equals a cold server fed the same four batches"
+curl -fsS "http://$addr/quitquitquit" >/dev/null
+for _ in $(seq 1 100); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "caf-serve (cold four-batch boot) did not exit within 10s of /quitquitquit" >&2
+  exit 1
+fi
+wait "$serve_pid"
+serve_pid=""
+
 # The latency gate catches gross restore regressions (a synchronous
 # world decode, quadratic parsing). The miss-free check above is what
 # proves nothing was rebuilt; this cap tolerates scheduler noise via

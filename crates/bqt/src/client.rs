@@ -12,6 +12,7 @@ use caf_synth::params::ErrorCategory;
 use caf_synth::rng::mix2;
 use caf_synth::rng::scoped_rng;
 use caf_synth::{Isp, TruthTable};
+use std::borrow::Cow;
 
 use crate::outcome::{QueryOutcome, QueryRecord};
 use crate::proxy::ProxyPool;
@@ -74,24 +75,19 @@ impl QueryClient {
         assert!(max_attempts >= 1, "need at least one attempt");
         // Per-(address, ISP) RNG: outcome identical under any scheduling.
         let mut rng = scoped_rng(self.seed, "bqt-query", mix2(address.0, isp.id(), 7));
-        let unknown_truth;
-        let address_truth = match truth.get(address, isp) {
-            Some(t) => t,
-            None => {
-                unknown_truth = caf_synth::AddressTruth {
-                    hard_failure: true,
-                    ..caf_synth::AddressTruth::unserved()
-                };
-                &unknown_truth
-            }
-        };
+        let address_truth = truth.get(address, isp).unwrap_or_else(|| {
+            Cow::Owned(caf_synth::AddressTruth {
+                hard_failure: true,
+                ..caf_synth::AddressTruth::unserved()
+            })
+        });
 
         let mut errors: Vec<ErrorCategory> = Vec::new();
         let mut duration = 0.0;
         for attempt_no in 1..=max_attempts {
             let _ip = self.pool.acquire();
             duration += attempt_duration_secs(&mut rng, isp);
-            let trace = attempt(&mut rng, isp, address_truth);
+            let trace = attempt(&mut rng, isp, &address_truth);
             match trace.result {
                 AttemptResult::Response(outcome) => {
                     return QueryRecord {

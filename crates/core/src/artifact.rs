@@ -196,6 +196,18 @@ pub fn serviceability(analysis: &ServiceabilityAnalysis, isp: Option<Isp>) -> Js
 /// stats, and the overall weighted rate. `isp` restricts the per-ISP
 /// sections, mirroring [`serviceability`].
 pub fn compliance(analysis: &ComplianceAnalysis, dataset: &AuditDataset, isp: Option<Isp>) -> Json {
+    compliance_with_price(analysis, analysis.price_compliance(dataset), isp)
+}
+
+/// [`compliance`] with the price stats already computed
+/// ([`ComplianceAnalysis::price_compliance`], a scan of every dataset
+/// row): a caller rendering several `isp` forms of one analysis scans
+/// the rows once.
+pub fn compliance_with_price(
+    analysis: &ComplianceAnalysis,
+    (price_fraction, price_range): (f64, Option<(f64, f64)>),
+    isp: Option<Isp>,
+) -> Json {
     let band_entries: Vec<(String, Json)> = isps_sorted(isp)
         .into_iter()
         .filter(|&isp| !analysis.advertised_band_percentages(isp).is_empty())
@@ -222,7 +234,6 @@ pub fn compliance(analysis: &ComplianceAnalysis, dataset: &AuditDataset, isp: Op
             ))
         })
         .collect();
-    let (price_fraction, price_range) = analysis.price_compliance(dataset);
     let mut price = vec![("fraction".to_string(), num(price_fraction))];
     if let Some((lo, hi)) = price_range {
         price.push(("max".to_string(), num(hi)));

@@ -143,10 +143,11 @@ impl Bundle {
                 .iter()
                 .map(|&isp| artifact::serviceability(serviceability, isp)),
         );
+        let price = compliance.price_compliance(dataset);
         bodies.extend(
             filters
                 .iter()
-                .map(|&isp| artifact::compliance(compliance, dataset, isp)),
+                .map(|&isp| artifact::compliance_with_price(compliance, price, isp)),
         );
         Bundle {
             bodies: bodies.iter().map(artifact::render_body).collect(),

@@ -61,7 +61,9 @@ use crate::cache::{CacheError, CacheOutcome, ScenarioCache, SpillHook};
 use crate::entry::{body_index, decode_views, put_views, Bundle, Kind, ScenarioKey, TierSpill};
 use crate::http::{Request, Response};
 use crate::server::Handler;
-use crate::snapshot::{self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS, SECTION_WORLD};
+use crate::snapshot::{
+    self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS, SECTION_WORLD, SECTION_WORLD_RETIRED,
+};
 use crate::tier::DiskTier;
 use caf_bench::{campaign_config, Fixture};
 use caf_core::{
@@ -1029,7 +1031,7 @@ fn restore_snapshot(
             return SnapshotStatus::default();
         }
     };
-    let parsed = match Snapshot::parse(&bytes) {
+    let parsed = match Snapshot::parse(&bytes).and_then(reject_retired_world) {
         Ok(parsed) => parsed,
         Err(error) => {
             eprintln!("caf-serve: snapshot {path:?} rejected ({error:?}); cold build");
@@ -1110,6 +1112,19 @@ fn restore_snapshot(
         file,
         mtime: fs::metadata(&path).ok().and_then(|m| m.modified().ok()),
     }
+}
+
+/// Rejects a snapshot whose world is in the retired encoding, before
+/// any of it is restored: its views belong to epochs whose world could
+/// not be rebuilt, so the whole file is worth no more than a cold build.
+fn reject_retired_world(parsed: Snapshot<'_>) -> Result<Snapshot<'_>, SnapError> {
+    if parsed.section(SECTION_WORLD_RETIRED).is_some() {
+        return Err(SnapError::Malformed(format!(
+            "world section {SECTION_WORLD_RETIRED:#x} stores every Q1 truth entry; \
+             this build reads {SECTION_WORLD:#x}"
+        )));
+    }
+    Ok(parsed)
 }
 
 /// Decodes the `WORLD` (+ optional `LOG`) sections into a [`Live`]
@@ -1830,6 +1845,68 @@ mod tests {
         // Sanity: the pristine file does restore.
         let app = App::new(config);
         assert!(app.snapshot_status().loaded);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot whose world is in the retired encoding (every Q1 truth
+    /// entry stored, section `0x10`) is rejected whole: no views, no
+    /// world, a cold build that serves the same bytes.
+    #[test]
+    fn retired_world_section_starts_cold() {
+        let dir = snap_temp_dir("retired");
+        let config = AppConfig {
+            default_scale: 2000,
+            engine: EngineConfig::serial(),
+            snapshot_dir: Some(dir.clone()),
+            ..AppConfig::default()
+        };
+        let seed = config.default_seed;
+        let delta = valid_delta(seed, 2000, 60_000);
+        let (before0, before1) = {
+            let app = App::new(config.clone());
+            let before0 = app.handle(&request("/v1/table2", &[]));
+            let body = delta_to_json(&delta) + "\n";
+            assert_eq!(app.handle(&post("/v1/challenge", &body)).status, 200);
+            let before1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
+            assert_eq!(app.handle(&post("/v1/snapshot", "")).status, 200);
+            wait_for_background_snapshot(&app);
+            (before0.body, before1.body)
+        };
+        let path = dir.join(snapshot::file_name(seed, 2000, 1));
+        let current = fs::read(&path).unwrap();
+        let parsed = Snapshot::parse(&current).unwrap();
+        let mut retagged = SnapshotBuilder::new(seed, 2000, 1);
+        for (tag, payload) in parsed.sections() {
+            let tag = if tag == SECTION_WORLD {
+                SECTION_WORLD_RETIRED
+            } else {
+                tag
+            };
+            retagged.section(tag, |w| w.put_raw(payload));
+        }
+        fs::write(&path, retagged.finish()).unwrap();
+
+        let app = App::new(config.clone());
+        assert!(
+            !app.snapshot_status().loaded,
+            "a retired world must be rejected"
+        );
+        let cold0 = app.handle(&request("/v1/table2", &[]));
+        assert_eq!(cold0.body, before0);
+        // Nothing was restored: epoch 1 is unreached until the batch is
+        // posted again, and then the cold world serves the same bytes.
+        assert_eq!(
+            app.handle(&request("/v1/table2", &[("epoch", "1")])).status,
+            404
+        );
+        let body = delta_to_json(&delta) + "\n";
+        assert_eq!(app.handle(&post("/v1/challenge", &body)).status, 200);
+        let cold1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
+        assert_eq!(cold1.body, before1);
+        // Epoch 0 was a cold miss; the challenge published epoch 1.
+        assert_eq!(app.cache_stats().misses, 1);
+        wait_for_background_snapshot(&app);
+        drop(app);
         fs::remove_dir_all(&dir).unwrap();
     }
 

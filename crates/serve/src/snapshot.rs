@@ -4,7 +4,8 @@
 //! needs to answer its default scenario without rebuilding the world:
 //!
 //! * [`SECTION_WORLD`] — the full [`World`](caf_core::World) (geography,
-//!   ground truth, challenge state, epoch).
+//!   USAC records, stored Q3 truth, challenge state, epoch; Q1 truth is
+//!   re-derived on decode).
 //! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
 //!   server can keep serving per-epoch delta prefixes.
 //! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
@@ -27,7 +28,10 @@ use std::path::{Path, PathBuf};
 use caf_snap::peek_header;
 
 /// Section tag for the serialized [`World`](caf_core::World).
-pub const SECTION_WORLD: u32 = 0x10;
+pub const SECTION_WORLD: u32 = 0x12;
+/// Section tag of the world encoding that stored every Q1 truth entry.
+/// A snapshot carrying it is rejected whole, so the server builds cold.
+pub const SECTION_WORLD_RETIRED: u32 = 0x10;
 /// Section tag for the accepted challenge-delta log.
 pub const SECTION_LOG: u32 = 0x11;
 /// Section tag for the warm scenario-cache entries (rendered bodies).

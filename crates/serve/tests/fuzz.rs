@@ -1,7 +1,7 @@
 //! Deterministic fuzz loops over the decoders that read untrusted bytes:
-//! snapshot containers and their rendered-views section, HTTP request
-//! heads and bodies, `/v1/*` query strings, challenge JSONL and sweep
-//! specs. Each loop mutates valid inputs with seeded edits from
+//! snapshot containers and their world and rendered-views sections, HTTP
+//! request heads and bodies, `/v1/*` query strings, challenge JSONL and
+//! sweep specs. Each loop mutates valid inputs with seeded edits from
 //! `caf_exec::prop`, and the invariant is always the same: the decoder
 //! returns (a value or a typed error) and never panics or aborts.
 
@@ -9,11 +9,14 @@ use caf_core::EngineConfig;
 use caf_exec::prop::{self, Select, VecOf};
 use caf_serve::entry::decode_views;
 use caf_serve::http::parse_request;
-use caf_serve::snapshot::SECTION_VIEWS;
+use caf_serve::snapshot::{SECTION_VIEWS, SECTION_WORLD};
 use caf_serve::{App, AppConfig, Handler};
-use caf_snap::{content_hash64, content_hash64_seeded, Snapshot, SnapshotBuilder};
+use caf_snap::{
+    content_hash64, content_hash64_seeded, Reader, SnapError, Snapshot, SnapshotBuilder, Writer,
+};
 use caf_sweep::SweepSpec;
 use caf_synth::challenge::deltas_from_jsonl;
+use caf_synth::{ChallengeDelta, Correction, SynthConfig, World};
 use std::ops::{Range, RangeInclusive};
 
 /// Cases per loop.
@@ -158,6 +161,127 @@ fn views_decode_never_panics_on_resealed_mutations() {
             assert!(total <= section.len());
         }
     });
+}
+
+/// A small challenged world: Vermont (Q1 only), Utah and Illinois (Q1
+/// and Q3 blocks, so stored truth entries too), with one availability
+/// correction. Its encoding is about 70 KB.
+fn small_world() -> World {
+    let config = SynthConfig {
+        seed: 0xCAF_2024,
+        scale: 12_000,
+    };
+    let mut world = World::generate_states(
+        config,
+        &[
+            caf_geo::UsState::Vermont,
+            caf_geo::UsState::Utah,
+            caf_geo::UsState::Illinois,
+        ],
+    );
+    let sw = &world.states[0];
+    let delta = ChallengeDelta {
+        state: sw.state,
+        cbg: 0,
+        isp: sw.geography.cbgs[0].isp,
+        correction: Correction::Availability { rate_ppm: 400_000 },
+    };
+    world.apply_deltas(&[delta]).unwrap();
+    world
+}
+
+/// Every truth lookup a campaign over `world` could make.
+fn lookup_all(world: &World) -> usize {
+    let mut answered = 0;
+    for sw in &world.states {
+        for r in &sw.usac.records {
+            answered += usize::from(world.truth.get(r.address.id, r.isp).is_some());
+        }
+        for block in &sw.q3.blocks {
+            for a in &block.addresses {
+                for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
+                    answered += usize::from(world.truth.get(a.address.id, isp).is_some());
+                }
+            }
+        }
+    }
+    answered
+}
+
+/// The smallest encoding of a stored truth entry: address id, ISP, an
+/// unserved truth's flags and empty plan list.
+const MIN_TRUTH_ENTRY_BYTES: usize = 8 + 1 + 1 + 8 + 3;
+
+#[test]
+fn world_decode_gives_a_typed_error_or_a_valid_world() {
+    let world = small_world();
+    let mut w = Writer::new();
+    w.put(&world);
+    let section = w.into_bytes();
+    let records: usize = world.states.iter().map(|sw| sw.usac.records.len()).sum();
+    assert!(records > 0 && world.truth.stored_count() > 0);
+    assert_eq!(lookup_all(&world), world.truth.len());
+    let decoded: World = Reader::new(&section).get().unwrap();
+    assert!(decoded == world);
+    let outcomes = std::sync::Mutex::new([0usize; 2]);
+    prop::check(CASES, edits(), |edits| {
+        // Spread the edits over the whole payload, mutate it, then seal
+        // it in a fresh container, so every edit gets past the checksums
+        // to the world decoder.
+        let edits: Vec<Edit> = edits
+            .into_iter()
+            .map(|(pos, kind, byte)| ((pos * section.len()) >> 16, kind, byte))
+            .collect();
+        let payload = mutate(&section, &edits);
+        let mut builder = SnapshotBuilder::new(0xCAF_2024, 12_000, world.epoch);
+        builder.section(SECTION_WORLD, |w| w.put_raw(&payload));
+        let bytes = builder.finish();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let section = snapshot.section(SECTION_WORLD).unwrap();
+        let mut r = Reader::new(section);
+        let decoded = r.get::<World>();
+        outcomes.lock().unwrap()[usize::from(decoded.is_ok())] += 1;
+        let Ok(world) = decoded else {
+            return;
+        };
+        // A valid world: its stored entries fit in the bytes that held
+        // them, and every record and Q3 address answers without panic.
+        assert!(world.truth.stored_count() * MIN_TRUTH_ENTRY_BYTES <= section.len());
+        for sw in &world.states {
+            for r in &sw.usac.records {
+                assert!(
+                    world.truth.get(r.address.id, r.isp).is_some(),
+                    "{}",
+                    r.address.id
+                );
+            }
+        }
+        lookup_all(&world);
+    });
+    // The loop reaches both answers: rejected and decoded worlds.
+    let [rejected, valid] = outcomes.into_inner().unwrap();
+    assert!(
+        rejected > 0 && valid > 0,
+        "rejected {rejected}, valid {valid}"
+    );
+}
+
+#[test]
+fn forged_truth_count_is_rejected_before_allocating() {
+    let world = small_world();
+    for count in [u64::MAX, 1 << 40, world.truth.stored_count() as u64 + 1] {
+        let mut w = Writer::new();
+        w.put(&world.config);
+        w.put_seq(&world.states);
+        w.put_u64(count);
+        let bytes = w.into_bytes();
+        let result = Reader::new(&bytes).get::<World>();
+        assert!(
+            matches!(result, Err(SnapError::UnexpectedEof { .. })),
+            "count {count}: {:?}",
+            result.map(|_| ())
+        );
+    }
 }
 
 #[test]

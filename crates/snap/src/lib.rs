@@ -739,7 +739,8 @@ impl<'a> Snapshot<'a> {
 }
 
 /// Writes `bytes` to `path` atomically: a temp file in the same
-/// directory, flushed, then renamed over the target. Readers never see
+/// directory, flushed, then renamed over the target, and the directory
+/// synced so the new name is as durable as the bytes. Readers never see
 /// a partial file; a crash leaves at worst a `.tmp` that directory
 /// scans ignore. The temp name is unique per call (pid plus a
 /// process-wide counter), so concurrent writers of one target never
@@ -748,7 +749,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     write_via_temp(path, bytes, true)
 }
 
-/// [`write_atomic`] without the flush to stable storage: readers still
+/// [`write_atomic`] without the flushes to stable storage: readers still
 /// never see a partial file, but a crash may lose the new contents or
 /// leave a short one. For files whose loss costs a recomputation and
 /// whose loader rejects what a crash can leave (checksummed caches).
@@ -756,9 +757,26 @@ pub fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     write_via_temp(path, bytes, false)
 }
 
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Syncs a directory, making the names created or renamed in it
+/// durable. Only Unix can open a directory for syncing.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 fn write_via_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let dir = parent_dir(path);
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -781,7 +799,11 @@ fn write_via_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> 
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    result
+    result?;
+    if sync {
+        sync_dir(dir)?;
+    }
+    Ok(())
 }
 
 /// Bytes a log frame adds around its payload: the `u64` length prefix
@@ -827,11 +849,7 @@ impl Log {
         let mut framed = Vec::new();
         Log::frame(&mut framed, first);
         log.append(&framed)?;
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        File::open(dir)?.sync_all()?;
+        sync_dir(parent_dir(path))?;
         Ok(log)
     }
 
@@ -1160,6 +1178,29 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "no temp files after a clean write");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn atomic_write_replaces_an_existing_target() {
+        let dir = test_dir("replace");
+        let path = dir.join("world.snap");
+        std::fs::write(&path, b"the old bytes").unwrap();
+        let bytes = sample_container();
+        write_atomic(&path, &bytes).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["world.snap"], "the target alone, no temp file");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bare_file_names_resolve_to_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("a.snap")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("d/a.snap")), Path::new("d"));
+        sync_dir(parent_dir(Path::new("a.snap"))).unwrap();
     }
 
     fn test_dir(tag: &str) -> std::path::PathBuf {

@@ -7,8 +7,8 @@
 //! latent serviceability rate (a *truth* correction) or the certified
 //! tier (a *claim* correction) — and [`crate::World::apply_deltas`]
 //! folds a batch of deltas into an existing world by rebuilding only the
-//! touched CBG cells through the same `build_for_cbgs` /
-//! `build_q1_for_cbgs` seams the sharded generator uses.
+//! touched CBG cells through the same `build_for_cbgs` / `q1_cells`
+//! seams the sharded generator uses.
 //!
 //! ## Convergence contract
 //!
@@ -85,6 +85,14 @@ pub struct CellCorrections {
     pub availability_ppm: Option<u32>,
     /// Effective certified-tier override `(down, up)` in Mbps, if any.
     pub certified: Option<(u32, u32)>,
+}
+
+impl CellCorrections {
+    /// The availability override as a rate in `[0, 1]`, if any.
+    pub(crate) fn availability_rate(&self) -> Option<f64> {
+        self.availability_ppm
+            .map(|ppm| f64::from(ppm) / 1_000_000.0)
+    }
 }
 
 /// The merged, effective correction state of a world: everything needed

@@ -2,12 +2,17 @@
 //! persists to resume a live, epoch-versioned scenario without
 //! regenerating it.
 //!
-//! Two invariants matter here:
+//! Three invariants matter here:
 //!
-//! * **Canonical encodings.** Hash-ordered collections (the truth
-//!   table) are sorted before encoding, so snapshotting the same world
-//!   twice produces byte-identical files — which is what lets the disk
-//!   tier and CI compare snapshots by content hash.
+//! * **Canonical encodings.** Hash-ordered collections (the stored
+//!   truth entries) are sorted before encoding, so snapshotting the same
+//!   world twice produces byte-identical files — which is what lets the
+//!   disk tier and CI compare snapshots by content hash.
+//! * **Nothing derivable is stored.** Q1 truth is drawn on demand from
+//!   per-CBG cells, and the cells are a function of the geography, the
+//!   USAC records and the effective corrections. The encoding carries
+//!   only the stored (Q3) truth entries; decoding re-derives the cells
+//!   through the same function generation uses.
 //! * **Validated decoding.** Enum discriminants and cross-field
 //!   invariants are checked on the way in; a corrupt payload that
 //!   survives the container checksums still cannot materialize an
@@ -18,7 +23,7 @@ use crate::geography::{BlockInfo, CbgInfo, StateGeography};
 use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
 use crate::q3::{LatentBlockType, Q3Address, Q3Block, Q3World};
-use crate::truth::{AddressTruth, TruthTable};
+use crate::truth::{self, AddressTruth, Q1Cell, TruthTable};
 use crate::usac::{CafRecord, Technology, UsacDataset};
 use crate::world::{StateWorld, World};
 use crate::Isp;
@@ -206,32 +211,87 @@ impl Snap for AddressTruth {
 /// + `served` (1) + empty plan list (8-byte length) + three flags (3).
 const MIN_TRUTH_ENTRY_BYTES: usize = 8 + 1 + 1 + 8 + 3;
 
-impl Snap for TruthTable {
-    fn encode(&self, w: &mut Writer) {
-        // The table is hash-ordered in memory; sort by key for a
-        // canonical byte stream.
-        let entries = self.sorted_entries();
-        w.put_u64(entries.len() as u64);
-        for (address, isp, truth) in entries {
-            w.put(&address);
-            w.put(&isp);
-            w.put(truth);
-        }
+/// Writes a table's stored entries in key order (the table is
+/// hash-ordered in memory; sorting gives a canonical byte stream). Its
+/// Q1 cells are not written: [`World`]'s decoder re-derives them.
+fn put_stored_truth(w: &mut Writer, table: &TruthTable) {
+    let entries = table.sorted_entries();
+    w.put_u64(entries.len() as u64);
+    for (address, isp, truth) in entries {
+        w.put(&address);
+        w.put(&isp);
+        w.put(truth);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let len = r.len_prefix()?;
-        // Pre-size to the declared length, but never beyond what the
-        // remaining bytes could possibly encode: a hostile prefix cannot
-        // buy a larger allocation than the payload itself justifies.
-        let mut table = TruthTable::with_capacity(len.min(r.remaining() / MIN_TRUTH_ENTRY_BYTES));
-        for _ in 0..len {
-            let address = r.get()?;
-            let isp = r.get()?;
-            let truth = r.get()?;
-            table.insert(address, isp, truth);
-        }
-        Ok(table)
+}
+
+/// Reads what [`put_stored_truth`] wrote into a table without cells.
+fn get_stored_truth(r: &mut Reader<'_>) -> Result<TruthTable, SnapError> {
+    let len = r.len_prefix()?;
+    // Pre-size to the declared length, but never beyond what the
+    // remaining bytes could possibly encode: a hostile prefix cannot buy
+    // a larger allocation than the payload itself justifies.
+    let mut table = TruthTable::with_capacity(len.min(r.remaining() / MIN_TRUTH_ENTRY_BYTES));
+    for _ in 0..len {
+        let address = r.get()?;
+        let isp = r.get()?;
+        let truth = r.get()?;
+        table.insert(address, isp, truth);
     }
+    Ok(table)
+}
+
+/// Re-derives a decoded world's Q1 truth cells from its geography, USAC
+/// records and effective corrections, through the same
+/// `truth::q1_cells` generation uses. Every input the derivation
+/// consumes is checked first, and the records must hold exactly the
+/// cells' ids under the cells' ISPs, in CBG order: a payload whose
+/// pieces disagree is corrupt even if every checksum passed.
+fn q1_truth_cells(
+    config: &SynthConfig,
+    states: &[StateWorld],
+    challenges: &ChallengeSet,
+) -> Result<Vec<Q1Cell>, SnapError> {
+    let mut cells = Vec::new();
+    for (i, sw) in states.iter().enumerate() {
+        let state = sw.state;
+        if states[..i].iter().any(|other| other.state == state) {
+            return Err(SnapError::Malformed(format!("{state} appears twice")));
+        }
+        for cbg in &sw.geography.cbgs {
+            if !(0.0..=1.0).contains(&cbg.density_pct) || !Isp::audited().contains(&cbg.isp) {
+                return Err(SnapError::Malformed(format!(
+                    "CBG {} ({}, density percentile {}) cannot carry Q1 truth",
+                    cbg.id, cbg.isp, cbg.density_pct
+                )));
+            }
+        }
+        let state_cells = truth::q1_cells(config, state, &sw.geography.cbgs, 0, |cbg| {
+            challenges
+                .cell(state, cbg)
+                .and_then(CellCorrections::availability_rate)
+        });
+        let mut records = sw.usac.records.iter();
+        for cell in &state_cells {
+            for offset in 0..u64::from(cell.len) {
+                let id = caf_geo::AddressId(cell.first.0 + offset);
+                if !records
+                    .next()
+                    .is_some_and(|r| r.address.id == id && r.isp == cell.isp)
+                {
+                    return Err(SnapError::Malformed(format!(
+                        "{state}: USAC records disagree with the CBG address counts at {id}"
+                    )));
+                }
+            }
+        }
+        if records.next().is_some() {
+            return Err(SnapError::Malformed(format!(
+                "{state}: more USAC records than the CBGs certify"
+            )));
+        }
+        cells.extend(state_cells);
+    }
+    Ok(cells)
 }
 
 impl Snap for BlockInfo {
@@ -385,8 +445,14 @@ impl Snap for CellCorrections {
         w.put(&self.certified);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let availability_ppm: Option<u32> = r.get()?;
+        if let Some(ppm) = availability_ppm.filter(|&ppm| ppm > 1_000_000) {
+            return Err(SnapError::Malformed(format!(
+                "availability {ppm} ppm is not a rate"
+            )));
+        }
         Ok(CellCorrections {
-            availability_ppm: r.get()?,
+            availability_ppm,
             certified: r.get()?,
         })
     }
@@ -432,27 +498,41 @@ impl Snap for World {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.config);
         w.put_seq(&self.states);
-        w.put(&self.truth);
+        put_stored_truth(w, &self.truth);
         w.put_u64(self.epoch);
         w.put(&self.challenges);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let world = World {
-            config: r.get()?,
-            states: r.get_seq()?,
-            truth: r.get()?,
-            epoch: r.u64()?,
-            challenges: r.get()?,
-        };
+        let config: SynthConfig = r.get()?;
+        let states: Vec<StateWorld> = r.get_seq()?;
+        let mut truth = get_stored_truth(r)?;
+        let epoch = r.u64()?;
+        let challenges: ChallengeSet = r.get()?;
         // An epoch-0 world must carry no corrections (and vice versa a
         // corrected world must be past epoch 0) — a cheap cross-field
         // check that catches section-splicing mistakes.
-        if world.epoch == 0 && !world.challenges.is_empty() {
+        if epoch == 0 && !challenges.is_empty() {
             return Err(SnapError::Malformed(
                 "epoch-0 world carries challenge corrections".to_string(),
             ));
         }
-        Ok(world)
+        truth.install_q1(config.seed, q1_truth_cells(&config, &states, &challenges)?);
+        // A stored entry a cell shadows could never be read. The encoding
+        // that stored every Q1 entry is the one way to produce them.
+        if truth.shadows_an_entry() {
+            return Err(SnapError::Malformed(
+                "a Q1 cell shadows stored truth (a world encoded before Q1 truth \
+                 was drawn on demand)"
+                    .to_string(),
+            ));
+        }
+        Ok(World {
+            config,
+            states,
+            truth,
+            epoch,
+            challenges,
+        })
     }
 }
 
@@ -470,6 +550,30 @@ mod tests {
         let decoded = r.get::<T>().unwrap();
         r.finish().unwrap();
         (bytes, decoded)
+    }
+
+    /// Asserts that two worlds answer every truth lookup alike: each
+    /// USAC record under its ISP, and each Q3 address under its block's
+    /// CAF ISP and competitors.
+    fn assert_same_lookups(a: &World, b: &World) {
+        let mut lookups = 0;
+        for sw in &a.states {
+            for r in &sw.usac.records {
+                let id = r.address.id;
+                assert_eq!(a.truth.get(id, r.isp), b.truth.get(id, r.isp), "{id}");
+                lookups += 1;
+            }
+            for block in &sw.q3.blocks {
+                for addr in &block.addresses {
+                    let id = addr.address.id;
+                    for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
+                        assert_eq!(a.truth.get(id, isp), b.truth.get(id, isp), "{id} {isp}");
+                        lookups += 1;
+                    }
+                }
+            }
+        }
+        assert!(lookups > 0, "nothing was compared");
     }
 
     #[test]
@@ -511,8 +615,10 @@ mod tests {
             world.states[0].usac.records[0].address.street.city,
             Cow::Borrowed(_)
         ));
-        // ...which neither equality, Debug nor the encoding can see.
+        // ...which neither equality, lookups, Debug nor the encoding can
+        // see.
         assert!(decoded == world);
+        assert_same_lookups(&world, &decoded);
         assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
         let mut w = Writer::new();
         w.put(&decoded);
@@ -525,9 +631,13 @@ mod tests {
         // an unserved entry's.
         let mut table = TruthTable::new();
         table.insert(caf_geo::AddressId(1), Isp::Att, AddressTruth::unserved());
-        let (bytes, decoded) = round_trip_bytes(&table);
+        let mut w = Writer::new();
+        put_stored_truth(&mut w, &table);
+        let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 8 + MIN_TRUTH_ENTRY_BYTES);
-        assert!(decoded == table);
+        let mut r = Reader::new(&bytes);
+        assert!(get_stored_truth(&mut r).unwrap() == table);
+        r.finish().unwrap();
         // A prefix as long as the whole payload passes the length check
         // (and reserves only the three entries 64 bytes could hold), but
         // the payload cannot satisfy it: a clean error.
@@ -535,7 +645,7 @@ mod tests {
         w.put_u64(64);
         w.put_raw(&[0; 64]);
         let bytes = w.into_bytes();
-        assert!(Reader::new(&bytes).get::<TruthTable>().is_err());
+        assert!(get_stored_truth(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -578,6 +688,144 @@ mod tests {
         let (bytes_a, _) = round_trip_bytes(&a);
         let (bytes_b, _) = round_trip_bytes(&b);
         assert_eq!(bytes_a, bytes_b, "snapshot-restored world diverged");
+        assert_same_lookups(&a, &b);
+    }
+
+    /// A challenged world, with availability corrections on several
+    /// cells: the restored copy must draw every Q1 address at the
+    /// corrected rates, not the latent ones.
+    #[test]
+    fn restored_challenged_world_answers_every_lookup_like_the_live_one() {
+        let config = SynthConfig {
+            seed: 0xCAF_2024,
+            scale: 150,
+        };
+        let mut world = World::generate_states(config, &[UsState::Vermont, UsState::Ohio]);
+        let pristine = world.clone();
+        let mut deltas = Vec::new();
+        for sw in &world.states {
+            for (cbg, info) in sw.geography.cbgs.iter().enumerate().take(4) {
+                let correction = if cbg % 2 == 0 {
+                    Correction::Availability {
+                        rate_ppm: 1_000_000 * (cbg as u32 % 3) / 2,
+                    }
+                } else {
+                    Correction::CertifiedTier {
+                        down_mbps: 25,
+                        up_mbps: 3,
+                    }
+                };
+                deltas.push(ChallengeDelta {
+                    state: sw.state,
+                    cbg,
+                    isp: info.isp,
+                    correction,
+                });
+            }
+        }
+        world.apply_deltas(&deltas).unwrap();
+        let (_, restored) = round_trip_bytes(&world);
+        assert!(restored == world);
+        assert_same_lookups(&world, &restored);
+        // The corrections reached the draws: some corrected address
+        // answers differently from the pristine world.
+        let moved = world
+            .states
+            .iter()
+            .flat_map(|sw| &sw.usac.records)
+            .any(|r| {
+                restored.truth.get(r.address.id, r.isp) != pristine.truth.get(r.address.id, r.isp)
+            });
+        assert!(moved, "no availability correction changed a lookup");
+    }
+
+    /// The encoding from before Q1 truth was drawn on demand stored every
+    /// Q1 entry. Decoding it is a typed error, never a world whose stored
+    /// entries silently disagree with its cells.
+    #[test]
+    fn world_with_stored_q1_entries_is_rejected() {
+        let config = SynthConfig {
+            seed: 0xCAF_2024,
+            scale: 400,
+        };
+        let world = World::generate_states(config, &[UsState::Vermont, UsState::Ohio]);
+        let mut materialised = TruthTable::new();
+        for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
+            let truth = world.truth.get(r.address.id, r.isp).unwrap().into_owned();
+            materialised.insert(r.address.id, r.isp, truth);
+        }
+        for (address, isp, truth) in world.truth.entries() {
+            materialised.insert(address, isp, truth.clone());
+        }
+        let mut w = Writer::new();
+        w.put(&world.config);
+        w.put_seq(&world.states);
+        put_stored_truth(&mut w, &materialised);
+        w.put_u64(world.epoch);
+        w.put(&world.challenges);
+        let bytes = w.into_bytes();
+        match Reader::new(&bytes).get::<World>() {
+            Err(SnapError::Malformed(message)) => assert!(message.contains("shadows"), "{message}"),
+            other => panic!("expected a typed error, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// Every input the cell derivation consumes is checked: records that
+    /// disagree with the CBG counts, a density percentile the rate
+    /// modulation cannot use, and an availability beyond 100%.
+    #[test]
+    fn inconsistent_q1_inputs_are_malformed() {
+        let config = SynthConfig {
+            seed: 0xCAF_2024,
+            scale: 400,
+        };
+        let mut world = World::generate_states(config, &[UsState::Vermont]);
+        world
+            .apply_deltas(&[ChallengeDelta {
+                state: UsState::Vermont,
+                cbg: 0,
+                isp: world.states[0].geography.cbgs[0].isp,
+                correction: Correction::Availability { rate_ppm: 500_000 },
+            }])
+            .unwrap();
+        let malformed = |world: &World| {
+            let mut w = Writer::new();
+            w.put(world);
+            let bytes = w.into_bytes();
+            matches!(
+                Reader::new(&bytes).get::<World>(),
+                Err(SnapError::Malformed(_))
+            )
+        };
+        assert!(!malformed(&world));
+
+        let mut extra = world.clone();
+        extra.states[0].geography.cbgs[0].caf_addresses += 1;
+        assert!(malformed(&extra), "a CBG certifying one record too many");
+
+        let mut short = world.clone();
+        short.states[0].usac.records.pop();
+        assert!(malformed(&short), "a missing record");
+
+        let mut nan = world.clone();
+        nan.states[0].geography.cbgs[0].density_pct = f64::NAN;
+        assert!(malformed(&nan), "a NaN density percentile");
+
+        let mut rate = world.clone();
+        rate.challenges = ChallengeSet::new();
+        rate.challenges.merge_delta(&ChallengeDelta {
+            state: UsState::Vermont,
+            cbg: 0,
+            isp: world.states[0].geography.cbgs[0].isp,
+            correction: Correction::Availability {
+                rate_ppm: 1_000_001,
+            },
+        });
+        assert!(malformed(&rate), "an availability above 100%");
+
+        let mut twice = world.clone();
+        twice.states.push(twice.states[0].clone());
+        assert!(malformed(&twice), "a state listed twice");
     }
 
     #[test]
@@ -585,7 +833,7 @@ mod tests {
         let mut w = Writer::new();
         w.put(&SynthConfig { seed: 1, scale: 10 });
         w.put_seq::<StateWorld>(&[]);
-        w.put(&TruthTable::new());
+        put_stored_truth(&mut w, &TruthTable::new());
         w.put_u64(0); // epoch 0…
         let mut set = ChallengeSet::new();
         set.merge_delta(&ChallengeDelta {

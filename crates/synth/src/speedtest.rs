@@ -133,7 +133,7 @@ mod tests {
         let cfg = SynthConfig { seed: 3, scale: 30 };
         let geo = StateGeography::build(&cfg, UsState::Vermont);
         let usac = UsacDataset::build(&cfg, &geo);
-        let truth = TruthTable::build_q1(&cfg, &geo, &usac);
+        let truth = TruthTable::build_q1(&cfg, &geo);
         (usac, truth)
     }
 

@@ -12,6 +12,11 @@
 //! the real BQT could only observe ISP websites. Analysis code receives
 //! query outcomes, never truth.
 //!
+//! The audit queries a sample of the certified addresses, so Q1 truth
+//! is drawn when BQT asks for it, from the address's own keyed stream
+//! and its CBG's rate: bit for bit the entry a full build would store.
+//! Q3 truth, drawn block by block from one stream, stays stored.
+//!
 //! ## Calibration
 //!
 //! Per-CBG serviceability is drawn from a Beta distribution whose mean is
@@ -21,15 +26,16 @@
 //! served addresses follow Table 1's conditional tier distribution.
 
 use crate::dist;
-use crate::geography::StateGeography;
+use crate::geography::{CbgInfo, StateGeography};
 use crate::isp::Isp;
 use crate::params::CalibrationParams;
 use crate::params::SynthConfig;
 use crate::plans::{BroadbandPlan, CatalogTier, PlanCatalog};
 use crate::rng::{mix2, scoped_rng, StdRng};
-use crate::usac::UsacDataset;
+use crate::usac::address_id;
 use caf_exec::rng::mix;
-use caf_geo::AddressId;
+use caf_geo::{AddressId, UsState};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -80,7 +86,7 @@ impl AddressTruth {
     }
 }
 
-/// The truth table's key hasher: [`mix`] folded over the key's words.
+/// The stored entries' key hasher: [`mix`] folded over the key's words.
 ///
 /// Fixed and seedless. Keys are dense integer ids that `mix` disperses
 /// well, so SipHash's per-process random keys buy nothing here but
@@ -109,23 +115,39 @@ impl Hasher for MixHasher {
     }
 }
 
+/// One Q1 CBG's truth source: the contiguous address ids of its USAC
+/// records, its certifying ISP, and the serviceability rate its
+/// addresses are drawn at — the Beta-drawn latent rate, or a challenge's
+/// availability correction in its place.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Q1Cell {
+    pub(crate) first: AddressId,
+    pub(crate) len: u32,
+    pub(crate) isp: Isp,
+    rate: f64,
+}
+
 /// The truth table: latent state for every (address, ISP) pair the
-/// campaigns can touch.
+/// campaigns can touch. Q1 pairs are answered by drawing from their
+/// CBG's [`Q1Cell`]; every other pair (Q3 blocks, hand-built tables) is
+/// a stored entry.
 #[derive(Clone, Default, PartialEq)]
 pub struct TruthTable {
+    /// The world seed that keys the Q1 address draws.
+    seed: u64,
+    /// Q1 cells in address-id order; their id ranges are disjoint.
+    cells: Vec<Q1Cell>,
     entries: HashMap<(AddressId, Isp), AddressTruth, BuildHasherDefault<MixHasher>>,
 }
 
 impl fmt::Debug for TruthTable {
-    /// Prints entries in key order, so equal tables print identically
-    /// whatever their insertion history.
+    /// Prints stored entries in key order, so equal tables print
+    /// identically whatever their insertion history.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map()
-            .entries(
-                self.sorted_entries()
-                    .into_iter()
-                    .map(|(address, isp, truth)| ((address, isp), truth)),
-            )
+        f.debug_struct("TruthTable")
+            .field("seed", &self.seed)
+            .field("cells", &self.cells)
+            .field("entries", &self.sorted_entries())
             .finish()
     }
 }
@@ -136,49 +158,111 @@ impl TruthTable {
         TruthTable::default()
     }
 
-    /// An empty table with room for `capacity` entries before it
+    /// An empty table with room for `capacity` stored entries before it
     /// rehashes.
     pub fn with_capacity(capacity: usize) -> TruthTable {
         TruthTable {
             entries: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            ..TruthTable::default()
         }
     }
 
-    /// Inserts (or replaces) an entry.
+    /// Stores (or replaces) an entry. A pair a Q1 cell answers is never
+    /// read from the stored entries.
     pub fn insert(&mut self, address: AddressId, isp: Isp, truth: AddressTruth) {
         self.entries.insert((address, isp), truth);
     }
 
-    /// Looks up the truth for an (address, ISP) pair.
-    pub fn get(&self, address: AddressId, isp: Isp) -> Option<&AddressTruth> {
-        self.entries.get(&(address, isp))
+    /// Looks up the truth for an (address, ISP) pair. A Q1 address under
+    /// its cell's ISP is drawn from its own keyed stream at the cell's
+    /// rate; any other pair is a stored entry.
+    pub fn get(&self, address: AddressId, isp: Isp) -> Option<Cow<'_, AddressTruth>> {
+        match self.cell_of(address) {
+            Some(cell) if cell.isp == isp => {
+                let mut rng = scoped_rng(self.seed, "truth-addr", mix2(address.0, isp.id(), 1));
+                let catalog = PlanCatalog::for_isp(isp);
+                Some(Cow::Owned(draw_truth(&mut rng, isp, &catalog, cell.rate)))
+            }
+            _ => self.entries.get(&(address, isp)).map(Cow::Borrowed),
+        }
     }
 
-    /// Number of entries.
+    /// The Q1 cell whose id range holds `address`, if any.
+    fn cell_of(&self, address: AddressId) -> Option<&Q1Cell> {
+        let after = self.cells.partition_point(|cell| cell.first <= address);
+        let cell = &self.cells[after.checked_sub(1)?];
+        (address.0 - cell.first.0 < u64::from(cell.len)).then_some(cell)
+    }
+
+    /// Number of (address, ISP) pairs the table answers: every address
+    /// of every Q1 cell, plus the stored entries.
     pub fn len(&self) -> usize {
+        self.cells.iter().map(|c| c.len as usize).sum::<usize>() + self.entries.len()
+    }
+
+    /// Whether the table answers no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of Q1 cells.
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Number of stored entries.
+    pub fn stored_count(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Merges another table into this one (later entries win).
+    /// Merges another table into this one (later entries win). Both
+    /// tables' cells must come from one seed.
     pub fn merge(&mut self, other: TruthTable) {
+        if !other.cells.is_empty() {
+            debug_assert!(self.cells.is_empty() || self.seed == other.seed);
+            self.install_q1(other.seed, other.cells);
+        }
         self.entries.extend(other.entries);
     }
 
-    /// Iterates every entry in arbitrary (hash-map) order. Consumers
-    /// that need determinism use [`TruthTable::sorted_entries`].
+    /// Adds Q1 cells drawn under `seed`, keeping the cells in id order.
+    pub(crate) fn install_q1(&mut self, seed: u64, cells: Vec<Q1Cell>) {
+        self.seed = seed;
+        self.cells.extend(cells);
+        // Ids are unique across cells, so the unstable sort is
+        // deterministic.
+        self.cells.sort_unstable_by_key(|cell| cell.first);
+    }
+
+    /// Replaces the Q1 cell holding the same ids as `cell` (a challenge
+    /// rebuild: only the rate can differ).
+    pub(crate) fn replace_q1_cell(&mut self, cell: Q1Cell) {
+        let i = self
+            .cells
+            .binary_search_by_key(&cell.first, |c| c.first)
+            .expect("a rebuilt cell replaces a generated one");
+        self.cells[i] = cell;
+    }
+
+    /// Whether a Q1 cell shadows a stored entry, which could then never
+    /// be read.
+    pub(crate) fn shadows_an_entry(&self) -> bool {
+        self.entries
+            .keys()
+            .any(|&(address, isp)| self.cell_of(address).is_some_and(|cell| cell.isp == isp))
+    }
+
+    /// Iterates every stored entry in arbitrary (hash-map) order.
+    /// Consumers that need determinism use
+    /// [`TruthTable::sorted_entries`].
     pub fn entries(&self) -> impl Iterator<Item = (AddressId, Isp, &AddressTruth)> {
         self.entries
             .iter()
             .map(|(&(address, isp), truth)| (address, isp, truth))
     }
 
-    /// Every entry in `(address, ISP)` order — the canonical order of
-    /// the snapshot encoding and of `Debug`.
+    /// Every stored entry in `(address, ISP)` order — the canonical order
+    /// of the snapshot encoding and of `Debug`.
     pub fn sorted_entries(&self) -> Vec<(AddressId, Isp, &AddressTruth)> {
         let mut entries: Vec<_> = self.entries().collect();
         // Keys are unique, so the unstable sort is still deterministic.
@@ -186,93 +270,59 @@ impl TruthTable {
         entries
     }
 
-    /// Builds the Q1/Q2 truth for a state: one entry per certified CAF
-    /// address, keyed by the certifying ISP.
-    pub fn build_q1(config: &SynthConfig, geo: &StateGeography, usac: &UsacDataset) -> TruthTable {
-        Self::build_q1_for_cbgs(config, geo.state, &geo.cbgs, &usac.records)
-    }
-
-    /// [`TruthTable::build_q1`] over a contiguous CBG slice: `records`
-    /// must be the slice's own records in CBG generation order (each
-    /// CBG contributes exactly `caf_addresses` consecutive records —
-    /// the invariant `UsacDataset::build_for_cbgs` establishes). CBG
-    /// rates are keyed by GEOID and address draws by address id, so
-    /// shard-local tables merge to exactly the full build's table. Note
-    /// the CBGs must carry *finalized* `density_pct` values — the one
-    /// whole-state input the rate modulation consumes.
-    ///
-    /// Every CBG fills one table sized up front to `records.len()` (one
-    /// entry per record), so the build never rehashes.
-    pub fn build_q1_for_cbgs(
-        config: &SynthConfig,
-        state: caf_geo::UsState,
-        cbgs: &[crate::geography::CbgInfo],
-        records: &[crate::usac::CafRecord],
-    ) -> TruthTable {
-        let mut table = TruthTable::with_capacity(records.len());
-        let mut offset: usize = 0;
-        for cbg in cbgs {
-            let n = cbg.caf_addresses as usize;
-            table.fill_q1_cell(config, state, cbg, &records[offset..offset + n], None);
-            offset += n;
-        }
+    /// The Q1/Q2 truth for a state: one cell per CBG with certified
+    /// addresses, keyed by the certifying ISP.
+    pub fn build_q1(config: &SynthConfig, geo: &StateGeography) -> TruthTable {
+        let mut table = TruthTable::new();
+        table.install_q1(
+            config.seed,
+            q1_cells(config, geo.state, &geo.cbgs, 0, |_| None),
+        );
         table
     }
+}
 
-    /// Builds the truth for a single CBG cell. `records` must be exactly
-    /// the cell's own records. When `rate_override` is set (a challenge
-    /// availability correction) it replaces the Beta-drawn CBG rate; the
-    /// per-address draws still come from the same address-keyed RNG
-    /// streams, so an override changes *which* rate is thresholded, not
-    /// the randomness — a corrected cell rebuilt from scratch and one
-    /// patched incrementally are byte-identical.
-    pub fn build_q1_cell(
-        config: &SynthConfig,
-        state: caf_geo::UsState,
-        cbg: &crate::geography::CbgInfo,
-        records: &[crate::usac::CafRecord],
-        rate_override: Option<f64>,
-    ) -> TruthTable {
-        let mut table = TruthTable::with_capacity(records.len());
-        table.fill_q1_cell(config, state, cbg, records, rate_override);
-        table
-    }
-
-    /// Inserts one CBG cell's truth entries: the shared step behind
-    /// [`TruthTable::build_q1_for_cbgs`] and [`TruthTable::build_q1_cell`].
-    fn fill_q1_cell(
-        &mut self,
-        config: &SynthConfig,
-        state: caf_geo::UsState,
-        cbg: &crate::geography::CbgInfo,
-        records: &[crate::usac::CafRecord],
-        rate_override: Option<f64>,
-    ) {
-        debug_assert_eq!(records.len(), cbg.caf_addresses as usize);
-        let isp = cbg.isp;
-        let cbg_rate = match rate_override {
-            Some(rate) => rate,
-            None => {
-                // Effective CBG serviceability: base rate, density-
-                // modulated, with Beta-distributed CBG-to-CBG spread.
-                let base = CalibrationParams::serviceability_base(isp, state);
-                let coupling = CalibrationParams::density_coupling(isp, state);
-                let kappa = CalibrationParams::serviceability_concentration(isp);
-                let modulated =
-                    (base * (1.0 + coupling * (cbg.density_pct - 0.5))).clamp(0.02, 0.98);
-                let mut cbg_rng = scoped_rng(config.seed, "truth-cbg", cbg.id.geoid());
-                dist::beta_mean_conc(&mut cbg_rng, modulated, kappa)
-            }
-        };
-
-        let catalog = PlanCatalog::for_isp(isp);
-        for record in records {
-            let addr = record.address.id;
-            let mut rng = scoped_rng(config.seed, "truth-addr", mix2(addr.0, isp.id(), 1));
-            let truth = draw_truth(&mut rng, isp, &catalog, cbg_rate);
-            self.insert(addr, isp, truth);
+/// The Q1 cells of a contiguous CBG slice, one per CBG with certified
+/// addresses. `base` counts the certified addresses of the state's CBGs
+/// before the slice (ids are dense across CBGs), and `rate_override`
+/// maps a CBG's index in the slice to its availability correction. Rates
+/// are keyed by GEOID, so disjoint slices concatenate to the whole
+/// state's cells. The CBGs must carry *finalized* `density_pct` values.
+/// Generation, challenge rebuilds and the snapshot decoder all derive
+/// cells here, so every world draws from the same cells.
+pub(crate) fn q1_cells(
+    config: &SynthConfig,
+    state: UsState,
+    cbgs: &[CbgInfo],
+    base: u64,
+    rate_override: impl Fn(usize) -> Option<f64>,
+) -> Vec<Q1Cell> {
+    let mut cells = Vec::with_capacity(cbgs.len());
+    let mut counter = base;
+    for (i, cbg) in cbgs.iter().enumerate() {
+        if cbg.caf_addresses > 0 {
+            cells.push(Q1Cell {
+                first: address_id(state, counter + 1),
+                len: cbg.caf_addresses,
+                isp: cbg.isp,
+                rate: rate_override(i).unwrap_or_else(|| {
+                    // The latent rate: the (ISP, state) base rate,
+                    // density-modulated, with Beta-distributed
+                    // CBG-to-CBG spread.
+                    let isp = cbg.isp;
+                    let base = CalibrationParams::serviceability_base(isp, state);
+                    let coupling = CalibrationParams::density_coupling(isp, state);
+                    let kappa = CalibrationParams::serviceability_concentration(isp);
+                    let modulated =
+                        (base * (1.0 + coupling * (cbg.density_pct - 0.5))).clamp(0.02, 0.98);
+                    let mut cbg_rng = scoped_rng(config.seed, "truth-cbg", cbg.id.geoid());
+                    dist::beta_mean_conc(&mut cbg_rng, modulated, kappa)
+                }),
+            });
         }
+        counter += u64::from(cbg.caf_addresses);
     }
+    cells
 }
 
 /// Draws the truth for one address given its CBG's serviceability rate.
@@ -395,8 +445,7 @@ impl TruthDraw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geography::StateGeography;
-    use caf_geo::UsState;
+    use crate::usac::UsacDataset;
 
     fn cfg() -> SynthConfig {
         SynthConfig { seed: 5, scale: 20 }
@@ -405,7 +454,7 @@ mod tests {
     fn truth_for(state: UsState) -> (StateGeography, UsacDataset, TruthTable) {
         let geo = StateGeography::build(&cfg(), state);
         let usac = UsacDataset::build(&cfg(), &geo);
-        let truth = TruthTable::build_q1(&cfg(), &geo, &usac);
+        let truth = TruthTable::build_q1(&cfg(), &geo);
         (geo, usac, truth)
     }
 
@@ -503,7 +552,7 @@ mod tests {
         let cfg = SynthConfig { seed, scale: 20 };
         let geo = StateGeography::build(&cfg, state);
         let usac = UsacDataset::build(&cfg, &geo);
-        let truth = TruthTable::build_q1(&cfg, &geo, &usac);
+        let truth = TruthTable::build_q1(&cfg, &geo);
         let mut points: Vec<(f64, f64)> = Vec::new();
         for cbg in geo.cbgs_for(Isp::Att) {
             let idxs = usac.records_in_cbg(Isp::Att, cbg.id);
@@ -584,13 +633,49 @@ mod tests {
 
     #[test]
     fn merge_combines_tables() {
-        let (_, _, a) = truth_for(UsState::Utah);
-        let (_, _, b) = truth_for(UsState::Vermont);
+        let (_, usac_a, a) = truth_for(UsState::Utah);
+        let (_, usac_b, b) = truth_for(UsState::Vermont);
         let mut merged = TruthTable::new();
         let (la, lb) = (a.len(), b.len());
-        merged.merge(a);
-        merged.merge(b);
+        merged.merge(a.clone());
+        merged.merge(b.clone());
         assert_eq!(merged.len(), la + lb);
         assert!(!merged.is_empty());
+        for (usac, table) in [(&usac_a, &a), (&usac_b, &b)] {
+            for r in &usac.records {
+                assert_eq!(
+                    merged.get(r.address.id, r.isp),
+                    table.get(r.address.id, r.isp)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_outside_a_cell_or_under_another_isp_miss() {
+        let (_, usac, mut truth) = truth_for(UsState::Vermont);
+        let first = usac.records.first().unwrap();
+        let last = usac.records.last().unwrap();
+        assert!(truth
+            .get(AddressId(first.address.id.0 - 1), first.isp)
+            .is_none());
+        assert!(truth
+            .get(AddressId(last.address.id.0 + 1), last.isp)
+            .is_none());
+        let other = Isp::all().into_iter().find(|&i| i != first.isp).unwrap();
+        assert!(truth.get(first.address.id, other).is_none());
+        // A stored entry under another ISP is still found, and the cell
+        // keeps answering its own ISP.
+        truth.insert(first.address.id, other, AddressTruth::unserved());
+        assert_eq!(
+            truth.get(first.address.id, other).as_deref(),
+            Some(&AddressTruth::unserved())
+        );
+        assert!(matches!(
+            truth.get(first.address.id, first.isp),
+            Some(Cow::Owned(_))
+        ));
+        assert!(truth.cell_count() > 0);
+        assert_eq!(truth.stored_count(), 1);
     }
 }

@@ -67,6 +67,13 @@ pub struct UsacDataset {
     by_cbg: BTreeMap<(Isp, BlockGroupId), Vec<usize>>,
 }
 
+/// The id of a state's `counter`-th certified address (1-based): the
+/// state FIPS code times 10⁹ plus the counter. A CBG's records hold the
+/// consecutive ids after those of every earlier CBG in the state.
+pub(crate) fn address_id(state: UsState, counter: u64) -> AddressId {
+    AddressId(u64::from(state.fips().code()) * 1_000_000_000 + counter)
+}
+
 /// Street-name lexicon for synthesized addresses.
 const STREET_NAMES: &[&str] = &[
     "County Road 12",
@@ -125,7 +132,6 @@ impl UsacDataset {
         cbgs: &[crate::geography::CbgInfo],
         base: u64,
     ) -> Vec<CafRecord> {
-        let fips = u64::from(state.fips().code());
         let mut counter: u64 = base;
         let mut records: Vec<CafRecord> =
             Vec::with_capacity(cbgs.iter().map(|c| c.caf_addresses as usize).sum());
@@ -136,7 +142,7 @@ impl UsacDataset {
             for block in &cbg.blocks {
                 for _ in 0..block.caf_addresses {
                     counter += 1;
-                    let id = AddressId(fips * 1_000_000_000 + counter);
+                    let id = address_id(state, counter);
                     let jitter_lat = rng.gen_range(-0.004..0.004);
                     let jitter_lon = rng.gen_range(-0.004..0.004);
                     let location = LatLon::new(

@@ -2,14 +2,15 @@
 //!
 //! [`World::generate`] is the single entry point the rest of the workspace
 //! uses: it builds, per study state, the census geography, the USAC
-//! CAF-Map slice, the Q3 block world, and one merged [`TruthTable`]
-//! covering every (address, ISP) pair a campaign can query.
+//! CAF-Map slice, the Q3 block world, and one [`TruthTable`] answering
+//! every (address, ISP) pair a campaign can query — Q1 pairs drawn on
+//! demand from per-CBG cells, Q3 pairs stored.
 
 use crate::challenge::{self, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome};
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
 use crate::q3::{Q3Block, Q3World};
-use crate::truth::TruthTable;
+use crate::truth::{self, Q1Cell, TruthTable};
 use crate::usac::{CafRecord, UsacDataset};
 use caf_exec::{CostHint, EngineConfig};
 use caf_geo::UsState;
@@ -82,17 +83,17 @@ impl World {
     ///    the whole-state density percentiles the later passes consume.
     /// 2. **USAC + truth + Q3** — two units per state: a Q1 unit hinted
     ///    by per-CBG certified-address counts (shards build records and
-    ///    truth for a CBG range, offset by the range's address-id
+    ///    truth cells for a CBG range, offset by the range's address-id
     ///    prefix), and a Q3 unit hinted by per-block address counts
     ///    over [`Q3World::block_specs`].
     ///
     /// Output is **byte-identical at any worker count and shard
     /// policy**: every stream in the generators is entity-keyed
     /// (`crate::rng`), shards cover disjoint contiguous element ranges,
-    /// and partial results are reassembled positionally — records and
-    /// blocks concatenate in shard order, truth tables (disjoint
-    /// `(address, ISP)` keys) merge in fixed state order. The contract
-    /// is pinned by `crates/tests/tests/parallel_cold_paths.rs`.
+    /// and partial results are reassembled positionally — records,
+    /// cells and blocks concatenate in shard order, Q3 truth tables
+    /// (disjoint `(address, ISP)` keys) merge in fixed state order. The
+    /// contract is pinned by `crates/tests/tests/parallel_cold_paths.rs`.
     pub fn generate_states_on(
         config: SynthConfig,
         states: &[UsState],
@@ -128,11 +129,11 @@ impl World {
             })
             .collect();
 
-        // Pass 2: USAC records, Q1 truth, and the Q3 world — two units
-        // per state (2i = Q1 over CBG ranges, 2i+1 = Q3 over block-spec
-        // ranges), each shard building into its own local truth table.
+        // Pass 2: USAC records, Q1 truth cells, and the Q3 world — two
+        // units per state (2i = Q1 over CBG ranges, 2i+1 = Q3 over
+        // block-spec ranges); a Q3 shard builds its own truth table.
         enum Part {
-            Q1(Vec<CafRecord>, TruthTable),
+            Q1(Vec<CafRecord>, Vec<Q1Cell>),
             Q3(Vec<Q3Block>, TruthTable),
         }
         let q3_specs: Vec<_> = states
@@ -165,8 +166,8 @@ impl World {
                     .map(|c| u64::from(c.caf_addresses))
                     .sum();
                 let records = UsacDataset::build_for_cbgs(&config, state, cbgs, base);
-                let truth = TruthTable::build_q1_for_cbgs(&config, state, cbgs, &records);
-                Part::Q1(records, truth)
+                let cells = truth::q1_cells(&config, state, cbgs, base, |_| None);
+                Part::Q1(records, cells)
             } else {
                 let specs = &q3_specs[shard.unit / 2][shard.range.clone()];
                 // Every address gets a CAF-ISP entry; competitor entries
@@ -184,26 +185,28 @@ impl World {
         });
 
         // Reassemble per state: shard results concatenate in element
-        // order, truth merges in fixed state order (keys are disjoint)
-        // into one table sized for every shard's entries.
-        let total_entries = parts
+        // order, Q3 truth merges in fixed state order (keys are
+        // disjoint) into one table sized for every Q3 shard's entries.
+        let stored_entries = parts
             .iter()
             .flatten()
             .map(|part| match part {
-                Part::Q1(_, truth) | Part::Q3(_, truth) => truth.len(),
+                Part::Q1(..) => 0,
+                Part::Q3(_, truth) => truth.stored_count(),
             })
             .sum();
-        let mut truth = TruthTable::with_capacity(total_entries);
+        let mut truth = TruthTable::with_capacity(stored_entries);
+        let mut cells: Vec<Q1Cell> = Vec::new();
         let mut state_worlds = Vec::with_capacity(states.len());
         let mut parts = parts.into_iter();
         for (geography, &state) in geographies.into_iter().zip(states) {
             let mut records: Vec<CafRecord> = Vec::new();
             for part in parts.next().expect("one Q1 unit per state") {
-                let Part::Q1(shard_records, shard_truth) = part else {
+                let Part::Q1(shard_records, shard_cells) = part else {
                     unreachable!("even units are Q1");
                 };
                 records.extend(shard_records);
-                truth.merge(shard_truth);
+                cells.extend(shard_cells);
             }
             let usac = UsacDataset::assemble(state, records);
             let mut blocks: Vec<Q3Block> = Vec::new();
@@ -222,12 +225,14 @@ impl World {
                 q3,
             });
         }
+        truth.install_q1(config.seed, cells);
         if let Some(start) = wall_start {
             let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             caf_obs::gauge("caf.synth.world.wall_us", micros);
             caf_obs::gauge("caf.synth.world.workers", workers as u64);
             caf_obs::gauge("caf.synth.world.states", states.len() as u64);
-            caf_obs::gauge("caf.synth.world.truth_entries", truth.len() as u64);
+            caf_obs::gauge("caf.synth.world.truth_cells", truth.cell_count() as u64);
+            caf_obs::gauge("caf.synth.world.truth_entries", truth.stored_count() as u64);
         }
         World {
             config,
@@ -247,15 +252,15 @@ impl World {
     /// Each touched cell is rebuilt from the seed baseline through the
     /// same seams sharded generation uses — records via
     /// [`UsacDataset::build_for_cbgs`] at the cell's address-id prefix,
-    /// truth via [`TruthTable::build_q1_cell`] — then the *effective*
+    /// the truth cell via `truth::q1_cells` — then the *effective*
     /// corrections from the merged [`ChallengeSet`] are overlaid:
     /// certified-tier overrides rewrite the records' certified speeds
     /// (technology stays at the baseline draw — a restated tier does
     /// not re-trench fiber), availability overrides replace the cell's
-    /// Beta-drawn serviceability rate before the address draws
-    /// threshold it. Because the rebuild starts from the baseline and
-    /// overlays only effective values, applying a delta stream in any
-    /// batch decomposition converges to a byte-identical world.
+    /// Beta-drawn serviceability rate that the address draws threshold.
+    /// Because the rebuild starts from the baseline and overlays only
+    /// effective values, applying a delta stream in any batch
+    /// decomposition converges to a byte-identical world.
     ///
     /// Geometry is invariant: corrections never change the geography or
     /// per-cell address counts, so rebuilt records splice into the
@@ -319,21 +324,20 @@ impl World {
                         record.certified_up_mbps = f64::from(up);
                     }
                 }
-                let rate_override = effective
-                    .availability_ppm
-                    .map(|ppm| f64::from(ppm) / 1_000_000.0);
-                let cell_truth =
-                    TruthTable::build_q1_cell(&config, state, cbg, &records, rate_override);
+                let rate_override = effective.availability_rate();
+                for cell in truth::q1_cells(&config, state, std::slice::from_ref(cbg), base, |_| {
+                    rate_override
+                }) {
+                    self.truth.replace_q1_cell(cell);
+                }
 
                 // Splice the rebuilt records into their existing slots
-                // (counts are invariant, see above) and overwrite the
-                // cell's truth entries (same (address, ISP) keys).
+                // (counts are invariant, see above).
                 let slots: Vec<usize> = sw.usac.records_in_cbg(cbg.isp, cbg.id).to_vec();
                 debug_assert_eq!(slots.len(), records.len());
                 for (&slot, record) in slots.iter().zip(records) {
                     sw.usac.records[slot] = record;
                 }
-                self.truth.merge(cell_truth);
                 cells_rebuilt += 1;
             }
         }
@@ -444,7 +448,18 @@ mod tests {
                     format!("{:?}", world.states),
                     "policy {policy:?} workers {workers}"
                 );
-                assert_eq!(baseline.truth.len(), world.truth.len());
+                assert!(
+                    baseline.truth == world.truth,
+                    "policy {policy:?} workers {workers}"
+                );
+                for sw in &baseline.states {
+                    for r in &sw.usac.records {
+                        assert_eq!(
+                            baseline.truth.get(r.address.id, r.isp),
+                            world.truth.get(r.address.id, r.isp),
+                        );
+                    }
+                }
             }
         }
     }
@@ -573,6 +588,12 @@ mod tests {
             competitor_entries += usize::from(matches!(isp, Isp::Xfinity | Isp::Spectrum));
             for plan in &truth.plans {
                 assert!(borrowed(&plan.name), "{isp}: {plan}");
+            }
+        }
+        // Q1 truth drawn on demand borrows its plan names too.
+        for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
+            for plan in &world.truth.get(r.address.id, r.isp).unwrap().plans {
+                assert!(borrowed(&plan.name), "{}: {plan}", r.isp);
             }
         }
         assert!(competitor_entries > 0, "Q3 competitor truth was generated");

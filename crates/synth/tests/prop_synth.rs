@@ -174,6 +174,6 @@ fn truth_table_merge_is_last_writer_wins() {
     };
     b.insert(AddressId(1), Isp::Att, served.clone());
     a.merge(b);
-    assert_eq!(a.get(AddressId(1), Isp::Att), Some(&served));
+    assert_eq!(a.get(AddressId(1), Isp::Att).as_deref(), Some(&served));
     assert_eq!(a.len(), 1);
 }

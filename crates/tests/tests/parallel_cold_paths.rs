@@ -42,13 +42,19 @@ fn states() -> [UsState; 4] {
 
 /// A content fingerprint of a generated world: FNV-1a of its canonical
 /// `caf-snap` encoding, which covers every state (geography, USAC
-/// records, Q3 blocks) and every truth entry in key order — including
-/// the Q3 competitor entries keyed under Xfinity/Spectrum, which no
-/// per-block CAF-ISP probe would reach.
+/// records, Q3 blocks) and every stored truth entry in key order —
+/// including the Q3 competitor entries keyed under Xfinity/Spectrum —
+/// followed by the `Debug` form of every USAC record's truth lookup.
+/// Q1 truth is drawn on demand, so the encoding alone does not hold it.
 fn world_fingerprint(world: &World) -> u64 {
     let mut w = Writer::new();
     w.put(world);
-    fnv1a(&w.into_bytes())
+    let mut bytes = w.into_bytes();
+    for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
+        let lookup = world.truth.get(r.address.id, r.isp);
+        bytes.extend_from_slice(format!("{lookup:?}\n").as_bytes());
+    }
+    fnv1a(&bytes)
 }
 
 #[test]
