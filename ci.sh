@@ -16,9 +16,11 @@
 # result against an uninterrupted reference, a torn-tail gate that cuts
 # the last 13 bytes off a finished checkpoint log and byte-diffs the
 # resumed result the same way, an observability smoke run (a tiny repro
-# experiment whose run report must pass the full metrics_check gate),
-# and the serving-layer gate: `caf-serve` is started on an ephemeral
-# port at two HTTP worker counts, its `/v1/table2` response is
+# experiment whose run report must pass the full metrics_check gate), a
+# repro output gate (every listed experiment but `dump` and `validate`
+# must print exactly the committed `repro_output.txt` up to its dump
+# section), and the serving-layer gate: `caf-serve` is started on an
+# ephemeral port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
 # its `/v1/debug/traces` flight recorder must show the request's span
 # path (route -> cache lookup -> render), its `/metrics` report must
@@ -224,6 +226,23 @@ cargo run --release -q -p caf-bench --bin repro -- \
   table2 --scale 150 --workers 2 --metrics "$ci_out/obs_smoke.json" \
   --artifacts "$golden" --quiet
 cargo run --release -q -p caf-bench --bin metrics_check -- "$ci_out/obs_smoke.json"
+
+# The committed repro_output.txt is what `repro` prints at its defaults.
+# Every experiment `repro --help` lists runs, except `dump` (it writes
+# CSVs into repro_artifacts/ in the working tree) and `validate` (its
+# shape checks do not all pass yet, so it exits 1; ROADMAP item 1). The
+# stdout must equal the committed file cut before the dump section
+# (each section header is printed after a blank line, so the cut drops
+# that line too).
+gate "repro output gate: repro stdout == committed repro_output.txt"
+repro_experiments=$(./target/release/repro --help 2>&1 | sed -n 's/^experiments: //p' \
+  | tr ' ' '\n' | grep -vx -e dump -e validate)
+[ -n "$repro_experiments" ]
+# shellcheck disable=SC2086 # one argument per experiment
+./target/release/repro $repro_experiments --quiet > "$ci_out/repro_output.txt"
+dump_line=$(grep -n '^################ dump ################$' repro_output.txt | cut -d: -f1)
+head -n "$((dump_line - 2))" repro_output.txt | cmp - "$ci_out/repro_output.txt"
+echo "    $(echo $repro_experiments | wc -w) experiments reproduce repro_output.txt byte for byte"
 
 # The serving-layer gate. The /v1/table2 bytes must equal the golden
 # artifact repro just wrote — the determinism contract extended across

@@ -274,16 +274,19 @@ impl Audit {
 
     /// The per-unit cost hints `run_units` and the incremental audit
     /// plan with: a cell's cost is its primary sample size — the query
-    /// volume the campaign will push through it.
+    /// volume the campaign will push through it. Read off the
+    /// geography's per-CBG counts, so planning builds no USAC record;
+    /// each unit builds its own state's records on the pool.
     pub(crate) fn unit_hints(&self, units: &[&StateWorld]) -> Vec<CostHint> {
         units
             .iter()
             .map(|state_world| {
                 CostHint::PerElement(
                     state_world
-                        .usac
-                        .cbg_cells()
-                        .map(|(_, _, indices)| self.config.rule.sample_size(indices.len()) as u64)
+                        .geography
+                        .caf_cells()
+                        .into_iter()
+                        .map(|(_, _, n)| self.config.rule.sample_size(n as usize) as u64)
                         .collect(),
                 )
             })
@@ -346,7 +349,7 @@ impl Audit {
 
         // CBG metadata lookup for row construction.
         let mut cbg_meta: HashMap<(Isp, BlockGroupId), (usize, f64, f64, LatLon)> = HashMap::new();
-        for cbg in &state_world.geography.cbgs {
+        for cbg in state_world.geography.cbgs.iter() {
             cbg_meta.insert(
                 (cbg.isp, cbg.id),
                 (

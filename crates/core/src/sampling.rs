@@ -102,11 +102,8 @@ impl SamplingPlan {
         range: std::ops::Range<usize>,
     ) -> SamplingPlan {
         let mut cells = Vec::with_capacity(range.len());
-        for (isp, cbg, indices) in world.usac.cbg_cells().skip(range.start).take(range.len()) {
-            let mut addresses: Vec<AddressId> = indices
-                .iter()
-                .map(|&i| world.usac.records[i].address.id)
-                .collect();
+        for (isp, cbg, records) in world.usac.cbg_cells().skip(range.start).take(range.len()) {
+            let mut addresses: Vec<AddressId> = records.iter().map(|r| r.address.id).collect();
             let mut rng = scoped_rng(seed, "sampling", cbg.geoid() ^ isp.id());
             rng.shuffle(&mut addresses);
             let take = rule.sample_size(addresses.len());
@@ -114,7 +111,7 @@ impl SamplingPlan {
             cells.push(SampledCbg {
                 isp,
                 cbg,
-                total_addresses: indices.len(),
+                total_addresses: records.len(),
                 primary: addresses,
                 replacements,
             });

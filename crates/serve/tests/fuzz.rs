@@ -245,7 +245,8 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
             return;
         };
         // A valid world: its stored entries fit in the bytes that held
-        // them, and every record and Q3 address answers without panic.
+        // them, every record and Q3 address answers without panic, and
+        // every indexed cell holds only its own key's records.
         assert!(world.truth.stored_count() * MIN_TRUTH_ENTRY_BYTES <= section.len());
         for sw in &world.states {
             for r in &sw.usac.records {
@@ -253,6 +254,14 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
                     world.truth.get(r.address.id, r.isp).is_some(),
                     "{}",
                     r.address.id
+                );
+            }
+            for (isp, cbg, records) in sw.usac.cbg_cells() {
+                assert!(
+                    records
+                        .iter()
+                        .all(|r| r.isp == isp && r.address.block_group() == cbg),
+                    "{isp} {cbg}"
                 );
             }
         }

@@ -15,6 +15,7 @@ use crate::isp::Isp;
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::{mix2, scoped_rng, StdRng};
 use caf_geo::{BlockGroupId, BlockId, BoundingBox, CountyId, LatLon, StateFips, TractId, UsState};
+use std::sync::Arc;
 
 /// A census block with its CAF address count.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +56,10 @@ pub struct CbgInfo {
 pub struct StateGeography {
     /// The state.
     pub state: UsState,
-    /// All CAF block groups, across every ISP present in the state.
-    pub cbgs: Vec<CbgInfo>,
+    /// All CAF block groups, across every ISP present in the state, in
+    /// enumeration order (shared with the state's lazily built USAC
+    /// dataset).
+    pub cbgs: Arc<[CbgInfo]>,
     /// Synthetic urban centers used for the density field.
     pub urban_centers: Vec<LatLon>,
 }
@@ -147,7 +150,7 @@ impl StateGeography {
         }
         StateGeography {
             state,
-            cbgs,
+            cbgs: cbgs.into(),
             urban_centers,
         }
     }
@@ -155,6 +158,21 @@ impl StateGeography {
     /// Total CAF addresses across all CBGs.
     pub fn total_caf_addresses(&self) -> u64 {
         self.cbgs.iter().map(|c| u64::from(c.caf_addresses)).sum()
+    }
+
+    /// The (ISP, CBG) cells with certified addresses and their address
+    /// counts, in ascending `(Isp, BlockGroupId)` order: the keys and
+    /// lengths of [`crate::UsacDataset::cbg_cells`], known without
+    /// building a record.
+    pub fn caf_cells(&self) -> Vec<(Isp, BlockGroupId, u32)> {
+        let mut cells: Vec<_> = self
+            .cbgs
+            .iter()
+            .filter(|c| c.caf_addresses > 0)
+            .map(|c| (c.isp, c.id, c.caf_addresses))
+            .collect();
+        cells.sort_unstable_by_key(|&(isp, cbg, _)| (isp, cbg));
+        cells
     }
 
     /// The CBGs certified to a specific ISP.
@@ -289,7 +307,7 @@ mod tests {
         let a = StateGeography::build(&small_config(), UsState::Alabama);
         let b = StateGeography::build(&small_config(), UsState::Alabama);
         assert_eq!(a.cbgs.len(), b.cbgs.len());
-        for (x, y) in a.cbgs.iter().zip(&b.cbgs) {
+        for (x, y) in a.cbgs.iter().zip(b.cbgs.iter()) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.caf_addresses, y.caf_addresses);
             assert_eq!(x.centroid, y.centroid);
@@ -347,7 +365,7 @@ mod tests {
         let before = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate CBG GEOIDs");
-        for c in &geo.cbgs {
+        for c in geo.cbgs.iter() {
             assert_eq!(c.id.state().code(), 13);
             assert!(UsState::Georgia.bbox().contains(c.centroid));
         }
@@ -356,7 +374,7 @@ mod tests {
     #[test]
     fn block_totals_match_cbg_totals() {
         let geo = StateGeography::build(&small_config(), UsState::Ohio);
-        for cbg in &geo.cbgs {
+        for cbg in geo.cbgs.iter() {
             let sum: u32 = cbg.blocks.iter().map(|b| b.caf_addresses).sum();
             assert_eq!(sum, cbg.caf_addresses, "cbg {}", cbg.id);
             assert!(!cbg.blocks.is_empty());
@@ -438,7 +456,7 @@ mod tests {
         let diff = a
             .cbgs
             .iter()
-            .zip(&b.cbgs)
+            .zip(b.cbgs.iter())
             .filter(|(x, y)| x.caf_addresses != y.caf_addresses)
             .count();
         assert!(diff > a.cbgs.len() / 2);

@@ -47,5 +47,5 @@ pub use isp::Isp;
 pub use params::{CalibrationParams, SynthConfig};
 pub use plans::{BroadbandPlan, PlanCatalog};
 pub use truth::{AddressTruth, TruthTable};
-pub use usac::{CafRecord, UsacDataset};
+pub use usac::{CafRecord, LazyUsac, UsacDataset};
 pub use world::{StateWorld, World};

@@ -24,7 +24,7 @@ use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
 use crate::q3::{LatentBlockType, Q3Address, Q3Block, Q3World};
 use crate::truth::{self, AddressTruth, Q1Cell, TruthTable};
-use crate::usac::{CafRecord, Technology, UsacDataset};
+use crate::usac::{CafRecord, LazyUsac, Technology, UsacDataset};
 use crate::world::{StateWorld, World};
 use crate::Isp;
 use caf_snap::{Reader, Snap, SnapError, Writer};
@@ -182,9 +182,13 @@ impl Snap for UsacDataset {
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let state = r.get()?;
         let records = r.get_seq()?;
-        // `assemble` rebuilds the derived per-cell row index, so the
+        // The per-cell range index is derived from the records, so the
         // snapshot only carries the rows themselves.
-        Ok(UsacDataset::assemble(state, records))
+        UsacDataset::from_records(state, records).ok_or_else(|| {
+            SnapError::Malformed(format!(
+                "{state}: an (ISP, CBG) cell's USAC records are not contiguous"
+            ))
+        })
     }
 }
 
@@ -244,8 +248,8 @@ fn get_stored_truth(r: &mut Reader<'_>) -> Result<TruthTable, SnapError> {
 /// records and effective corrections, through the same
 /// `truth::q1_cells` generation uses. Every input the derivation
 /// consumes is checked first, and the records must hold exactly the
-/// cells' ids under the cells' ISPs, in CBG order: a payload whose
-/// pieces disagree is corrupt even if every checksum passed.
+/// cells' ids under the cells' ISPs and CBGs, in CBG order: a payload
+/// whose pieces disagree is corrupt even if every checksum passed.
 fn q1_truth_cells(
     config: &SynthConfig,
     states: &[StateWorld],
@@ -257,11 +261,18 @@ fn q1_truth_cells(
         if states[..i].iter().any(|other| other.state == state) {
             return Err(SnapError::Malformed(format!("{state} appears twice")));
         }
-        for cbg in &sw.geography.cbgs {
-            if !(0.0..=1.0).contains(&cbg.density_pct) || !Isp::audited().contains(&cbg.isp) {
+        for cbg in sw.geography.cbgs.iter() {
+            // A challenge rebuilds a CBG's records from its blocks, so
+            // the blocks must hold the CBG's count.
+            let in_blocks: u64 = cbg.blocks.iter().map(|b| u64::from(b.caf_addresses)).sum();
+            if !(0.0..=1.0).contains(&cbg.density_pct)
+                || !Isp::audited().contains(&cbg.isp)
+                || in_blocks != u64::from(cbg.caf_addresses)
+            {
                 return Err(SnapError::Malformed(format!(
-                    "CBG {} ({}, density percentile {}) cannot carry Q1 truth",
-                    cbg.id, cbg.isp, cbg.density_pct
+                    "CBG {} ({}, density percentile {}, {in_blocks} of {} addresses in blocks) \
+                     cannot carry Q1 truth",
+                    cbg.id, cbg.isp, cbg.density_pct, cbg.caf_addresses
                 )));
             }
         }
@@ -270,14 +281,16 @@ fn q1_truth_cells(
                 .cell(state, cbg)
                 .and_then(CellCorrections::availability_rate)
         });
+        // One contiguous run per CBG with addresses, in enumeration
+        // order: the layout the dataset's range index describes.
         let mut records = sw.usac.records.iter();
-        for cell in &state_cells {
+        let certified = sw.geography.cbgs.iter().filter(|c| c.caf_addresses > 0);
+        for (cell, cbg) in state_cells.iter().zip(certified) {
             for offset in 0..u64::from(cell.len) {
                 let id = caf_geo::AddressId(cell.first.0 + offset);
-                if !records
-                    .next()
-                    .is_some_and(|r| r.address.id == id && r.isp == cell.isp)
-                {
+                if !records.next().is_some_and(|r| {
+                    r.address.id == id && r.isp == cell.isp && r.address.block_group() == cbg.id
+                }) {
                     return Err(SnapError::Malformed(format!(
                         "{state}: USAC records disagree with the CBG address counts at {id}"
                     )));
@@ -343,7 +356,7 @@ impl Snap for StateGeography {
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(StateGeography {
             state: r.get()?,
-            cbgs: r.get_seq()?,
+            cbgs: r.get_seq::<CbgInfo>()?.into(),
             urban_centers: r.get_seq()?,
         })
     }
@@ -481,14 +494,14 @@ impl Snap for StateWorld {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.state);
         w.put(&self.geography);
-        w.put(&self.usac);
+        w.put(&*self.usac);
         w.put(&self.q3);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(StateWorld {
             state: r.get()?,
             geography: r.get()?,
-            usac: r.get()?,
+            usac: LazyUsac::from(r.get::<UsacDataset>()?),
             q3: r.get()?,
         })
     }
@@ -800,15 +813,22 @@ mod tests {
         assert!(!malformed(&world));
 
         let mut extra = world.clone();
-        extra.states[0].geography.cbgs[0].caf_addresses += 1;
+        let cbg = &mut std::sync::Arc::make_mut(&mut extra.states[0].geography.cbgs)[0];
+        cbg.caf_addresses += 1;
+        cbg.blocks[0].caf_addresses += 1;
         assert!(malformed(&extra), "a CBG certifying one record too many");
+
+        let mut blocks = world.clone();
+        std::sync::Arc::make_mut(&mut blocks.states[0].geography.cbgs)[0].blocks[0]
+            .caf_addresses += 1;
+        assert!(malformed(&blocks), "blocks holding more than their CBG");
 
         let mut short = world.clone();
         short.states[0].usac.records.pop();
         assert!(malformed(&short), "a missing record");
 
         let mut nan = world.clone();
-        nan.states[0].geography.cbgs[0].density_pct = f64::NAN;
+        std::sync::Arc::make_mut(&mut nan.states[0].geography.cbgs)[0].density_pct = f64::NAN;
         assert!(malformed(&nan), "a NaN density percentile");
 
         let mut rate = world.clone();
@@ -826,6 +846,41 @@ mod tests {
         let mut twice = world.clone();
         twice.states.push(twice.states[0].clone());
         assert!(malformed(&twice), "a state listed twice");
+    }
+
+    #[test]
+    fn usac_records_swapped_across_cells_are_malformed() {
+        let config = SynthConfig {
+            seed: 0xCAF_2024,
+            scale: 60,
+        };
+        let world = World::generate_states(config, &[UsState::Vermont]);
+        let malformed = |world: &World| {
+            let mut w = Writer::new();
+            w.put(world);
+            let bytes = w.into_bytes();
+            matches!(
+                Reader::new(&bytes).get::<World>(),
+                Err(SnapError::Malformed(_))
+            )
+        };
+        assert!(!malformed(&world));
+        // The first records of the first two CBGs (in enumeration order).
+        let cbgs = &world.states[0].geography.cbgs;
+        let (a, b) = (0, cbgs[0].caf_addresses as usize);
+        assert_ne!(cbgs[0].id, cbgs[1].id);
+
+        let mut swapped = world.clone();
+        swapped.states[0].usac.records.swap(a, b);
+        assert!(malformed(&swapped), "two records swapped across cells");
+
+        // Every cell still one run with its ids in order, but the first
+        // CBG's run ends one record late: the counts disagree.
+        assert_eq!(cbgs[0].isp, cbgs[1].isp);
+        let mut moved = world.clone();
+        let records = &mut moved.states[0].usac.records;
+        records[b].address.block = records[a].address.block;
+        assert!(malformed(&moved), "a record moved across a cell boundary");
     }
 
     #[test]

@@ -491,15 +491,15 @@ mod tests {
         for isp in [Isp::Att, Isp::CenturyLink] {
             let mut cbg_rates = Vec::new();
             for cbg in geo.cbgs_for(isp) {
-                let idxs = usac.records_in_cbg(isp, cbg.id);
-                if idxs.is_empty() {
+                let records = &usac.records[usac.cbg_range(isp, cbg.id)];
+                if records.is_empty() {
                     continue;
                 }
-                let served = idxs
+                let served = records
                     .iter()
-                    .filter(|&&i| truth.get(usac.records[i].address.id, isp).unwrap().served)
+                    .filter(|r| truth.get(r.address.id, isp).unwrap().served)
                     .count();
-                cbg_rates.push(served as f64 / idxs.len() as f64);
+                cbg_rates.push(served as f64 / records.len() as f64);
             }
             let rate = cbg_rates.iter().sum::<f64>() / cbg_rates.len() as f64;
             let base = CalibrationParams::serviceability_base(isp, UsState::Alabama);
@@ -517,20 +517,15 @@ mod tests {
         let (geo, usac, truth) = truth_for(UsState::Georgia);
         let mut rates: Vec<(f64, f64)> = Vec::new(); // (density_pct, rate)
         for cbg in geo.cbgs_for(Isp::Att) {
-            let idxs = usac.records_in_cbg(Isp::Att, cbg.id);
-            if idxs.len() < 5 {
+            let records = &usac.records[usac.cbg_range(Isp::Att, cbg.id)];
+            if records.len() < 5 {
                 continue;
             }
-            let served = idxs
+            let served = records
                 .iter()
-                .filter(|&&i| {
-                    truth
-                        .get(usac.records[i].address.id, Isp::Att)
-                        .unwrap()
-                        .served
-                })
+                .filter(|r| truth.get(r.address.id, Isp::Att).unwrap().served)
                 .count();
-            rates.push((cbg.density_pct, served as f64 / idxs.len() as f64));
+            rates.push((cbg.density_pct, served as f64 / records.len() as f64));
         }
         assert!(rates.len() > 20, "need enough CBGs, got {}", rates.len());
         rates.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -555,20 +550,15 @@ mod tests {
         let truth = TruthTable::build_q1(&cfg, &geo);
         let mut points: Vec<(f64, f64)> = Vec::new();
         for cbg in geo.cbgs_for(Isp::Att) {
-            let idxs = usac.records_in_cbg(Isp::Att, cbg.id);
-            if idxs.len() < 5 {
+            let records = &usac.records[usac.cbg_range(Isp::Att, cbg.id)];
+            if records.len() < 5 {
                 continue;
             }
-            let served = idxs
+            let served = records
                 .iter()
-                .filter(|&&i| {
-                    truth
-                        .get(usac.records[i].address.id, Isp::Att)
-                        .unwrap()
-                        .served
-                })
+                .filter(|r| truth.get(r.address.id, Isp::Att).unwrap().served)
                 .count();
-            points.push((cbg.density_pct, served as f64 / idxs.len() as f64));
+            points.push((cbg.density_pct, served as f64 / records.len() as f64));
         }
         assert!(points.len() > 20, "need enough CBGs, got {}", points.len());
         let n = points.len() as f64;

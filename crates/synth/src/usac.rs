@@ -8,14 +8,16 @@
 //! behind Figure 1.
 
 use crate::dist;
-use crate::geography::StateGeography;
+use crate::geography::{CbgInfo, StateGeography};
 use crate::isp::Isp;
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::scoped_rng;
 use caf_dataframe::{Column, DataFrame};
 use caf_geo::{Address, AddressId, BlockGroupId, LatLon, StreetAddress, UsState};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Deref, DerefMut, Range};
+use std::sync::{Arc, OnceLock};
 
 /// Last-mile technology codes used in the CAF Map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,14 +59,20 @@ pub struct CafRecord {
 }
 
 /// The CAF-Map slice for one state: every certified address of every
-/// audited ISP, with a by-CBG index for the sampling stage.
+/// audited ISP, with a by-CBG range index for the sampling stage.
+///
+/// Records stay in generation order (the geography's CBG enumeration
+/// order), so each (ISP, CBG) cell's records form one contiguous run and
+/// the index is one record range per cell, kept in ascending
+/// `(Isp, BlockGroupId)` order. A world holds it behind a [`LazyUsac`],
+/// which builds it the first time it is read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsacDataset {
     /// The state this slice covers.
     pub state: UsState,
-    /// All records, ordered by (ISP, CBG, address id).
+    /// All records, in CBG enumeration order, address ids ascending.
     pub records: Vec<CafRecord>,
-    by_cbg: BTreeMap<(Isp, BlockGroupId), Vec<usize>>,
+    cells: Vec<(Isp, BlockGroupId, Range<usize>)>,
 }
 
 /// The id of a state's `counter`-th certified address (1-based): the
@@ -114,10 +122,11 @@ impl UsacDataset {
     /// 10⁹ plus a running counter, so ids never collide across states and
     /// regeneration yields identical ids.
     pub fn build(config: &SynthConfig, geo: &StateGeography) -> UsacDataset {
-        Self::assemble(
+        Self::from_records(
             geo.state,
             Self::build_for_cbgs(config, geo.state, &geo.cbgs, 0),
         )
+        .expect("a generated CBG's records are contiguous")
     }
 
     /// Materializes the records of a contiguous CBG slice. `base` is the
@@ -129,7 +138,7 @@ impl UsacDataset {
     pub fn build_for_cbgs(
         config: &SynthConfig,
         state: UsState,
-        cbgs: &[crate::geography::CbgInfo],
+        cbgs: &[CbgInfo],
         base: u64,
     ) -> Vec<CafRecord> {
         let mut counter: u64 = base;
@@ -190,38 +199,47 @@ impl UsacDataset {
         records
     }
 
-    /// Assembles range-built records (concatenated in CBG order) into a
-    /// dataset, rebuilding the by-CBG index from each record's own
-    /// (ISP, block group) — index contents depend only on the records,
-    /// never on how they were chunked.
-    pub fn assemble(state: UsState, records: Vec<CafRecord>) -> UsacDataset {
-        let mut by_cbg: BTreeMap<(Isp, BlockGroupId), Vec<usize>> = BTreeMap::new();
-        for (idx, record) in records.iter().enumerate() {
-            by_cbg
-                .entry((record.isp, record.address.block_group()))
-                .or_default()
-                .push(idx);
+    /// Indexes records whose (ISP, CBG) cells are each one contiguous
+    /// run, as [`UsacDataset::build_for_cbgs`] emits them. `None` if a
+    /// cell's records are split across runs: the range index could not
+    /// describe them.
+    pub fn from_records(state: UsState, records: Vec<CafRecord>) -> Option<UsacDataset> {
+        let mut cells: Vec<(Isp, BlockGroupId, Range<usize>)> = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            let key = (record.isp, record.address.block_group());
+            match cells.last_mut() {
+                Some((isp, cbg, range)) if (*isp, *cbg) == key => range.end = i + 1,
+                _ => cells.push((key.0, key.1, i..i + 1)),
+            }
         }
-        UsacDataset {
+        cells.sort_unstable_by_key(|&(isp, cbg, _)| (isp, cbg));
+        if cells
+            .windows(2)
+            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        {
+            return None;
+        }
+        Some(UsacDataset {
             state,
             records,
-            by_cbg,
-        }
+            cells,
+        })
     }
 
-    /// Record indices for one (ISP, CBG) cell, in generation order.
-    pub fn records_in_cbg(&self, isp: Isp, cbg: BlockGroupId) -> &[usize] {
-        self.by_cbg
-            .get(&(isp, cbg))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The positions in [`UsacDataset::records`] of one (ISP, CBG)
+    /// cell's records (empty if the cell is absent).
+    pub fn cbg_range(&self, isp: Isp, cbg: BlockGroupId) -> Range<usize> {
+        self.cells
+            .binary_search_by_key(&(isp, cbg), |&(isp, cbg, _)| (isp, cbg))
+            .map_or(0..0, |i| self.cells[i].2.clone())
     }
 
-    /// Iterates over the (ISP, CBG) cells present in this slice.
-    pub fn cbg_cells(&self) -> impl Iterator<Item = (Isp, BlockGroupId, &[usize])> {
-        self.by_cbg
+    /// Iterates over the (ISP, CBG) cells present in this slice, in
+    /// ascending key order, each with its records in generation order.
+    pub fn cbg_cells(&self) -> impl Iterator<Item = (Isp, BlockGroupId, &[CafRecord])> {
+        self.cells
             .iter()
-            .map(|(&(isp, cbg), idxs)| (isp, cbg, idxs.as_slice()))
+            .map(|(isp, cbg, range)| (*isp, *cbg, &self.records[range.clone()]))
     }
 
     /// Total certified addresses for one ISP in this state.
@@ -273,6 +291,91 @@ impl UsacDataset {
             ("latency_ms", latency.into_iter().collect::<Column>()),
         ])
         .expect("columns constructed with equal lengths")
+    }
+}
+
+/// A state's [`UsacDataset`], built the first time it is read.
+///
+/// A generated world holds the seed, the state and its geography's CBGs
+/// (shared with the geography, not copied) and runs
+/// [`UsacDataset::build_for_cbgs`] on first access, so a pass that
+/// reads no CAF-Map record — the Q3 analysis — builds none. The build
+/// opens the `world.<ABBREV>` span and counts into
+/// `caf.synth.usac.states_built` / `caf.synth.usac.records_built`.
+/// `Clone`, `PartialEq` and `Debug` act on the built dataset; a decoded
+/// world fills the dataset directly.
+pub struct LazyUsac {
+    recipe: Option<(SynthConfig, UsState, Arc<[CbgInfo]>)>,
+    built: OnceLock<UsacDataset>,
+}
+
+impl LazyUsac {
+    /// The dataset of `state`'s `cbgs` under `config`, not yet built.
+    pub fn new(config: SynthConfig, state: UsState, cbgs: Arc<[CbgInfo]>) -> LazyUsac {
+        LazyUsac {
+            recipe: Some((config, state, cbgs)),
+            built: OnceLock::new(),
+        }
+    }
+
+    /// Whether the dataset has been built (or was given built).
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
+
+    fn build(&self) -> UsacDataset {
+        let (config, state, cbgs) = self
+            .recipe
+            .as_ref()
+            .expect("an unbuilt dataset keeps its recipe");
+        let _span = caf_obs::span_with(|| format!("world.{}", state.abbrev()));
+        let records = UsacDataset::build_for_cbgs(config, *state, cbgs, 0);
+        caf_obs::count("caf.synth.usac.states_built", 1);
+        caf_obs::count("caf.synth.usac.records_built", records.len() as u64);
+        UsacDataset::from_records(*state, records)
+            .expect("a generated CBG's records are contiguous")
+    }
+}
+
+impl From<UsacDataset> for LazyUsac {
+    fn from(dataset: UsacDataset) -> LazyUsac {
+        LazyUsac {
+            recipe: None,
+            built: OnceLock::from(dataset),
+        }
+    }
+}
+
+impl Deref for LazyUsac {
+    type Target = UsacDataset;
+
+    fn deref(&self) -> &UsacDataset {
+        self.built.get_or_init(|| self.build())
+    }
+}
+
+impl DerefMut for LazyUsac {
+    fn deref_mut(&mut self) -> &mut UsacDataset {
+        let _ = self.deref();
+        self.built.get_mut().expect("built above")
+    }
+}
+
+impl Clone for LazyUsac {
+    fn clone(&self) -> LazyUsac {
+        LazyUsac::from(UsacDataset::clone(self))
+    }
+}
+
+impl PartialEq for LazyUsac {
+    fn eq(&self, other: &LazyUsac) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for LazyUsac {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -440,7 +543,7 @@ mod tests {
         let ds = UsacDataset::build(&cfg(), &geo);
         assert_eq!(ds.records.len() as u64, geo.total_caf_addresses());
         // Every CBG cell is indexed and sums back to the record count.
-        let indexed: usize = ds.cbg_cells().map(|(_, _, idxs)| idxs.len()).sum();
+        let indexed: usize = ds.cbg_cells().map(|(_, _, records)| records.len()).sum();
         assert_eq!(indexed, ds.records.len());
     }
 
@@ -462,7 +565,7 @@ mod tests {
                     .map(|c| u64::from(c.caf_addresses))
                     .sum::<u64>();
             }
-            let sharded = UsacDataset::assemble(geo.state, records);
+            let sharded = UsacDataset::from_records(geo.state, records).unwrap();
             assert_eq!(
                 format!("{:?}", sharded.records),
                 format!("{:?}", full.records),
@@ -523,14 +626,32 @@ mod tests {
     #[test]
     fn records_in_cbg_lookup() {
         let ds = dataset(UsState::NewHampshire);
-        let (isp, cbg, idxs) = ds.cbg_cells().next().expect("at least one cell");
-        assert_eq!(ds.records_in_cbg(isp, cbg), idxs);
-        for &i in idxs {
-            assert_eq!(ds.records[i].address.block_group(), cbg);
-            assert_eq!(ds.records[i].isp, isp);
+        let (isp, cbg, records) = ds.cbg_cells().next().expect("at least one cell");
+        assert_eq!(&ds.records[ds.cbg_range(isp, cbg)], records);
+        for r in records {
+            assert_eq!(r.address.block_group(), cbg);
+            assert_eq!(r.isp, isp);
         }
         // Missing cell yields empty.
-        assert!(ds.records_in_cbg(Isp::Att, cbg).is_empty() || isp == Isp::Att);
+        assert!(ds.cbg_range(Isp::Att, cbg).is_empty() || isp == Isp::Att);
+    }
+
+    #[test]
+    fn a_cell_split_across_runs_is_not_indexed() {
+        let ds = dataset(UsState::NewHampshire);
+        let (_, _, first) = ds.cbg_cells().find(|(_, _, r)| r.len() >= 2).unwrap();
+        let first = first[0].address.id;
+        let a = ds
+            .records
+            .iter()
+            .position(|r| r.address.id == first)
+            .unwrap();
+        // Moving a cell's first record to the end splits the cell in two.
+        let mut records = ds.records.clone();
+        let moved = records.remove(a);
+        records.push(moved);
+        assert!(UsacDataset::from_records(ds.state, records).is_none());
+        assert!(UsacDataset::from_records(ds.state, ds.records.clone()) == Some(ds));
     }
 
     #[test]

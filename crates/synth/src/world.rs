@@ -2,29 +2,32 @@
 //!
 //! [`World::generate`] is the single entry point the rest of the workspace
 //! uses: it builds, per study state, the census geography, the USAC
-//! CAF-Map slice, the Q3 block world, and one [`TruthTable`] answering
-//! every (address, ISP) pair a campaign can query — Q1 pairs drawn on
-//! demand from per-CBG cells, Q3 pairs stored.
+//! CAF-Map slice (on first read), the Q3 block world, and one
+//! [`TruthTable`] answering every (address, ISP) pair a campaign can
+//! query — Q1 pairs drawn on demand from per-CBG cells, Q3 pairs stored.
 
 use crate::challenge::{self, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome};
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
 use crate::q3::{Q3Block, Q3World};
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{CafRecord, UsacDataset};
+use crate::usac::{LazyUsac, UsacDataset};
 use caf_exec::{CostHint, EngineConfig};
 use caf_geo::UsState;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything generated for one state.
+/// Everything generated for one state. The USAC slice is built when
+/// first read; `Clone`, `PartialEq` and `Debug` see the built slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateWorld {
     /// The state.
     pub state: UsState,
     /// Census geography (CBGs, blocks, densities).
     pub geography: StateGeography,
-    /// The USAC CAF-Map slice (certified addresses).
-    pub usac: UsacDataset,
+    /// The USAC CAF-Map slice (certified addresses), built the first
+    /// time it is read.
+    pub usac: LazyUsac,
     /// The Q3 block world (empty outside the seven Q3 states).
     pub q3: Q3World,
 }
@@ -80,20 +83,24 @@ impl World {
     ///    [`StateGeography::cbg_count`]; big states split into
     ///    contiguous CBG ranges ([`StateGeography::build_range`]) and
     ///    reassemble via [`StateGeography::assemble`], which finalizes
-    ///    the whole-state density percentiles the later passes consume.
-    /// 2. **USAC + truth + Q3** — two units per state: a Q1 unit hinted
-    ///    by per-CBG certified-address counts (shards build records and
-    ///    truth cells for a CBG range, offset by the range's address-id
-    ///    prefix), and a Q3 unit hinted by per-block address counts
-    ///    over [`Q3World::block_specs`].
+    ///    the whole-state density percentiles the Q1 truth cells read.
+    ///    The cells (one per CBG) are then derived serially.
+    /// 2. **Q3** — one unit per state hinted by per-block address counts
+    ///    over [`Q3World::block_specs`]; a shard builds its blocks and
+    ///    their stored truth.
+    ///
+    /// USAC records are not built here: each state's [`LazyUsac`] builds
+    /// them from the seed and the geography's CBGs the first time
+    /// something reads them (the audit does, per state, on its own
+    /// pool; the Q3 analysis never does).
     ///
     /// Output is **byte-identical at any worker count and shard
     /// policy**: every stream in the generators is entity-keyed
     /// (`crate::rng`), shards cover disjoint contiguous element ranges,
-    /// and partial results are reassembled positionally — records,
-    /// cells and blocks concatenate in shard order, Q3 truth tables
-    /// (disjoint `(address, ISP)` keys) merge in fixed state order. The
-    /// contract is pinned by `crates/tests/tests/parallel_cold_paths.rs`.
+    /// and partial results are reassembled positionally — blocks
+    /// concatenate in shard order, Q3 truth tables (disjoint
+    /// `(address, ISP)` keys) merge in fixed state order. The contract
+    /// is pinned by `crates/tests/tests/parallel_cold_paths.rs`.
     pub fn generate_states_on(
         config: SynthConfig,
         states: &[UsState],
@@ -129,100 +136,63 @@ impl World {
             })
             .collect();
 
-        // Pass 2: USAC records, Q1 truth cells, and the Q3 world — two
-        // units per state (2i = Q1 over CBG ranges, 2i+1 = Q3 over
-        // block-spec ranges); a Q3 shard builds its own truth table.
-        enum Part {
-            Q1(Vec<CafRecord>, Vec<Q1Cell>),
-            Q3(Vec<Q3Block>, TruthTable),
+        // Q1 truth cells: one per CBG, read off the finalized geography.
+        let mut cells: Vec<Q1Cell> = Vec::new();
+        for geo in &geographies {
+            cells.extend(truth::q1_cells(&config, geo.state, &geo.cbgs, 0, |_| None));
         }
+
+        // Pass 2: the Q3 world, one unit per state over block-spec
+        // ranges; a shard builds its own truth table. USAC records are
+        // built when first read (`LazyUsac`).
         let q3_specs: Vec<_> = states
             .iter()
             .map(|&state| Q3World::block_specs(&config, state))
             .collect();
-        let mut hints: Vec<CostHint> = Vec::with_capacity(states.len() * 2);
-        for (geo, specs) in geographies.iter().zip(&q3_specs) {
-            hints.push(CostHint::PerElement(
-                geo.cbgs
-                    .iter()
-                    .map(|c| u64::from(c.caf_addresses))
-                    .collect(),
-            ));
-            hints.push(CostHint::PerElement(
-                specs.iter().map(|s| s.addresses()).collect(),
-            ));
-        }
+        let hints: Vec<CostHint> = q3_specs
+            .iter()
+            .map(|specs| CostHint::PerElement(specs.iter().map(|s| s.addresses()).collect()))
+            .collect();
         let plan = engine.plan(&hints);
         let workers = engine.for_plan(&plan).workers;
         let parts = caf_exec::map_units(&plan, |shard| {
-            let state = states[shard.unit / 2];
+            let state = states[shard.unit];
             let _span = caf_obs::span_with(|| format!("world.{}", state.abbrev()));
             let unit_start = telemetry.then(Instant::now);
-            let part = if shard.unit % 2 == 0 {
-                let geo = &geographies[shard.unit / 2];
-                let cbgs = &geo.cbgs[shard.range.clone()];
-                let base: u64 = geo.cbgs[..shard.range.start]
-                    .iter()
-                    .map(|c| u64::from(c.caf_addresses))
-                    .sum();
-                let records = UsacDataset::build_for_cbgs(&config, state, cbgs, base);
-                let cells = truth::q1_cells(&config, state, cbgs, base, |_| None);
-                Part::Q1(records, cells)
-            } else {
-                let specs = &q3_specs[shard.unit / 2][shard.range.clone()];
-                // Every address gets a CAF-ISP entry; competitor entries
-                // (competitive blocks only) are the overflow.
-                let addresses: u64 = specs.iter().map(|s| s.addresses()).sum();
-                let mut truth = TruthTable::with_capacity(addresses as usize);
-                let blocks = Q3World::build_specs(&config, state, specs, &mut truth);
-                Part::Q3(blocks, truth)
-            };
+            let specs = &q3_specs[shard.unit][shard.range.clone()];
+            // Every address gets a CAF-ISP entry; competitor entries
+            // (competitive blocks only) are the overflow.
+            let addresses: u64 = specs.iter().map(|s| s.addresses()).sum();
+            let mut truth = TruthTable::with_capacity(addresses as usize);
+            let blocks = Q3World::build_specs(&config, state, specs, &mut truth);
             if let Some(start) = unit_start {
                 let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                 caf_obs::observe("caf.synth.world.state_us", micros);
             }
-            part
+            (blocks, truth)
         });
 
-        // Reassemble per state: shard results concatenate in element
-        // order, Q3 truth merges in fixed state order (keys are
-        // disjoint) into one table sized for every Q3 shard's entries.
+        // Reassemble per state: blocks concatenate in shard order, Q3
+        // truth merges in fixed state order (keys are disjoint) into one
+        // table sized for every shard's entries.
         let stored_entries = parts
             .iter()
             .flatten()
-            .map(|part| match part {
-                Part::Q1(..) => 0,
-                Part::Q3(_, truth) => truth.stored_count(),
-            })
+            .map(|(_, truth)| truth.stored_count())
             .sum();
         let mut truth = TruthTable::with_capacity(stored_entries);
-        let mut cells: Vec<Q1Cell> = Vec::new();
         let mut state_worlds = Vec::with_capacity(states.len());
-        let mut parts = parts.into_iter();
-        for (geography, &state) in geographies.into_iter().zip(states) {
-            let mut records: Vec<CafRecord> = Vec::new();
-            for part in parts.next().expect("one Q1 unit per state") {
-                let Part::Q1(shard_records, shard_cells) = part else {
-                    unreachable!("even units are Q1");
-                };
-                records.extend(shard_records);
-                cells.extend(shard_cells);
-            }
-            let usac = UsacDataset::assemble(state, records);
+        for ((geography, &state), shards) in geographies.into_iter().zip(states).zip(parts) {
             let mut blocks: Vec<Q3Block> = Vec::new();
-            for part in parts.next().expect("one Q3 unit per state") {
-                let Part::Q3(shard_blocks, shard_truth) = part else {
-                    unreachable!("odd units are Q3");
-                };
+            for (shard_blocks, shard_truth) in shards {
                 blocks.extend(shard_blocks);
                 truth.merge(shard_truth);
             }
-            let q3 = Q3World { state, blocks };
             state_worlds.push(StateWorld {
                 state,
+                usac: LazyUsac::new(config, state, Arc::clone(&geography.cbgs)),
                 geography,
-                usac,
-                q3,
+                q3: Q3World { state, blocks },
             });
         }
         truth.install_q1(config.seed, cells);
@@ -250,9 +220,10 @@ impl World {
     /// untouched.
     ///
     /// Each touched cell is rebuilt from the seed baseline through the
-    /// same seams sharded generation uses — records via
-    /// [`UsacDataset::build_for_cbgs`] at the cell's address-id prefix,
-    /// the truth cell via `truth::q1_cells` — then the *effective*
+    /// same seams generation uses — records via
+    /// [`UsacDataset::build_for_cbgs`] at the cell's address-id prefix
+    /// (a touched state's dataset is built first if nothing has read it
+    /// yet), the truth cell via `truth::q1_cells` — then the *effective*
     /// corrections from the merged [`ChallengeSet`] are overlaid:
     /// certified-tier overrides rewrite the records' certified speeds
     /// (technology stays at the baseline draw — a restated tier does
@@ -264,7 +235,7 @@ impl World {
     ///
     /// Geometry is invariant: corrections never change the geography or
     /// per-cell address counts, so rebuilt records splice into the
-    /// dataset's existing index slots and downstream row ranges stay
+    /// cell's existing record range and downstream row ranges stay
     /// stable — the property the incremental audit's dirty-cell
     /// invalidation relies on.
     pub fn apply_deltas(
@@ -331,12 +302,12 @@ impl World {
                     self.truth.replace_q1_cell(cell);
                 }
 
-                // Splice the rebuilt records into their existing slots
+                // Splice the rebuilt records into their existing range
                 // (counts are invariant, see above).
-                let slots: Vec<usize> = sw.usac.records_in_cbg(cbg.isp, cbg.id).to_vec();
-                debug_assert_eq!(slots.len(), records.len());
-                for (&slot, record) in slots.iter().zip(records) {
-                    sw.usac.records[slot] = record;
+                let range = sw.usac.cbg_range(cbg.isp, cbg.id);
+                debug_assert_eq!(range.len(), records.len());
+                for (slot, record) in sw.usac.records[range].iter_mut().zip(records) {
+                    *slot = record;
                 }
                 cells_rebuilt += 1;
             }
@@ -369,7 +340,7 @@ impl World {
     pub fn total_caf_addresses(&self) -> u64 {
         self.states
             .iter()
-            .map(|s| s.usac.records.len() as u64)
+            .map(|s| s.geography.total_caf_addresses())
             .sum()
     }
 }
@@ -530,9 +501,9 @@ mod tests {
         let pristine = World::generate_states(config, states);
         let vt = whole.state(UsState::Vermont).unwrap();
         let cbg1 = &vt.geography.cbgs[1];
-        for &i in vt.usac.records_in_cbg(cbg1.isp, cbg1.id) {
-            assert_eq!(vt.usac.records[i].certified_down_mbps, 10.0);
-            assert_eq!(vt.usac.records[i].certified_up_mbps, 1.0);
+        for r in &vt.usac.records[vt.usac.cbg_range(cbg1.isp, cbg1.id)] {
+            assert_eq!(r.certified_down_mbps, 10.0);
+            assert_eq!(r.certified_up_mbps, 1.0);
         }
         let vt_pristine = pristine.state(UsState::Vermont).unwrap();
         assert_eq!(

@@ -5,9 +5,11 @@
 //! `smoke_*` tests pin a handful of hand-picked fixed points.
 
 use caf_exec::prop;
-use caf_geo::UsState;
+use caf_geo::{BlockGroupId, UsState};
+use caf_synth::geography::StateGeography;
 use caf_synth::params::CalibrationParams;
-use caf_synth::{Isp, SynthConfig, TruthTable, World};
+use caf_synth::{CafRecord, Isp, SynthConfig, TruthTable, UsacDataset, World};
+use std::collections::BTreeMap;
 
 /// World generation upholds its structural invariants for any seed
 /// and state: truth covers every record, GEOIDs are state-scoped and
@@ -24,11 +26,11 @@ fn check_world_structure_invariants(seed: u64, state: UsState) {
     }
     // CBG address counts reconcile with blocks and records.
     let mut ids = std::collections::HashSet::new();
-    for cbg in &sw.geography.cbgs {
+    for cbg in sw.geography.cbgs.iter() {
         assert!(ids.insert(cbg.id.geoid()), "duplicate CBG");
         let block_sum: u32 = cbg.blocks.iter().map(|b| b.caf_addresses).sum();
         assert_eq!(block_sum, cbg.caf_addresses);
-        let records = sw.usac.records_in_cbg(cbg.isp, cbg.id).len();
+        let records = sw.usac.cbg_range(cbg.isp, cbg.id).len();
         assert_eq!(records as u32, cbg.caf_addresses);
     }
     // Address ids unique across the state (Q1 + Q3 spaces disjoint).
@@ -104,6 +106,41 @@ fn check_presence_matrix_is_respected(seed: u64, state: UsState) {
     }
 }
 
+/// Each state's USAC slice, built on first read, equals a direct
+/// [`UsacDataset::build`], and `cbg_cells()` equals a per-record
+/// recomputation: the same (ISP, CBG) keys in ascending order, each
+/// with the same records in order, and the geography's `caf_cells()`
+/// counts.
+fn check_lazy_usac_matches_a_direct_build(seed: u64, scale: u32, states: &[UsState]) {
+    let config = SynthConfig { seed, scale };
+    let world = World::generate_states(config, states);
+    for sw in &world.states {
+        assert!(!sw.usac.is_built(), "generation builds no record");
+        let direct = UsacDataset::build(&config, &StateGeography::build(&config, sw.state));
+        assert!(*sw.usac == direct, "{}", sw.state);
+        assert!(sw.usac.is_built());
+
+        let mut expected: BTreeMap<(Isp, BlockGroupId), Vec<&CafRecord>> = BTreeMap::new();
+        for r in &sw.usac.records {
+            expected
+                .entry((r.isp, r.address.block_group()))
+                .or_default()
+                .push(r);
+        }
+        let cells: Vec<_> = sw
+            .usac
+            .cbg_cells()
+            .map(|(isp, cbg, records)| ((isp, cbg), records.iter().collect::<Vec<_>>()))
+            .collect();
+        let counts: Vec<_> = cells
+            .iter()
+            .map(|&((isp, cbg), ref records)| (isp, cbg, records.len() as u32))
+            .collect();
+        assert_eq!(cells, expected.into_iter().collect::<Vec<_>>());
+        assert_eq!(counts, sw.geography.caf_cells());
+    }
+}
+
 /// Cases per property: each case generates a whole state world.
 const CASES: u32 = 10;
 
@@ -135,6 +172,26 @@ fn presence_matrix_is_respected() {
     prop::check(CASES, (0u64..1_000_000, states), |(seed, state)| {
         check_presence_matrix_is_respected(seed, state);
     });
+}
+
+#[test]
+fn lazy_usac_matches_a_direct_build() {
+    let states = prop::vec(prop::select(UsState::study_states()), 1..4);
+    prop::check(
+        CASES,
+        (0u64..1_000_000, 60u32..400, states),
+        |(seed, scale, mut states)| {
+            states.sort_unstable();
+            states.dedup();
+            check_lazy_usac_matches_a_direct_build(seed, scale, &states);
+        },
+    );
+}
+
+#[test]
+fn smoke_lazy_usac_matches_a_direct_build() {
+    check_lazy_usac_matches_a_direct_build(0xCAF_2024, 60, &[UsState::Vermont, UsState::Ohio]);
+    check_lazy_usac_matches_a_direct_build(7, 200, &UsState::study_states());
 }
 
 #[test]
