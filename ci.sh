@@ -2,7 +2,8 @@
 # Tier-1 verification gate for the caf-audit reproduction.
 #
 # Mirrors what reviewers run before merging: formatting, a std-only
-# gate (`cargo metadata` must list no registry package), an offline
+# gate (`cargo metadata` must list no registry package), a layering
+# gate (`caf-serve` must not depend on `caf-bench`), an offline
 # release build, the full test suite offline (unit + integration +
 # doc), clippy at deny-warnings across every target (lib, bins,
 # benches, tests), the cold-path equivalence suite at two different
@@ -131,6 +132,16 @@ registry_pkgs=$(printf '%s' "$metadata" | grep -oE '"(registry|sparse)\+[^"]*"' 
 if [ -n "$registry_pkgs" ]; then
   echo "registry packages in the dependency graph:" >&2
   printf '%s\n' "$registry_pkgs" >&2
+  exit 1
+fi
+
+# caf-serve and caf-bench are sibling front ends on the caf-core
+# scenario pipeline; the server must not reach it through the harness.
+gate "layering gate: caf-serve does not depend on caf-bench"
+serve_deps=$(cargo tree --offline -p caf-serve -e normal --prefix none)
+if grep -q '^caf-bench ' <<<"$serve_deps"; then
+  echo "caf-serve depends on caf-bench:" >&2
+  cargo tree --offline -p caf-serve -e normal -i caf-bench >&2 || true
   exit 1
 fi
 

@@ -10,8 +10,8 @@
 //! least 5× faster than a full re-audit (`metrics_check
 //! --min-incremental-speedup` gates on it).
 
-use caf_bench::campaign_config;
-use caf_core::{Audit, AuditConfig, EngineConfig, IncrementalAudit, SamplingRule};
+use caf_core::pipeline::{audit_config, campaign_config};
+use caf_core::{Audit, EngineConfig, IncrementalAudit};
 use caf_geo::UsState;
 use caf_synth::{ChallengeDelta, Correction, SynthConfig, World};
 use std::hint::black_box;
@@ -32,12 +32,7 @@ fn synth() -> SynthConfig {
 }
 
 fn audit() -> Audit {
-    Audit::new(AuditConfig {
-        synth: synth(),
-        campaign: campaign_config(SEED),
-        rule: SamplingRule::paper(),
-        resample_rounds: 2,
-    })
+    Audit::new(audit_config(synth(), campaign_config(SEED)))
 }
 
 /// A challenge batch touching 4 of the world's CBG cells — under the 5%

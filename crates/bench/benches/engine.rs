@@ -6,8 +6,8 @@
 //! (the run-report JSON) to `BENCH_engine.json` at the repository root,
 //! so CI and scripts can diff span timings.
 
-use caf_bench::campaign_config;
-use caf_core::{Audit, AuditConfig, EngineConfig, SamplingRule};
+use caf_core::pipeline::{audit_config, campaign_config};
+use caf_core::{Audit, EngineConfig};
 use caf_geo::UsState;
 use caf_synth::{SynthConfig, World};
 use std::hint::black_box;
@@ -19,12 +19,7 @@ const SCALE: u32 = 30;
 fn audit_at(scale: u32) -> (World, Audit) {
     let synth = SynthConfig { seed: SEED, scale };
     let world = World::generate_states(synth, &UsState::study_states());
-    let audit = Audit::new(AuditConfig {
-        synth,
-        campaign: campaign_config(SEED),
-        rule: SamplingRule::paper(),
-        resample_rounds: 2,
-    });
+    let audit = Audit::new(audit_config(synth, campaign_config(SEED)));
     (world, audit)
 }
 

@@ -19,7 +19,9 @@
 //!   run emit byte-identical canonical artifacts.
 
 use caf_core::artifact::to_canonical_bytes;
-use caf_sweep::{compute_cell, results_artifact, ScenarioKey, SweepOptions, SweepRun, SweepSpec};
+use caf_sweep::{
+    results_artifact, run_world, world_groups, ScenarioKey, SweepOptions, SweepRun, SweepSpec,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -96,13 +98,24 @@ fn write_bench_summary() {
         let mut hits = 0u64;
         let mut lookups = 0u64;
         for _pass in 0..2 {
-            for cell in &cells {
-                lookups += 1;
-                let key = cell.key(spec.seed);
-                if let std::collections::hash_map::Entry::Vacant(slot) = memo.entry(key) {
-                    slot.insert(compute_cell(spec.seed, cell).records);
-                } else {
-                    hits += 1;
+            for group in world_groups(&spec, &cells) {
+                // A missed cell runs its whole world group, at most once
+                // per pass, as a `/v1/sweep` miss does.
+                let mut world: Option<Vec<u64>> = None;
+                for (i, cell) in group.iter().enumerate() {
+                    lookups += 1;
+                    let key = cell.key(spec.seed);
+                    if let std::collections::hash_map::Entry::Vacant(slot) = memo.entry(key) {
+                        let records = world.get_or_insert_with(|| {
+                            run_world(spec.seed, group)
+                                .iter()
+                                .map(|r| r.records)
+                                .collect()
+                        });
+                        slot.insert(records[i]);
+                    } else {
+                        hits += 1;
+                    }
                 }
             }
         }

@@ -43,10 +43,11 @@
 //! (orderings, approximate magnitudes, crossovers) is the reproduction
 //! target — see EXPERIMENTS.md for paper-vs-measured.
 
-use caf_bench::{campaign_config, format_cdf, format_pairs, pct, Fixture};
+use caf_bench::{format_cdf, format_pairs, pct};
 use caf_bqt::QueryOutcome;
 use caf_core::compliance::SpeedBand;
 use caf_core::coverage::CoverageSeries;
+use caf_core::pipeline::{self, campaign_config, Scenario};
 use caf_core::q3::{BlockComparison, BlockType, ComparisonOutcome};
 use caf_core::sensitivity::SensitivityAnalysis;
 use caf_core::{
@@ -232,7 +233,7 @@ struct Lazy {
     scale: u32,
     q3_scale: u32,
     engine: EngineConfig,
-    fixture: OnceCell<Fixture>,
+    fixture: OnceCell<Scenario>,
     q3: OnceCell<(World, Q3Analysis)>,
 }
 
@@ -248,13 +249,27 @@ impl Lazy {
         }
     }
 
-    fn fixture(&self) -> &Fixture {
+    fn synth(&self, scale: u32) -> SynthConfig {
+        SynthConfig {
+            seed: self.seed,
+            scale,
+        }
+    }
+
+    fn fixture(&self) -> &Scenario {
         self.fixture.get_or_init(|| {
             progress(format_args!(
                 "building Q1/Q2 fixture (seed {}, scale 1:{}, {} engine workers) ...",
                 self.seed, self.scale, self.engine.workers
             ));
-            Fixture::build_tuned(self.seed, self.scale, &UsState::study_states(), self.engine)
+            Scenario::build(
+                self.synth(self.scale),
+                &UsState::study_states(),
+                self.engine,
+                campaign_config(self.seed),
+                &[],
+            )
+            .expect("an empty delta stream cannot fail validation")
         })
     }
 
@@ -264,7 +279,11 @@ impl Lazy {
                 "building Q3 fixture (seed {}, scale 1:{}) ...",
                 self.seed, self.q3_scale
             ));
-            Fixture::build_q3_tuned(self.seed, self.q3_scale, self.engine)
+            pipeline::build_q3(
+                self.synth(self.q3_scale),
+                self.engine,
+                campaign_config(self.seed),
+            )
         })
     }
 }
@@ -456,7 +475,7 @@ fn fig1(seed: u64) {
 
 // -------------------------------------------------------------- table 3
 
-fn table3(fixture: &Fixture) {
+fn table3(fixture: &Scenario) {
     println!("Table 3 — CAF addresses queried per ISP per state");
     println!(
         "{:<16} {:<13} {:>10} {:>8} {:>6}",
@@ -522,7 +541,7 @@ fn table3(fixture: &Fixture) {
 
 // ---------------------------------------------------------------- fig 2
 
-fn fig2(fixture: &Fixture) {
+fn fig2(fixture: &Scenario) {
     let s = &fixture.serviceability;
     println!("Figure 2a — serviceability by ISP (weighted rate; CBG distribution)");
     println!(
@@ -605,7 +624,7 @@ fn fig2(fixture: &Fixture) {
 
 // ---------------------------------------------------------------- fig 3
 
-fn fig3(fixture: &Fixture) {
+fn fig3(fixture: &Scenario) {
     println!("Figure 3 — population density vs AT&T serviceability");
     for state in [UsState::California, UsState::Georgia] {
         let Some((r, rho)) = fixture.serviceability.density_correlation(Isp::Att, state) else {
@@ -634,7 +653,7 @@ fn fig3(fixture: &Fixture) {
 
 // --------------------------------------------------------------- fig 10
 
-fn fig10(fixture: &Fixture) {
+fn fig10(fixture: &Scenario) {
     println!(
         "Figure 10 — geospatial AT&T serviceability (ASCII shade: . <25%, - <50%, + <75%, # >=75%)"
     );
@@ -661,7 +680,7 @@ fn fig10(fixture: &Fixture) {
 
 // -------------------------------------------------------------- table 1
 
-fn table1(fixture: &Fixture) {
+fn table1(fixture: &Scenario) {
     println!("Table 1 — certified vs advertised maximum download speeds");
     for isp in Isp::audited() {
         let total = fixture.dataset.rows_for(isp).count();
@@ -689,7 +708,7 @@ fn table1(fixture: &Fixture) {
 
 // ---------------------------------------------------------------- rates
 
-fn rates(fixture: &Fixture) {
+fn rates(fixture: &Scenario) {
     println!("§4.2 rate analysis — price compliance and carriage values");
     let (fraction, range) = fixture.compliance.price_compliance(&fixture.dataset);
     println!(
@@ -891,7 +910,7 @@ fn fig6(analysis: &Q3Analysis) {
 
 // ------------------------------------------------------------- fig 7/8
 
-fn fig7(fixture: &Fixture) {
+fn fig7(fixture: &Scenario) {
     println!("Figure 7 — CDF over CBGs of percent of addresses QUERIED, per ISP");
     for isp in Isp::audited() {
         if let Some(series) = CoverageSeries::extract(&fixture.dataset, isp) {
@@ -907,7 +926,7 @@ fn fig7(fixture: &Fixture) {
     }
 }
 
-fn fig8(fixture: &Fixture) {
+fn fig8(fixture: &Scenario) {
     println!("Figure 8 — CDF over CBGs of percent of addresses COLLECTED, per ISP");
     for isp in Isp::audited() {
         if let Some(series) = CoverageSeries::extract(&fixture.dataset, isp) {
@@ -929,7 +948,7 @@ fn fig8(fixture: &Fixture) {
 
 // -------------------------------------------------------------- table 2
 
-fn table2(fixture: &Fixture) {
+fn table2(fixture: &Scenario) {
     println!("Table 2 — traceback error events per ISP");
     let mut counts: HashMap<(Isp, ErrorCategory), u64> = HashMap::new();
     let mut totals: HashMap<Isp, u64> = HashMap::new();
@@ -997,7 +1016,7 @@ fn fig9(seed: u64, scale: u32, engine: EngineConfig) {
 
 // --------------------------------------------------------------- fig 11
 
-fn fig11(fixture: &Fixture) {
+fn fig11(fixture: &Scenario) {
     println!("Figure 11 — per-address query times per ISP (seconds)");
     for isp in Isp::audited() {
         let times: Vec<f64> = fixture
@@ -1068,7 +1087,7 @@ fn summary(lazy: &Lazy) {
 
 // ------------------------------------------------------------- ablations
 
-fn ablate_weights(fixture: &Fixture) {
+fn ablate_weights(fixture: &Scenario) {
     println!("Ablation — CBG-weighted vs unweighted serviceability aggregation");
     let weighted = fixture.serviceability.overall_rate();
     let unweighted: f64 = {
@@ -1109,16 +1128,10 @@ fn ablate_sampling(lazy: &Lazy) {
     // instead of regenerating a two-state world.
     let fixture = lazy.fixture();
     let states = [UsState::Alabama, UsState::Wisconsin];
-    let synth = SynthConfig {
-        seed: lazy.seed,
-        scale: lazy.scale,
-    };
     let run_rule = |label: &str, rule: SamplingRule| {
         let audit = Audit::new(AuditConfig {
-            synth,
-            campaign: campaign_config(lazy.seed),
             rule,
-            resample_rounds: 2,
+            ..*fixture.audit.config()
         });
         let dataset = audit.run_for(&fixture.world, &states, lazy.engine);
         let analysis = ServiceabilityAnalysis::compute(&dataset);
@@ -1139,16 +1152,10 @@ fn ablate_retry(lazy: &Lazy) {
     println!("Ablation — retry/resample policy vs coverage (Figures 7/8 driver)");
     let fixture = lazy.fixture();
     let states = [UsState::Vermont, UsState::NewHampshire];
-    let synth = SynthConfig {
-        seed: lazy.seed,
-        scale: lazy.scale,
-    };
     for (label, rounds) in [("no resampling", 0u32), ("2 resample rounds", 2u32)] {
         let audit = Audit::new(AuditConfig {
-            synth,
-            campaign: campaign_config(lazy.seed),
-            rule: SamplingRule::paper(),
             resample_rounds: rounds,
+            ..*fixture.audit.config()
         });
         let dataset = audit.run_for(&fixture.world, &states, lazy.engine);
         let collected: usize = dataset.coverage.iter().map(|c| c.collected).sum();
@@ -1289,7 +1296,7 @@ fn ext_oversight(seed: u64, scale: u32, engine: EngineConfig) {
 }
 
 /// §7: the same audit scored under BEAD's 100/20 standard.
-fn ext_bead(fixture: &Fixture) {
+fn ext_bead(fixture: &Scenario) {
     use caf_core::ProgramRules;
     println!("Extension — applying the framework to BEAD (§7)");
     let rules = [
@@ -1364,7 +1371,7 @@ fn ext_carriage(analysis: &Q3Analysis) {
 }
 
 /// Bootstrap confidence intervals on the headline rates.
-fn ext_ci(fixture: &Fixture) {
+fn ext_ci(fixture: &Scenario) {
     println!("Extension — bootstrap CIs on the headline rates (CBG-level resampling)");
     match fixture
         .serviceability
@@ -1434,7 +1441,7 @@ fn ext_ci(fixture: &Fixture) {
 
 /// Writes the audit dataset and per-CBG serviceability rates as CSV
 /// artifacts under `repro_artifacts/`, for external plotting.
-fn dump(fixture: &Fixture) {
+fn dump(fixture: &Scenario) {
     let dir = std::path::Path::new("repro_artifacts");
     std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("create {dir:?}: {e}")));
 

@@ -10,22 +10,23 @@
 //! coverage telemetry that Figures 7, 8, 11 and Table 2 consume.
 //!
 //! States are independent work units, so the loop runs on the
-//! [`engine`](crate::engine) worker pool: [`Audit::run_with`] picks the
-//! worker count, [`Audit::run_for`] restricts the audit to a state
-//! subset, and both merge per-state partials in caller order — output is
-//! byte-identical at any worker count (see the engine module's
-//! determinism contract).
+//! [`caf_exec`] worker pool: [`Audit::run_with`] picks the worker
+//! count, [`Audit::run_for`] restricts the audit to a state subset, and
+//! both merge per-state partials in caller order — output is
+//! byte-identical at any worker count (see `caf_exec`'s determinism
+//! contract).
 
 use caf_bqt::{Campaign, CampaignConfig, CampaignResult, QueryRecord, QueryTask};
 use caf_dataframe::{Column, DataFrame};
+use caf_exec::{map_units, CostHint, EngineConfig};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
 use std::collections::HashMap;
 
-use crate::engine::{map_units, CostHint, EngineConfig};
 use crate::sampling::{SamplingPlan, SamplingRule};
 
-/// Configuration of a full audit.
+/// Configuration of a full audit ([`crate::pipeline::audit_config`] is
+/// the paper's).
 #[derive(Debug, Clone, Copy)]
 pub struct AuditConfig {
     /// The synthetic-world configuration (seed + scale).
@@ -36,21 +37,6 @@ pub struct AuditConfig {
     pub rule: SamplingRule,
     /// How many replacement rounds to run for non-definitive queries.
     pub resample_rounds: u32,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        let synth = SynthConfig::default();
-        AuditConfig {
-            synth,
-            campaign: CampaignConfig {
-                seed: synth.seed,
-                ..CampaignConfig::default()
-            },
-            rule: SamplingRule::paper(),
-            resample_rounds: 2,
-        }
-    }
 }
 
 /// One analysis row: a definitive query outcome with its geography.
@@ -650,14 +636,14 @@ mod tests {
             rule: SamplingRule::paper(),
             resample_rounds: 2,
         });
-        let serial = audit.run_with(&world, crate::engine::EngineConfig::serial());
-        let parallel = audit.run_with(&world, crate::engine::EngineConfig::with_workers(4));
+        let serial = audit.run_with(&world, caf_exec::EngineConfig::serial());
+        let parallel = audit.run_with(&world, caf_exec::EngineConfig::with_workers(4));
         datasets_equal(&serial, &parallel);
     }
 
     #[test]
     fn shard_policies_do_not_change_output() {
-        use crate::engine::ShardPolicy;
+        use caf_exec::ShardPolicy;
         let synth = SynthConfig {
             seed: 55,
             scale: 40,
@@ -675,13 +661,13 @@ mod tests {
         });
         let baseline = audit.run_with(
             &world,
-            crate::engine::EngineConfig::serial().with_shard_policy(ShardPolicy::disabled()),
+            caf_exec::EngineConfig::serial().with_shard_policy(ShardPolicy::disabled()),
         );
         for policy in [ShardPolicy::default_policy(), ShardPolicy::finest()] {
             for workers in [1usize, 4] {
                 let sharded = audit.run_with(
                     &world,
-                    crate::engine::EngineConfig::with_workers(workers).with_shard_policy(policy),
+                    caf_exec::EngineConfig::with_workers(workers).with_shard_policy(policy),
                 );
                 datasets_equal(&baseline, &sharded);
             }
@@ -706,19 +692,11 @@ mod tests {
             rule: SamplingRule::paper(),
             resample_rounds: 2,
         });
-        let via_run_for = audit.run_for(
-            &full,
-            &[UsState::Utah],
-            crate::engine::EngineConfig::serial(),
-        );
+        let via_run_for = audit.run_for(&full, &[UsState::Utah], caf_exec::EngineConfig::serial());
         let via_subset_world = audit.run(&subset);
         datasets_equal(&via_run_for, &via_subset_world);
         // Unknown states are skipped, not errors.
-        let none = audit.run_for(
-            &full,
-            &[UsState::Georgia],
-            crate::engine::EngineConfig::serial(),
-        );
+        let none = audit.run_for(&full, &[UsState::Georgia], caf_exec::EngineConfig::serial());
         assert!(none.rows.is_empty() && none.records.is_empty());
     }
 }

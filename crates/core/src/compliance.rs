@@ -9,6 +9,7 @@
 //! non-compliant regardless of the numbers they display. The compliance
 //! rate is aggregated with the same CBG weighting as serviceability.
 
+use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, UsState};
 use caf_stats::weighted::WeightedSample;
 use caf_stats::{weighted_mean, Summary};
@@ -17,7 +18,6 @@ use caf_synth::Isp;
 use std::collections::HashMap;
 
 use crate::audit::{AuditDataset, AuditRow};
-use crate::engine::EngineConfig;
 use crate::index::AuditIndex;
 
 /// The advertised-speed band an address falls in, for Table 1's rows.

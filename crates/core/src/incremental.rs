@@ -37,6 +37,7 @@
 //! The contract is pinned by `crates/tests/tests/challenge.rs` across
 //! worker counts × shard policies × batch splits.
 
+use caf_exec::{map_units, EngineConfig};
 use caf_geo::{BlockGroupId, UsState};
 use caf_synth::challenge::DeltaOutcome;
 use caf_synth::{Isp, StateWorld, World};
@@ -44,7 +45,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::audit::{flatten_partial, merge_round_major, Audit, AuditDataset, StatePartial};
-use crate::engine::{map_units, EngineConfig};
 
 /// Resident per-cell audit state for one state: one [`StatePartial`]
 /// per (ISP, CBG) cell, in the state's canonical cell order

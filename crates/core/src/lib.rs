@@ -25,9 +25,14 @@
 //! Two shared execution layers sit underneath: [`index`] builds the
 //! columnar [`AuditIndex`] once per dataset so every analysis consumes
 //! pre-grouped `(ISP, CBG)` slices instead of re-deriving HashMaps, and
-//! [`engine`] runs the per-state audit units on a scoped worker pool
-//! under a strict determinism contract (identical output at any worker
-//! count).
+//! the `caf_exec` engine runs the per-state audit units on a scoped
+//! worker pool under a strict determinism contract (identical output at
+//! any worker count).
+//!
+//! [`pipeline`] strings the stages together: it is the one place that
+//! turns a world description into a [`pipeline::Scenario`] (world →
+//! audit → index → analyses), so `repro`, `caf-serve`, the policy sweep
+//! and `challenge_replay` all audit under the same setup.
 //!
 //! The pipeline never reads the synthetic world's latent truth — only
 //! query outcomes — so the calibration tests in `tests/` are genuine
@@ -41,11 +46,11 @@ pub mod audit;
 pub mod compliance;
 pub mod counterfactual;
 pub mod coverage;
-pub mod engine;
 pub mod experienced;
 pub mod incremental;
 pub mod index;
 pub mod oversight;
+pub mod pipeline;
 pub mod program;
 pub mod q3;
 pub mod report;
@@ -55,13 +60,14 @@ pub mod serviceability;
 
 pub use artifact::ScenarioMeta;
 pub use audit::{Audit, AuditConfig, AuditDataset, AuditRow};
+pub use caf_exec::{CostHint, EngineConfig, Shard, ShardPolicy, UnitPlan};
 pub use compliance::ComplianceAnalysis;
 pub use counterfactual::{CompetitionCounterfactual, CounterfactualPoint, SubsidyRule};
-pub use engine::{CostHint, EngineConfig, Shard, ShardPolicy, UnitPlan};
 pub use experienced::ExperiencedAnalysis;
 pub use incremental::IncrementalAudit;
 pub use index::{AuditIndex, CellMeta, RecordIndex};
 pub use oversight::{compare_oversight, OversightConfig};
+pub use pipeline::Scenario;
 pub use program::ProgramRules;
 pub use q3::{BlockType, Q3Analysis};
 pub use report::EfficacyReport;

@@ -7,8 +7,8 @@
 //! random samples at varying rates. Errors stay under 5 percentage points
 //! at every rate, evidencing diminishing returns from extra queries.
 
-use crate::engine::{map_units, CostHint, EngineConfig};
 use caf_bqt::{Campaign, CampaignConfig, QueryTask};
+use caf_exec::{map_units, CostHint, EngineConfig};
 use caf_geo::AddressId;
 use caf_synth::rng::scoped_rng;
 use caf_synth::{Isp, World};

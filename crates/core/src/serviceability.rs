@@ -12,13 +12,13 @@
 //! (ServiceabilityAnalysis::compute) stays as the one-shot convenience
 //! that builds a throwaway index.
 
+use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, LatLon, UsState};
 use caf_stats::weighted::WeightedSample;
 use caf_stats::{pearson, spearman, weighted_mean, Summary};
 use caf_synth::Isp;
 
 use crate::audit::AuditDataset;
-use crate::engine::EngineConfig;
 use crate::index::AuditIndex;
 
 /// A CBG's serviceability observation.

@@ -10,8 +10,8 @@
 //! leaf vocabulary crate) and `caf-obs` (the zero-dependency telemetry
 //! layer), and runs on `std::thread::scope` — which is exactly what
 //! lets the cold paths beneath `caf-core` use the same pool the audit
-//! does. `caf_core::engine` re-exports everything here, so audit-level
-//! callers are unaffected by the extraction.
+//! does. `caf-core` re-exports [`EngineConfig`] and the plan types at
+//! its root for callers above it.
 //!
 //! One scheduling primitive serves every caller: [`map_units`] runs the
 //! shards of a cost-hinted [`UnitPlan`]. The [`plan`] module splits

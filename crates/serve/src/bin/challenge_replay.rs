@@ -12,8 +12,9 @@
 //! * `--mode incremental` (default) builds the epoch-0 world and its
 //!   [`IncrementalAudit`], then applies the stream in `--batch`-sized
 //!   batches, refreshing only the invalidated cells after each.
-//! * `--mode full` applies the whole stream in one shot and re-audits
-//!   the world from scratch.
+//! * `--mode full` rebuilds the scenario from scratch with the whole
+//!   stream applied ([`Scenario::build`], the same rebuild `caf-serve`
+//!   runs for a past epoch).
 //!
 //! By the incremental-recompute determinism contract the two modes
 //! write **byte-identical** artifacts (`serviceability.json`,
@@ -21,7 +22,7 @@
 //! count — `ci.sh` byte-diffs them.
 //!
 //! Delta streams address cells by `(state, cbg index)`; the `isp` field
-//! is resolved against the generated world's geography before applying
+//! is resolved against the study world's geography before applying
 //! (each `(state, cbg)` cell belongs to exactly one ISP, and which one
 //! is RNG-dependent — resolving keeps committed streams valid across
 //! seeds and RNG implementations).
@@ -32,14 +33,16 @@
 //! the emitted stream can (ci.sh uses this for the snapshot restart
 //! gate).
 
-use caf_bench::campaign_config;
+use caf_core::pipeline::{self, campaign_config, Scenario};
 use caf_core::{
-    artifact, Audit, AuditConfig, AuditIndex, ComplianceAnalysis, EngineConfig, IncrementalAudit,
-    SamplingRule, ScenarioMeta, ServiceabilityAnalysis,
+    artifact, Audit, AuditIndex, ComplianceAnalysis, EngineConfig, IncrementalAudit, ScenarioMeta,
+    ServiceabilityAnalysis,
 };
 use caf_geo::UsState;
 use caf_synth::challenge::deltas_from_jsonl;
+use caf_synth::geography::StateGeography;
 use caf_synth::{ChallengeDelta, SynthConfig, World};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn die(message: &str) -> ! {
@@ -138,8 +141,7 @@ fn main() {
     let synth = SynthConfig { seed, scale };
     let states = UsState::study_states();
     let build_started = Instant::now();
-    let mut world = World::generate_states_on(synth, &states, engine);
-    let deltas = resolve_isps(&world, deltas);
+    let deltas = resolve_isps(synth, &states, deltas);
     if let Some(path) = &emit_resolved {
         let mut lines = String::new();
         for delta in &deltas {
@@ -155,16 +157,13 @@ fn main() {
             );
         }
     }
-    let audit = Audit::new(AuditConfig {
-        synth,
-        campaign: campaign_config(seed),
-        rule: SamplingRule::paper(),
-        resample_rounds: 2,
-    });
+    let campaign = campaign_config(seed);
 
     let replay_started;
-    let dataset = match mode {
+    let (epoch, dataset, serviceability, compliance) = match mode {
         Mode::Incremental => {
+            let mut world = World::generate_states_on(synth, &states, engine);
+            let audit = Audit::new(pipeline::audit_config(synth, campaign));
             let mut inc = IncrementalAudit::build(audit, &world, engine);
             replay_started = Instant::now();
             for chunk in deltas.chunks(batch) {
@@ -173,25 +172,31 @@ fn main() {
                     .unwrap_or_else(|e| die(&format!("apply batch: {e}")));
                 inc.refresh(&world, &outcome, engine);
             }
-            inc.dataset()
+            let dataset = inc.dataset();
+            let index = AuditIndex::build_at(&dataset, world.epoch);
+            let serviceability = ServiceabilityAnalysis::from_index(&index);
+            let compliance = ComplianceAnalysis::from_index(&dataset, &index);
+            (world.epoch, dataset, serviceability, compliance)
         }
         Mode::Full => {
             replay_started = Instant::now();
-            world
-                .apply_deltas(&deltas)
+            let scenario = Scenario::build(synth, &states, engine, campaign, &deltas)
                 .unwrap_or_else(|e| die(&format!("apply stream: {e}")));
-            audit.run_with(&world, engine)
+            let Scenario {
+                world,
+                dataset,
+                serviceability,
+                compliance,
+                ..
+            } = scenario;
+            (world.epoch, dataset, serviceability, compliance)
         }
     };
     let replay_elapsed = replay_started.elapsed();
 
-    let index = AuditIndex::build_at(&dataset, world.epoch);
-    let serviceability = ServiceabilityAnalysis::from_index(&index);
-    let compliance = ComplianceAnalysis::from_index(&dataset, &index);
-
     if let Some(dir) = &out {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("mkdir {dir:?}: {e}")));
-        let meta = ScenarioMeta::new(seed, scale).at_epoch(world.epoch);
+        let meta = ScenarioMeta::new(seed, scale).at_epoch(epoch);
         let write = |name: &str, body: caf_obs::json::Json| {
             let path = dir.join(format!("{name}.json"));
             let bytes = artifact::to_canonical_bytes(&meta.wrap(body));
@@ -218,7 +223,7 @@ fn main() {
             "challenge_replay: {} deltas -> epoch {} ({mode_name}, batch {batch}, \
              {} workers) in {secs:.3}s replay / {:.3}s total{}",
             deltas.len(),
-            world.epoch,
+            epoch,
             engine.workers,
             build_started.elapsed().as_secs_f64(),
             match &out {
@@ -230,27 +235,33 @@ fn main() {
 }
 
 /// Rewrites each delta's `isp` to the owner of its `(state, cbg)` cell
-/// in `world` (dying on an unknown state or out-of-range CBG index).
-fn resolve_isps(world: &World, deltas: Vec<ChallengeDelta>) -> Vec<ChallengeDelta> {
+/// in the study world's geography (dying on a state outside the study
+/// world or an out-of-range CBG index). Only the geography of each
+/// named state is built, not the world.
+fn resolve_isps(
+    synth: SynthConfig,
+    states: &[UsState],
+    deltas: Vec<ChallengeDelta>,
+) -> Vec<ChallengeDelta> {
+    let mut geographies: BTreeMap<UsState, StateGeography> = BTreeMap::new();
     deltas
         .into_iter()
         .map(|mut delta| {
-            let sw = world
-                .states
-                .iter()
-                .find(|sw| sw.state == delta.state)
-                .unwrap_or_else(|| {
-                    die(&format!(
-                        "state {:?} is not in the study world",
-                        delta.state
-                    ))
-                });
-            let cbg = sw.geography.cbgs.get(delta.cbg).unwrap_or_else(|| {
+            if !states.contains(&delta.state) {
+                die(&format!(
+                    "state {:?} is not in the study world",
+                    delta.state
+                ));
+            }
+            let geography = geographies
+                .entry(delta.state)
+                .or_insert_with(|| StateGeography::build(&synth, delta.state));
+            let cbg = geography.cbgs.get(delta.cbg).unwrap_or_else(|| {
                 die(&format!(
                     "cbg index {} out of range for {:?} ({} CBGs at this scale)",
                     delta.cbg,
                     delta.state,
-                    sw.geography.cbgs.len()
+                    geography.cbgs.len()
                 ))
             });
             delta.isp = cbg.isp;

@@ -1,7 +1,7 @@
 //! The scenario cache: LRU over materialized results + single-flight
 //! deduplication of concurrent identical computations.
 //!
-//! Scenario entries are expensive to compute (a `Fixture` at repro
+//! Scenario entries are expensive to compute (a `Scenario` at repro
 //! scale takes seconds and builds the whole synthetic world), so the
 //! cache bounds *both* axes of waste:
 //!

@@ -65,10 +65,10 @@ use crate::snapshot::{
     self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS, SECTION_WORLD, SECTION_WORLD_RETIRED,
 };
 use crate::tier::DiskTier;
-use caf_bench::{campaign_config, Fixture};
+use caf_core::pipeline::{self, campaign_config, Scenario};
 use caf_core::{
-    artifact, Audit, AuditConfig, AuditIndex, ComplianceAnalysis, EngineConfig, IncrementalAudit,
-    ProgramRules, SamplingRule, ScenarioMeta, ServiceabilityAnalysis, SubsidyRule,
+    artifact, Audit, AuditIndex, ComplianceAnalysis, EngineConfig, IncrementalAudit, ProgramRules,
+    ScenarioMeta, ServiceabilityAnalysis, SubsidyRule,
 };
 use caf_geo::UsState;
 use caf_obs::json::Json;
@@ -77,6 +77,7 @@ use caf_snap::{fnv1a, write_atomic, Reader, SnapError, Snapshot, SnapshotBuilder
 use caf_sweep::SweepSpec;
 use caf_synth::challenge::deltas_from_jsonl;
 use caf_synth::{ChallengeDelta, Isp, SynthConfig, World};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -486,18 +487,6 @@ impl App {
         )
     }
 
-    /// The audit configuration the serving layer computes under — the
-    /// same one [`Fixture::build_tuned`] uses, so live incremental
-    /// refreshes and from-scratch fixture builds agree byte-for-byte.
-    fn audit_for(&self, seed: u64, scale: u32) -> Audit {
-        Audit::new(AuditConfig {
-            synth: SynthConfig { seed, scale },
-            campaign: campaign_config(seed),
-            rule: SamplingRule::paper(),
-            resample_rounds: 2,
-        })
-    }
-
     /// Handles `POST /v1/challenge`: parses the JSONL delta batch,
     /// applies it to the live world (atomically — any invalid delta
     /// rejects the batch), refreshes the incremental audit over the
@@ -524,37 +513,28 @@ impl App {
         // *before* taking the live lock (the installer takes it too).
         self.restore.wait();
         let mut slot = self.live.lock().unwrap();
-        if slot.is_none() {
-            // First challenge: materialize the live scenario (one full
-            // build; every later batch is incremental). The mutex is
-            // the single-flight here — concurrent first batches queue.
+        if slot.as_ref().is_none_or(|live| live.inc.is_none()) {
+            // First batch since boot: build what the live scenario lacks
+            // (one full audit; every later batch is incremental). A fresh
+            // boot has no world yet; a snapshot-restored world has no
+            // incremental audit (it is a full audit's worth of state, so
+            // it is not persisted). By the determinism contract, auditing
+            // the restored world at epoch E equals the audit a
+            // never-restarted server carried to epoch E incrementally.
+            // The mutex is the single-flight — concurrent first batches
+            // queue.
             let (engine, _guard) = self.compute_engine(self.config.engine);
             let _span = caf_obs::span("serve.challenge.materialize");
             let synth = SynthConfig { seed, scale };
-            let world = World::generate_states_on(synth, &UsState::study_states(), engine);
-            let inc = IncrementalAudit::build(self.audit_for(seed, scale), &world, engine);
-            *slot = Some(Live {
-                world,
-                inc: Some(inc),
+            let live = slot.get_or_insert_with(|| Live {
+                world: World::generate_states_on(synth, &UsState::study_states(), engine),
+                inc: None,
                 log: Vec::new(),
             });
+            let audit = Audit::new(pipeline::audit_config(synth, campaign_config(seed)));
+            live.inc = Some(IncrementalAudit::build(audit, &live.world, engine));
         }
-        let live = slot.as_mut().expect("just materialized");
-        if live.inc.is_none() {
-            // Snapshot-restored world: the incremental audit was not
-            // persisted (it is a full audit's worth of state); build it
-            // here, on the first batch that actually needs it. By the
-            // determinism contract, auditing the restored world at
-            // epoch E equals the audit a never-restarted server carried
-            // to epoch E incrementally.
-            let (engine, _guard) = self.compute_engine(self.config.engine);
-            let _span = caf_obs::span("serve.challenge.materialize");
-            live.inc = Some(IncrementalAudit::build(
-                self.audit_for(seed, scale),
-                &live.world,
-                engine,
-            ));
-        }
+        let live = slot.as_mut().expect("materialized above");
 
         let outcome = match live.world.apply_deltas(&deltas) {
             Ok(outcome) => outcome,
@@ -754,18 +734,19 @@ impl App {
                 let deltas = self.delta_prefix(key.epoch)?;
                 let (engine, _guard) = self.compute_engine(params.engine);
                 let _span = caf_obs::span_with(|| format!("serve.compute.{:?}", key.kind));
+                let synth = SynthConfig {
+                    seed: key.seed,
+                    scale: key.scale,
+                };
+                let campaign = campaign_config(key.seed);
                 match key.kind {
-                    Kind::Q12 => Fixture::build_tuned_at(
-                        key.seed,
-                        key.scale,
-                        &UsState::study_states(),
-                        engine,
-                        &deltas,
-                    )
-                    .map(|f| Bundle::q12(&f.dataset, &f.serviceability, &f.compliance))
-                    .map_err(|error| error.to_string()),
+                    Kind::Q12 => {
+                        Scenario::build(synth, &UsState::study_states(), engine, campaign, &deltas)
+                            .map(|s| Bundle::q12(&s.dataset, &s.serviceability, &s.compliance))
+                            .map_err(|error| error.to_string())
+                    }
                     Kind::Q3 => Ok(Bundle::one(&artifact::q3(
-                        &Fixture::build_q3_tuned(key.seed, key.scale, engine).1,
+                        &pipeline::build_q3(synth, engine, campaign).1,
                     ))),
                     // Sweep cells are computed by `sweep_response`,
                     // which never routes through here.
@@ -907,7 +888,9 @@ impl App {
     ///
     /// Every cell is an independent cache entry keyed by its content
     /// hash, so repeated or overlapping grids hit instead of
-    /// recomputing, evicted cells spill to the disk tier, and the
+    /// recomputing. Misses run through the same (state, scale) world
+    /// groups as [`caf_sweep::SweepRun`], so a request builds each world
+    /// at most once. Evicted cells spill to the disk tier, and the
     /// response is assembled from the cells' stored canonical body
     /// bytes in grid order — byte-identical however the cells were
     /// obtained (computed, cached, or promoted from disk).
@@ -935,44 +918,53 @@ impl App {
         let mut bodies: Vec<Json> = Vec::with_capacity(cells.len());
         let mut hits = 0usize;
         let mut misses = 0usize;
-        for cell in &cells {
-            let key = ScenarioKey {
-                kind: Kind::Sweep,
-                seed: cell.key(seed).0,
-                scale: cell.scale,
-                epoch: 0,
-            };
-            let result = self
-                .cache
-                .get_or_compute(key, self.config.compute_timeout, || {
-                    let (_engine, _guard) = self.compute_engine(self.config.engine);
-                    let _span = caf_obs::span("serve.compute.sweep");
-                    let computed = caf_sweep::compute_cell(seed, cell);
-                    Ok(Bundle::one(&caf_sweep::cell_body(&computed)))
-                });
-            let bundle = match result {
-                Ok((bundle, outcome)) => {
-                    match outcome {
-                        CacheOutcome::Hit | CacheOutcome::DiskHit => hits += 1,
-                        CacheOutcome::Miss | CacheOutcome::Joined => misses += 1,
+        for group in caf_sweep::world_groups(&spec, &cells) {
+            // The group's first missed cell runs the whole world group;
+            // its other misses read the same results.
+            let world = OnceCell::new();
+            for (i, cell) in group.iter().enumerate() {
+                let key = ScenarioKey {
+                    kind: Kind::Sweep,
+                    seed: cell.key(seed).0,
+                    scale: cell.scale,
+                    epoch: 0,
+                };
+                let result = self
+                    .cache
+                    .get_or_compute(key, self.config.compute_timeout, || {
+                        let results = world.get_or_init(|| {
+                            let (_engine, _guard) = self.compute_engine(self.config.engine);
+                            let _span = caf_obs::span("serve.compute.sweep");
+                            caf_sweep::run_world(seed, group)
+                        });
+                        Ok(Bundle::one(&caf_sweep::cell_body(&results[i])))
+                    });
+                let bundle = match result {
+                    Ok((bundle, outcome)) => {
+                        match outcome {
+                            CacheOutcome::Hit | CacheOutcome::DiskHit => hits += 1,
+                            CacheOutcome::Miss | CacheOutcome::Joined => misses += 1,
+                        }
+                        bundle
                     }
-                    bundle
+                    Err(CacheError::JoinTimeout) => {
+                        caf_obs::trace::annotate("cache", "join_timeout");
+                        return Response::error(
+                            503,
+                            "sweep cell computation still in flight; retry shortly",
+                        )
+                        .with_header("Retry-After", "1".to_string());
+                    }
+                    Err(CacheError::Failed(message)) => {
+                        return Response::error(500, &format!("sweep cell failed: {message}"));
+                    }
+                };
+                match caf_obs::json::parse(&bundle.bodies()[0]) {
+                    Ok(body) => bodies.push(body),
+                    Err(_) => {
+                        return Response::error(500, "stored sweep cell is not canonical JSON")
+                    }
                 }
-                Err(CacheError::JoinTimeout) => {
-                    caf_obs::trace::annotate("cache", "join_timeout");
-                    return Response::error(
-                        503,
-                        "sweep cell computation still in flight; retry shortly",
-                    )
-                    .with_header("Retry-After", "1".to_string());
-                }
-                Err(CacheError::Failed(message)) => {
-                    return Response::error(500, &format!("sweep cell failed: {message}"));
-                }
-            };
-            match caf_obs::json::parse(&bundle.bodies()[0]) {
-                Ok(body) => bodies.push(body),
-                Err(_) => return Response::error(500, "stored sweep cell is not canonical JSON"),
             }
         }
         caf_obs::trace::annotate("cache", &format!("hit={hits} miss={misses}"));
@@ -1577,11 +1569,11 @@ mod tests {
         assert_eq!(envelope_epoch, Some(1));
 
         // Byte-identity against a from-scratch rebuild at epoch 1.
-        let fixture = Fixture::build_tuned_at(
-            seed,
-            scale,
+        let fixture = Scenario::build(
+            SynthConfig { seed, scale },
             &UsState::study_states(),
             EngineConfig::serial(),
+            campaign_config(seed),
             std::slice::from_ref(&delta),
         )
         .unwrap();
@@ -1753,11 +1745,11 @@ mod tests {
         assert_eq!(app.live_epoch(), 2);
         let after2 = app.handle(&request("/v1/table2", &[("epoch", "2")]));
         assert_eq!(after2.status, 200);
-        let fixture = Fixture::build_tuned_at(
-            seed,
-            scale,
+        let fixture = Scenario::build(
+            SynthConfig { seed, scale },
             &UsState::study_states(),
             EngineConfig::serial(),
+            campaign_config(seed),
             &[delta, delta2],
         )
         .unwrap();

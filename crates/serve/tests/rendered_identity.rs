@@ -1,11 +1,11 @@
 //! Rendered-bytes identity: every `/v1/*` response equals the canonical
-//! bytes rendered from a fresh fixture, ETag included — for every route
+//! bytes rendered from a fresh scenario, ETag included — for every route
 //! and `isp=` form, with and without a `q3_scale` override, at epoch 0
 //! and at a challenge epoch, and however the cache entry was obtained:
 //! a miss, a hit, a disk-tier promotion, or a snapshot restart.
 
-use caf_bench::Fixture;
-use caf_core::{artifact, EngineConfig, ScenarioMeta};
+use caf_core::pipeline::{self, campaign_config};
+use caf_core::{artifact, EngineConfig, Scenario, ScenarioMeta};
 use caf_geo::UsState;
 use caf_obs::json::Json;
 use caf_serve::{App, AppConfig, Handler, Request};
@@ -82,9 +82,12 @@ fn combos() -> Vec<Combo> {
 /// fixtures (one per epoch, one Q3 world per `q3_scale`).
 fn references(delta: ChallengeDelta) -> BTreeMap<String, String> {
     let engine = EngineConfig::serial();
+    let synth = |scale| SynthConfig { seed: SEED, scale };
+    let campaign = campaign_config(SEED);
+    let study = UsState::study_states();
     let fixtures = [
-        Fixture::build_tuned_at(SEED, SCALE, &UsState::study_states(), engine, &[]).unwrap(),
-        Fixture::build_tuned_at(SEED, SCALE, &UsState::study_states(), engine, &[delta]).unwrap(),
+        Scenario::build(synth(SCALE), &study, engine, campaign, &[]).unwrap(),
+        Scenario::build(synth(SCALE), &study, engine, campaign, &[delta]).unwrap(),
     ];
     let mut q3 = BTreeMap::new();
     let mut out = BTreeMap::new();
@@ -101,7 +104,7 @@ fn references(delta: ChallengeDelta) -> BTreeMap<String, String> {
             _ => q3
                 .entry(meta.q3_scale)
                 .or_insert_with(|| {
-                    artifact::q3(&Fixture::build_q3_tuned(SEED, meta.q3_scale, engine).1)
+                    artifact::q3(&pipeline::build_q3(synth(meta.q3_scale), engine, campaign).1)
                 })
                 .clone(),
         };

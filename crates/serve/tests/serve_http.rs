@@ -3,9 +3,10 @@
 //! boundary* — response bodies are canonical artifact bytes, identical
 //! at any HTTP worker count and any engine worker count.
 
-use caf_core::{artifact, EngineConfig, ScenarioMeta};
+use caf_core::{artifact, pipeline, EngineConfig, Scenario, ScenarioMeta};
 use caf_geo::UsState;
 use caf_serve::{client, App, AppConfig, Handler, ServeConfig, Server};
+use caf_synth::SynthConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,13 +43,20 @@ fn endpoints_are_byte_identical_across_worker_counts_and_match_direct_render() {
     let (server_a, _) = start_server(1, EngineConfig::serial());
     let (server_b, _) = start_server(4, EngineConfig::with_workers(4));
 
-    let fixture = caf_bench::Fixture::build_tuned(
-        SEED,
-        SCALE,
+    let synth = SynthConfig {
+        seed: SEED,
+        scale: SCALE,
+    };
+    let campaign = pipeline::campaign_config(SEED);
+    let fixture = Scenario::build(
+        synth,
         &UsState::study_states(),
         EngineConfig::serial(),
-    );
-    let (_, q3) = caf_bench::Fixture::build_q3_tuned(SEED, SCALE, EngineConfig::serial());
+        campaign,
+        &[],
+    )
+    .unwrap();
+    let (_, q3) = pipeline::build_q3(synth, EngineConfig::serial(), campaign);
     let meta = ScenarioMeta::new(SEED, SCALE);
     let expected = [
         ("table2", artifact::table2(&fixture.dataset)),

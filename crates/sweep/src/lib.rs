@@ -17,8 +17,9 @@
 //!    (state, scale) world, hinted by the world's scaled record count,
 //!    executed on the work-stealing scheduler so a giant California
 //!    world starts first and cannot strand a worker.
-//! 3. Each unit builds its world's policy-independent stages once —
-//!    world, audit, index, serviceability and baseline compliance, Q3,
+//! 3. Each unit ([`run_world`]) builds its world's policy-independent
+//!    stages once — the `caf_core::pipeline` scenario (world, audit,
+//!    index, serviceability and baseline compliance), then Q3 and the
 //!    counterfactual — and evaluates every policy cell of the world
 //!    against them, with policy-parameterized thresholds threaded
 //!    through `caf_core::{compliance,counterfactual,q3}`.
@@ -41,6 +42,6 @@ pub mod spec;
 
 pub use grid::{est_records, Cell, ScenarioKey};
 pub use runner::{
-    cell_body, compute_cell, results_artifact, results_table, SweepOptions, SweepRun,
+    cell_body, results_artifact, results_table, run_world, world_groups, SweepOptions, SweepRun,
 };
 pub use spec::{SpecError, SweepSpec};

@@ -1,18 +1,14 @@
 //! Grid execution: compile the grid into one cost-aware plan with a
-//! unit per (state, scale) world, build each world's stages once,
-//! evaluate its policy cells against them, and reduce into canonical
-//! tables and artifacts.
+//! unit per (state, scale) world, build each world's scenario once
+//! through `caf_core::pipeline`, evaluate its policy cells against it,
+//! and reduce into canonical tables and artifacts.
 
 use caf_bqt::CampaignConfig;
-use caf_core::{
-    Audit, AuditConfig, AuditDataset, AuditIndex, CompetitionCounterfactual, ComplianceAnalysis,
-    EngineConfig, Q3Analysis, SamplingRule, ServiceabilityAnalysis,
-};
+use caf_core::{CompetitionCounterfactual, EngineConfig, Q3Analysis, Scenario};
 use caf_dataframe::{DataFrame, DataType, Value};
 use caf_exec::{map_units_stats, CostHint, Shard, ShardPolicy, UnitPlan};
-use caf_geo::UsState;
 use caf_obs::json::Json;
-use caf_synth::{SynthConfig, World};
+use caf_synth::SynthConfig;
 
 use crate::grid::{Cell, ScenarioKey};
 use crate::spec::SweepSpec;
@@ -84,99 +80,76 @@ pub struct SweepRun {
     pub shards: usize,
 }
 
-/// Everything a grid cell reads that does not depend on its policy:
-/// one (state, scale) world's audit, index, baseline rates and Q3. The
-/// world itself is dropped once these are built.
-struct WorldStages {
-    dataset: AuditDataset,
-    index: AuditIndex,
-    compliance: ComplianceAnalysis,
-    /// Q1 serviceability and Q2 baseline compliance, `None` on an
-    /// empty index.
-    baseline: Option<(f64, f64)>,
-    q3: Q3Analysis,
-    counterfactual: Option<CompetitionCounterfactual>,
-}
-
-/// Builds one world's policy-independent stages — world, audit, index,
-/// Q1/Q2 baseline rates, Q3, counterfactual — serially on the calling
-/// thread. The outer plan owns parallelism; nested pools would
-/// oversubscribe and the pipeline is byte-identical at any worker count
-/// anyway.
-fn world_stages(seed: u64, state: UsState, scale: u32) -> WorldStages {
-    let engine = EngineConfig::serial();
-    let synth = SynthConfig { seed, scale };
+/// Evaluates every policy cell of one (state, scale) world group — a
+/// chunk of [`world_groups`] — against that world's [`Scenario`]: builds
+/// the scenario and its Q3 analysis once, then reads each cell's tier
+/// floors, price-cap multiplier and subsidy rule off them. Results come
+/// back in `group` order.
+///
+/// Everything runs serially on the calling thread with a 1-worker
+/// campaign: the caller's outer plan owns parallelism, and the pipeline
+/// is byte-identical at any worker count anyway.
+pub fn run_world(seed: u64, group: &[Cell]) -> Vec<CellResult> {
+    let Some(first) = group.first() else {
+        return Vec::new();
+    };
+    debug_assert!(group
+        .iter()
+        .all(|c| (c.state, c.scale) == (first.state, first.scale)));
     let campaign = CampaignConfig {
         seed,
         workers: 1,
         ..CampaignConfig::default()
     };
-    let world = World::generate_states_on(synth, &[state], engine);
-    let audit = Audit::new(AuditConfig {
-        synth,
+    let scenario = Scenario::build(
+        SynthConfig {
+            seed,
+            scale: first.scale,
+        },
+        &[first.state],
+        EngineConfig::serial(),
         campaign,
-        rule: SamplingRule::paper(),
-        resample_rounds: 2,
-    });
-    let dataset = audit.run_with(&world, engine);
-    let index = AuditIndex::build_at(&dataset, world.epoch);
-    let compliance = ComplianceAnalysis::from_index(&dataset, &index);
-    let baseline = (!index.cells().is_empty()).then(|| {
+        &[],
+    )
+    .expect("an empty delta stream cannot fail validation");
+    // Q1 serviceability and Q2 baseline compliance, `None` on an empty
+    // index.
+    let baseline = (!scenario.index.cells().is_empty()).then(|| {
         (
-            ServiceabilityAnalysis::from_index(&index).overall_rate(),
-            compliance.overall_rate(),
+            scenario.serviceability.overall_rate(),
+            scenario.compliance.overall_rate(),
         )
     });
-    let q3 = Q3Analysis::run(&world, campaign);
+    let q3 = Q3Analysis::run(&scenario.world, campaign);
     let counterfactual = CompetitionCounterfactual::from_q3(&q3);
-    WorldStages {
-        dataset,
-        index,
-        compliance,
-        baseline,
-        q3,
-        counterfactual,
-    }
-}
-
-/// Evaluates one cell's policy — tier floors, price-cap multiplier,
-/// subsidy rule — against its world's shared stages.
-fn policy_cell(seed: u64, cell: &Cell, stages: &WorldStages) -> CellResult {
-    let rules = cell.program_rules();
-    let (price_compliance, _range) = stages
-        .compliance
-        .price_compliance_under(&stages.dataset, &rules);
-    let cf_point = stages
-        .counterfactual
-        .as_ref()
-        .map(|cf| cf.under_rule(cell.rule));
-    CellResult {
-        cell: *cell,
-        key: cell.key(seed),
-        records: stages.dataset.rows.len() as u64,
-        serviceability: stages.baseline.map(|(q1, _)| q1),
-        compliance_baseline: stages.baseline.map(|(_, q2)| q2),
-        compliance_policy: rules.compliance_rate_indexed(&stages.dataset, &stages.index, None),
-        price_compliance,
-        tier_attainment: stages.q3.tier_attainment(rules.min_down_mbps),
-        cf_mean_mbps: cf_point.map(|p| p.mean_caf_speed),
-        cf_median_mbps: cf_point.map(|p| p.median_caf_speed),
-    }
-}
-
-/// Computes one grid cell on its own: builds the cell's world stages,
-/// then evaluates its policy against them. [`SweepRun::run`] shares one
-/// stage build across every cell of a world; this is the single-cell
-/// path (`caf-serve`'s `/v1/sweep` cache miss) and yields the same
-/// result.
-pub fn compute_cell(seed: u64, cell: &Cell) -> CellResult {
-    policy_cell(seed, cell, &world_stages(seed, cell.state, cell.scale))
+    let dataset = &scenario.dataset;
+    group
+        .iter()
+        .map(|cell| {
+            let rules = cell.program_rules();
+            let (price_compliance, _range) =
+                scenario.compliance.price_compliance_under(dataset, &rules);
+            let cf_point = counterfactual.as_ref().map(|cf| cf.under_rule(cell.rule));
+            CellResult {
+                cell: *cell,
+                key: cell.key(seed),
+                records: dataset.rows.len() as u64,
+                serviceability: baseline.map(|(q1, _)| q1),
+                compliance_baseline: baseline.map(|(_, q2)| q2),
+                compliance_policy: rules.compliance_rate_indexed(dataset, &scenario.index, None),
+                price_compliance,
+                tier_attainment: q3.tier_attainment(rules.min_down_mbps),
+                cf_mean_mbps: cf_point.map(|p| p.mean_caf_speed),
+                cf_median_mbps: cf_point.map(|p| p.median_caf_speed),
+            }
+        })
+        .collect()
 }
 
 /// The grid's world groups: [`SweepSpec::cells`] is state-major, then
 /// scale, so each (state, scale) world's policy cells form one
 /// contiguous chunk of `tiers × caps × rules` cells.
-fn world_groups<'a>(spec: &SweepSpec, cells: &'a [Cell]) -> std::slice::Chunks<'a, Cell> {
+pub fn world_groups<'a>(spec: &SweepSpec, cells: &'a [Cell]) -> std::slice::Chunks<'a, Cell> {
     let per_world = spec.tiers.len() * spec.cap_multipliers.len() * spec.rules.len();
     cells.chunks(per_world.max(1))
 }
@@ -184,16 +157,12 @@ fn world_groups<'a>(spec: &SweepSpec, cells: &'a [Cell]) -> std::slice::Chunks<'
 impl SweepRun {
     /// Runs the whole grid: one opaque unit per (state, scale) world,
     /// hinted by the world's scaled record count, dispatched on the
-    /// work-stealing executor. Each unit builds its world's stages once
-    /// and evaluates every policy cell of the world against them;
+    /// work-stealing executor. Each unit is one [`run_world`] call;
     /// results flatten back into canonical cell order.
     pub fn run(spec: &SweepSpec, options: SweepOptions) -> SweepRun {
         let cells = spec.cells();
         let worlds: Vec<&[Cell]> = world_groups(spec, &cells).collect();
         debug_assert_eq!(worlds.len(), spec.states.len() * spec.scales.len());
-        debug_assert!(worlds.iter().all(|group| group
-            .iter()
-            .all(|c| (c.state, c.scale) == (group[0].state, group[0].scale))));
         let hints: Vec<CostHint> = worlds
             .iter()
             .map(|group| CostHint::opaque(group[0].est_cost()))
@@ -201,14 +170,8 @@ impl SweepRun {
         // One-element units never split, so the shard policy is moot.
         let plan = UnitPlan::build(options.workers, &hints, ShardPolicy::disabled());
         let seed = spec.seed;
-        let (parts, stats) = map_units_stats(&plan, |shard: &Shard| {
-            let group = worlds[shard.unit];
-            let stages = world_stages(seed, group[0].state, group[0].scale);
-            group
-                .iter()
-                .map(|cell| policy_cell(seed, cell, &stages))
-                .collect::<Vec<CellResult>>()
-        });
+        let (parts, stats) =
+            map_units_stats(&plan, |shard: &Shard| run_world(seed, worlds[shard.unit]));
         // Units in world order, one shard each: flattening reproduces
         // `spec.cells()` order exactly.
         let results: Vec<CellResult> = parts.into_iter().flatten().flatten().collect();

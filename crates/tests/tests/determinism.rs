@@ -2,7 +2,7 @@
 //! output at any engine worker count — same analysis rows, same query
 //! records, same coverage telemetry, and byte-identical CSV artifacts.
 //!
-//! This is the determinism contract of `caf_core::engine` exercised end
+//! This is the determinism contract of `caf_exec` exercised end
 //! to end: per-state units share only the immutable truth store, every
 //! random draw is entity-keyed, and partials merge in fixed state order,
 //! so the worker count can only move wall-clock time, never bytes. The
