@@ -18,6 +18,8 @@
 # the last 13 bytes off a finished checkpoint log and byte-diffs the
 # resumed result the same way, an observability smoke run (a tiny repro
 # experiment whose run report must pass the full metrics_check gate), a
+# Q3 on-demand gate (`repro table2` must build no Q3 state and `repro
+# table4` all seven, read off `caf.synth.q3.states_built`), a
 # repro output gate (every listed experiment but `dump` and `validate`
 # must print exactly the committed `repro_output.txt` up to its dump
 # section), and the serving-layer gate: `caf-serve` is started on an
@@ -237,6 +239,24 @@ cargo run --release -q -p caf-bench --bin repro -- \
   table2 --scale 150 --workers 2 --metrics "$ci_out/obs_smoke.json" \
   --artifacts "$golden" --quiet
 cargo run --release -q -p caf-bench --bin metrics_check -- "$ci_out/obs_smoke.json"
+
+# A state's Q3 blocks are built the first time something reads them:
+# the Q1/Q2 path (Table 2 over the 15 study states, seven of them Q3
+# states) builds none, and the Q3 analysis (Table 4) builds each of the
+# seven Q3 states once. A counter nothing incremented is absent from the
+# report, which reads as 0.
+gate "Q3 on-demand gate: repro table2 builds 0 Q3 states, table4 builds 7"
+q3_states_built() {
+  ./target/release/repro "$1" --workers 2 --metrics "$ci_out/q3_$1.json" --quiet >/dev/null
+  sed -n 's/^ *"caf\.synth\.q3\.states_built": \([0-9]*\),\{0,1\}$/\1/p' "$ci_out/q3_$1.json"
+}
+q3_table2=$(q3_states_built table2)
+q3_table4=$(q3_states_built table4)
+if [ "${q3_table2:-0}" != 0 ] || [ "${q3_table4:-0}" != 7 ]; then
+  echo "caf.synth.q3.states_built: table2 ${q3_table2:-0} (want 0), table4 ${q3_table4:-0} (want 7)" >&2
+  exit 1
+fi
+echo "    table2 built 0 Q3 states, table4 built 7"
 
 # The committed repro_output.txt is what `repro` prints at its defaults.
 # Every experiment `repro --help` lists runs, except `dump` (it writes

@@ -126,8 +126,9 @@ impl Scenario {
 }
 
 /// Builds the Q3 world over the seven Q3 states and runs the
-/// regulated-vs-unregulated comparison on it. The engine sizes the world
-/// build; the analysis itself is campaign-driven.
+/// regulated-vs-unregulated comparison on it. The engine sizes the
+/// geography build; the analysis builds each state's blocks in its own
+/// unit on the campaign's workers.
 pub fn build_q3(
     synth: SynthConfig,
     engine: EngineConfig,

@@ -15,8 +15,10 @@
 //! address; then compare block-level averages.
 
 use caf_bqt::{Campaign, CampaignConfig, QueryTask};
+use caf_exec::{CostHint, UnitPlan};
 use caf_geo::{BlockId, UsState};
-use caf_synth::{Isp, World};
+use caf_synth::q3::Q3BlockSpec;
+use caf_synth::{Isp, Q3World, StateWorld, World};
 use std::collections::HashMap;
 
 use crate::index::RecordIndex;
@@ -98,7 +100,7 @@ pub fn compare_speeds(caf: f64, other: f64) -> ComparisonOutcome {
 }
 
 /// The Q3 analysis results.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Q3Analysis {
     /// One comparison per surviving block.
     pub blocks: Vec<BlockComparison>,
@@ -119,42 +121,90 @@ pub struct Q3Analysis {
 
 impl Q3Analysis {
     /// Runs the full Q3 pipeline over the world's Q3 blocks.
+    ///
+    /// One [`caf_exec::map_units`] pass with one unit per Q3 state,
+    /// hinted by the state's address count, on `campaign_config.workers`
+    /// lanes. A unit reads its state's blocks and truth (built on first
+    /// read), runs a one-worker campaign over the state's tasks — the
+    /// pass is the only pool, so no campaign pool nests inside it —
+    /// indexes its own records and classifies its blocks. Partials merge
+    /// in state order, and every query outcome is keyed by (seed,
+    /// address, ISP), so the result is the same at any worker count.
     pub fn run(world: &World, campaign_config: CampaignConfig) -> Q3Analysis {
-        let campaign = Campaign::new(campaign_config);
+        let _span = caf_obs::span("q3");
+        let states: Vec<&StateWorld> = world
+            .states
+            .iter()
+            .filter(|sw| UsState::q3_states().contains(&sw.state))
+            .collect();
+        let hints: Vec<CostHint> = states
+            .iter()
+            .map(|sw| {
+                let specs = Q3World::block_specs(&world.config, sw.state);
+                CostHint::opaque(specs.iter().map(Q3BlockSpec::addresses).sum())
+            })
+            .collect();
+        let plan = UnitPlan::build(campaign_config.workers, &hints, campaign_config.shard);
+        let campaign = Campaign::new(CampaignConfig {
+            workers: 1,
+            ..campaign_config
+        });
+        let partials = caf_exec::map_units(&plan, |shard| {
+            let sw = states[shard.unit];
+            let _span = caf_obs::span_with(|| format!("q3.{}", sw.state.abbrev()));
+            Q3Analysis::run_state(&sw.q3, &campaign)
+        });
 
+        let mut analysis = Q3Analysis::default();
+        for partial in partials.into_iter().flatten() {
+            analysis.blocks.extend(partial.blocks);
+            analysis.caf_queried += partial.caf_queried;
+            analysis.non_caf_queried += partial.non_caf_queried;
+            analysis.caf_served += partial.caf_served;
+            analysis.non_caf_served += partial.non_caf_served;
+            analysis.blocks_dropped += partial.blocks_dropped;
+            for (isp, (caf, non_caf)) in partial.queries_per_isp {
+                let slot = analysis.queries_per_isp.entry(isp).or_insert((0, 0));
+                slot.0 += caf;
+                slot.1 += non_caf;
+            }
+        }
+        analysis
+    }
+
+    /// The Q3 pipeline over one state's blocks: query, index, classify.
+    fn run_state(q3: &Q3World, campaign: &Campaign) -> Q3Analysis {
         // Assemble the query task list: every address vs the incumbent;
         // non-CAF addresses additionally vs each footprint competitor.
         let mut tasks: Vec<QueryTask> = Vec::new();
         let mut caf_queried = 0usize;
         let mut non_caf_queried = 0usize;
         let mut queries_per_isp: HashMap<Isp, (usize, usize)> = HashMap::new();
-        for sw in &world.states {
-            for block in &sw.q3.blocks {
-                for a in &block.addresses {
-                    tasks.push(QueryTask {
-                        address: a.address.id,
-                        isp: block.caf_isp,
-                    });
-                    let slot = queries_per_isp.entry(block.caf_isp).or_insert((0, 0));
-                    if a.is_caf {
-                        caf_queried += 1;
-                        slot.0 += 1;
-                    } else {
-                        non_caf_queried += 1;
-                        slot.1 += 1;
-                        for &comp in &block.competitors {
-                            tasks.push(QueryTask {
-                                address: a.address.id,
-                                isp: comp,
-                            });
-                            queries_per_isp.entry(comp).or_insert((0, 0)).1 += 1;
-                        }
+        for block in &q3.blocks {
+            for a in &block.addresses {
+                tasks.push(QueryTask {
+                    address: a.address.id,
+                    isp: block.caf_isp,
+                });
+                let slot = queries_per_isp.entry(block.caf_isp).or_insert((0, 0));
+                if a.is_caf {
+                    caf_queried += 1;
+                    slot.0 += 1;
+                } else {
+                    non_caf_queried += 1;
+                    slot.1 += 1;
+                    for &comp in &block.competitors {
+                        tasks.push(QueryTask {
+                            address: a.address.id,
+                            isp: comp,
+                        });
+                        queries_per_isp.entry(comp).or_insert((0, 0)).1 += 1;
                     }
                 }
             }
         }
 
-        let result = campaign.run(&world.truth, &tasks);
+        let result = campaign.run(&q3.truth, &tasks);
         // The per-(address, ISP) outcome lookup — Q3's analogue of the
         // audit's AuditIndex, binary-searched instead of hashed.
         let outcomes = RecordIndex::build(&result.records);
@@ -164,99 +214,97 @@ impl Q3Analysis {
         let mut blocks_dropped = 0usize;
         let mut caf_served = 0usize;
         let mut non_caf_served = 0usize;
-        for sw in &world.states {
-            for block in &sw.q3.blocks {
-                let mut caf_speeds: Vec<f64> = Vec::new();
-                let mut mono_speeds: Vec<f64> = Vec::new();
-                let mut comp_speeds: Vec<f64> = Vec::new();
-                let mut caf_cv: Vec<f64> = Vec::new();
-                let mut mono_cv: Vec<f64> = Vec::new();
-                let mut comp_cv: Vec<f64> = Vec::new();
-                for a in &block.addresses {
-                    let Some(record) = outcomes.get(&result.records, a.address.id, block.caf_isp)
-                    else {
-                        continue;
-                    };
-                    let served = matches!(record.outcome.is_served(), Some(true));
-                    if !served {
-                        continue;
-                    }
-                    let speed = record.outcome.max_download_mbps();
-                    // Carriage value of the best-tier plan (§4.3 notes the
-                    // carriage-value view "observed similar trends").
-                    let carriage = match &record.outcome {
-                        caf_bqt::QueryOutcome::Serviceable { plans, .. } => {
-                            plans.first().and_then(|p| p.carriage_value())
-                        }
-                        _ => None,
-                    };
-                    if a.is_caf {
-                        caf_served += 1;
-                        if let Some(s) = speed {
-                            caf_speeds.push(s);
-                        }
-                        if let Some(c) = carriage {
-                            caf_cv.push(c);
-                        }
-                    } else {
-                        non_caf_served += 1;
-                        // Mode: competition iff any footprint competitor
-                        // also serves this address.
-                        let competitive = block.competitors.iter().any(|&comp| {
-                            outcomes
-                                .get(&result.records, a.address.id, comp)
-                                .is_some_and(|r| r.outcome.is_served() == Some(true))
-                        });
-                        if let Some(s) = speed {
-                            if competitive {
-                                comp_speeds.push(s);
-                            } else {
-                                mono_speeds.push(s);
-                            }
-                        }
-                        if let Some(c) = carriage {
-                            if competitive {
-                                comp_cv.push(c);
-                            } else {
-                                mono_cv.push(c);
-                            }
-                        }
-                    }
-                }
-
-                // §4.3 filtering: need served CAF addresses and at least
-                // one served non-CAF address.
-                if caf_speeds.is_empty() || (mono_speeds.is_empty() && comp_speeds.is_empty()) {
-                    blocks_dropped += 1;
+        for block in &q3.blocks {
+            let mut caf_speeds: Vec<f64> = Vec::new();
+            let mut mono_speeds: Vec<f64> = Vec::new();
+            let mut comp_speeds: Vec<f64> = Vec::new();
+            let mut caf_cv: Vec<f64> = Vec::new();
+            let mut mono_cv: Vec<f64> = Vec::new();
+            let mut comp_cv: Vec<f64> = Vec::new();
+            for a in &block.addresses {
+                let Some(record) = outcomes.get(&result.records, a.address.id, block.caf_isp)
+                else {
+                    continue;
+                };
+                let served = matches!(record.outcome.is_served(), Some(true));
+                if !served {
                     continue;
                 }
-                let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-                let block_type = match (!mono_speeds.is_empty(), !comp_speeds.is_empty()) {
-                    (true, false) => BlockType::A,
-                    (false, true) => BlockType::B,
-                    (true, true) => BlockType::C,
-                    (false, false) => unreachable!("filtered above"),
-                };
-                let avg_opt = |xs: &[f64]| {
-                    if xs.is_empty() {
-                        None
-                    } else {
-                        Some(xs.iter().sum::<f64>() / xs.len() as f64)
+                let speed = record.outcome.max_download_mbps();
+                // Carriage value of the best-tier plan (§4.3 notes the
+                // carriage-value view "observed similar trends").
+                let carriage = match &record.outcome {
+                    caf_bqt::QueryOutcome::Serviceable { plans, .. } => {
+                        plans.first().and_then(|p| p.carriage_value())
                     }
+                    _ => None,
                 };
-                blocks.push(BlockComparison {
-                    block: block.id,
-                    state: block.state,
-                    caf_isp: block.caf_isp,
-                    block_type,
-                    caf_speed: avg(&caf_speeds),
-                    monopoly_speed: avg_opt(&mono_speeds),
-                    competition_speed: avg_opt(&comp_speeds),
-                    caf_carriage: avg_opt(&caf_cv),
-                    monopoly_carriage: avg_opt(&mono_cv),
-                    competition_carriage: avg_opt(&comp_cv),
-                });
+                if a.is_caf {
+                    caf_served += 1;
+                    if let Some(s) = speed {
+                        caf_speeds.push(s);
+                    }
+                    if let Some(c) = carriage {
+                        caf_cv.push(c);
+                    }
+                } else {
+                    non_caf_served += 1;
+                    // Mode: competition iff any footprint competitor
+                    // also serves this address.
+                    let competitive = block.competitors.iter().any(|&comp| {
+                        outcomes
+                            .get(&result.records, a.address.id, comp)
+                            .is_some_and(|r| r.outcome.is_served() == Some(true))
+                    });
+                    if let Some(s) = speed {
+                        if competitive {
+                            comp_speeds.push(s);
+                        } else {
+                            mono_speeds.push(s);
+                        }
+                    }
+                    if let Some(c) = carriage {
+                        if competitive {
+                            comp_cv.push(c);
+                        } else {
+                            mono_cv.push(c);
+                        }
+                    }
+                }
             }
+
+            // §4.3 filtering: need served CAF addresses and at least
+            // one served non-CAF address.
+            if caf_speeds.is_empty() || (mono_speeds.is_empty() && comp_speeds.is_empty()) {
+                blocks_dropped += 1;
+                continue;
+            }
+            let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+            let block_type = match (!mono_speeds.is_empty(), !comp_speeds.is_empty()) {
+                (true, false) => BlockType::A,
+                (false, true) => BlockType::B,
+                (true, true) => BlockType::C,
+                (false, false) => unreachable!("filtered above"),
+            };
+            let avg_opt = |xs: &[f64]| {
+                if xs.is_empty() {
+                    None
+                } else {
+                    Some(xs.iter().sum::<f64>() / xs.len() as f64)
+                }
+            };
+            blocks.push(BlockComparison {
+                block: block.id,
+                state: block.state,
+                caf_isp: block.caf_isp,
+                block_type,
+                caf_speed: avg(&caf_speeds),
+                monopoly_speed: avg_opt(&mono_speeds),
+                competition_speed: avg_opt(&comp_speeds),
+                caf_carriage: avg_opt(&caf_cv),
+                monopoly_carriage: avg_opt(&mono_cv),
+                competition_carriage: avg_opt(&comp_cv),
+            });
         }
 
         Q3Analysis {
@@ -547,16 +595,7 @@ mod tests {
         assert!(caf >= fcc && fcc >= bead, "caf {caf} fcc {fcc} bead {bead}");
         // A zero floor is attained by every surviving block.
         assert_eq!(q3.tier_attainment(0.0), Some(1.0));
-        let empty = Q3Analysis {
-            blocks: Vec::new(),
-            caf_queried: 0,
-            non_caf_queried: 0,
-            caf_served: 0,
-            non_caf_served: 0,
-            blocks_dropped: 0,
-            queries_per_isp: HashMap::new(),
-        };
-        assert_eq!(empty.tier_attainment(10.0), None);
+        assert_eq!(Q3Analysis::default().tier_attainment(10.0), None);
     }
 
     #[test]

@@ -1106,17 +1106,19 @@ fn restore_snapshot(
     }
 }
 
-/// Rejects a snapshot whose world is in the retired encoding, before
-/// any of it is restored: its views belong to epochs whose world could
-/// not be rebuilt, so the whole file is worth no more than a cold build.
+/// Rejects a snapshot whose world is in a retired encoding, before any
+/// of it is restored: its views belong to epochs whose world could not
+/// be rebuilt, so the whole file is worth no more than a cold build.
 fn reject_retired_world(parsed: Snapshot<'_>) -> Result<Snapshot<'_>, SnapError> {
-    if parsed.section(SECTION_WORLD_RETIRED).is_some() {
-        return Err(SnapError::Malformed(format!(
-            "world section {SECTION_WORLD_RETIRED:#x} stores every Q1 truth entry; \
-             this build reads {SECTION_WORLD:#x}"
-        )));
+    match SECTION_WORLD_RETIRED
+        .into_iter()
+        .find(|&tag| parsed.section(tag).is_some())
+    {
+        Some(tag) => Err(SnapError::Malformed(format!(
+            "world section {tag:#x} is a retired encoding; this build reads {SECTION_WORLD:#x}"
+        ))),
+        None => Ok(parsed),
     }
-    Ok(parsed)
 }
 
 /// Decodes the `WORLD` (+ optional `LOG`) sections into a [`Live`]
@@ -1840,12 +1842,27 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A snapshot whose world is in the retired encoding (every Q1 truth
-    /// entry stored, section `0x10`) is rejected whole: no views, no
-    /// world, a cold build that serves the same bytes.
+    /// A snapshot whose world is in the retired encoding that stored
+    /// every Q1 truth entry (section `0x10`) is rejected whole: no views,
+    /// no world, a cold build that serves the same bytes.
     #[test]
     fn retired_world_section_starts_cold() {
-        let dir = snap_temp_dir("retired");
+        starts_cold_with_world_section(SECTION_WORLD_RETIRED[0], "retired");
+    }
+
+    /// The same for the encoding that stored every Q3 block and its
+    /// truth (section `0x12`).
+    #[test]
+    fn q3_world_section_starts_cold() {
+        assert_eq!(SECTION_WORLD_RETIRED[1], 0x12);
+        starts_cold_with_world_section(SECTION_WORLD_RETIRED[1], "retired-q3");
+    }
+
+    /// Writes a snapshot at epoch 1, moves its world under `retired_tag`
+    /// and checks that the next boot rejects the file and serves the
+    /// same bytes from a cold build.
+    fn starts_cold_with_world_section(retired_tag: u32, name: &str) {
+        let dir = snap_temp_dir(name);
         let config = AppConfig {
             default_scale: 2000,
             engine: EngineConfig::serial(),
@@ -1870,7 +1887,7 @@ mod tests {
         let mut retagged = SnapshotBuilder::new(seed, 2000, 1);
         for (tag, payload) in parsed.sections() {
             let tag = if tag == SECTION_WORLD {
-                SECTION_WORLD_RETIRED
+                retired_tag
             } else {
                 tag
             };

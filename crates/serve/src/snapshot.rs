@@ -3,9 +3,11 @@
 //! A snapshot is a `caf-snap` container holding everything the server
 //! needs to answer its default scenario without rebuilding the world:
 //!
-//! * [`SECTION_WORLD`] — the full [`World`](caf_core::World) (geography,
-//!   USAC records, stored Q3 truth, challenge state, epoch; Q1 truth is
-//!   re-derived on decode).
+//! * [`SECTION_WORLD`] — the [`World`](caf_core::World): geography,
+//!   USAC records, challenge state and epoch. Nothing derivable is
+//!   stored: Q1 truth is re-derived on decode, and each state's Q3
+//!   blocks and their truth, a function of the seed, the scale and the
+//!   state, are built on first read.
 //! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
 //!   server can keep serving per-epoch delta prefixes.
 //! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
@@ -28,10 +30,11 @@ use std::path::{Path, PathBuf};
 use caf_snap::peek_header;
 
 /// Section tag for the serialized [`World`](caf_core::World).
-pub const SECTION_WORLD: u32 = 0x12;
-/// Section tag of the world encoding that stored every Q1 truth entry.
-/// A snapshot carrying it is rejected whole, so the server builds cold.
-pub const SECTION_WORLD_RETIRED: u32 = 0x10;
+pub const SECTION_WORLD: u32 = 0x13;
+/// Section tags of retired world encodings: `0x10` stored every Q1
+/// truth entry, `0x12` every Q3 block and its truth. A snapshot
+/// carrying one is rejected whole, so the server builds cold.
+pub const SECTION_WORLD_RETIRED: [u32; 2] = [0x10, 0x12];
 /// Section tag for the accepted challenge-delta log.
 pub const SECTION_LOG: u32 = 0x11;
 /// Section tag for the warm scenario-cache entries (rendered bodies).

@@ -190,7 +190,8 @@ fn small_world() -> World {
     world
 }
 
-/// Every truth lookup a campaign over `world` could make.
+/// Every truth lookup a campaign over `world` could make: each USAC
+/// record in the world's table, each Q3 address in its state's.
 fn lookup_all(world: &World) -> usize {
     let mut answered = 0;
     for sw in &world.states {
@@ -200,17 +201,13 @@ fn lookup_all(world: &World) -> usize {
         for block in &sw.q3.blocks {
             for a in &block.addresses {
                 for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                    answered += usize::from(world.truth.get(a.address.id, isp).is_some());
+                    answered += usize::from(sw.q3.truth.get(a.address.id, isp).is_some());
                 }
             }
         }
     }
     answered
 }
-
-/// The smallest encoding of a stored truth entry: address id, ISP, an
-/// unserved truth's flags and empty plan list.
-const MIN_TRUTH_ENTRY_BYTES: usize = 8 + 1 + 1 + 8 + 3;
 
 #[test]
 fn world_decode_gives_a_typed_error_or_a_valid_world() {
@@ -219,8 +216,9 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
     w.put(&world);
     let section = w.into_bytes();
     let records: usize = world.states.iter().map(|sw| sw.usac.records.len()).sum();
-    assert!(records > 0 && world.truth.stored_count() > 0);
-    assert_eq!(lookup_all(&world), world.truth.len());
+    let q3_entries: usize = world.states.iter().map(|sw| sw.q3.truth.len()).sum();
+    assert!(records > 0 && q3_entries > 0);
+    assert_eq!(lookup_all(&world), world.truth.len() + q3_entries);
     let decoded: World = Reader::new(&section).get().unwrap();
     assert!(decoded == world);
     let outcomes = std::sync::Mutex::new([0usize; 2]);
@@ -244,10 +242,11 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
         let Ok(world) = decoded else {
             return;
         };
-        // A valid world: its stored entries fit in the bytes that held
-        // them, every record and Q3 address answers without panic, and
-        // every indexed cell holds only its own key's records.
-        assert!(world.truth.stored_count() * MIN_TRUTH_ENTRY_BYTES <= section.len());
+        // A valid world: it stores no truth (Q1 truth is drawn from
+        // re-derived cells, Q3 truth is rebuilt on first read), every
+        // record and Q3 address answers without panic, and every
+        // indexed cell holds only its own key's records.
+        assert_eq!(world.truth.stored_count(), 0);
         for sw in &world.states {
             for r in &sw.usac.records {
                 assert!(
@@ -276,13 +275,17 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
 }
 
 #[test]
-fn forged_truth_count_is_rejected_before_allocating() {
+fn forged_state_count_is_rejected_before_allocating() {
     let world = small_world();
-    for count in [u64::MAX, 1 << 40, world.truth.stored_count() as u64 + 1] {
+    let mut w = Writer::new();
+    w.put(&world);
+    // The encoding after the config (seed, scale) and the state count.
+    let states = w.into_bytes().split_off(8 + 4 + 8);
+    for count in [u64::MAX, 1 << 40, states.len() as u64 + 1] {
         let mut w = Writer::new();
         w.put(&world.config);
-        w.put_seq(&world.states);
         w.put_u64(count);
+        w.put_raw(&states);
         let bytes = w.into_bytes();
         let result = Reader::new(&bytes).get::<World>();
         assert!(

@@ -31,6 +31,7 @@ pub mod dist;
 
 pub mod geography;
 pub mod isp;
+pub mod on_demand;
 pub mod params;
 pub mod q3;
 pub mod snap;
@@ -46,6 +47,7 @@ pub use challenge::{ChallengeDelta, ChallengeError, ChallengeSet, Correction, De
 pub use isp::Isp;
 pub use params::{CalibrationParams, SynthConfig};
 pub use plans::{BroadbandPlan, PlanCatalog};
+pub use q3::{LazyQ3, Q3World};
 pub use truth::{AddressTruth, TruthTable};
 pub use usac::{CafRecord, LazyUsac, UsacDataset};
 pub use world::{StateWorld, World};

@@ -18,6 +18,7 @@
 
 use crate::dist;
 use crate::isp::Isp;
+use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::plans::PlanCatalog;
 use crate::rng::{mix2, scoped_rng, StdRng};
@@ -101,6 +102,45 @@ pub struct Q3World {
     pub state: UsState,
     /// All generated blocks.
     pub blocks: Vec<Q3Block>,
+    /// The truth for every (address, ISP) pair a campaign over the
+    /// blocks may query: each address under the block's CAF ISP, and
+    /// each non-CAF address under the block's competitors.
+    /// **For `caf-bqt` only** — analysis code must not read it.
+    pub truth: TruthTable,
+}
+
+/// A state's [`Q3World`], built the first time it is read: the blocks
+/// and their truth are a pure function of the seed, the scale and the
+/// state, so a pass that reads no block — every Q1/Q2 analysis — builds
+/// none.
+pub type LazyQ3 = OnDemand<Q3Recipe>;
+
+/// The recipe of a state's [`LazyQ3`]. The build opens the
+/// `world.<ABBREV>` span and counts into `caf.synth.q3.states_built` /
+/// `caf.synth.q3.blocks_built`.
+#[derive(Debug, Clone, Copy)]
+pub struct Q3Recipe {
+    config: SynthConfig,
+    state: UsState,
+}
+
+impl Q3Recipe {
+    /// The Q3 world of `state` under `config`.
+    pub(crate) fn new(config: SynthConfig, state: UsState) -> Q3Recipe {
+        Q3Recipe { config, state }
+    }
+}
+
+impl Recipe for Q3Recipe {
+    type Output = Q3World;
+
+    fn build(&self) -> Q3World {
+        let _span = caf_obs::span_with(|| format!("world.{}", self.state.abbrev()));
+        let world = Q3World::build(&self.config, self.state);
+        caf_obs::count("caf.synth.q3.states_built", 1);
+        caf_obs::count("caf.synth.q3.blocks_built", world.blocks.len() as u64);
+        world
+    }
 }
 
 /// The precomputed parameters of one Q3 block: everything
@@ -131,14 +171,21 @@ impl Q3BlockSpec {
 }
 
 impl Q3World {
-    /// Builds the Q3 world for `state`, inserting truth entries for every
-    /// (address, ISP) pair a campaign may query into `truth`.
+    /// Builds the Q3 world for `state`: its blocks and their truth, in a
+    /// table sized up front to one entry per address (the competitor
+    /// entries of competitive blocks are the overflow).
     ///
     /// Returns an empty world for states outside the seven-state Q3 scope.
-    pub fn build(config: &SynthConfig, state: UsState, truth: &mut TruthTable) -> Q3World {
+    pub fn build(config: &SynthConfig, state: UsState) -> Q3World {
         let specs = Q3World::block_specs(config, state);
-        let blocks = Q3World::build_specs(config, state, &specs, truth);
-        Q3World { state, blocks }
+        let addresses: u64 = specs.iter().map(Q3BlockSpec::addresses).sum();
+        let mut truth = TruthTable::with_capacity(addresses as usize);
+        let blocks = Q3World::build_specs(config, state, &specs, &mut truth);
+        Q3World {
+            state,
+            blocks,
+            truth,
+        }
     }
 
     /// Enumerates the per-block specs for `state` (empty outside the
@@ -546,22 +593,20 @@ mod tests {
         SynthConfig { seed: 9, scale: 40 }
     }
 
-    fn world(state: UsState) -> (Q3World, TruthTable) {
-        let mut truth = TruthTable::new();
-        let w = Q3World::build(&cfg(), state, &mut truth);
-        (w, truth)
+    fn world(state: UsState) -> Q3World {
+        Q3World::build(&cfg(), state)
     }
 
     #[test]
     fn non_q3_states_are_empty() {
-        let (w, truth) = world(UsState::Vermont);
+        let w = world(UsState::Vermont);
         assert!(w.blocks.is_empty());
-        assert!(truth.is_empty());
+        assert!(w.truth.is_empty());
     }
 
     #[test]
     fn address_budgets_scale_with_table_4() {
-        let (w, _) = world(UsState::Ohio);
+        let w = world(UsState::Ohio);
         let (caf, non_caf) = w.address_totals();
         // Ohio Table 4 CAF total: 13 852 + 36 710 + 18 356 = 68 918;
         // at scale 40 ≈ 1 723 (within block-splitting slack).
@@ -575,11 +620,11 @@ mod tests {
 
     #[test]
     fn every_address_has_caf_isp_truth() {
-        let (w, truth) = world(UsState::Georgia);
+        let w = world(UsState::Georgia);
         for block in &w.blocks {
             for a in &block.addresses {
                 assert!(
-                    truth.get(a.address.id, block.caf_isp).is_some(),
+                    w.truth.get(a.address.id, block.caf_isp).is_some(),
                     "missing truth for {} vs {}",
                     a.address.id,
                     block.caf_isp
@@ -591,7 +636,7 @@ mod tests {
 
     #[test]
     fn competitors_only_in_competitive_blocks() {
-        let (w, truth) = world(UsState::California);
+        let w = world(UsState::California);
         for block in &w.blocks {
             match block.latent_type {
                 LatentBlockType::TypeB | LatentBlockType::TypeC => {
@@ -602,7 +647,7 @@ mod tests {
             // Competitor truth exists only where a footprint exists.
             for a in block.non_caf_addresses() {
                 for comp in [Isp::Xfinity, Isp::Spectrum] {
-                    if truth.get(a.address.id, comp).is_some() {
+                    if w.truth.get(a.address.id, comp).is_some() {
                         assert!(block.competitors.contains(&comp));
                     }
                 }
@@ -612,7 +657,7 @@ mod tests {
 
     #[test]
     fn type_b_blocks_have_no_monopoly_mode() {
-        let (w, truth) = world(UsState::Ohio);
+        let w = world(UsState::Ohio);
         for block in w
             .blocks
             .iter()
@@ -620,9 +665,9 @@ mod tests {
         {
             let comp = block.competitors[0];
             for a in block.non_caf_addresses() {
-                let caf_truth = truth.get(a.address.id, block.caf_isp).unwrap();
+                let caf_truth = w.truth.get(a.address.id, block.caf_isp).unwrap();
                 if caf_truth.served {
-                    let comp_truth = truth.get(a.address.id, comp).unwrap();
+                    let comp_truth = w.truth.get(a.address.id, comp).unwrap();
                     assert!(
                         comp_truth.served,
                         "Type B non-CAF address must be competitively served"
@@ -636,7 +681,7 @@ mod tests {
     fn block_type_mix_is_dominated_by_type_a() {
         let mut counts = std::collections::HashMap::new();
         for state in UsState::q3_states() {
-            let (w, _) = world(state);
+            let w = world(state);
             for b in &w.blocks {
                 *counts.entry(b.latent_type).or_insert(0usize) += 1;
             }
@@ -651,7 +696,7 @@ mod tests {
     #[test]
     fn geoid_space_disjoint_from_q1() {
         // Q3 blocks live in counties ≥ 800; Q1 geography uses 1..=64.
-        let (w, _) = world(UsState::Utah);
+        let w = world(UsState::Utah);
         for b in &w.blocks {
             assert!(b.id.block_group().county().county_code() >= 800);
         }
@@ -659,8 +704,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let (w1, _) = world(UsState::Illinois);
-        let (w2, _) = world(UsState::Illinois);
+        let w1 = world(UsState::Illinois);
+        let w2 = world(UsState::Illinois);
         assert_eq!(w1.blocks.len(), w2.blocks.len());
         for (a, b) in w1.blocks.iter().zip(&w2.blocks) {
             assert_eq!(a.id, b.id);
@@ -673,7 +718,7 @@ mod tests {
     fn spec_slice_builds_concatenate_to_the_full_build() {
         let config = cfg();
         let state = UsState::Illinois;
-        let (full, full_truth) = world(state);
+        let full = world(state);
         let specs = Q3World::block_specs(&config, state);
         assert_eq!(specs.len(), full.blocks.len());
 
@@ -689,7 +734,7 @@ mod tests {
                 format!("{:?}", full.blocks),
                 "{splits}-way spec build must match the full build"
             );
-            assert_eq!(truth.len(), full_truth.len());
+            assert!(truth == full.truth, "{splits}-way truth must match");
         }
     }
 }

@@ -4,15 +4,17 @@
 //!
 //! Three invariants matter here:
 //!
-//! * **Canonical encodings.** Hash-ordered collections (the stored
-//!   truth entries) are sorted before encoding, so snapshotting the same
-//!   world twice produces byte-identical files — which is what lets the
-//!   disk tier and CI compare snapshots by content hash.
+//! * **Canonical encodings.** Every encoded collection is in a fixed
+//!   order, so snapshotting the same world twice produces
+//!   byte-identical files — which is what lets the disk tier and CI
+//!   compare snapshots by content hash.
 //! * **Nothing derivable is stored.** Q1 truth is drawn on demand from
 //!   per-CBG cells, and the cells are a function of the geography, the
-//!   USAC records and the effective corrections. The encoding carries
-//!   only the stored (Q3) truth entries; decoding re-derives the cells
-//!   through the same function generation uses.
+//!   USAC records and the effective corrections; decoding re-derives
+//!   them through the same function generation uses. A state's Q3
+//!   blocks and their truth are a function of the seed, the scale and
+//!   the state, which no challenge touches: a decoded world builds them
+//!   on first read, as a generated one does.
 //! * **Validated decoding.** Enum discriminants and cross-field
 //!   invariants are checked on the way in; a corrupt payload that
 //!   survives the container checksums still cannot materialize an
@@ -22,8 +24,8 @@ use crate::challenge::{CellCorrections, ChallengeSet, Correction};
 use crate::geography::{BlockInfo, CbgInfo, StateGeography};
 use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
-use crate::q3::{LatentBlockType, Q3Address, Q3Block, Q3World};
-use crate::truth::{self, AddressTruth, Q1Cell, TruthTable};
+use crate::q3::{LazyQ3, Q3Recipe};
+use crate::truth::{self, Q1Cell, TruthTable};
 use crate::usac::{CafRecord, LazyUsac, Technology, UsacDataset};
 use crate::world::{StateWorld, World};
 use crate::Isp;
@@ -99,26 +101,6 @@ impl Snap for Technology {
     }
 }
 
-impl Snap for LatentBlockType {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            LatentBlockType::TypeA => 0,
-            LatentBlockType::TypeB => 1,
-            LatentBlockType::TypeC => 2,
-            LatentBlockType::NoServedNonCaf => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => LatentBlockType::TypeA,
-            1 => LatentBlockType::TypeB,
-            2 => LatentBlockType::TypeC,
-            3 => LatentBlockType::NoServedNonCaf,
-            other => return Err(bad_tag("latent block type", other)),
-        })
-    }
-}
-
 impl Snap for SynthConfig {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.seed);
@@ -190,58 +172,6 @@ impl Snap for UsacDataset {
             ))
         })
     }
-}
-
-impl Snap for AddressTruth {
-    fn encode(&self, w: &mut Writer) {
-        w.put_bool(self.served);
-        w.put_seq(&self.plans);
-        w.put_bool(self.existing_subscriber);
-        w.put_bool(self.hard_failure);
-        w.put_bool(self.ambiguous);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(AddressTruth {
-            served: r.bool()?,
-            plans: r.get_seq()?,
-            existing_subscriber: r.bool()?,
-            hard_failure: r.bool()?,
-            ambiguous: r.bool()?,
-        })
-    }
-}
-
-/// The smallest encoding of one truth entry: address id (8) + ISP (1)
-/// + `served` (1) + empty plan list (8-byte length) + three flags (3).
-const MIN_TRUTH_ENTRY_BYTES: usize = 8 + 1 + 1 + 8 + 3;
-
-/// Writes a table's stored entries in key order (the table is
-/// hash-ordered in memory; sorting gives a canonical byte stream). Its
-/// Q1 cells are not written: [`World`]'s decoder re-derives them.
-fn put_stored_truth(w: &mut Writer, table: &TruthTable) {
-    let entries = table.sorted_entries();
-    w.put_u64(entries.len() as u64);
-    for (address, isp, truth) in entries {
-        w.put(&address);
-        w.put(&isp);
-        w.put(truth);
-    }
-}
-
-/// Reads what [`put_stored_truth`] wrote into a table without cells.
-fn get_stored_truth(r: &mut Reader<'_>) -> Result<TruthTable, SnapError> {
-    let len = r.len_prefix()?;
-    // Pre-size to the declared length, but never beyond what the
-    // remaining bytes could possibly encode: a hostile prefix cannot buy
-    // a larger allocation than the payload itself justifies.
-    let mut table = TruthTable::with_capacity(len.min(r.remaining() / MIN_TRUTH_ENTRY_BYTES));
-    for _ in 0..len {
-        let address = r.get()?;
-        let isp = r.get()?;
-        let truth = r.get()?;
-        table.insert(address, isp, truth);
-    }
-    Ok(table)
 }
 
 /// Re-derives a decoded world's Q1 truth cells from its geography, USAC
@@ -362,53 +292,6 @@ impl Snap for StateGeography {
     }
 }
 
-impl Snap for Q3Address {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.address);
-        w.put_bool(self.is_caf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Q3Address {
-            address: r.get()?,
-            is_caf: r.bool()?,
-        })
-    }
-}
-
-impl Snap for Q3Block {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.id);
-        w.put(&self.state);
-        w.put(&self.caf_isp);
-        w.put_seq(&self.competitors);
-        w.put(&self.latent_type);
-        w.put_seq(&self.addresses);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Q3Block {
-            id: r.get()?,
-            state: r.get()?,
-            caf_isp: r.get()?,
-            competitors: r.get_seq()?,
-            latent_type: r.get()?,
-            addresses: r.get_seq()?,
-        })
-    }
-}
-
-impl Snap for Q3World {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.state);
-        w.put_seq(&self.blocks);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Q3World {
-            state: r.get()?,
-            blocks: r.get_seq()?,
-        })
-    }
-}
-
 impl Snap for Correction {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -490,35 +373,38 @@ impl Snap for ChallengeSet {
     }
 }
 
-impl Snap for StateWorld {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.state);
-        w.put(&self.geography);
-        w.put(&*self.usac);
-        w.put(&self.q3);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(StateWorld {
-            state: r.get()?,
-            geography: r.get()?,
-            usac: LazyUsac::from(r.get::<UsacDataset>()?),
-            q3: r.get()?,
-        })
-    }
-}
-
 impl Snap for World {
+    /// Writes the configuration, each state's geography and USAC records,
+    /// the epoch and the corrections. The Q1 truth cells and the Q3
+    /// worlds are a function of these, so they are not written: a
+    /// generated world's truth table holds nothing else.
     fn encode(&self, w: &mut Writer) {
+        assert_eq!(self.truth.stored_count(), 0, "stored truth is not encoded");
         w.put(&self.config);
-        w.put_seq(&self.states);
-        put_stored_truth(w, &self.truth);
+        w.put_u64(self.states.len() as u64);
+        for sw in &self.states {
+            w.put(&sw.state);
+            w.put(&sw.geography);
+            w.put(&*sw.usac);
+        }
         w.put_u64(self.epoch);
         w.put(&self.challenges);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let config: SynthConfig = r.get()?;
-        let states: Vec<StateWorld> = r.get_seq()?;
-        let mut truth = get_stored_truth(r)?;
+        // Each state costs at least one byte; reserve no more states
+        // than the remaining input could hold.
+        let count = r.len_prefix()?;
+        let mut states = Vec::with_capacity(count.min(r.remaining() / size_of::<StateWorld>()));
+        for _ in 0..count {
+            let state = r.get()?;
+            states.push(StateWorld {
+                state,
+                geography: r.get()?,
+                usac: LazyUsac::built(r.get()?),
+                q3: LazyQ3::new(Q3Recipe::new(config, state)),
+            });
+        }
         let epoch = r.u64()?;
         let challenges: ChallengeSet = r.get()?;
         // An epoch-0 world must carry no corrections (and vice versa a
@@ -529,16 +415,8 @@ impl Snap for World {
                 "epoch-0 world carries challenge corrections".to_string(),
             ));
         }
+        let mut truth = TruthTable::new();
         truth.install_q1(config.seed, q1_truth_cells(&config, &states, &challenges)?);
-        // A stored entry a cell shadows could never be read. The encoding
-        // that stored every Q1 entry is the one way to produce them.
-        if truth.shadows_an_entry() {
-            return Err(SnapError::Malformed(
-                "a Q1 cell shadows stored truth (a world encoded before Q1 truth \
-                 was drawn on demand)"
-                    .to_string(),
-            ));
-        }
         Ok(World {
             config,
             states,
@@ -567,20 +445,22 @@ mod tests {
 
     /// Asserts that two worlds answer every truth lookup alike: each
     /// USAC record under its ISP, and each Q3 address under its block's
-    /// CAF ISP and competitors.
+    /// CAF ISP and competitors (in the state's own Q3 table).
     fn assert_same_lookups(a: &World, b: &World) {
         let mut lookups = 0;
-        for sw in &a.states {
-            for r in &sw.usac.records {
+        assert_eq!(a.states.len(), b.states.len());
+        for (sa, sb) in a.states.iter().zip(&b.states) {
+            for r in &sa.usac.records {
                 let id = r.address.id;
                 assert_eq!(a.truth.get(id, r.isp), b.truth.get(id, r.isp), "{id}");
                 lookups += 1;
             }
-            for block in &sw.q3.blocks {
+            for block in &sa.q3.blocks {
                 for addr in &block.addresses {
                     let id = addr.address.id;
                     for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                        assert_eq!(a.truth.get(id, isp), b.truth.get(id, isp), "{id} {isp}");
+                        let (ta, tb) = (sa.q3.truth.get(id, isp), sb.q3.truth.get(id, isp));
+                        assert_eq!(ta, tb, "{id} {isp}");
                         lookups += 1;
                     }
                 }
@@ -629,36 +509,15 @@ mod tests {
             Cow::Borrowed(_)
         ));
         // ...which neither equality, lookups, Debug nor the encoding can
-        // see.
+        // see. The Q3 worlds are not in the encoding: the decoded ones
+        // are built on first read, and equal the generated ones.
+        assert!(decoded.states.iter().all(|sw| !sw.q3.is_built()));
         assert!(decoded == world);
         assert_same_lookups(&world, &decoded);
         assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
         let mut w = Writer::new();
         w.put(&decoded);
         assert_eq!(w.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn truth_table_decode_reserves_within_the_payload() {
-        // The reservation cap divides by the smallest entry encoding,
-        // an unserved entry's.
-        let mut table = TruthTable::new();
-        table.insert(caf_geo::AddressId(1), Isp::Att, AddressTruth::unserved());
-        let mut w = Writer::new();
-        put_stored_truth(&mut w, &table);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 8 + MIN_TRUTH_ENTRY_BYTES);
-        let mut r = Reader::new(&bytes);
-        assert!(get_stored_truth(&mut r).unwrap() == table);
-        r.finish().unwrap();
-        // A prefix as long as the whole payload passes the length check
-        // (and reserves only the three entries 64 bytes could hold), but
-        // the payload cannot satisfy it: a clean error.
-        let mut w = Writer::new();
-        w.put_u64(64);
-        w.put_raw(&[0; 64]);
-        let bytes = w.into_bytes();
-        assert!(get_stored_truth(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -750,37 +609,6 @@ mod tests {
                 restored.truth.get(r.address.id, r.isp) != pristine.truth.get(r.address.id, r.isp)
             });
         assert!(moved, "no availability correction changed a lookup");
-    }
-
-    /// The encoding from before Q1 truth was drawn on demand stored every
-    /// Q1 entry. Decoding it is a typed error, never a world whose stored
-    /// entries silently disagree with its cells.
-    #[test]
-    fn world_with_stored_q1_entries_is_rejected() {
-        let config = SynthConfig {
-            seed: 0xCAF_2024,
-            scale: 400,
-        };
-        let world = World::generate_states(config, &[UsState::Vermont, UsState::Ohio]);
-        let mut materialised = TruthTable::new();
-        for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
-            let truth = world.truth.get(r.address.id, r.isp).unwrap().into_owned();
-            materialised.insert(r.address.id, r.isp, truth);
-        }
-        for (address, isp, truth) in world.truth.entries() {
-            materialised.insert(address, isp, truth.clone());
-        }
-        let mut w = Writer::new();
-        w.put(&world.config);
-        w.put_seq(&world.states);
-        put_stored_truth(&mut w, &materialised);
-        w.put_u64(world.epoch);
-        w.put(&world.challenges);
-        let bytes = w.into_bytes();
-        match Reader::new(&bytes).get::<World>() {
-            Err(SnapError::Malformed(message)) => assert!(message.contains("shadows"), "{message}"),
-            other => panic!("expected a typed error, got {:?}", other.map(|_| ())),
-        }
     }
 
     /// Every input the cell derivation consumes is checked: records that
@@ -887,8 +715,7 @@ mod tests {
     fn epoch_challenge_consistency_is_enforced() {
         let mut w = Writer::new();
         w.put(&SynthConfig { seed: 1, scale: 10 });
-        w.put_seq::<StateWorld>(&[]);
-        put_stored_truth(&mut w, &TruthTable::new());
+        w.put_u64(0); // no states
         w.put_u64(0); // epoch 0…
         let mut set = ChallengeSet::new();
         set.merge_delta(&ChallengeDelta {
@@ -907,13 +734,12 @@ mod tests {
 
     #[test]
     fn enum_discriminants_reject_unknown_tags() {
-        for bytes in [[7u8], [5u8], [9u8], [4u8]] {
+        for bytes in [[7u8], [5u8], [9u8]] {
             let mut r = Reader::new(&bytes);
             let failed = match bytes[0] {
                 7 => r.get::<Isp>().is_err(),
                 5 => r.get::<ErrorCategory>().is_err(),
                 9 => r.get::<Technology>().is_err(),
-                4 => r.get::<LatentBlockType>().is_err(),
                 _ => unreachable!(),
             };
             assert!(failed);

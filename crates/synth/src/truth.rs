@@ -15,7 +15,8 @@
 //! The audit queries a sample of the certified addresses, so Q1 truth
 //! is drawn when BQT asks for it, from the address's own keyed stream
 //! and its CBG's rate: bit for bit the entry a full build would store.
-//! Q3 truth, drawn block by block from one stream, stays stored.
+//! Q3 truth, drawn block by block from one stream, stays stored, in
+//! each state's Q3 world, which is itself built when first read.
 //!
 //! ## Calibration
 //!
@@ -244,14 +245,6 @@ impl TruthTable {
         self.cells[i] = cell;
     }
 
-    /// Whether a Q1 cell shadows a stored entry, which could then never
-    /// be read.
-    pub(crate) fn shadows_an_entry(&self) -> bool {
-        self.entries
-            .keys()
-            .any(|&(address, isp)| self.cell_of(address).is_some_and(|cell| cell.isp == isp))
-    }
-
     /// Iterates every stored entry in arbitrary (hash-map) order.
     /// Consumers that need determinism use
     /// [`TruthTable::sorted_entries`].
@@ -262,7 +255,7 @@ impl TruthTable {
     }
 
     /// Every stored entry in `(address, ISP)` order — the canonical order
-    /// of the snapshot encoding and of `Debug`.
+    /// of `Debug`.
     pub fn sorted_entries(&self) -> Vec<(AddressId, Isp, &AddressTruth)> {
         let mut entries: Vec<_> = self.entries().collect();
         // Keys are unique, so the unstable sort is still deterministic.

@@ -10,14 +10,14 @@
 use crate::dist;
 use crate::geography::{CbgInfo, StateGeography};
 use crate::isp::Isp;
+use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::scoped_rng;
 use caf_dataframe::{Column, DataFrame};
 use caf_geo::{Address, AddressId, BlockGroupId, LatLon, StreetAddress, UsState};
 use std::borrow::Cow;
-use std::fmt;
-use std::ops::{Deref, DerefMut, Range};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Last-mile technology codes used in the CAF Map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -299,83 +299,41 @@ impl UsacDataset {
 /// A generated world holds the seed, the state and its geography's CBGs
 /// (shared with the geography, not copied) and runs
 /// [`UsacDataset::build_for_cbgs`] on first access, so a pass that
-/// reads no CAF-Map record — the Q3 analysis — builds none. The build
-/// opens the `world.<ABBREV>` span and counts into
-/// `caf.synth.usac.states_built` / `caf.synth.usac.records_built`.
-/// `Clone`, `PartialEq` and `Debug` act on the built dataset; a decoded
+/// reads no CAF-Map record — the Q3 analysis — builds none. A decoded
 /// world fills the dataset directly.
-pub struct LazyUsac {
-    recipe: Option<(SynthConfig, UsState, Arc<[CbgInfo]>)>,
-    built: OnceLock<UsacDataset>,
+pub type LazyUsac = OnDemand<UsacRecipe>;
+
+/// The recipe of a state's [`LazyUsac`]. The build opens the
+/// `world.<ABBREV>` span and counts into `caf.synth.usac.states_built` /
+/// `caf.synth.usac.records_built`.
+#[derive(Debug, Clone)]
+pub struct UsacRecipe {
+    config: SynthConfig,
+    state: UsState,
+    cbgs: Arc<[CbgInfo]>,
 }
 
-impl LazyUsac {
-    /// The dataset of `state`'s `cbgs` under `config`, not yet built.
-    pub fn new(config: SynthConfig, state: UsState, cbgs: Arc<[CbgInfo]>) -> LazyUsac {
-        LazyUsac {
-            recipe: Some((config, state, cbgs)),
-            built: OnceLock::new(),
+impl UsacRecipe {
+    /// The dataset of `state`'s `cbgs` under `config`.
+    pub(crate) fn new(config: SynthConfig, state: UsState, cbgs: Arc<[CbgInfo]>) -> UsacRecipe {
+        UsacRecipe {
+            config,
+            state,
+            cbgs,
         }
     }
+}
 
-    /// Whether the dataset has been built (or was given built).
-    pub fn is_built(&self) -> bool {
-        self.built.get().is_some()
-    }
+impl Recipe for UsacRecipe {
+    type Output = UsacDataset;
 
     fn build(&self) -> UsacDataset {
-        let (config, state, cbgs) = self
-            .recipe
-            .as_ref()
-            .expect("an unbuilt dataset keeps its recipe");
-        let _span = caf_obs::span_with(|| format!("world.{}", state.abbrev()));
-        let records = UsacDataset::build_for_cbgs(config, *state, cbgs, 0);
+        let _span = caf_obs::span_with(|| format!("world.{}", self.state.abbrev()));
+        let records = UsacDataset::build_for_cbgs(&self.config, self.state, &self.cbgs, 0);
         caf_obs::count("caf.synth.usac.states_built", 1);
         caf_obs::count("caf.synth.usac.records_built", records.len() as u64);
-        UsacDataset::from_records(*state, records)
+        UsacDataset::from_records(self.state, records)
             .expect("a generated CBG's records are contiguous")
-    }
-}
-
-impl From<UsacDataset> for LazyUsac {
-    fn from(dataset: UsacDataset) -> LazyUsac {
-        LazyUsac {
-            recipe: None,
-            built: OnceLock::from(dataset),
-        }
-    }
-}
-
-impl Deref for LazyUsac {
-    type Target = UsacDataset;
-
-    fn deref(&self) -> &UsacDataset {
-        self.built.get_or_init(|| self.build())
-    }
-}
-
-impl DerefMut for LazyUsac {
-    fn deref_mut(&mut self) -> &mut UsacDataset {
-        let _ = self.deref();
-        self.built.get_mut().expect("built above")
-    }
-}
-
-impl Clone for LazyUsac {
-    fn clone(&self) -> LazyUsac {
-        LazyUsac::from(UsacDataset::clone(self))
-    }
-}
-
-impl PartialEq for LazyUsac {
-    fn eq(&self, other: &LazyUsac) -> bool {
-        **self == **other
-    }
-}
-
-impl fmt::Debug for LazyUsac {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
     }
 }
 

@@ -1,24 +1,26 @@
 //! The assembled synthetic world.
 //!
 //! [`World::generate`] is the single entry point the rest of the workspace
-//! uses: it builds, per study state, the census geography, the USAC
-//! CAF-Map slice (on first read), the Q3 block world, and one
-//! [`TruthTable`] answering every (address, ISP) pair a campaign can
-//! query — Q1 pairs drawn on demand from per-CBG cells, Q3 pairs stored.
+//! uses: it builds, per study state, the census geography, and one
+//! [`TruthTable`] of per-CBG cells answering every Q1 (address, ISP)
+//! pair a campaign can query by drawing it on demand. The USAC CAF-Map
+//! slice and the Q3 block world (with its own stored truth) are built
+//! per state on first read.
 
 use crate::challenge::{self, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome};
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
-use crate::q3::{Q3Block, Q3World};
+use crate::q3::{LazyQ3, Q3Recipe};
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{LazyUsac, UsacDataset};
+use crate::usac::{LazyUsac, UsacDataset, UsacRecipe};
 use caf_exec::{CostHint, EngineConfig};
 use caf_geo::UsState;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything generated for one state. The USAC slice is built when
-/// first read; `Clone`, `PartialEq` and `Debug` see the built slice.
+/// Everything generated for one state. The USAC slice and the Q3 world
+/// are built when first read; cloning leaves an unbuilt part unbuilt,
+/// and `PartialEq` and `Debug` see the built parts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateWorld {
     /// The state.
@@ -28,8 +30,9 @@ pub struct StateWorld {
     /// The USAC CAF-Map slice (certified addresses), built the first
     /// time it is read.
     pub usac: LazyUsac,
-    /// The Q3 block world (empty outside the seven Q3 states).
-    pub q3: Q3World,
+    /// The Q3 block world and its truth (empty outside the seven Q3
+    /// states), built the first time it is read.
+    pub q3: LazyQ3,
 }
 
 /// The full synthetic world.
@@ -39,8 +42,10 @@ pub struct World {
     pub config: SynthConfig,
     /// Per-state worlds, in [`UsState::study_states`] order.
     pub states: Vec<StateWorld>,
-    /// The latent truth for every queryable (address, ISP) pair.
-    /// **For `caf-bqt` only** — analysis code must not read it.
+    /// The latent truth for every Q1 (address, ISP) pair: one cell per
+    /// CBG, drawn on demand. Q3 truth lives with each state's
+    /// [`Q3World`](crate::q3::Q3World). **For `caf-bqt` only** —
+    /// analysis code must not read it.
     pub truth: TruthTable,
     /// The world's version: the cumulative number of challenge deltas
     /// applied since generation. Epoch 0 is the pristine seeded world;
@@ -77,30 +82,27 @@ impl World {
     /// (California is ~40 % of the total) no longer caps the speedup at
     /// its own build time.
     ///
-    /// Generation runs as two [`caf_exec::map_units`] passes:
+    /// Generation is one [`caf_exec::map_units`] pass over the
+    /// geography: per-state units hinted by
+    /// [`StateGeography::cbg_count`]; big states split into contiguous
+    /// CBG ranges ([`StateGeography::build_range`]) and reassemble via
+    /// [`StateGeography::assemble`], which finalizes the whole-state
+    /// density percentiles the Q1 truth cells read. The cells (one per
+    /// CBG) are then derived serially, and they are all of
+    /// [`World::truth`].
     ///
-    /// 1. **Geography** — per-state units hinted by
-    ///    [`StateGeography::cbg_count`]; big states split into
-    ///    contiguous CBG ranges ([`StateGeography::build_range`]) and
-    ///    reassemble via [`StateGeography::assemble`], which finalizes
-    ///    the whole-state density percentiles the Q1 truth cells read.
-    ///    The cells (one per CBG) are then derived serially.
-    /// 2. **Q3** — one unit per state hinted by per-block address counts
-    ///    over [`Q3World::block_specs`]; a shard builds its blocks and
-    ///    their stored truth.
-    ///
-    /// USAC records are not built here: each state's [`LazyUsac`] builds
-    /// them from the seed and the geography's CBGs the first time
-    /// something reads them (the audit does, per state, on its own
-    /// pool; the Q3 analysis never does).
+    /// Nothing else is built here. Each state's USAC records
+    /// ([`LazyUsac`]) and its Q3 blocks with their truth ([`LazyQ3`])
+    /// are built from the seed and the state the first time something
+    /// reads them: the audit reads the records, per state, on its own
+    /// pool; the Q3 analysis reads the Q3 states' blocks, one unit per
+    /// state; neither reads the other's part.
     ///
     /// Output is **byte-identical at any worker count and shard
     /// policy**: every stream in the generators is entity-keyed
-    /// (`crate::rng`), shards cover disjoint contiguous element ranges,
-    /// and partial results are reassembled positionally — blocks
-    /// concatenate in shard order, Q3 truth tables (disjoint
-    /// `(address, ISP)` keys) merge in fixed state order. The contract
-    /// is pinned by `crates/tests/tests/parallel_cold_paths.rs`.
+    /// (`crate::rng`), shards cover disjoint contiguous CBG ranges, and
+    /// the ranges reassemble positionally. The contract is pinned by
+    /// `crates/tests/tests/parallel_cold_paths.rs`.
     pub fn generate_states_on(
         config: SynthConfig,
         states: &[UsState],
@@ -110,8 +112,8 @@ impl World {
         let _span = caf_obs::span("synth.world");
         let wall_start = telemetry.then(Instant::now);
 
-        // Pass 1: geography, sharded by contiguous CBG ranges. The cost
-        // hint (CBG count) is known without building anything.
+        // Geography, sharded by contiguous CBG ranges. The cost hint
+        // (CBG count) is known without building anything.
         let geo_hints: Vec<CostHint> = states
             .iter()
             .map(|&state| {
@@ -123,78 +125,30 @@ impl World {
             })
             .collect();
         let geo_plan = engine.plan(&geo_hints);
+        let workers = engine.for_plan(&geo_plan).workers;
         let geo_parts = caf_exec::map_units(&geo_plan, |shard| {
             let state = states[shard.unit];
             let _span = caf_obs::span_with(|| format!("world.{}.geo", state.abbrev()));
             StateGeography::build_range(&config, state, shard.range.clone())
         });
-        let geographies: Vec<StateGeography> = geo_parts
-            .into_iter()
-            .zip(states)
-            .map(|(parts, &state)| {
-                StateGeography::assemble(&config, state, parts.into_iter().flatten().collect())
-            })
-            .collect();
 
         // Q1 truth cells: one per CBG, read off the finalized geography.
         let mut cells: Vec<Q1Cell> = Vec::new();
-        for geo in &geographies {
-            cells.extend(truth::q1_cells(&config, geo.state, &geo.cbgs, 0, |_| None));
-        }
-
-        // Pass 2: the Q3 world, one unit per state over block-spec
-        // ranges; a shard builds its own truth table. USAC records are
-        // built when first read (`LazyUsac`).
-        let q3_specs: Vec<_> = states
-            .iter()
-            .map(|&state| Q3World::block_specs(&config, state))
-            .collect();
-        let hints: Vec<CostHint> = q3_specs
-            .iter()
-            .map(|specs| CostHint::PerElement(specs.iter().map(|s| s.addresses()).collect()))
-            .collect();
-        let plan = engine.plan(&hints);
-        let workers = engine.for_plan(&plan).workers;
-        let parts = caf_exec::map_units(&plan, |shard| {
-            let state = states[shard.unit];
-            let _span = caf_obs::span_with(|| format!("world.{}", state.abbrev()));
-            let unit_start = telemetry.then(Instant::now);
-            let specs = &q3_specs[shard.unit][shard.range.clone()];
-            // Every address gets a CAF-ISP entry; competitor entries
-            // (competitive blocks only) are the overflow.
-            let addresses: u64 = specs.iter().map(|s| s.addresses()).sum();
-            let mut truth = TruthTable::with_capacity(addresses as usize);
-            let blocks = Q3World::build_specs(&config, state, specs, &mut truth);
-            if let Some(start) = unit_start {
-                let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                caf_obs::observe("caf.synth.world.state_us", micros);
-            }
-            (blocks, truth)
-        });
-
-        // Reassemble per state: blocks concatenate in shard order, Q3
-        // truth merges in fixed state order (keys are disjoint) into one
-        // table sized for every shard's entries.
-        let stored_entries = parts
-            .iter()
-            .flatten()
-            .map(|(_, truth)| truth.stored_count())
-            .sum();
-        let mut truth = TruthTable::with_capacity(stored_entries);
         let mut state_worlds = Vec::with_capacity(states.len());
-        for ((geography, &state), shards) in geographies.into_iter().zip(states).zip(parts) {
-            let mut blocks: Vec<Q3Block> = Vec::new();
-            for (shard_blocks, shard_truth) in shards {
-                blocks.extend(shard_blocks);
-                truth.merge(shard_truth);
-            }
+        for (parts, &state) in geo_parts.into_iter().zip(states) {
+            let geography =
+                StateGeography::assemble(&config, state, parts.into_iter().flatten().collect());
+            cells.extend(truth::q1_cells(&config, state, &geography.cbgs, 0, |_| {
+                None
+            }));
             state_worlds.push(StateWorld {
                 state,
-                usac: LazyUsac::new(config, state, Arc::clone(&geography.cbgs)),
+                usac: LazyUsac::new(UsacRecipe::new(config, state, Arc::clone(&geography.cbgs))),
+                q3: LazyQ3::new(Q3Recipe::new(config, state)),
                 geography,
-                q3: Q3World { state, blocks },
             });
         }
+        let mut truth = TruthTable::new();
         truth.install_q1(config.seed, cells);
         if let Some(start) = wall_start {
             let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -202,7 +156,6 @@ impl World {
             caf_obs::gauge("caf.synth.world.workers", workers as u64);
             caf_obs::gauge("caf.synth.world.states", states.len() as u64);
             caf_obs::gauge("caf.synth.world.truth_cells", truth.cell_count() as u64);
-            caf_obs::gauge("caf.synth.world.truth_entries", truth.stored_count() as u64);
         }
         World {
             config,
@@ -363,7 +316,7 @@ mod tests {
         let ut = world.state(UsState::Utah).unwrap();
         assert!(!ut.q3.blocks.is_empty(), "Utah is a Q3 state");
         assert!(world.total_caf_addresses() > 0);
-        // Truth covers at least every USAC record plus Q3 addresses.
+        // The world's truth covers at least every USAC record.
         let usac_total: usize = world.states.iter().map(|s| s.usac.records.len()).sum();
         assert!(world.truth.len() >= usac_total);
         assert!(world.state(UsState::Ohio).is_none());
@@ -400,7 +353,8 @@ mod tests {
             seed: 23,
             scale: 30,
         };
-        // Includes Q3 states so block-spec sharding is exercised.
+        // Includes Q3 states, whose blocks the `Debug` comparison
+        // builds on both sides.
         let states = &[UsState::California, UsState::Vermont, UsState::Ohio];
         let baseline = World::generate_states_on(
             config,
@@ -555,7 +509,7 @@ mod tests {
                 assert!(borrowed(&street.state_abbrev), "{street}");
             }
         }
-        for (_, isp, truth) in world.truth.entries() {
+        for (_, isp, truth) in world.states.iter().flat_map(|sw| sw.q3.truth.entries()) {
             competitor_entries += usize::from(matches!(isp, Isp::Xfinity | Isp::Spectrum));
             for plan in &truth.plans {
                 assert!(borrowed(&plan.name), "{isp}: {plan}");
@@ -581,10 +535,13 @@ mod tests {
         // A Q1 record's truth is present.
         let r = &nh.usac.records[0];
         assert!(world.truth.get(r.address.id, r.isp).is_some());
-        // A Q3 address's truth is present under the block's CAF ISP.
+        // A Q3 address's truth is present under the block's CAF ISP, in
+        // the state's Q3 table, not the world's.
         let block = &nh.q3.blocks[0];
         let a = &block.addresses[0];
-        assert!(world.truth.get(a.address.id, block.caf_isp).is_some());
+        assert!(nh.q3.truth.get(a.address.id, block.caf_isp).is_some());
+        assert!(world.truth.get(a.address.id, block.caf_isp).is_none());
+        assert_eq!(world.truth.stored_count(), 0);
         // NH's Q3 incumbent is Consolidated (Table 4).
         assert_eq!(block.caf_isp, Isp::Consolidated);
     }

@@ -8,7 +8,7 @@ use caf_exec::prop;
 use caf_geo::{BlockGroupId, UsState};
 use caf_synth::geography::StateGeography;
 use caf_synth::params::CalibrationParams;
-use caf_synth::{CafRecord, Isp, SynthConfig, TruthTable, UsacDataset, World};
+use caf_synth::{CafRecord, Isp, Q3World, SynthConfig, TruthTable, UsacDataset, World};
 use std::collections::BTreeMap;
 
 /// World generation upholds its structural invariants for any seed
@@ -110,15 +110,18 @@ fn check_presence_matrix_is_respected(seed: u64, state: UsState) {
 /// [`UsacDataset::build`], and `cbg_cells()` equals a per-record
 /// recomputation: the same (ISP, CBG) keys in ascending order, each
 /// with the same records in order, and the geography's `caf_cells()`
-/// counts.
+/// counts. Its Q3 world, also built on first read, equals a direct
+/// [`Q3World::build`].
 fn check_lazy_usac_matches_a_direct_build(seed: u64, scale: u32, states: &[UsState]) {
     let config = SynthConfig { seed, scale };
     let world = World::generate_states(config, states);
     for sw in &world.states {
         assert!(!sw.usac.is_built(), "generation builds no record");
+        assert!(!sw.q3.is_built(), "generation builds no Q3 block");
         let direct = UsacDataset::build(&config, &StateGeography::build(&config, sw.state));
         assert!(*sw.usac == direct, "{}", sw.state);
         assert!(sw.usac.is_built());
+        assert!(*sw.q3 == Q3World::build(&config, sw.state), "{}", sw.state);
 
         let mut expected: BTreeMap<(Isp, BlockGroupId), Vec<&CafRecord>> = BTreeMap::new();
         for r in &sw.usac.records {

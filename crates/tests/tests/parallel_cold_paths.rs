@@ -1,10 +1,12 @@
-//! Cold-path determinism regression: world generation and bootstrap
-//! resampling must produce **identical** output at any engine worker
-//! count, mirroring what `determinism.rs` pins for the audit hot path.
+//! Cold-path determinism regression: world generation, the Q3 analysis
+//! and bootstrap resampling must produce **identical** output at any
+//! worker count, mirroring what `determinism.rs` pins for the audit hot
+//! path.
 //!
-//! Both paths run on `caf_exec::map_units` shard plans with
+//! These paths run on `caf_exec::map_units` shard plans with
 //! entity-keyed randomness (per-CBG and per-block streams for world
-//! generation, per-replicate streams for the bootstrap), so neither the
+//! generation, per-query streams for the Q3 campaigns, per-replicate
+//! streams for the bootstrap), so neither the
 //! worker count nor the shard policy can move anything but wall-clock
 //! time. The worker count for the parallel side is taken from the
 //! `CAF_EQUIV_WORKERS` environment variable (default 4) so CI can
@@ -12,7 +14,7 @@
 //! fingerprint; the shard-policy matrix is pinned explicitly via
 //! `EngineConfig::with_shard_policy`.
 
-use caf_core::{EngineConfig, ServiceabilityAnalysis, ShardPolicy};
+use caf_core::{artifact, EngineConfig, Q3Analysis, ServiceabilityAnalysis, ShardPolicy};
 use caf_geo::UsState;
 use caf_snap::{fnv1a, Writer};
 use caf_stats::{bootstrap_ci, bootstrap_ci_on, bootstrap_indices_ci, bootstrap_indices_ci_on};
@@ -41,11 +43,12 @@ fn states() -> [UsState; 4] {
 }
 
 /// A content fingerprint of a generated world: FNV-1a of its canonical
-/// `caf-snap` encoding, which covers every state (geography, USAC
-/// records, Q3 blocks) and every stored truth entry in key order —
-/// including the Q3 competitor entries keyed under Xfinity/Spectrum —
-/// followed by the `Debug` form of every USAC record's truth lookup.
-/// Q1 truth is drawn on demand, so the encoding alone does not hold it.
+/// `caf-snap` encoding, which covers every state's geography and USAC
+/// records, followed by the `Debug` form of every USAC record's truth
+/// lookup, then of every state's Q3 blocks and its Q3 truth entries in
+/// key order — including the competitor entries keyed under
+/// Xfinity/Spectrum. Q1 truth is drawn on demand and the Q3 worlds are
+/// built on first read, so the encoding alone holds neither.
 fn world_fingerprint(world: &World) -> u64 {
     let mut w = Writer::new();
     w.put(world);
@@ -53,6 +56,10 @@ fn world_fingerprint(world: &World) -> u64 {
     for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
         let lookup = world.truth.get(r.address.id, r.isp);
         bytes.extend_from_slice(format!("{lookup:?}\n").as_bytes());
+    }
+    for sw in &world.states {
+        bytes.extend_from_slice(format!("{:?}\n", sw.q3.blocks).as_bytes());
+        bytes.extend_from_slice(format!("{:?}\n", sw.q3.truth.sorted_entries()).as_bytes());
     }
     fnv1a(&bytes)
 }
@@ -88,6 +95,43 @@ fn worker_count_does_not_change_generated_world() {
         world_fingerprint(&other),
         serial_print,
         "distinct seeds must produce distinct worlds"
+    );
+}
+
+/// The Q3 analysis runs one unit per Q3 state on the campaign's
+/// workers, each building its state's blocks if nothing has yet: the
+/// artifact bytes are the same at one worker, at the CI-varied count,
+/// and over a world whose Q3 part was built before the run.
+#[test]
+fn campaign_workers_do_not_change_the_q3_artifact() {
+    let synth = SynthConfig {
+        seed: SEED,
+        scale: SCALE,
+    };
+    let workers = equiv_workers();
+    let world =
+        || World::generate_states_on(synth, &UsState::q3_states(), EngineConfig::with_workers(2));
+    let q3_bytes = |world: &World, workers: usize| {
+        let campaign = caf_bqt::CampaignConfig {
+            seed: SEED,
+            workers,
+            ..caf_bqt::CampaignConfig::default()
+        };
+        artifact::to_canonical_bytes(&artifact::q3(&Q3Analysis::run(world, campaign)))
+    };
+    let serial = q3_bytes(&world(), 1);
+    assert_eq!(
+        q3_bytes(&world(), workers),
+        serial,
+        "Q3 artifact diverged at {workers} campaign workers"
+    );
+    let prebuilt = world();
+    let blocks: usize = prebuilt.states.iter().map(|sw| sw.q3.blocks.len()).sum();
+    assert!(blocks > 0 && prebuilt.states.iter().all(|sw| sw.q3.is_built()));
+    assert_eq!(
+        q3_bytes(&prebuilt, workers),
+        serial,
+        "Q3 artifact diverged over a prebuilt Q3 world"
     );
 }
 

@@ -38,13 +38,15 @@ fn q1_digest(world: &World) -> u64 {
 }
 
 /// FNV-1a over the lookups of every Q3 address under its block's CAF
-/// ISP and each competitor.
+/// ISP and each competitor, in the state's Q3 table.
 fn q3_digest(world: &World) -> u64 {
     let mut text = String::new();
-    for block in world.states.iter().flat_map(|sw| &sw.q3.blocks) {
-        for a in &block.addresses {
-            for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                text.push_str(&format!("{:?}\n", world.truth.get(a.address.id, isp)));
+    for sw in &world.states {
+        for block in &sw.q3.blocks {
+            for a in &block.addresses {
+                for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
+                    text.push_str(&format!("{:?}\n", sw.q3.truth.get(a.address.id, isp)));
+                }
             }
         }
     }
