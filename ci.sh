@@ -20,6 +20,8 @@
 # experiment whose run report must pass the full metrics_check gate), a
 # Q3 on-demand gate (`repro table2` must build no Q3 state and `repro
 # table4` all seven, read off `caf.synth.q3.states_built`), a
+# one-budget gate (`repro table2 table4 --workers 1` must record no
+# `caf.exec.worker.*` gauge: no pool, BQT campaigns included), a
 # repro output gate (every listed experiment but `dump` and `validate`
 # must print exactly the committed `repro_output.txt` up to its dump
 # section), and the serving-layer gate: `caf-serve` is started on an
@@ -257,6 +259,18 @@ if [ "${q3_table2:-0}" != 0 ] || [ "${q3_table4:-0}" != 7 ]; then
   exit 1
 fi
 echo "    table2 built 0 Q3 states, table4 built 7"
+
+# `--workers` is the run's only thread budget: at one worker no stage,
+# BQT campaigns included, starts a pool, so the run report holds no
+# per-lane `caf.exec.worker.<i>.*` gauge.
+gate "one-budget gate: repro table2 table4 --workers 1 starts no worker pool"
+./target/release/repro table2 table4 --workers 1 --metrics "$ci_out/one_worker.json" --quiet >/dev/null
+if grep -q '"caf\.exec\.worker\.' "$ci_out/one_worker.json"; then
+  echo "repro --workers 1 ran a worker pool:" >&2
+  grep -o '"caf\.exec\.worker\.[^"]*"' "$ci_out/one_worker.json" | sort -u >&2
+  exit 1
+fi
+echo "    no caf.exec.worker.* gauge at --workers 1"
 
 # The committed repro_output.txt is what `repro` prints at its defaults.
 # Every experiment `repro --help` lists runs, except `dump` (it writes

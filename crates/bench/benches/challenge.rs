@@ -31,8 +31,8 @@ fn synth() -> SynthConfig {
     }
 }
 
-fn audit() -> Audit {
-    Audit::new(audit_config(synth(), campaign_config(SEED)))
+fn audit(engine: EngineConfig) -> Audit {
+    Audit::new(audit_config(synth(), campaign_config(SEED, engine)))
 }
 
 /// A challenge batch touching 4 of the world's CBG cells — under the 5%
@@ -96,10 +96,10 @@ fn write_bench_summary() {
     let total_cells: usize = world.states.iter().map(|sw| sw.geography.cbgs.len()).sum();
     let mut inc = {
         let _span = caf_obs::span("bench.challenge.build");
-        IncrementalAudit::build(audit(), &world, engine)
+        IncrementalAudit::build(audit(engine), &world, engine)
     };
 
-    let full_audit = audit();
+    let full_audit = audit(engine);
     let full_wall = {
         let _span = caf_obs::span("bench.challenge.full_rebuild");
         let start = Instant::now();

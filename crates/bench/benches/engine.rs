@@ -16,23 +16,22 @@ const SEED: u64 = 0xCAF_2024;
 /// The acceptance-criteria scale: `repro`'s default (`--scale 30`).
 const SCALE: u32 = 30;
 
-fn audit_at(scale: u32) -> (World, Audit) {
-    let synth = SynthConfig { seed: SEED, scale };
-    let world = World::generate_states(synth, &UsState::study_states());
-    let audit = Audit::new(audit_config(synth, campaign_config(SEED)));
-    (world, audit)
-}
-
 /// Runs one audit per worker count with telemetry enabled and writes the
 /// resulting run report as a single line of compact JSON to
 /// `BENCH_engine.json` at the repository root (or `$CAF_BENCH_DIR`).
 fn write_bench_summary() {
     caf_obs::set_enabled(true);
     caf_obs::registry().reset();
-    let (world, audit) = audit_at(SCALE);
+    let synth = SynthConfig {
+        seed: SEED,
+        scale: SCALE,
+    };
+    let world = World::generate_states(synth, &UsState::study_states());
     for workers in [1usize, 2, 4] {
+        let engine = EngineConfig::with_workers(workers);
+        let audit = Audit::new(audit_config(synth, campaign_config(SEED, engine)));
         let _span = caf_obs::span_with(|| format!("bench.audit.workers_{workers}"));
-        let dataset = audit.run_with(&world, EngineConfig::with_workers(workers));
+        let dataset = audit.run_with(&world, engine);
         black_box(dataset.rows.len());
     }
     caf_obs::set_enabled(false);

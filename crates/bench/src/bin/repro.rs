@@ -9,12 +9,15 @@
 //! repro all [--scale N]
 //! ```
 //!
-//! `--workers` sets the worker budget for every engine-driven stage —
-//! world generation, the per-state audit, the sensitivity sweep, and
+//! `--workers` is the run's one thread budget. It sizes every pool —
+//! world generation, the per-state audit, the Q3 analysis, the
+//! sensitivity sweep, the BQT campaigns that run on their own and
 //! bootstrap resampling (default: one per core via `auto`; each stage
-//! clamps to its unit count at run time). The engine's determinism
-//! contract guarantees the numbers below are identical at every worker
-//! count — only wall-clock time changes.
+//! clamps to its unit count at run time). A campaign inside an audit or
+//! Q3 unit runs one lane, so no pool ever has more lanes than
+//! `--workers`. The engine's determinism contract guarantees the
+//! numbers below are identical at every worker count — only wall-clock
+//! time changes.
 //!
 //! `--shard-threshold N` tunes the cost-aware shard planner: a unit
 //! whose estimated cost exceeds `N` percent of the ideal per-worker
@@ -266,7 +269,7 @@ impl Lazy {
                 self.synth(self.scale),
                 &UsState::study_states(),
                 self.engine,
-                campaign_config(self.seed),
+                campaign_config(self.seed, self.engine),
                 &[],
             )
             .expect("an empty delta stream cannot fail validation")
@@ -282,7 +285,7 @@ impl Lazy {
             pipeline::build_q3(
                 self.synth(self.q3_scale),
                 self.engine,
-                campaign_config(self.seed),
+                campaign_config(self.seed, self.engine),
             )
         })
     }
@@ -992,7 +995,7 @@ fn fig9(seed: u64, scale: u32, engine: EngineConfig) {
     let analysis = SensitivityAnalysis::run_on(
         &world,
         Isp::Att,
-        campaign_config(seed),
+        campaign_config(seed, engine),
         46,
         &[0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.75],
         10,
@@ -1273,7 +1276,7 @@ fn ext_oversight(seed: u64, scale: u32, engine: EngineConfig) {
                 seed,
                 ..OversightConfig::default()
             },
-            campaign_config(seed),
+            campaign_config(seed, engine),
         );
         if comparison.sampled == 0 {
             continue;

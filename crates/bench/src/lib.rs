@@ -16,8 +16,9 @@ use caf_geo::UsState;
 use caf_stats::Ecdf;
 use caf_synth::{ChallengeDelta, ChallengeError, SynthConfig, World};
 
-/// A [`Scenario`] built with [`campaign_config`]; it dereferences to the
-/// scenario, so its fields read as `fixture.dataset` and so on.
+/// A [`Scenario`] built with [`campaign_config`] on the fixture's
+/// engine; it dereferences to the scenario, so its fields read as
+/// `fixture.dataset` and so on.
 pub struct Fixture(Scenario);
 
 impl std::ops::Deref for Fixture {
@@ -49,7 +50,7 @@ impl Fixture {
             SynthConfig { seed, scale },
             states,
             engine,
-            campaign_config(seed),
+            campaign_config(seed, engine),
             deltas,
         )
         .map(Fixture)
@@ -57,7 +58,11 @@ impl Fixture {
 
     /// Runs the Q3 pipeline (dedicated world over the seven Q3 states).
     pub fn build_q3_tuned(seed: u64, scale: u32, engine: EngineConfig) -> (World, Q3Analysis) {
-        pipeline::build_q3(SynthConfig { seed, scale }, engine, campaign_config(seed))
+        pipeline::build_q3(
+            SynthConfig { seed, scale },
+            engine,
+            campaign_config(seed, engine),
+        )
     }
 }
 

@@ -79,9 +79,7 @@ impl CampaignConfig {
     }
 
     /// Returns the config with a different worker count (clamped to at
-    /// least 1). Worker count only shapes wall-clock time, never results
-    /// — the audit engine uses this to split its thread budget between
-    /// state-level and campaign-level parallelism.
+    /// least 1). Worker count only shapes wall-clock time, never results.
     pub fn with_workers(self, workers: usize) -> CampaignConfig {
         CampaignConfig {
             workers: workers.max(1),

@@ -18,7 +18,7 @@
 
 use caf_bqt::{Campaign, CampaignConfig, CampaignResult, QueryRecord, QueryTask};
 use caf_dataframe::{Column, DataFrame};
-use caf_exec::{map_units, CostHint, EngineConfig};
+use caf_exec::{map_units, CostHint, EngineConfig, UnitPlan};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
 use std::collections::HashMap;
@@ -211,55 +211,53 @@ impl Audit {
 
     /// Runs the per-state units on the engine pool — sharded by
     /// contiguous (ISP, CBG) cell ranges when a state's estimated query
-    /// volume dominates the per-worker share — and merges partials in
-    /// unit order.
-    ///
-    /// Reassembly reproduces the unsharded record stream exactly: the
-    /// full-state loop emits records *round-major* (all of round 0 in
-    /// cell order, then round 1, ...), every query record is a pure
-    /// function of (seed, address, ISP), and replacements are drawn
-    /// per cell — so concatenating the shards' per-round groups within
-    /// each round, rounds in order, is byte-identical to the whole-state
-    /// run at any worker count or shard policy.
+    /// volume dominates the per-worker share — and assembles the
+    /// dataset in unit order ([`AuditDataset::from_cells`]).
     fn run_units(
         &self,
         units: &[&StateWorld],
         truth: &TruthTable,
         engine: EngineConfig,
     ) -> AuditDataset {
-        let hints = self.unit_hints(units);
-        let plan = engine.plan(&hints);
-        let configured = engine.workers;
-        let engine = engine.for_plan(&plan);
-        Self::record_plan_gauges(configured, engine.workers, units.len());
+        let plan = engine.plan(&self.unit_hints(units));
+        Self::record_plan_gauges(engine, &plan);
         let _audit_span = caf_obs::span("audit");
-        let campaign = self.nested_campaign(&engine);
-        let unit_partials = map_units(&plan, |shard| {
-            self.audit_cells_each(&campaign, truth, units[shard.unit], shard.range.clone())
-        });
+        let cells = self.run_cells(units, truth, &plan);
         let _merge_span = caf_obs::span("merge");
-        let mut rows = Vec::new();
-        let mut records = Vec::new();
-        let mut coverage = Vec::new();
-        for shard_partials in unit_partials {
-            // Shards arrive in ascending cell order, each holding one
-            // partial per cell — flattening yields the unit's cells in
-            // order, and the round-major merge reproduces the unsharded
-            // record stream (see `audit_cells_each`).
-            let merged = merge_round_major(shard_partials.into_iter().flatten().collect());
-            flatten_partial(merged, &mut rows, &mut records, &mut coverage);
-        }
-        caf_obs::count("caf.core.audit.rows", rows.len() as u64);
-        caf_obs::count("caf.core.audit.records", records.len() as u64);
-        AuditDataset {
-            rows,
-            records,
-            coverage,
-        }
+        let dataset = AuditDataset::from_cells(cells);
+        caf_obs::count("caf.core.audit.rows", dataset.rows.len() as u64);
+        caf_obs::count("caf.core.audit.records", dataset.records.len() as u64);
+        dataset
     }
 
-    /// The per-unit cost hints `run_units` and the incremental audit
-    /// plan with: a cell's cost is its primary sample size — the query
+    /// The one cell runner of the batch and incremental audits: runs
+    /// every shard of `plan` (built by [`EngineConfig::plan`] or
+    /// [`EngineConfig::plan_subset`] over [`Audit::unit_hints`]) and
+    /// returns, per unit, the partials of the cells its shards covered,
+    /// in cell order. The plan is the only pool: each shard's campaign
+    /// runs one lane on the shard's own thread.
+    pub(crate) fn run_cells(
+        &self,
+        units: &[&StateWorld],
+        truth: &TruthTable,
+        plan: &UnitPlan,
+    ) -> Vec<Vec<StatePartial>> {
+        let campaign = Campaign::new(CampaignConfig {
+            workers: 1,
+            ..self.config.campaign
+        });
+        map_units(plan, |shard| {
+            self.audit_cells_each(&campaign, truth, units[shard.unit], shard.range.clone())
+        })
+        .into_iter()
+        // Shards arrive in ascending cell order, each holding one
+        // partial per cell.
+        .map(|shards| shards.into_iter().flatten().collect())
+        .collect()
+    }
+
+    /// The per-unit cost hints the batch and incremental audits plan
+    /// with: a cell's cost is its primary sample size — the query
     /// volume the campaign will push through it. Read off the
     /// geography's per-CBG counts, so planning builds no USAC record;
     /// each unit builds its own state's records on the pool.
@@ -279,25 +277,16 @@ impl Audit {
             .collect()
     }
 
-    /// The shared BQT campaign for a planned engine: the campaign's
-    /// worker budget is divided across engine workers so state-level
-    /// parallelism does not multiply thread counts (the campaign's
-    /// results are worker-count independent).
-    pub(crate) fn nested_campaign(&self, engine: &EngineConfig) -> Campaign {
-        Campaign::new(
-            self.config
-                .campaign
-                .with_workers(engine.nested_campaign_workers(self.config.campaign.workers)),
-        )
-    }
-
     /// Reports both sides of the worker clamp — `workers.configured` is
-    /// what the caller asked for, `workers.effective` is what the shard
-    /// count can actually keep busy.
-    pub(crate) fn record_plan_gauges(configured: usize, effective: usize, units: usize) {
-        caf_obs::gauge("caf.core.engine.workers.configured", configured as u64);
-        caf_obs::gauge("caf.core.engine.workers.effective", effective as u64);
-        caf_obs::gauge("caf.core.engine.units", units as u64);
+    /// what the caller asked for, `workers.effective` is what the plan's
+    /// shard count can actually keep busy.
+    pub(crate) fn record_plan_gauges(engine: EngineConfig, plan: &UnitPlan) {
+        caf_obs::gauge("caf.core.engine.workers.configured", engine.workers as u64);
+        caf_obs::gauge(
+            "caf.core.engine.workers.effective",
+            engine.for_plan(plan).workers as u64,
+        );
+        caf_obs::gauge("caf.core.engine.units", plan.unit_count() as u64);
     }
 
     /// One shard of a state's sample → query → resample loop, covering
@@ -317,7 +306,7 @@ impl Audit {
     /// cell recomputed alone differs from its in-shard computation only
     /// by absent trailing empty rounds, which the round-major merge
     /// erases.
-    pub(crate) fn audit_cells_each(
+    fn audit_cells_each(
         &self,
         campaign: &Campaign,
         truth: &TruthTable,
@@ -451,57 +440,50 @@ impl Audit {
     }
 }
 
-/// Merges per-cell (or per-shard) partials into one, preserving the
-/// round-major stream order: within each round, partials contribute in
-/// their given order; coverage concatenates in the same order. Partials
-/// may have differing round counts — a partial without round `r` simply
-/// contributes nothing to it, which is exactly how a cell that ran out
-/// of resample work early behaves inside a bigger shard.
-pub(crate) fn merge_round_major(mut partials: Vec<StatePartial>) -> StatePartial {
-    let rounds = partials
-        .iter()
-        .map(|p| p.rows_by_round.len())
-        .max()
-        .unwrap_or(0);
-    let mut rows_by_round: Vec<Vec<AuditRow>> = (0..rounds).map(|_| Vec::new()).collect();
-    let mut records_by_round: Vec<Vec<QueryRecord>> = (0..rounds).map(|_| Vec::new()).collect();
-    let mut coverage = Vec::new();
-    for partial in &mut partials {
-        for (round, rows) in partial.rows_by_round.iter_mut().enumerate() {
-            rows_by_round[round].append(rows);
+impl AuditDataset {
+    /// Assembles the dataset from each unit's cell partials, units in
+    /// the given order and cells in cell order: per unit, all cells'
+    /// round-0 rows and records, then round 1, and so on, with coverage
+    /// in cell order.
+    ///
+    /// This reproduces the whole-state loop's record stream exactly: it
+    /// emits records *round-major* (all of round 0 in cell order, then
+    /// round 1, ...), every query record is a pure function of (seed,
+    /// address, ISP), and replacements are drawn per cell — so the
+    /// assembly is byte-identical at any worker count or shard policy,
+    /// and for retained cells spliced beside refreshed ones. A cell
+    /// without round `r` contributes nothing to it, which is exactly how
+    /// a cell that ran out of resample work early behaves inside a
+    /// bigger shard.
+    pub(crate) fn from_cells(units: impl IntoIterator<Item = Vec<StatePartial>>) -> AuditDataset {
+        let mut dataset = AuditDataset {
+            rows: Vec::new(),
+            records: Vec::new(),
+            coverage: Vec::new(),
+        };
+        for mut cells in units {
+            let rounds = cells.iter().map(|c| c.rows_by_round.len()).max();
+            for round in 0..rounds.unwrap_or(0) {
+                for cell in &mut cells {
+                    if let Some(rows) = cell.rows_by_round.get_mut(round) {
+                        dataset.rows.append(rows);
+                    }
+                    if let Some(records) = cell.records_by_round.get_mut(round) {
+                        dataset.records.append(records);
+                    }
+                }
+            }
+            for cell in cells {
+                dataset.coverage.extend(cell.coverage);
+            }
         }
-        for (round, records) in partial.records_by_round.iter_mut().enumerate() {
-            records_by_round[round].append(records);
-        }
-        coverage.append(&mut partial.coverage);
-    }
-    StatePartial {
-        rows_by_round,
-        records_by_round,
-        coverage,
+        dataset
     }
 }
 
-/// Flattens one merged partial into dataset vectors: rounds in order
-/// (the round-major stream), coverage appended as-is.
-pub(crate) fn flatten_partial(
-    partial: StatePartial,
-    rows: &mut Vec<AuditRow>,
-    records: &mut Vec<QueryRecord>,
-    coverage: &mut Vec<CbgCoverage>,
-) {
-    for mut round_rows in partial.rows_by_round {
-        rows.append(&mut round_rows);
-    }
-    for mut round_records in partial.records_by_round {
-        records.append(&mut round_records);
-    }
-    coverage.extend(partial.coverage);
-}
-
-/// One cell's (or one merged shard's) output: rows and records grouped
-/// by resample round (the unsharded stream is round-major, so partials
-/// must be re-interleaved per round), coverage per cell in cell order.
+/// One cell's output: rows and records grouped by resample round (the
+/// unsharded stream is round-major, so partials must be re-interleaved
+/// per round) and the cell's coverage.
 /// Cloneable so the incremental audit can retain clean cells across
 /// epochs and materialize datasets without recomputing them.
 #[derive(Debug, Clone)]

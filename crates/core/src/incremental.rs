@@ -9,12 +9,13 @@
 //! the retained ones.
 //!
 //! This is deliberately a refactor of the existing engine, not a second
-//! one: cells were already the audit's scheduling element
-//! ([`Audit::audit_cells_each`] computes them independently inside any
-//! shard), so delta invalidation reduces to planning a shard schedule
-//! over the dirty element runs — [`EngineConfig::plan_subset`] — and
-//! running the same per-cell loop over it. The same LPT dispatch,
-//! nested-campaign worker budgeting, and positional reassembly apply.
+//! one: cells were already the audit's scheduling element (the audit
+//! computes them independently inside any shard), so delta invalidation
+//! reduces to planning a shard schedule over the dirty element runs —
+//! [`EngineConfig::plan_subset`] — and handing it to the audit's one
+//! cell runner, the same one a batch run uses. The same LPT dispatch,
+//! one-lane campaigns inside each shard and positional reassembly
+//! apply.
 //!
 //! ## Determinism contract
 //!
@@ -30,21 +31,20 @@
 //!    (seed baseline + effective corrections), so the cell state a
 //!    refresh sees equals what a fresh world at the same epoch holds.
 //! 3. Dataset assembly is the same cell-order, round-major merge the
-//!    batch path uses ([`merge_round_major`]), so retained and
-//!    refreshed partials interleave exactly as a full run would emit
-//!    them.
+//!    batch path uses, so retained and refreshed partials interleave
+//!    exactly as a full run would emit them.
 //!
 //! The contract is pinned by `crates/tests/tests/challenge.rs` across
 //! worker counts × shard policies × batch splits.
 
-use caf_exec::{map_units, EngineConfig};
+use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, UsState};
 use caf_synth::challenge::DeltaOutcome;
 use caf_synth::{Isp, StateWorld, World};
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::audit::{flatten_partial, merge_round_major, Audit, AuditDataset, StatePartial};
+use crate::audit::{Audit, AuditDataset, StatePartial};
 
 /// Resident per-cell audit state for one state: one [`StatePartial`]
 /// per (ISP, CBG) cell, in the state's canonical cell order
@@ -71,26 +71,15 @@ impl IncrementalAudit {
     pub fn build(audit: Audit, world: &World, engine: EngineConfig) -> IncrementalAudit {
         let _span = caf_obs::span("audit.incremental.build");
         let units: Vec<&StateWorld> = world.states.iter().collect();
-        let hints = audit.unit_hints(&units);
-        let plan = engine.plan(&hints);
-        let configured = engine.workers;
-        let engine = engine.for_plan(&plan);
-        Audit::record_plan_gauges(configured, engine.workers, units.len());
-        let campaign = audit.nested_campaign(&engine);
-        let unit_partials = map_units(&plan, |shard| {
-            audit.audit_cells_each(
-                &campaign,
-                &world.truth,
-                units[shard.unit],
-                shard.range.clone(),
-            )
-        });
-        let states = unit_partials
+        let plan = engine.plan(&audit.unit_hints(&units));
+        Audit::record_plan_gauges(engine, &plan);
+        let states = audit
+            .run_cells(&units, &world.truth, &plan)
             .into_iter()
             .zip(&world.states)
-            .map(|(shard_groups, sw)| StateCells {
+            .map(|(cells, sw)| StateCells {
                 state: sw.state,
-                cells: shard_groups.into_iter().flatten().collect(),
+                cells,
             })
             .collect();
         IncrementalAudit {
@@ -180,30 +169,17 @@ impl IncrementalAudit {
             }
         }
 
-        let hints = self.audit.unit_hints(&units);
-        let plan = engine.plan_subset(&hints, &runs);
+        let plan = engine.plan_subset(&self.audit.unit_hints(&units), &runs);
         caf_obs::count("caf.core.audit.cells_refreshed", dirty_cells);
         caf_obs::observe("caf.core.audit.dirty_shards", plan.shard_count() as u64);
-        let engine = engine.for_plan(&plan);
-        let audit = self.audit;
-        let campaign = audit.nested_campaign(&engine);
-        let refreshed = map_units(&plan, |shard| {
-            audit.audit_cells_each(
-                &campaign,
-                &world.truth,
-                units[shard.unit],
-                shard.range.clone(),
-            )
-        });
+        let refreshed = self.audit.run_cells(&units, &world.truth, &plan);
 
-        // Splice refreshed partials into the retained cells: shard
-        // groups arrive in ascending range order, covering exactly the
-        // dirty runs in order.
-        for (unit, (shard_groups, unit_runs)) in refreshed.into_iter().zip(&runs).enumerate() {
-            let new_partials: Vec<StatePartial> = shard_groups.into_iter().flatten().collect();
-            let positions: Vec<usize> = unit_runs.iter().flat_map(|r| r.clone()).collect();
-            debug_assert_eq!(new_partials.len(), positions.len());
-            for (pos, partial) in positions.into_iter().zip(new_partials) {
+        // Splice refreshed partials into the retained cells: they arrive
+        // in ascending position order, covering exactly the dirty runs.
+        for (unit, (partials, unit_runs)) in refreshed.into_iter().zip(&runs).enumerate() {
+            let positions = unit_runs.iter().flat_map(|r| r.clone());
+            debug_assert_eq!(partials.len(), positions.clone().count());
+            for (pos, partial) in positions.zip(partials) {
                 self.states[unit].cells[pos] = partial;
             }
         }
@@ -216,18 +192,7 @@ impl IncrementalAudit {
     /// world at the same epoch (see the module docs).
     pub fn dataset(&self) -> AuditDataset {
         let _span = caf_obs::span("audit.incremental.dataset");
-        let mut rows = Vec::new();
-        let mut records = Vec::new();
-        let mut coverage = Vec::new();
-        for state_cells in &self.states {
-            let merged = merge_round_major(state_cells.cells.clone());
-            flatten_partial(merged, &mut rows, &mut records, &mut coverage);
-        }
-        AuditDataset {
-            rows,
-            records,
-            coverage,
-        }
+        AuditDataset::from_cells(self.states.iter().map(|s| s.cells.clone()))
     }
 }
 

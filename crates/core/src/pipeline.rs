@@ -25,14 +25,17 @@ use crate::{
 };
 
 /// The campaign configuration the command-line tools and the server
-/// audit under: seeded by the scenario, with up to eight query workers.
-/// The campaign's results do not depend on its worker count.
-pub fn campaign_config(seed: u64) -> CampaignConfig {
+/// audit under: seeded by the scenario, on the caller's engine budget —
+/// `workers` and `shard` come from `engine`, so a campaign that runs on
+/// its own (the Q3 pass, the sensitivity ground truth, the oversight
+/// sample) uses no more lanes than the engine. A campaign inside an
+/// audit unit runs one lane whatever this says. The campaign's results
+/// do not depend on its worker count.
+pub fn campaign_config(seed: u64, engine: EngineConfig) -> CampaignConfig {
     CampaignConfig {
         seed,
-        workers: std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4),
+        workers: engine.workers,
+        shard: engine.shard,
         ..CampaignConfig::default()
     }
 }
@@ -128,7 +131,8 @@ impl Scenario {
 /// Builds the Q3 world over the seven Q3 states and runs the
 /// regulated-vs-unregulated comparison on it. The engine sizes the
 /// geography build; the analysis builds each state's blocks in its own
-/// unit on the campaign's workers.
+/// unit on the campaign's workers ([`campaign_config`] gives it the
+/// engine's).
 pub fn build_q3(
     synth: SynthConfig,
     engine: EngineConfig,
@@ -153,7 +157,7 @@ mod tests {
             synth,
             &[UsState::Vermont],
             EngineConfig::default(),
-            campaign_config(synth.seed),
+            campaign_config(synth.seed, EngineConfig::default()),
             &[],
         )
         .expect("an empty delta stream cannot fail validation");

@@ -116,11 +116,6 @@ impl EngineConfig {
         EngineConfig { shard, ..self }
     }
 
-    /// Whether units run on a worker pool rather than inline.
-    pub fn is_parallel(self) -> bool {
-        self.workers > 1
-    }
-
     /// Clamps the worker count to the number of work units actually
     /// being scheduled (at least 1) — workers beyond the unit count
     /// would only idle. Callers apply this once the unit set is known;
@@ -160,34 +155,14 @@ impl EngineConfig {
     /// *persistent* pools (a serving layer keeps the process-wide
     /// budget fixed while N scenario computations run at once, so each
     /// gets `ceil(workers / ways)` instead of multiplying the machine
-    /// by the in-flight count). Rounds up for the same reason as
-    /// [`nested_campaign_workers`](EngineConfig::nested_campaign_workers):
-    /// starving a computation to zero threads wastes wall-clock that
-    /// the budget owner is already paying for. Like every worker knob,
-    /// this only moves wall-clock time — results are byte-identical at
-    /// any share.
+    /// by the in-flight count). Rounds up: starving a computation to
+    /// zero threads wastes wall-clock that the budget owner is already
+    /// paying for. Like every worker knob, this only moves wall-clock
+    /// time — results are byte-identical at any share.
     pub fn share(self, ways: usize) -> EngineConfig {
         EngineConfig {
             workers: self.workers.div_ceil(ways.max(1)).max(1),
             ..self
-        }
-    }
-
-    /// The worker budget for a campaign nested *inside* a work unit:
-    /// the configured count when the engine is serial, otherwise a
-    /// split so `engine workers × campaign workers` stays near the
-    /// configured total instead of multiplying. The split rounds *up* —
-    /// rounding down starved the nested campaign to a single thread
-    /// whenever the engine worker count slightly exceeded the
-    /// configured budget (e.g. 4 configured across 3 engine workers
-    /// gave each unit 1 campaign worker while engine threads
-    /// idle-waited on I/O-shaped query latencies). Campaign results are
-    /// worker-count independent, so this only shapes wall-clock time.
-    pub fn nested_campaign_workers(self, configured: usize) -> usize {
-        if self.is_parallel() {
-            configured.div_ceil(self.workers).max(1)
-        } else {
-            configured.max(1)
         }
     }
 }
@@ -350,10 +325,8 @@ mod tests {
     #[test]
     fn engine_config_constructors() {
         assert_eq!(EngineConfig::serial().workers, 1);
-        assert!(!EngineConfig::serial().is_parallel());
         assert_eq!(EngineConfig::with_workers(0).workers, 1);
         assert_eq!(EngineConfig::with_workers(6).workers, 6);
-        assert!(EngineConfig::with_workers(6).is_parallel());
         assert!(EngineConfig::auto().workers >= 1);
         assert_eq!(EngineConfig::default(), EngineConfig::auto());
         let custom = EngineConfig::serial().with_shard_policy(ShardPolicy::finest());
@@ -388,18 +361,5 @@ mod tests {
             .with_shard_policy(ShardPolicy::finest())
             .share(2);
         assert_eq!(shared.shard, ShardPolicy::finest());
-    }
-
-    #[test]
-    fn nested_campaign_workers_split_the_budget() {
-        assert_eq!(EngineConfig::serial().nested_campaign_workers(8), 8);
-        assert_eq!(EngineConfig::with_workers(4).nested_campaign_workers(8), 2);
-        assert_eq!(EngineConfig::with_workers(8).nested_campaign_workers(4), 1);
-        assert_eq!(EngineConfig::serial().nested_campaign_workers(0), 1);
-        // The split rounds up: 4 configured across 3 engine workers
-        // keeps 2 campaign threads per unit instead of starving the
-        // nested campaign down to 1 while engine workers idle-wait.
-        assert_eq!(EngineConfig::with_workers(3).nested_campaign_workers(4), 2);
-        assert_eq!(EngineConfig::with_workers(5).nested_campaign_workers(4), 1);
     }
 }

@@ -157,7 +157,7 @@ fn main() {
             );
         }
     }
-    let campaign = campaign_config(seed);
+    let campaign = campaign_config(seed, engine);
 
     let replay_started;
     let (epoch, dataset, serviceability, compliance) = match mode {

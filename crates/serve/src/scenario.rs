@@ -531,7 +531,7 @@ impl App {
                 inc: None,
                 log: Vec::new(),
             });
-            let audit = Audit::new(pipeline::audit_config(synth, campaign_config(seed)));
+            let audit = Audit::new(pipeline::audit_config(synth, campaign_config(seed, engine)));
             live.inc = Some(IncrementalAudit::build(audit, &live.world, engine));
         }
         let live = slot.as_mut().expect("materialized above");
@@ -738,7 +738,7 @@ impl App {
                     seed: key.seed,
                     scale: key.scale,
                 };
-                let campaign = campaign_config(key.seed);
+                let campaign = campaign_config(key.seed, engine);
                 match key.kind {
                     Kind::Q12 => {
                         Scenario::build(synth, &UsState::study_states(), engine, campaign, &deltas)
@@ -1575,7 +1575,7 @@ mod tests {
             SynthConfig { seed, scale },
             &UsState::study_states(),
             EngineConfig::serial(),
-            campaign_config(seed),
+            campaign_config(seed, EngineConfig::serial()),
             std::slice::from_ref(&delta),
         )
         .unwrap();
@@ -1751,7 +1751,7 @@ mod tests {
             SynthConfig { seed, scale },
             &UsState::study_states(),
             EngineConfig::serial(),
-            campaign_config(seed),
+            campaign_config(seed, EngineConfig::serial()),
             &[delta, delta2],
         )
         .unwrap();

@@ -83,7 +83,7 @@ fn combos() -> Vec<Combo> {
 fn references(delta: ChallengeDelta) -> BTreeMap<String, String> {
     let engine = EngineConfig::serial();
     let synth = |scale| SynthConfig { seed: SEED, scale };
-    let campaign = campaign_config(SEED);
+    let campaign = campaign_config(SEED, engine);
     let study = UsState::study_states();
     let fixtures = [
         Scenario::build(synth(SCALE), &study, engine, campaign, &[]).unwrap(),

@@ -47,7 +47,7 @@ fn endpoints_are_byte_identical_across_worker_counts_and_match_direct_render() {
         seed: SEED,
         scale: SCALE,
     };
-    let campaign = pipeline::campaign_config(SEED);
+    let campaign = pipeline::campaign_config(SEED, EngineConfig::serial());
     let fixture = Scenario::build(
         synth,
         &UsState::study_states(),

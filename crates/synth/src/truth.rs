@@ -216,16 +216,6 @@ impl TruthTable {
         self.entries.len()
     }
 
-    /// Merges another table into this one (later entries win). Both
-    /// tables' cells must come from one seed.
-    pub fn merge(&mut self, other: TruthTable) {
-        if !other.cells.is_empty() {
-            debug_assert!(self.cells.is_empty() || self.seed == other.seed);
-            self.install_q1(other.seed, other.cells);
-        }
-        self.entries.extend(other.entries);
-    }
-
     /// Adds Q1 cells drawn under `seed`, keeping the cells in id order.
     pub(crate) fn install_q1(&mut self, seed: u64, cells: Vec<Q1Cell>) {
         self.seed = seed;
@@ -611,26 +601,6 @@ mod tests {
                 truth_a.get(r.address.id, r.isp),
                 truth_b.get(r.address.id, r.isp)
             );
-        }
-    }
-
-    #[test]
-    fn merge_combines_tables() {
-        let (_, usac_a, a) = truth_for(UsState::Utah);
-        let (_, usac_b, b) = truth_for(UsState::Vermont);
-        let mut merged = TruthTable::new();
-        let (la, lb) = (a.len(), b.len());
-        merged.merge(a.clone());
-        merged.merge(b.clone());
-        assert_eq!(merged.len(), la + lb);
-        assert!(!merged.is_empty());
-        for (usac, table) in [(&usac_a, &a), (&usac_b, &b)] {
-            for r in &usac.records {
-                assert_eq!(
-                    merged.get(r.address.id, r.isp),
-                    table.get(r.address.id, r.isp)
-                );
-            }
         }
     }
 

@@ -8,7 +8,7 @@ use caf_exec::prop;
 use caf_geo::{BlockGroupId, UsState};
 use caf_synth::geography::StateGeography;
 use caf_synth::params::CalibrationParams;
-use caf_synth::{CafRecord, Isp, Q3World, SynthConfig, TruthTable, UsacDataset, World};
+use caf_synth::{CafRecord, Isp, Q3World, SynthConfig, UsacDataset, World};
 use std::collections::BTreeMap;
 
 /// World generation upholds its structural invariants for any seed
@@ -213,27 +213,4 @@ fn smoke_truth_and_regeneration_hold_at_fixed_seeds() {
 fn smoke_presence_matrix_holds_at_fixed_points() {
     check_presence_matrix_is_respected(0xCAF_2024, UsState::California);
     check_presence_matrix_is_respected(3, UsState::NewHampshire);
-}
-
-#[test]
-fn truth_table_merge_is_last_writer_wins() {
-    use caf_geo::AddressId;
-    use caf_synth::AddressTruth;
-    let mut a = TruthTable::new();
-    a.insert(AddressId(1), Isp::Att, AddressTruth::unserved());
-    let mut b = TruthTable::new();
-    let served = AddressTruth {
-        served: true,
-        plans: vec![{
-            let cat = caf_synth::PlanCatalog::for_isp(Isp::Att);
-            cat.plan_from_tier(cat.tier_near(50.0))
-        }],
-        existing_subscriber: false,
-        hard_failure: false,
-        ambiguous: false,
-    };
-    b.insert(AddressId(1), Isp::Att, served.clone());
-    a.merge(b);
-    assert_eq!(a.get(AddressId(1), Isp::Att).as_deref(), Some(&served));
-    assert_eq!(a.len(), 1);
 }

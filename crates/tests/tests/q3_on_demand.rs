@@ -35,7 +35,7 @@ fn q3_worlds_are_built_once_per_read_state() {
         },
         &UsState::study_states(),
         engine,
-        campaign_config(SEED),
+        campaign_config(SEED, engine),
         &[],
     )
     .expect("an empty delta stream cannot fail validation");
