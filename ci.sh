@@ -19,7 +19,11 @@
 # resumed result the same way, an observability smoke run (a tiny repro
 # experiment whose run report must pass the full metrics_check gate), a
 # Q3 on-demand gate (`repro table2` must build no Q3 state and `repro
-# table4` all seven, read off `caf.synth.q3.states_built`), a
+# table4` all seven, read off `caf.synth.q3.states_built`), a CAF-Map
+# on-demand gate (`repro table2 table3 table4 fig9 ext-oversight` must
+# build no USAC record, read off `caf.synth.usac.records_built`), a
+# paper-scale peak gate (`repro validate --scale 1 --workers 2` must
+# peak under 1 GiB, read off `caf.process.peak_rss_kb`), a
 # one-budget gate (`repro table2 table4 --workers 1` must record no
 # `caf.exec.worker.*` gauge: no pool, BQT campaigns included), a
 # repro output gate (every listed experiment but `dump` and `validate`
@@ -259,6 +263,33 @@ if [ "${q3_table2:-0}" != 0 ] || [ "${q3_table4:-0}" != 7 ]; then
   exit 1
 fi
 echo "    table2 built 0 Q3 states, table4 built 7"
+
+# A USAC record is built only for a reader of its fields: the audit,
+# Table 3's block lookup, fig9's sensitivity sweep and the oversight
+# sample read address ids, ISPs and blocks off the geography.
+gate "CAF-Map on-demand gate: repro table2 table3 table4 fig9 ext-oversight builds 0 records"
+./target/release/repro table2 table3 table4 fig9 ext-oversight --workers 2 \
+  --metrics "$ci_out/usac_records.json" --quiet >/dev/null
+records_built=$(sed -n 's/^ *"caf\.synth\.usac\.records_built": \([0-9]*\),\{0,1\}$/\1/p' \
+  "$ci_out/usac_records.json")
+if [ "${records_built:-0}" != 0 ]; then
+  echo "caf.synth.usac.records_built: $records_built (want 0)" >&2
+  exit 1
+fi
+echo "    0 USAC records built"
+
+# The paper-scale run (every count at 1:1) must stay under 1 GiB of
+# resident memory, read off the report's VmHWM gauge.
+gate "paper-scale peak gate: repro validate --scale 1 --workers 2 peaks under 1 GiB"
+./target/release/repro validate --scale 1 --workers 2 \
+  --metrics "$ci_out/paper_scale.json" --quiet >/dev/null
+peak_kb=$(sed -n 's/^ *"caf\.process\.peak_rss_kb": \([0-9]*\),\{0,1\}$/\1/p' \
+  "$ci_out/paper_scale.json")
+if [ -z "$peak_kb" ] || [ "$peak_kb" -ge 1048576 ]; then
+  echo "caf.process.peak_rss_kb: ${peak_kb:-absent} (want < 1048576)" >&2
+  exit 1
+fi
+echo "    peak resident set ${peak_kb} KiB"
 
 # `--workers` is the run's only thread budget: at one worker no stage,
 # BQT campaigns included, starts a pool, so the run report holds no

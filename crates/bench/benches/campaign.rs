@@ -50,10 +50,11 @@ fn bench_world() -> World {
 fn tasks_for(world: &World) -> Vec<QueryTask> {
     let mut tasks = Vec::new();
     for sw in &world.states {
-        tasks.extend(sw.usac.records.iter().map(|r| QueryTask {
-            address: r.address.id,
-            isp: r.isp,
-        }));
+        tasks.extend(
+            sw.geography
+                .certified_addresses()
+                .map(|(address, isp)| QueryTask { address, isp }),
+        );
     }
     tasks
 }

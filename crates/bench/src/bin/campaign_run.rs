@@ -100,10 +100,11 @@ fn main() -> ExitCode {
     );
     let mut tasks: Vec<QueryTask> = Vec::new();
     for sw in &world.states {
-        tasks.extend(sw.usac.records.iter().map(|r| QueryTask {
-            address: r.address.id,
-            isp: r.isp,
-        }));
+        tasks.extend(
+            sw.geography
+                .certified_addresses()
+                .map(|(address, isp)| QueryTask { address, isp }),
+        );
     }
     tasks.truncate(task_limit);
 

@@ -31,7 +31,9 @@
 //! see DESIGN.md's Observability section) to `FILE` after the last
 //! experiment, plus a human-readable summary table on stderr. Telemetry
 //! is observation-only: outputs are byte-identical with or without it.
-//! `--quiet` suppresses progress lines and the summary table.
+//! On Linux the report carries the process's peak resident set as the
+//! `caf.process.peak_rss_kb` gauge. `--quiet` suppresses progress lines
+//! and the summary table.
 //!
 //! `--artifacts DIR` additionally writes the canonical JSON artifacts
 //! (`caf_core::artifact`) for every fixture the run built. `caf-serve`
@@ -395,6 +397,9 @@ fn write_metrics(path: &std::path::Path, options: &Options) {
     meta.insert("q3_scale".to_string(), options.q3_scale.to_string());
     meta.insert("workers".to_string(), options.engine.workers.to_string());
     meta.insert("experiments".to_string(), options.experiments.join(","));
+    if let Some(kb) = peak_rss_kb() {
+        caf_obs::gauge("caf.process.peak_rss_kb", kb);
+    }
     let report = RunReport::collect(meta);
     if let Err(error) = std::fs::write(path, report.to_json_pretty()) {
         die(&format!("cannot write {}: {error}", path.display()));
@@ -403,6 +408,14 @@ fn write_metrics(path: &std::path::Path, options: &Options) {
     if !QUIET.load(std::sync::atomic::Ordering::Relaxed) {
         eprint!("{}", report.summary_table());
     }
+}
+
+/// The process's peak resident set in KiB: `VmHWM` of
+/// `/proc/self/status`, which only Linux has.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 // ---------------------------------------------------------------- fig 1
@@ -484,13 +497,13 @@ fn table3(fixture: &Scenario) {
         "{:<16} {:<13} {:>10} {:>8} {:>6}",
         "state", "isp", "addresses", "blocks", "CBGs"
     );
-    // Block lookup from the USAC records.
-    let mut block_of: HashMap<AddressId, BlockId> = HashMap::new();
-    for sw in &fixture.world.states {
-        for r in &sw.usac.records {
-            block_of.insert(r.address.id, r.address.block);
-        }
-    }
+    // Block lookup from the geography (ids walk each CBG's blocks).
+    let block_of: HashMap<AddressId, BlockId> = fixture
+        .world
+        .states
+        .iter()
+        .flat_map(|sw| sw.geography.address_blocks())
+        .collect();
     let mut totals: HashMap<Isp, (usize, usize, usize)> = HashMap::new();
     for state in UsState::study_states() {
         for isp in Isp::audited() {

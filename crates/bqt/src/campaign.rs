@@ -78,15 +78,6 @@ impl CampaignConfig {
         CampaignConfig { seed, ..self }
     }
 
-    /// Returns the config with a different worker count (clamped to at
-    /// least 1). Worker count only shapes wall-clock time, never results.
-    pub fn with_workers(self, workers: usize) -> CampaignConfig {
-        CampaignConfig {
-            workers: workers.max(1),
-            ..self
-        }
-    }
-
     /// The retry budget for one ISP: `max_attempts` flat, or the
     /// adaptively-sized budget when `adaptive_retry` is on.
     pub fn attempts_for(&self, isp: Isp) -> u32 {
@@ -521,21 +512,23 @@ mod tests {
     #[test]
     fn config_builders_derive_without_touching_other_knobs() {
         let base = CampaignConfig::default();
-        let tuned = base.with_seed(42).with_workers(9);
+        let tuned = base.with_seed(42);
         assert_eq!(tuned.seed, 42);
-        assert_eq!(tuned.workers, 9);
+        assert_eq!(tuned.workers, base.workers);
         assert_eq!(tuned.max_attempts, base.max_attempts);
         assert_eq!(tuned.proxy_pool_size, base.proxy_pool_size);
-        assert_eq!(base.with_workers(0).workers, 1);
         // Same seed ⇒ same records, even across different worker counts.
         let w = world();
         let tasks = tasks_for(&w);
         let a = Campaign::new(base.with_seed(w.config.seed))
             .run(&w.truth, &tasks)
             .records;
-        let b = Campaign::new(base.with_seed(w.config.seed).with_workers(7))
-            .run(&w.truth, &tasks)
-            .records;
+        let b = Campaign::new(CampaignConfig {
+            workers: 7,
+            ..base.with_seed(w.config.seed)
+        })
+        .run(&w.truth, &tasks)
+        .records;
         assert_eq!(a, b);
     }
 

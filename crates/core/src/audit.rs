@@ -259,8 +259,8 @@ impl Audit {
     /// The per-unit cost hints the batch and incremental audits plan
     /// with: a cell's cost is its primary sample size — the query
     /// volume the campaign will push through it. Read off the
-    /// geography's per-CBG counts, so planning builds no USAC record;
-    /// each unit builds its own state's records on the pool.
+    /// geography's per-CBG counts; neither planning nor the units build
+    /// a USAC record (the sampler reads ids off the geography too).
     pub(crate) fn unit_hints(&self, units: &[&StateWorld]) -> Vec<CostHint> {
         units
             .iter()
@@ -270,7 +270,7 @@ impl Audit {
                         .geography
                         .caf_cells()
                         .into_iter()
-                        .map(|(_, _, n)| self.config.rule.sample_size(n as usize) as u64)
+                        .map(|cell| self.config.rule.sample_size(cell.count as usize) as u64)
                         .collect(),
                 )
             })

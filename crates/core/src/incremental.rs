@@ -48,7 +48,7 @@ use crate::audit::{Audit, AuditDataset, StatePartial};
 
 /// Resident per-cell audit state for one state: one [`StatePartial`]
 /// per (ISP, CBG) cell, in the state's canonical cell order
-/// (`usac.cbg_cells()` — sorted by `(Isp, BlockGroupId)`).
+/// (`geography.caf_cells()` — sorted by `(Isp, BlockGroupId)`).
 #[derive(Debug, Clone)]
 struct StateCells {
     state: UsState,
@@ -112,7 +112,7 @@ impl IncrementalAudit {
     ///
     /// Dirty (state, CBG) addresses arrive in *geography enumeration*
     /// coordinates (the challenge wire format) and are translated to
-    /// audit cell positions (`usac.cbg_cells()` order) here; contiguous
+    /// audit cell positions (`geography.caf_cells()` order) here; contiguous
     /// dirty positions coalesce into runs so the subset plan shards
     /// them like any other cost-hinted range.
     pub fn refresh(&mut self, world: &World, outcome: &DeltaOutcome, engine: EngineConfig) {
@@ -146,10 +146,11 @@ impl IncrementalAudit {
             debug_assert_eq!(self.states[unit].state, *state);
             let sw = &world.states[unit];
             let pos_of: HashMap<(Isp, BlockGroupId), usize> = sw
-                .usac
-                .cbg_cells()
+                .geography
+                .caf_cells()
+                .iter()
                 .enumerate()
-                .map(|(pos, (isp, cbg, _))| ((isp, cbg), pos))
+                .map(|(pos, cell)| ((cell.isp, cell.cbg), pos))
                 .collect();
             let mut positions: Vec<usize> = geo_indices
                 .iter()

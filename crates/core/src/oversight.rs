@@ -78,13 +78,14 @@ pub fn compare_oversight(
         (0.0..=1.0).contains(&config.evidence_acceptance),
         "evidence acceptance is a probability"
     );
-    // USAC samples locations uniformly from the certified list.
+    // USAC samples locations uniformly from the certified list (in
+    // CAF-Map order: CBG enumeration order, ids ascending).
     let mut certified: Vec<AddressId> = world
         .states
         .iter()
-        .flat_map(|sw| sw.usac.records.iter())
-        .filter(|r| r.isp == isp)
-        .map(|r| r.address.id)
+        .flat_map(|sw| sw.geography.certified_addresses())
+        .filter(|&(_, certifier)| certifier == isp)
+        .map(|(address, _)| address)
         .collect();
     let mut rng = scoped_rng(config.seed, "usac-oversight", isp.id());
     rng.shuffle(&mut certified);

@@ -171,4 +171,20 @@ mod tests {
         let again = s.audit.run_for(&s.world, &[UsState::Vermont], s.engine);
         assert_eq!(again.records, s.dataset.records);
     }
+
+    /// On the serial engine the campaign is the one-lane default the
+    /// policy sweep once built by hand for each world.
+    #[test]
+    fn serial_campaign_config_is_the_one_lane_default() {
+        let seed = 0xCAF_2024;
+        let by_hand = CampaignConfig {
+            seed,
+            workers: 1,
+            ..CampaignConfig::default()
+        };
+        assert_eq!(
+            format!("{:?}", campaign_config(seed, EngineConfig::serial())),
+            format!("{by_hand:?}")
+        );
+    }
 }

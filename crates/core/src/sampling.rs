@@ -86,7 +86,7 @@ impl SamplingPlan {
     /// How many (ISP, CBG) cells [`SamplingPlan::draw`] would produce
     /// for this state — the index space of [`SamplingPlan::draw_cells`].
     pub fn cell_count(world: &StateWorld) -> usize {
-        world.usac.cbg_cells().count()
+        world.geography.caf_cells().len()
     }
 
     /// Draws the plan restricted to a contiguous cell range (cells
@@ -94,28 +94,32 @@ impl SamplingPlan {
     /// cell's shuffle is keyed by (seed, CBG, ISP), never by position,
     /// so `draw_cells(.., lo..hi).cells` equals `draw(..).cells[lo..hi]`
     /// — the invariant that lets the audit engine shard a state by cell
-    /// ranges without changing a single drawn address.
+    /// ranges without changing a single drawn address. The cells and
+    /// their address ids come from the geography, so no CAF-Map record
+    /// is built.
     pub fn draw_cells(
         seed: u64,
         world: &StateWorld,
         rule: SamplingRule,
         range: std::ops::Range<usize>,
     ) -> SamplingPlan {
-        let mut cells = Vec::with_capacity(range.len());
-        for (isp, cbg, records) in world.usac.cbg_cells().skip(range.start).take(range.len()) {
-            let mut addresses: Vec<AddressId> = records.iter().map(|r| r.address.id).collect();
-            let mut rng = scoped_rng(seed, "sampling", cbg.geoid() ^ isp.id());
-            rng.shuffle(&mut addresses);
-            let take = rule.sample_size(addresses.len());
-            let replacements = addresses.split_off(take);
-            cells.push(SampledCbg {
-                isp,
-                cbg,
-                total_addresses: records.len(),
-                primary: addresses,
-                replacements,
-            });
-        }
+        let cells = world.geography.caf_cells()[range]
+            .iter()
+            .map(|cell| {
+                let mut addresses: Vec<AddressId> = cell.ids().collect();
+                let mut rng = scoped_rng(seed, "sampling", cell.cbg.geoid() ^ cell.isp.id());
+                rng.shuffle(&mut addresses);
+                let take = rule.sample_size(addresses.len());
+                let replacements = addresses.split_off(take);
+                SampledCbg {
+                    isp: cell.isp,
+                    cbg: cell.cbg,
+                    total_addresses: cell.count as usize,
+                    primary: addresses,
+                    replacements,
+                }
+            })
+            .collect();
         SamplingPlan {
             state: world.state,
             rule,

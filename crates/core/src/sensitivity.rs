@@ -83,11 +83,11 @@ impl SensitivityAnalysis {
         // Qualifying CBGs: more than 30 addresses, the figure's premise.
         let mut cbg_addresses: Vec<Vec<AddressId>> = Vec::new();
         for sw in &world.states {
-            for (cell_isp, _cbg, records) in sw.usac.cbg_cells() {
-                if cell_isp != isp || records.len() <= 30 {
+            for cell in sw.geography.caf_cells() {
+                if cell.isp != isp || cell.count <= 30 {
                     continue;
                 }
-                cbg_addresses.push(records.iter().map(|r| r.address.id).collect());
+                cbg_addresses.push(cell.ids().collect());
                 if cbg_addresses.len() >= cbg_budget {
                     break;
                 }

@@ -1858,6 +1858,14 @@ mod tests {
         starts_cold_with_world_section(SECTION_WORLD_RETIRED[1], "retired-q3");
     }
 
+    /// The same for the encoding that stored every USAC record (section
+    /// `0x13`).
+    #[test]
+    fn usac_world_section_starts_cold() {
+        assert_eq!(SECTION_WORLD_RETIRED[2], 0x13);
+        starts_cold_with_world_section(SECTION_WORLD_RETIRED[2], "retired-usac");
+    }
+
     /// Writes a snapshot at epoch 1, moves its world under `retired_tag`
     /// and checks that the next boot rejects the file and serves the
     /// same bytes from a cold build.

@@ -4,10 +4,11 @@
 //! needs to answer its default scenario without rebuilding the world:
 //!
 //! * [`SECTION_WORLD`] — the [`World`](caf_core::World): geography,
-//!   USAC records, challenge state and epoch. Nothing derivable is
-//!   stored: Q1 truth is re-derived on decode, and each state's Q3
-//!   blocks and their truth, a function of the seed, the scale and the
-//!   state, are built on first read.
+//!   challenge state and epoch. Nothing derivable is stored: Q1 truth
+//!   is re-derived on decode, and each state's USAC records (a function
+//!   of the seed, the geography and its certified-tier corrections) and
+//!   Q3 blocks with their truth (of the seed, the scale and the state)
+//!   are built on first read.
 //! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
 //!   server can keep serving per-epoch delta prefixes.
 //! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
@@ -30,11 +31,12 @@ use std::path::{Path, PathBuf};
 use caf_snap::peek_header;
 
 /// Section tag for the serialized [`World`](caf_core::World).
-pub const SECTION_WORLD: u32 = 0x13;
+pub const SECTION_WORLD: u32 = 0x14;
 /// Section tags of retired world encodings: `0x10` stored every Q1
-/// truth entry, `0x12` every Q3 block and its truth. A snapshot
-/// carrying one is rejected whole, so the server builds cold.
-pub const SECTION_WORLD_RETIRED: [u32; 2] = [0x10, 0x12];
+/// truth entry, `0x12` every Q3 block and its truth, `0x13` every USAC
+/// record. A snapshot carrying one is rejected whole, so the server
+/// builds cold.
+pub const SECTION_WORLD_RETIRED: [u32; 3] = [0x10, 0x12, 0x13];
 /// Section tag for the accepted challenge-delta log.
 pub const SECTION_LOG: u32 = 0x11;
 /// Section tag for the warm scenario-cache entries (rendered bodies).

@@ -244,8 +244,8 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
         };
         // A valid world: it stores no truth (Q1 truth is drawn from
         // re-derived cells, Q3 truth is rebuilt on first read), every
-        // record and Q3 address answers without panic, and every
-        // indexed cell holds only its own key's records.
+        // record and Q3 address answers without panic, and the records
+        // built from the decoded geography hold its ids and blocks.
         assert_eq!(world.truth.stored_count(), 0);
         for sw in &world.states {
             for r in &sw.usac.records {
@@ -255,14 +255,11 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
                     r.address.id
                 );
             }
-            for (isp, cbg, records) in sw.usac.cbg_cells() {
-                assert!(
-                    records
-                        .iter()
-                        .all(|r| r.isp == isp && r.address.block_group() == cbg),
-                    "{isp} {cbg}"
-                );
-            }
+            assert!(sw.geography.address_blocks().eq(sw
+                .usac
+                .records
+                .iter()
+                .map(|r| (r.address.id, r.address.block))));
         }
         lookup_all(&world);
     });

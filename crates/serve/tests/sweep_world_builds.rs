@@ -1,14 +1,15 @@
 //! A `/v1/sweep` request builds each (state, scale) world at most once,
 //! however many of its policy cells miss the cache. Checked in its own
-//! test process, so the global registry's `caf.synth.usac.states_built`
-//! counter (one per audited state world) counts only this file's builds.
+//! test process, so the global registry's `caf.synth.world.states_built`
+//! counter (one per generated state world) counts only this file's
+//! builds.
 
 use caf_core::EngineConfig;
 use caf_serve::{App, AppConfig, Handler, Request};
 
 fn states_built() -> u64 {
     caf_obs::registry()
-        .counter("caf.synth.usac.states_built")
+        .counter("caf.synth.world.states_built")
         .get()
 }
 

@@ -3,7 +3,7 @@
 //! through `caf_core::pipeline`, evaluate its policy cells against it,
 //! and reduce into canonical tables and artifacts.
 
-use caf_bqt::CampaignConfig;
+use caf_core::pipeline::campaign_config;
 use caf_core::{CompetitionCounterfactual, EngineConfig, Q3Analysis, Scenario};
 use caf_dataframe::{DataFrame, DataType, Value};
 use caf_exec::{map_units_stats, CostHint, Shard, ShardPolicy, UnitPlan};
@@ -96,11 +96,7 @@ pub fn run_world(seed: u64, group: &[Cell]) -> Vec<CellResult> {
     debug_assert!(group
         .iter()
         .all(|c| (c.state, c.scale) == (first.state, first.scale)));
-    let campaign = CampaignConfig {
-        seed,
-        workers: 1,
-        ..CampaignConfig::default()
-    };
+    let campaign = campaign_config(seed, EngineConfig::serial());
     let scenario = Scenario::build(
         SynthConfig {
             seed,

@@ -7,8 +7,9 @@
 //! latent serviceability rate (a *truth* correction) or the certified
 //! tier (a *claim* correction) — and [`crate::World::apply_deltas`]
 //! folds a batch of deltas into an existing world by rebuilding only the
-//! touched CBG cells through the same `build_for_cbgs` / `q1_cells`
-//! seams the sharded generator uses.
+//! touched CBGs' truth cells through the same `q1_cells` seam generation
+//! uses, and handing each touched state's CAF-Map records a recipe that
+//! carries its certified-tier corrections.
 //!
 //! ## Convergence contract
 //!
@@ -129,6 +130,16 @@ impl ChallengeSet {
     /// The effective corrections for a cell, if any.
     pub fn cell(&self, state: UsState, cbg: usize) -> Option<&CellCorrections> {
         self.cells.get(&(state.fips().code(), cbg))
+    }
+
+    /// A state's certified-tier corrections as `(CBG index, (down, up))`,
+    /// ascending by index: what its CAF-Map records are built with.
+    pub(crate) fn certified_tiers(&self, state: UsState) -> Vec<(usize, (u32, u32))> {
+        let fips = state.fips().code();
+        self.cells
+            .range((fips, 0)..=(fips, usize::MAX))
+            .filter_map(|(&(_, cbg), cell)| cell.certified.map(|tier| (cbg, tier)))
+            .collect()
     }
 
     /// Installs a cell's effective corrections verbatim (snapshot

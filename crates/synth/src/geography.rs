@@ -14,7 +14,10 @@ use crate::dist;
 use crate::isp::Isp;
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::{mix2, scoped_rng, StdRng};
-use caf_geo::{BlockGroupId, BlockId, BoundingBox, CountyId, LatLon, StateFips, TractId, UsState};
+use crate::usac::address_id;
+use caf_geo::{
+    AddressId, BlockGroupId, BlockId, BoundingBox, CountyId, LatLon, StateFips, TractId, UsState,
+};
 use std::sync::Arc;
 
 /// A census block with its CAF address count.
@@ -49,6 +52,48 @@ pub struct CbgInfo {
     pub caf_addresses: u32,
     /// The blocks making up this CBG.
     pub blocks: Vec<BlockInfo>,
+}
+
+/// One certified (ISP, CBG) cell of the CAF Map: its addresses hold the
+/// `count` consecutive ids from `first`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CafCell {
+    /// The certifying ISP.
+    pub isp: Isp,
+    /// The block group.
+    pub cbg: BlockGroupId,
+    /// The id of the cell's first certified address.
+    pub first: AddressId,
+    /// How many addresses the cell certifies.
+    pub count: u32,
+}
+
+impl CafCell {
+    /// The cell's address ids, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = AddressId> {
+        (self.first.0..self.first.0 + u64::from(self.count)).map(AddressId)
+    }
+}
+
+/// The CBGs of `cbgs` that certify addresses, in enumeration order, each
+/// with its index and its cell. Ids run consecutively through the
+/// state: a CBG's first id follows the last id of every earlier CBG
+/// ([`address_id`] of the running count).
+pub(crate) fn certified_cbgs(
+    state: UsState,
+    cbgs: &[CbgInfo],
+) -> impl Iterator<Item = (usize, &CbgInfo, CafCell)> {
+    let mut before: u64 = 0;
+    cbgs.iter().enumerate().filter_map(move |(i, cbg)| {
+        let cell = CafCell {
+            isp: cbg.isp,
+            cbg: cbg.id,
+            first: address_id(state, before + 1),
+            count: cbg.caf_addresses,
+        };
+        before += u64::from(cbg.caf_addresses);
+        (cbg.caf_addresses > 0).then_some((i, cbg, cell))
+    })
 }
 
 /// The synthetic geography of one state.
@@ -160,19 +205,40 @@ impl StateGeography {
         self.cbgs.iter().map(|c| u64::from(c.caf_addresses)).sum()
     }
 
-    /// The (ISP, CBG) cells with certified addresses and their address
-    /// counts, in ascending `(Isp, BlockGroupId)` order: the keys and
-    /// lengths of [`crate::UsacDataset::cbg_cells`], known without
-    /// building a record.
-    pub fn caf_cells(&self) -> Vec<(Isp, BlockGroupId, u32)> {
-        let mut cells: Vec<_> = self
-            .cbgs
-            .iter()
-            .filter(|c| c.caf_addresses > 0)
-            .map(|c| (c.isp, c.id, c.caf_addresses))
-            .collect();
-        cells.sort_unstable_by_key(|&(isp, cbg, _)| (isp, cbg));
+    /// The CBGs that certify addresses, in enumeration order, each with
+    /// its index and its cell: the order and ids of the state's CAF-Map
+    /// records.
+    pub fn certified_cbgs(&self) -> impl Iterator<Item = (usize, &CbgInfo, CafCell)> {
+        certified_cbgs(self.state, &self.cbgs)
+    }
+
+    /// The (ISP, CBG) cells with certified addresses, each with its id
+    /// range, in ascending `(Isp, BlockGroupId)` order: the CAF Map's
+    /// cells, known without building a record.
+    pub fn caf_cells(&self) -> Vec<CafCell> {
+        let mut cells: Vec<CafCell> = self.certified_cbgs().map(|(_, _, cell)| cell).collect();
+        cells.sort_unstable_by_key(|cell| (cell.isp, cell.cbg));
         cells
+    }
+
+    /// Every certified address id with its ISP, in CAF-Map record order
+    /// (CBG enumeration order, ids ascending).
+    pub fn certified_addresses(&self) -> impl Iterator<Item = (AddressId, Isp)> + '_ {
+        self.certified_cbgs()
+            .flat_map(|(_, _, cell)| cell.ids().map(move |id| (id, cell.isp)))
+    }
+
+    /// Every certified address id with its census block, ascending by
+    /// id: a CBG's ids walk its blocks in order, each block holding its
+    /// `caf_addresses` of them.
+    pub fn address_blocks(&self) -> impl Iterator<Item = (AddressId, BlockId)> + '_ {
+        self.certified_cbgs().flat_map(|(_, cbg, cell)| {
+            let blocks = cbg
+                .blocks
+                .iter()
+                .flat_map(|b| std::iter::repeat_n(b.id, b.caf_addresses as usize));
+            cell.ids().zip(blocks)
+        })
     }
 
     /// The CBGs certified to a specific ISP.

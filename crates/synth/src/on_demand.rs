@@ -27,7 +27,7 @@ pub trait Recipe {
 /// value clones unbuilt. `PartialEq` and `Debug` act on the built value
 /// (building it if need be).
 pub struct OnDemand<R: Recipe> {
-    recipe: Option<R>,
+    recipe: R,
     built: OnceLock<R::Output>,
 }
 
@@ -35,20 +35,12 @@ impl<R: Recipe> OnDemand<R> {
     /// The value `recipe` builds, not yet built.
     pub(crate) fn new(recipe: R) -> OnDemand<R> {
         OnDemand {
-            recipe: Some(recipe),
+            recipe,
             built: OnceLock::new(),
         }
     }
 
-    /// A value given already built (a decoded one), with no recipe.
-    pub(crate) fn built(value: R::Output) -> OnDemand<R> {
-        OnDemand {
-            recipe: None,
-            built: OnceLock::from(value),
-        }
-    }
-
-    /// Whether the value has been built (or was given built).
+    /// Whether the value has been built.
     pub fn is_built(&self) -> bool {
         self.built.get().is_some()
     }
@@ -58,12 +50,7 @@ impl<R: Recipe> Deref for OnDemand<R> {
     type Target = R::Output;
 
     fn deref(&self) -> &R::Output {
-        self.built.get_or_init(|| {
-            self.recipe
-                .as_ref()
-                .expect("an unbuilt value keeps its recipe")
-                .build()
-        })
+        self.built.get_or_init(|| self.recipe.build())
     }
 }
 
@@ -142,7 +129,5 @@ mod tests {
         assert!(copy == value);
         assert_eq!(builds.load(Ordering::SeqCst), 2);
         assert_eq!(format!("{value:?}"), "[1, 2, 3]");
-        let given = OnDemand::<Counted>::built(vec![4]);
-        assert!(given.is_built() && *given == [4]);
     }
 }

@@ -9,12 +9,13 @@
 //!   byte-identical files — which is what lets the disk tier and CI
 //!   compare snapshots by content hash.
 //! * **Nothing derivable is stored.** Q1 truth is drawn on demand from
-//!   per-CBG cells, and the cells are a function of the geography, the
-//!   USAC records and the effective corrections; decoding re-derives
-//!   them through the same function generation uses. A state's Q3
-//!   blocks and their truth are a function of the seed, the scale and
-//!   the state, which no challenge touches: a decoded world builds them
-//!   on first read, as a generated one does.
+//!   per-CBG cells, and the cells are a function of the geography and
+//!   the effective corrections; decoding re-derives them through the
+//!   same function generation uses. A state's USAC records are a
+//!   function of the seed, the geography and its certified-tier
+//!   corrections, and its Q3 blocks and their truth of the seed, the
+//!   scale and the state: a decoded world builds both on first read, as
+//!   a generated or challenged one does.
 //! * **Validated decoding.** Enum discriminants and cross-field
 //!   invariants are checked on the way in; a corrupt payload that
 //!   survives the container checksums still cannot materialize an
@@ -26,10 +27,11 @@ use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
 use crate::q3::{LazyQ3, Q3Recipe};
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{CafRecord, LazyUsac, Technology, UsacDataset};
+use crate::usac::{LazyUsac, UsacRecipe};
 use crate::world::{StateWorld, World};
 use crate::Isp;
 use caf_snap::{Reader, Snap, SnapError, Writer};
+use std::sync::Arc;
 
 fn bad_tag(what: &str, tag: u8) -> SnapError {
     SnapError::Malformed(format!("{what}: unknown tag {tag}"))
@@ -83,24 +85,6 @@ impl Snap for ErrorCategory {
     }
 }
 
-impl Snap for Technology {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Technology::Dsl => 0,
-            Technology::Fiber => 1,
-            Technology::FixedWireless => 2,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Technology::Dsl,
-            1 => Technology::Fiber,
-            2 => Technology::FixedWireless,
-            other => return Err(bad_tag("technology", other)),
-        })
-    }
-}
-
 impl Snap for SynthConfig {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.seed);
@@ -135,51 +119,11 @@ impl Snap for BroadbandPlan {
     }
 }
 
-impl Snap for CafRecord {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.address);
-        w.put(&self.isp);
-        w.put_f64(self.certified_down_mbps);
-        w.put_f64(self.certified_up_mbps);
-        w.put(&self.technology);
-        w.put_f64(self.latency_ms);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CafRecord {
-            address: r.get()?,
-            isp: r.get()?,
-            certified_down_mbps: r.f64()?,
-            certified_up_mbps: r.f64()?,
-            technology: r.get()?,
-            latency_ms: r.f64()?,
-        })
-    }
-}
-
-impl Snap for UsacDataset {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.state);
-        w.put_seq(&self.records);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let state = r.get()?;
-        let records = r.get_seq()?;
-        // The per-cell range index is derived from the records, so the
-        // snapshot only carries the rows themselves.
-        UsacDataset::from_records(state, records).ok_or_else(|| {
-            SnapError::Malformed(format!(
-                "{state}: an (ISP, CBG) cell's USAC records are not contiguous"
-            ))
-        })
-    }
-}
-
-/// Re-derives a decoded world's Q1 truth cells from its geography, USAC
-/// records and effective corrections, through the same
-/// `truth::q1_cells` generation uses. Every input the derivation
-/// consumes is checked first, and the records must hold exactly the
-/// cells' ids under the cells' ISPs and CBGs, in CBG order: a payload
-/// whose pieces disagree is corrupt even if every checksum passed.
+/// Re-derives a decoded world's Q1 truth cells from its geography and
+/// effective corrections, through the same `truth::q1_cells`
+/// generation uses. Every input the derivation consumes is checked
+/// first: a payload whose pieces disagree is corrupt even if every
+/// checksum passed.
 fn q1_truth_cells(
     config: &SynthConfig,
     states: &[StateWorld],
@@ -192,8 +136,8 @@ fn q1_truth_cells(
             return Err(SnapError::Malformed(format!("{state} appears twice")));
         }
         for cbg in sw.geography.cbgs.iter() {
-            // A challenge rebuilds a CBG's records from its blocks, so
-            // the blocks must hold the CBG's count.
+            // A CBG's records are built from its blocks under the ids
+            // its count reserves, so the blocks must hold the count.
             let in_blocks: u64 = cbg.blocks.iter().map(|b| u64::from(b.caf_addresses)).sum();
             if !(0.0..=1.0).contains(&cbg.density_pct)
                 || !Isp::audited().contains(&cbg.isp)
@@ -206,33 +150,24 @@ fn q1_truth_cells(
                 )));
             }
         }
-        let state_cells = truth::q1_cells(config, state, &sw.geography.cbgs, 0, |cbg| {
-            challenges
-                .cell(state, cbg)
-                .and_then(CellCorrections::availability_rate)
-        });
-        // One contiguous run per CBG with addresses, in enumeration
-        // order: the layout the dataset's range index describes.
-        let mut records = sw.usac.records.iter();
-        let certified = sw.geography.cbgs.iter().filter(|c| c.caf_addresses > 0);
-        for (cell, cbg) in state_cells.iter().zip(certified) {
-            for offset in 0..u64::from(cell.len) {
-                let id = caf_geo::AddressId(cell.first.0 + offset);
-                if !records.next().is_some_and(|r| {
-                    r.address.id == id && r.isp == cell.isp && r.address.block_group() == cbg.id
-                }) {
-                    return Err(SnapError::Malformed(format!(
-                        "{state}: USAC records disagree with the CBG address counts at {id}"
-                    )));
-                }
-            }
-        }
-        if records.next().is_some() {
+        // Ids are the state's FIPS code times 10⁹ plus a running
+        // count, so a state certifying 10⁹ addresses would reach into
+        // the next state's ids.
+        if sw.geography.total_caf_addresses() >= 1_000_000_000 {
             return Err(SnapError::Malformed(format!(
-                "{state}: more USAC records than the CBGs certify"
+                "{state} certifies more addresses than its id space holds"
             )));
         }
-        cells.extend(state_cells);
+        cells.extend(truth::q1_cells(
+            config,
+            state,
+            sw.geography.certified_cbgs(),
+            |cbg| {
+                challenges
+                    .cell(state, cbg)
+                    .and_then(CellCorrections::availability_rate)
+            },
+        ));
     }
     Ok(cells)
 }
@@ -374,8 +309,8 @@ impl Snap for ChallengeSet {
 }
 
 impl Snap for World {
-    /// Writes the configuration, each state's geography and USAC records,
-    /// the epoch and the corrections. The Q1 truth cells and the Q3
+    /// Writes the configuration, each state's geography, the epoch and
+    /// the corrections. The Q1 truth cells, the USAC records and the Q3
     /// worlds are a function of these, so they are not written: a
     /// generated world's truth table holds nothing else.
     fn encode(&self, w: &mut Writer) {
@@ -383,9 +318,7 @@ impl Snap for World {
         w.put(&self.config);
         w.put_u64(self.states.len() as u64);
         for sw in &self.states {
-            w.put(&sw.state);
             w.put(&sw.geography);
-            w.put(&*sw.usac);
         }
         w.put_u64(self.epoch);
         w.put(&self.challenges);
@@ -395,15 +328,10 @@ impl Snap for World {
         // Each state costs at least one byte; reserve no more states
         // than the remaining input could hold.
         let count = r.len_prefix()?;
-        let mut states = Vec::with_capacity(count.min(r.remaining() / size_of::<StateWorld>()));
+        let mut geographies: Vec<StateGeography> =
+            Vec::with_capacity(count.min(r.remaining() / size_of::<StateGeography>()));
         for _ in 0..count {
-            let state = r.get()?;
-            states.push(StateWorld {
-                state,
-                geography: r.get()?,
-                usac: LazyUsac::built(r.get()?),
-                q3: LazyQ3::new(Q3Recipe::new(config, state)),
-            });
+            geographies.push(r.get()?);
         }
         let epoch = r.u64()?;
         let challenges: ChallengeSet = r.get()?;
@@ -415,6 +343,23 @@ impl Snap for World {
                 "epoch-0 world carries challenge corrections".to_string(),
             ));
         }
+        let states: Vec<StateWorld> = geographies
+            .into_iter()
+            .map(|geography| {
+                let state = geography.state;
+                StateWorld {
+                    state,
+                    usac: LazyUsac::new(UsacRecipe::new(
+                        config,
+                        state,
+                        Arc::clone(&geography.cbgs),
+                        challenges.certified_tiers(state),
+                    )),
+                    q3: LazyQ3::new(Q3Recipe::new(config, state)),
+                    geography,
+                }
+            })
+            .collect();
         let mut truth = TruthTable::new();
         truth.install_q1(config.seed, q1_truth_cells(&config, &states, &challenges)?);
         Ok(World {
@@ -494,24 +439,19 @@ mod tests {
 
     #[test]
     fn decoded_world_equals_the_generated_one() {
-        use std::borrow::Cow;
         let config = SynthConfig {
             seed: 0xCAF_2024,
             scale: 150,
         };
         let world = World::generate_states(config, &[UsState::Vermont, UsState::NewHampshire]);
         let (bytes, decoded) = round_trip_bytes(&world);
-        // The decoded strings are owned, the generated ones borrowed...
-        let street = &decoded.states[0].usac.records[0].address.street;
-        assert!(matches!(street.city, Cow::Owned(_)));
-        assert!(matches!(
-            world.states[0].usac.records[0].address.street.city,
-            Cow::Borrowed(_)
-        ));
-        // ...which neither equality, lookups, Debug nor the encoding can
-        // see. The Q3 worlds are not in the encoding: the decoded ones
-        // are built on first read, and equal the generated ones.
-        assert!(decoded.states.iter().all(|sw| !sw.q3.is_built()));
+        // Neither the USAC records nor the Q3 worlds are in the
+        // encoding: the decoded ones are built on first read, and equal
+        // the generated ones.
+        assert!(decoded
+            .states
+            .iter()
+            .all(|sw| !sw.usac.is_built() && !sw.q3.is_built()));
         assert!(decoded == world);
         assert_same_lookups(&world, &decoded);
         assert_eq!(format!("{decoded:?}"), format!("{world:?}"));
@@ -611,9 +551,10 @@ mod tests {
         assert!(moved, "no availability correction changed a lookup");
     }
 
-    /// Every input the cell derivation consumes is checked: records that
-    /// disagree with the CBG counts, a density percentile the rate
-    /// modulation cannot use, and an availability beyond 100%.
+    /// Every input the cell derivation consumes is checked: blocks that
+    /// disagree with their CBG's count, more addresses than the state's
+    /// id space holds, a density percentile the rate modulation cannot
+    /// use, and an availability beyond 100%.
     #[test]
     fn inconsistent_q1_inputs_are_malformed() {
         let config = SynthConfig {
@@ -640,23 +581,18 @@ mod tests {
         };
         assert!(!malformed(&world));
 
-        let mut extra = world.clone();
-        let cbg = &mut std::sync::Arc::make_mut(&mut extra.states[0].geography.cbgs)[0];
-        cbg.caf_addresses += 1;
-        cbg.blocks[0].caf_addresses += 1;
-        assert!(malformed(&extra), "a CBG certifying one record too many");
-
         let mut blocks = world.clone();
-        std::sync::Arc::make_mut(&mut blocks.states[0].geography.cbgs)[0].blocks[0]
-            .caf_addresses += 1;
+        Arc::make_mut(&mut blocks.states[0].geography.cbgs)[0].blocks[0].caf_addresses += 1;
         assert!(malformed(&blocks), "blocks holding more than their CBG");
 
-        let mut short = world.clone();
-        short.states[0].usac.records.pop();
-        assert!(malformed(&short), "a missing record");
+        let mut overflow = world.clone();
+        let cbg = &mut Arc::make_mut(&mut overflow.states[0].geography.cbgs)[0];
+        cbg.caf_addresses += 1_000_000_000;
+        cbg.blocks[0].caf_addresses += 1_000_000_000;
+        assert!(malformed(&overflow), "more addresses than the id space");
 
         let mut nan = world.clone();
-        std::sync::Arc::make_mut(&mut nan.states[0].geography.cbgs)[0].density_pct = f64::NAN;
+        Arc::make_mut(&mut nan.states[0].geography.cbgs)[0].density_pct = f64::NAN;
         assert!(malformed(&nan), "a NaN density percentile");
 
         let mut rate = world.clone();
@@ -674,41 +610,6 @@ mod tests {
         let mut twice = world.clone();
         twice.states.push(twice.states[0].clone());
         assert!(malformed(&twice), "a state listed twice");
-    }
-
-    #[test]
-    fn usac_records_swapped_across_cells_are_malformed() {
-        let config = SynthConfig {
-            seed: 0xCAF_2024,
-            scale: 60,
-        };
-        let world = World::generate_states(config, &[UsState::Vermont]);
-        let malformed = |world: &World| {
-            let mut w = Writer::new();
-            w.put(world);
-            let bytes = w.into_bytes();
-            matches!(
-                Reader::new(&bytes).get::<World>(),
-                Err(SnapError::Malformed(_))
-            )
-        };
-        assert!(!malformed(&world));
-        // The first records of the first two CBGs (in enumeration order).
-        let cbgs = &world.states[0].geography.cbgs;
-        let (a, b) = (0, cbgs[0].caf_addresses as usize);
-        assert_ne!(cbgs[0].id, cbgs[1].id);
-
-        let mut swapped = world.clone();
-        swapped.states[0].usac.records.swap(a, b);
-        assert!(malformed(&swapped), "two records swapped across cells");
-
-        // Every cell still one run with its ids in order, but the first
-        // CBG's run ends one record late: the counts disagree.
-        assert_eq!(cbgs[0].isp, cbgs[1].isp);
-        let mut moved = world.clone();
-        let records = &mut moved.states[0].usac.records;
-        records[b].address.block = records[a].address.block;
-        assert!(malformed(&moved), "a record moved across a cell boundary");
     }
 
     #[test]
@@ -734,16 +635,8 @@ mod tests {
 
     #[test]
     fn enum_discriminants_reject_unknown_tags() {
-        for bytes in [[7u8], [5u8], [9u8]] {
-            let mut r = Reader::new(&bytes);
-            let failed = match bytes[0] {
-                7 => r.get::<Isp>().is_err(),
-                5 => r.get::<ErrorCategory>().is_err(),
-                9 => r.get::<Technology>().is_err(),
-                _ => unreachable!(),
-            };
-            assert!(failed);
-        }
+        assert!(Reader::new(&[7]).get::<Isp>().is_err());
+        assert!(Reader::new(&[5]).get::<ErrorCategory>().is_err());
     }
 
     #[test]

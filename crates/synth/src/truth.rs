@@ -27,13 +27,12 @@
 //! served addresses follow Table 1's conditional tier distribution.
 
 use crate::dist;
-use crate::geography::{CbgInfo, StateGeography};
+use crate::geography::{CafCell, CbgInfo, StateGeography};
 use crate::isp::Isp;
 use crate::params::CalibrationParams;
 use crate::params::SynthConfig;
 use crate::plans::{BroadbandPlan, CatalogTier, PlanCatalog};
 use crate::rng::{mix2, scoped_rng, StdRng};
-use crate::usac::address_id;
 use caf_exec::rng::mix;
 use caf_geo::{AddressId, UsState};
 use std::borrow::Cow;
@@ -259,53 +258,44 @@ impl TruthTable {
         let mut table = TruthTable::new();
         table.install_q1(
             config.seed,
-            q1_cells(config, geo.state, &geo.cbgs, 0, |_| None),
+            q1_cells(config, geo.state, geo.certified_cbgs(), |_| None),
         );
         table
     }
 }
 
-/// The Q1 cells of a contiguous CBG slice, one per CBG with certified
-/// addresses. `base` counts the certified addresses of the state's CBGs
-/// before the slice (ids are dense across CBGs), and `rate_override`
-/// maps a CBG's index in the slice to its availability correction. Rates
-/// are keyed by GEOID, so disjoint slices concatenate to the whole
-/// state's cells. The CBGs must carry *finalized* `density_pct` values.
-/// Generation, challenge rebuilds and the snapshot decoder all derive
-/// cells here, so every world draws from the same cells.
-pub(crate) fn q1_cells(
+/// The Q1 cells of certified CBGs, one per CBG: `cbgs` yields each
+/// CBG with its enumeration index and CAF cell, as
+/// [`StateGeography::certified_cbgs`] does, and `rate_override` maps an
+/// index to its availability correction. Rates are keyed by GEOID, so
+/// any subset of a state's CBGs yields exactly those CBGs' cells. The
+/// CBGs must carry *finalized* `density_pct` values. Generation,
+/// challenge rebuilds and the snapshot decoder all derive cells here,
+/// so every world draws from the same cells.
+pub(crate) fn q1_cells<'a>(
     config: &SynthConfig,
     state: UsState,
-    cbgs: &[CbgInfo],
-    base: u64,
+    cbgs: impl Iterator<Item = (usize, &'a CbgInfo, CafCell)>,
     rate_override: impl Fn(usize) -> Option<f64>,
 ) -> Vec<Q1Cell> {
-    let mut cells = Vec::with_capacity(cbgs.len());
-    let mut counter = base;
-    for (i, cbg) in cbgs.iter().enumerate() {
-        if cbg.caf_addresses > 0 {
-            cells.push(Q1Cell {
-                first: address_id(state, counter + 1),
-                len: cbg.caf_addresses,
-                isp: cbg.isp,
-                rate: rate_override(i).unwrap_or_else(|| {
-                    // The latent rate: the (ISP, state) base rate,
-                    // density-modulated, with Beta-distributed
-                    // CBG-to-CBG spread.
-                    let isp = cbg.isp;
-                    let base = CalibrationParams::serviceability_base(isp, state);
-                    let coupling = CalibrationParams::density_coupling(isp, state);
-                    let kappa = CalibrationParams::serviceability_concentration(isp);
-                    let modulated =
-                        (base * (1.0 + coupling * (cbg.density_pct - 0.5))).clamp(0.02, 0.98);
-                    let mut cbg_rng = scoped_rng(config.seed, "truth-cbg", cbg.id.geoid());
-                    dist::beta_mean_conc(&mut cbg_rng, modulated, kappa)
-                }),
-            });
-        }
-        counter += u64::from(cbg.caf_addresses);
-    }
-    cells
+    cbgs.map(|(i, cbg, cell)| Q1Cell {
+        first: cell.first,
+        len: cell.count,
+        isp: cbg.isp,
+        rate: rate_override(i).unwrap_or_else(|| {
+            // The latent rate: the (ISP, state) base rate,
+            // density-modulated, with Beta-distributed CBG-to-CBG
+            // spread.
+            let isp = cbg.isp;
+            let base = CalibrationParams::serviceability_base(isp, state);
+            let coupling = CalibrationParams::density_coupling(isp, state);
+            let kappa = CalibrationParams::serviceability_concentration(isp);
+            let modulated = (base * (1.0 + coupling * (cbg.density_pct - 0.5))).clamp(0.02, 0.98);
+            let mut cbg_rng = scoped_rng(config.seed, "truth-cbg", cbg.id.geoid());
+            dist::beta_mean_conc(&mut cbg_rng, modulated, kappa)
+        }),
+    })
+    .collect()
 }
 
 /// Draws the truth for one address given its CBG's serviceability rate.
@@ -428,33 +418,45 @@ impl TruthDraw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::usac::UsacDataset;
 
     fn cfg() -> SynthConfig {
         SynthConfig { seed: 5, scale: 20 }
     }
 
-    fn truth_for(state: UsState) -> (StateGeography, UsacDataset, TruthTable) {
+    fn truth_for(state: UsState) -> (StateGeography, TruthTable) {
         let geo = StateGeography::build(&cfg(), state);
-        let usac = UsacDataset::build(&cfg(), &geo);
         let truth = TruthTable::build_q1(&cfg(), &geo);
-        (geo, usac, truth)
+        (geo, truth)
+    }
+
+    fn certified(geo: &StateGeography) -> Vec<(AddressId, Isp)> {
+        geo.certified_addresses().collect()
+    }
+
+    /// The share of a cell's certified addresses its ISP serves.
+    fn served_rate(truth: &TruthTable, cell: CafCell) -> f64 {
+        let served = cell
+            .ids()
+            .filter(|&id| truth.get(id, cell.isp).unwrap().served)
+            .count();
+        served as f64 / f64::from(cell.count)
     }
 
     #[test]
     fn every_record_has_truth() {
-        let (_, usac, truth) = truth_for(UsState::Vermont);
-        assert_eq!(truth.len(), usac.records.len());
-        for r in &usac.records {
-            assert!(truth.get(r.address.id, r.isp).is_some());
+        let (geo, truth) = truth_for(UsState::Vermont);
+        let pairs = certified(&geo);
+        assert_eq!(truth.len(), pairs.len());
+        for (id, isp) in pairs {
+            assert!(truth.get(id, isp).is_some());
         }
     }
 
     #[test]
     fn served_iff_plans() {
-        let (_, usac, truth) = truth_for(UsState::Alabama);
-        for r in &usac.records {
-            let t = truth.get(r.address.id, r.isp).unwrap();
+        let (geo, truth) = truth_for(UsState::Alabama);
+        for (id, isp) in certified(&geo) {
+            let t = truth.get(id, isp).unwrap();
             assert_eq!(t.served, !t.plans.is_empty());
             if let Some(max) = t.max_download_mbps() {
                 // First plan is the max tier.
@@ -470,20 +472,13 @@ mod tests {
         // distribution is heavy-tailed; the CBG-level mean is the stable
         // calibration check (the pipeline-level weighted check lives in
         // caf-core's calibration tests at larger scale).
-        let (geo, usac, truth) = truth_for(UsState::Alabama);
+        let (geo, truth) = truth_for(UsState::Alabama);
         for isp in [Isp::Att, Isp::CenturyLink] {
-            let mut cbg_rates = Vec::new();
-            for cbg in geo.cbgs_for(isp) {
-                let records = &usac.records[usac.cbg_range(isp, cbg.id)];
-                if records.is_empty() {
-                    continue;
-                }
-                let served = records
-                    .iter()
-                    .filter(|r| truth.get(r.address.id, isp).unwrap().served)
-                    .count();
-                cbg_rates.push(served as f64 / records.len() as f64);
-            }
+            let cbg_rates: Vec<f64> = geo
+                .certified_cbgs()
+                .filter(|(_, cbg, _)| cbg.isp == isp)
+                .map(|(_, _, cell)| served_rate(&truth, cell))
+                .collect();
             let rate = cbg_rates.iter().sum::<f64>() / cbg_rates.len() as f64;
             let base = CalibrationParams::serviceability_base(isp, UsState::Alabama);
             assert!(
@@ -497,19 +492,13 @@ mod tests {
     fn att_density_coupling_visible() {
         // Among AT&T CBGs in Georgia, the densest third must out-serve the
         // sparsest third.
-        let (geo, usac, truth) = truth_for(UsState::Georgia);
-        let mut rates: Vec<(f64, f64)> = Vec::new(); // (density_pct, rate)
-        for cbg in geo.cbgs_for(Isp::Att) {
-            let records = &usac.records[usac.cbg_range(Isp::Att, cbg.id)];
-            if records.len() < 5 {
-                continue;
-            }
-            let served = records
-                .iter()
-                .filter(|r| truth.get(r.address.id, Isp::Att).unwrap().served)
-                .count();
-            rates.push((cbg.density_pct, served as f64 / records.len() as f64));
-        }
+        let (geo, truth) = truth_for(UsState::Georgia);
+        // (density_pct, rate)
+        let mut rates: Vec<(f64, f64)> = geo
+            .certified_cbgs()
+            .filter(|(_, cbg, _)| cbg.isp == Isp::Att && cbg.caf_addresses >= 5)
+            .map(|(_, cbg, cell)| (cbg.density_pct, served_rate(&truth, cell)))
+            .collect();
         assert!(rates.len() > 20, "need enough CBGs, got {}", rates.len());
         rates.sort_by(|a, b| a.0.total_cmp(&b.0));
         let third = rates.len() / 3;
@@ -529,20 +518,12 @@ mod tests {
     fn density_slope(state: UsState, seed: u64) -> f64 {
         let cfg = SynthConfig { seed, scale: 20 };
         let geo = StateGeography::build(&cfg, state);
-        let usac = UsacDataset::build(&cfg, &geo);
         let truth = TruthTable::build_q1(&cfg, &geo);
-        let mut points: Vec<(f64, f64)> = Vec::new();
-        for cbg in geo.cbgs_for(Isp::Att) {
-            let records = &usac.records[usac.cbg_range(Isp::Att, cbg.id)];
-            if records.len() < 5 {
-                continue;
-            }
-            let served = records
-                .iter()
-                .filter(|r| truth.get(r.address.id, Isp::Att).unwrap().served)
-                .count();
-            points.push((cbg.density_pct, served as f64 / records.len() as f64));
-        }
+        let points: Vec<(f64, f64)> = geo
+            .certified_cbgs()
+            .filter(|(_, cbg, _)| cbg.isp == Isp::Att && cbg.caf_addresses >= 5)
+            .map(|(_, cbg, cell)| (cbg.density_pct, served_rate(&truth, cell)))
+            .collect();
         assert!(points.len() > 20, "need enough CBGs, got {}", points.len());
         let n = points.len() as f64;
         let mean_x = points.iter().map(|p| p.0).sum::<f64>() / n;
@@ -578,10 +559,13 @@ mod tests {
 
     #[test]
     fn frontier_unknown_plan_implies_subscriber() {
-        let (_, usac, truth) = truth_for(UsState::Ohio);
+        let (geo, truth) = truth_for(UsState::Ohio);
         let mut saw_unknown = false;
-        for r in usac.records.iter().filter(|r| r.isp == Isp::Frontier) {
-            let t = truth.get(r.address.id, r.isp).unwrap();
+        for (id, isp) in certified(&geo)
+            .into_iter()
+            .filter(|&(_, isp)| isp == Isp::Frontier)
+        {
+            let t = truth.get(id, isp).unwrap();
             if let Some(plan) = t.max_tier_plan() {
                 if plan.name == "Unknown Plan" {
                     saw_unknown = true;
@@ -594,40 +578,31 @@ mod tests {
 
     #[test]
     fn truth_is_deterministic_and_order_independent() {
-        let (_, usac, truth_a) = truth_for(UsState::Utah);
-        let (_, _, truth_b) = truth_for(UsState::Utah);
-        for r in &usac.records {
-            assert_eq!(
-                truth_a.get(r.address.id, r.isp),
-                truth_b.get(r.address.id, r.isp)
-            );
+        let (geo, truth_a) = truth_for(UsState::Utah);
+        let (_, truth_b) = truth_for(UsState::Utah);
+        for (id, isp) in certified(&geo) {
+            assert_eq!(truth_a.get(id, isp), truth_b.get(id, isp));
         }
     }
 
     #[test]
     fn lookups_outside_a_cell_or_under_another_isp_miss() {
-        let (_, usac, mut truth) = truth_for(UsState::Vermont);
-        let first = usac.records.first().unwrap();
-        let last = usac.records.last().unwrap();
-        assert!(truth
-            .get(AddressId(first.address.id.0 - 1), first.isp)
-            .is_none());
-        assert!(truth
-            .get(AddressId(last.address.id.0 + 1), last.isp)
-            .is_none());
-        let other = Isp::all().into_iter().find(|&i| i != first.isp).unwrap();
-        assert!(truth.get(first.address.id, other).is_none());
+        let (geo, mut truth) = truth_for(UsState::Vermont);
+        let pairs = certified(&geo);
+        let (first, isp) = pairs[0];
+        let (last, last_isp) = pairs[pairs.len() - 1];
+        assert!(truth.get(AddressId(first.0 - 1), isp).is_none());
+        assert!(truth.get(AddressId(last.0 + 1), last_isp).is_none());
+        let other = Isp::all().into_iter().find(|&i| i != isp).unwrap();
+        assert!(truth.get(first, other).is_none());
         // A stored entry under another ISP is still found, and the cell
         // keeps answering its own ISP.
-        truth.insert(first.address.id, other, AddressTruth::unserved());
+        truth.insert(first, other, AddressTruth::unserved());
         assert_eq!(
-            truth.get(first.address.id, other).as_deref(),
+            truth.get(first, other).as_deref(),
             Some(&AddressTruth::unserved())
         );
-        assert!(matches!(
-            truth.get(first.address.id, first.isp),
-            Some(Cow::Owned(_))
-        ));
+        assert!(matches!(truth.get(first, isp), Some(Cow::Owned(_))));
         assert!(truth.cell_count() > 0);
         assert_eq!(truth.stored_count(), 1);
     }

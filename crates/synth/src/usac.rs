@@ -6,17 +6,23 @@
 //! module materializes that dataset from the synthetic geography — one
 //! [`CafRecord`] per certified address — plus the national-scale marginals
 //! behind Figure 1.
+//!
+//! A record's id, ISP, CBG and block are fixed by the geography
+//! ([`StateGeography::caf_cells`], [`StateGeography::address_blocks`]),
+//! so the audit, the sensitivity sweep, the oversight sample and every
+//! other reader that needs only those builds no record. The records are
+//! built, per state and on first read, only for a reader of the other
+//! fields (street, location, certified tier, technology, latency).
 
 use crate::dist;
-use crate::geography::{CbgInfo, StateGeography};
+use crate::geography::{certified_cbgs, CbgInfo, StateGeography};
 use crate::isp::Isp;
 use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::scoped_rng;
 use caf_dataframe::{Column, DataFrame};
-use caf_geo::{Address, AddressId, BlockGroupId, LatLon, StreetAddress, UsState};
+use caf_geo::{Address, AddressId, LatLon, StreetAddress, UsState};
 use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Last-mile technology codes used in the CAF Map.
@@ -59,20 +65,16 @@ pub struct CafRecord {
 }
 
 /// The CAF-Map slice for one state: every certified address of every
-/// audited ISP, with a by-CBG range index for the sampling stage.
-///
-/// Records stay in generation order (the geography's CBG enumeration
-/// order), so each (ISP, CBG) cell's records form one contiguous run and
-/// the index is one record range per cell, kept in ascending
-/// `(Isp, BlockGroupId)` order. A world holds it behind a [`LazyUsac`],
-/// which builds it the first time it is read.
+/// audited ISP, in the geography's CBG enumeration order, so address
+/// ids ascend and each CBG's records are the consecutive ids of its
+/// [`StateGeography::certified_cbgs`] entry. A world holds it behind a
+/// [`LazyUsac`], which builds it the first time it is read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsacDataset {
     /// The state this slice covers.
     pub state: UsState,
     /// All records, in CBG enumeration order, address ids ascending.
     pub records: Vec<CafRecord>,
-    cells: Vec<(Isp, BlockGroupId, Range<usize>)>,
 }
 
 /// The id of a state's `counter`-th certified address (1-based): the
@@ -122,124 +124,10 @@ impl UsacDataset {
     /// 10⁹ plus a running counter, so ids never collide across states and
     /// regeneration yields identical ids.
     pub fn build(config: &SynthConfig, geo: &StateGeography) -> UsacDataset {
-        Self::from_records(
-            geo.state,
-            Self::build_for_cbgs(config, geo.state, &geo.cbgs, 0),
-        )
-        .expect("a generated CBG's records are contiguous")
-    }
-
-    /// Materializes the records of a contiguous CBG slice. `base` is the
-    /// number of CAF addresses in all CBGs *before* the slice (the
-    /// state's address-id counter is dense across CBGs, so a shard must
-    /// know its prefix total to mint the same ids as a full build).
-    /// Every per-record draw comes from the CBG's keyed stream, so
-    /// disjoint slices concatenate to exactly the full build's records.
-    pub fn build_for_cbgs(
-        config: &SynthConfig,
-        state: UsState,
-        cbgs: &[CbgInfo],
-        base: u64,
-    ) -> Vec<CafRecord> {
-        let mut counter: u64 = base;
-        let mut records: Vec<CafRecord> =
-            Vec::with_capacity(cbgs.iter().map(|c| c.caf_addresses as usize).sum());
-
-        for cbg in cbgs {
-            let mut rng = scoped_rng(config.seed, "usac", cbg.id.geoid());
-            let certified = CalibrationParams::certified_tier_weights(cbg.isp);
-            for block in &cbg.blocks {
-                for _ in 0..block.caf_addresses {
-                    counter += 1;
-                    let id = address_id(state, counter);
-                    let jitter_lat = rng.gen_range(-0.004..0.004);
-                    let jitter_lon = rng.gen_range(-0.004..0.004);
-                    let location = LatLon::new(
-                        (block.centroid.lat() + jitter_lat).clamp(-90.0, 90.0),
-                        (block.centroid.lon() + jitter_lon).clamp(-180.0, 180.0),
-                    )
-                    .expect("jittered location in range");
-                    let street = StreetAddress {
-                        number: rng.gen_range(100..9_999),
-                        street: Cow::Borrowed(STREET_NAMES[rng.gen_range(0..STREET_NAMES.len())]),
-                        city: Cow::Borrowed(CITY_NAMES[rng.gen_range(0..CITY_NAMES.len())]),
-                        state_abbrev: Cow::Borrowed(state.abbrev()),
-                        zip: 10_000 + (cbg.id.geoid() % 89_999) as u32,
-                    };
-                    let (down, up) = if certified.is_empty() {
-                        (10.0, 1.0)
-                    } else {
-                        let idx = dist::categorical_by(&mut rng, certified, |&(_, w)| w);
-                        let down = certified[idx].0;
-                        (down, (down / 10.0).max(1.0))
-                    };
-                    let technology = if down >= 100.0 {
-                        Technology::Fiber
-                    } else if dist::bernoulli(&mut rng, 0.9) {
-                        Technology::Dsl
-                    } else {
-                        Technology::FixedWireless
-                    };
-                    records.push(CafRecord {
-                        address: Address {
-                            id,
-                            street,
-                            location,
-                            block: block.id,
-                        },
-                        isp: cbg.isp,
-                        certified_down_mbps: down,
-                        certified_up_mbps: up,
-                        technology,
-                        latency_ms: rng.gen_range(15.0..95.0),
-                    });
-                }
-            }
+        UsacDataset {
+            state: geo.state,
+            records: build_records(config, geo.state, &geo.cbgs),
         }
-        records
-    }
-
-    /// Indexes records whose (ISP, CBG) cells are each one contiguous
-    /// run, as [`UsacDataset::build_for_cbgs`] emits them. `None` if a
-    /// cell's records are split across runs: the range index could not
-    /// describe them.
-    pub fn from_records(state: UsState, records: Vec<CafRecord>) -> Option<UsacDataset> {
-        let mut cells: Vec<(Isp, BlockGroupId, Range<usize>)> = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            let key = (record.isp, record.address.block_group());
-            match cells.last_mut() {
-                Some((isp, cbg, range)) if (*isp, *cbg) == key => range.end = i + 1,
-                _ => cells.push((key.0, key.1, i..i + 1)),
-            }
-        }
-        cells.sort_unstable_by_key(|&(isp, cbg, _)| (isp, cbg));
-        if cells
-            .windows(2)
-            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
-        {
-            return None;
-        }
-        Some(UsacDataset {
-            state,
-            records,
-            cells,
-        })
-    }
-
-    /// The positions in [`UsacDataset::records`] of one (ISP, CBG)
-    /// cell's records (empty if the cell is absent).
-    pub fn cbg_range(&self, isp: Isp, cbg: BlockGroupId) -> Range<usize> {
-        self.cells
-            .binary_search_by_key(&(isp, cbg), |&(isp, cbg, _)| (isp, cbg))
-            .map_or(0..0, |i| self.cells[i].2.clone())
-    }
-
-    /// Iterates over the (ISP, CBG) cells present in this slice, in
-    /// ascending key order, each with its records in generation order.
-    pub fn cbg_cells(&self) -> impl Iterator<Item = (Isp, BlockGroupId, &[CafRecord])> {
-        self.cells
-            .iter()
-            .map(|(isp, cbg, range)| (*isp, *cbg, &self.records[range.clone()]))
     }
 
     /// Total certified addresses for one ISP in this state.
@@ -294,32 +182,103 @@ impl UsacDataset {
     }
 }
 
+/// The records of a state's `cbgs`, in enumeration order. Each CBG's
+/// records walk its blocks and take its cell's ids in order (see
+/// [`StateGeography::address_blocks`]); every per-record draw comes
+/// from the CBG's keyed stream.
+fn build_records(config: &SynthConfig, state: UsState, cbgs: &[CbgInfo]) -> Vec<CafRecord> {
+    let mut records: Vec<CafRecord> =
+        Vec::with_capacity(cbgs.iter().map(|c| c.caf_addresses as usize).sum());
+    for (_, cbg, cell) in certified_cbgs(state, cbgs) {
+        let mut rng = scoped_rng(config.seed, "usac", cbg.id.geoid());
+        let certified = CalibrationParams::certified_tier_weights(cbg.isp);
+        let mut ids = cell.ids();
+        for block in &cbg.blocks {
+            for id in ids.by_ref().take(block.caf_addresses as usize) {
+                let jitter_lat = rng.gen_range(-0.004..0.004);
+                let jitter_lon = rng.gen_range(-0.004..0.004);
+                let location = LatLon::new(
+                    (block.centroid.lat() + jitter_lat).clamp(-90.0, 90.0),
+                    (block.centroid.lon() + jitter_lon).clamp(-180.0, 180.0),
+                )
+                .expect("jittered location in range");
+                let street = StreetAddress {
+                    number: rng.gen_range(100..9_999),
+                    street: Cow::Borrowed(STREET_NAMES[rng.gen_range(0..STREET_NAMES.len())]),
+                    city: Cow::Borrowed(CITY_NAMES[rng.gen_range(0..CITY_NAMES.len())]),
+                    state_abbrev: Cow::Borrowed(state.abbrev()),
+                    zip: 10_000 + (cbg.id.geoid() % 89_999) as u32,
+                };
+                let (down, up) = if certified.is_empty() {
+                    (10.0, 1.0)
+                } else {
+                    let idx = dist::categorical_by(&mut rng, certified, |&(_, w)| w);
+                    let down = certified[idx].0;
+                    (down, (down / 10.0).max(1.0))
+                };
+                let technology = if down >= 100.0 {
+                    Technology::Fiber
+                } else if dist::bernoulli(&mut rng, 0.9) {
+                    Technology::Dsl
+                } else {
+                    Technology::FixedWireless
+                };
+                records.push(CafRecord {
+                    address: Address {
+                        id,
+                        street,
+                        location,
+                        block: block.id,
+                    },
+                    isp: cbg.isp,
+                    certified_down_mbps: down,
+                    certified_up_mbps: up,
+                    technology,
+                    latency_ms: rng.gen_range(15.0..95.0),
+                });
+            }
+        }
+    }
+    records
+}
+
 /// A state's [`UsacDataset`], built the first time it is read.
 ///
-/// A generated world holds the seed, the state and its geography's CBGs
-/// (shared with the geography, not copied) and runs
-/// [`UsacDataset::build_for_cbgs`] on first access, so a pass that
-/// reads no CAF-Map record — the Q3 analysis — builds none. A decoded
-/// world fills the dataset directly.
+/// A world holds the seed, the state, its geography's CBGs (shared with
+/// the geography, not copied) and the state's certified-tier
+/// corrections, so a pass that reads no record field builds none: the
+/// audit, the Q3 analysis and the snapshot codec read ids off the
+/// geography instead.
 pub type LazyUsac = OnDemand<UsacRecipe>;
 
-/// The recipe of a state's [`LazyUsac`]. The build opens the
-/// `world.<ABBREV>` span and counts into `caf.synth.usac.states_built` /
-/// `caf.synth.usac.records_built`.
+/// The recipe of a state's [`LazyUsac`]: the seeded records with the
+/// state's certified-tier corrections applied as the last step. The
+/// build opens the `world.<ABBREV>` span and counts into
+/// `caf.synth.usac.states_built` / `caf.synth.usac.records_built`.
 #[derive(Debug, Clone)]
 pub struct UsacRecipe {
     config: SynthConfig,
     state: UsState,
     cbgs: Arc<[CbgInfo]>,
+    /// `(CBG index, (down, up))` per corrected CBG, ascending by index.
+    certified: Vec<(usize, (u32, u32))>,
 }
 
 impl UsacRecipe {
-    /// The dataset of `state`'s `cbgs` under `config`.
-    pub(crate) fn new(config: SynthConfig, state: UsState, cbgs: Arc<[CbgInfo]>) -> UsacRecipe {
+    /// The dataset of `state`'s `cbgs` under `config`, with the restated
+    /// tiers `certified` (`(CBG index, (down, up))`, ascending by index)
+    /// in place of the drawn ones.
+    pub(crate) fn new(
+        config: SynthConfig,
+        state: UsState,
+        cbgs: Arc<[CbgInfo]>,
+        certified: Vec<(usize, (u32, u32))>,
+    ) -> UsacRecipe {
         UsacRecipe {
             config,
             state,
             cbgs,
+            certified,
         }
     }
 }
@@ -329,11 +288,28 @@ impl Recipe for UsacRecipe {
 
     fn build(&self) -> UsacDataset {
         let _span = caf_obs::span_with(|| format!("world.{}", self.state.abbrev()));
-        let records = UsacDataset::build_for_cbgs(&self.config, self.state, &self.cbgs, 0);
+        let mut records = build_records(&self.config, self.state, &self.cbgs);
+        // A restated tier replaces the certified speeds of every record
+        // in its CBG; the technology stays at the drawn value (a
+        // restated tier does not re-trench fiber).
+        let mut start = 0;
+        for (i, cbg) in self.cbgs.iter().enumerate() {
+            let end = start + cbg.caf_addresses as usize;
+            if let Ok(k) = self.certified.binary_search_by_key(&i, |&(j, _)| j) {
+                let (down, up) = self.certified[k].1;
+                for record in &mut records[start..end] {
+                    record.certified_down_mbps = f64::from(down);
+                    record.certified_up_mbps = f64::from(up);
+                }
+            }
+            start = end;
+        }
         caf_obs::count("caf.synth.usac.states_built", 1);
         caf_obs::count("caf.synth.usac.records_built", records.len() as u64);
-        UsacDataset::from_records(self.state, records)
-            .expect("a generated CBG's records are contiguous")
+        UsacDataset {
+            state: self.state,
+            records,
+        }
     }
 }
 
@@ -481,7 +457,6 @@ impl NationalCafSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geography::StateGeography;
 
     fn cfg() -> SynthConfig {
         SynthConfig {
@@ -500,45 +475,9 @@ mod tests {
         let geo = StateGeography::build(&cfg(), UsState::Alabama);
         let ds = UsacDataset::build(&cfg(), &geo);
         assert_eq!(ds.records.len() as u64, geo.total_caf_addresses());
-        // Every CBG cell is indexed and sums back to the record count.
-        let indexed: usize = ds.cbg_cells().map(|(_, _, records)| records.len()).sum();
-        assert_eq!(indexed, ds.records.len());
-    }
-
-    #[test]
-    fn cbg_slice_builds_concatenate_to_the_full_build() {
-        let geo = StateGeography::build(&cfg(), UsState::Ohio);
-        let full = UsacDataset::build(&cfg(), &geo);
-        for splits in [2usize, 5] {
-            let chunk = geo.cbgs.len().div_ceil(splits);
-            let mut records = Vec::new();
-            let mut base: u64 = 0;
-            for s in 0..splits {
-                let lo = (s * chunk).min(geo.cbgs.len());
-                let hi = ((s + 1) * chunk).min(geo.cbgs.len());
-                let slice = &geo.cbgs[lo..hi];
-                records.extend(UsacDataset::build_for_cbgs(&cfg(), geo.state, slice, base));
-                base += slice
-                    .iter()
-                    .map(|c| u64::from(c.caf_addresses))
-                    .sum::<u64>();
-            }
-            let sharded = UsacDataset::from_records(geo.state, records).unwrap();
-            assert_eq!(
-                format!("{:?}", sharded.records),
-                format!("{:?}", full.records),
-                "splits = {splits}"
-            );
-            let full_cells: Vec<_> = full
-                .cbg_cells()
-                .map(|(i, c, x)| (i, c, x.to_vec()))
-                .collect();
-            let shard_cells: Vec<_> = sharded
-                .cbg_cells()
-                .map(|(i, c, x)| (i, c, x.to_vec()))
-                .collect();
-            assert_eq!(full_cells, shard_cells);
-        }
+        // Every certified cell sums back to the record count.
+        let in_cells: u64 = geo.caf_cells().iter().map(|c| u64::from(c.count)).sum();
+        assert_eq!(in_cells, ds.records.len() as u64);
     }
 
     #[test]
@@ -583,33 +522,26 @@ mod tests {
 
     #[test]
     fn records_in_cbg_lookup() {
-        let ds = dataset(UsState::NewHampshire);
-        let (isp, cbg, records) = ds.cbg_cells().next().expect("at least one cell");
-        assert_eq!(&ds.records[ds.cbg_range(isp, cbg)], records);
-        for r in records {
-            assert_eq!(r.address.block_group(), cbg);
-            assert_eq!(r.isp, isp);
-        }
-        // Missing cell yields empty.
-        assert!(ds.cbg_range(Isp::Att, cbg).is_empty() || isp == Isp::Att);
-    }
-
-    #[test]
-    fn a_cell_split_across_runs_is_not_indexed() {
-        let ds = dataset(UsState::NewHampshire);
-        let (_, _, first) = ds.cbg_cells().find(|(_, _, r)| r.len() >= 2).unwrap();
-        let first = first[0].address.id;
-        let a = ds
+        let geo = StateGeography::build(&cfg(), UsState::NewHampshire);
+        let ds = UsacDataset::build(&cfg(), &geo);
+        // A geography cell's id range picks out exactly its CBG's
+        // records, all under its ISP.
+        let cell = geo.caf_cells()[0];
+        let in_cbg: Vec<&CafRecord> = ds
             .records
             .iter()
-            .position(|r| r.address.id == first)
-            .unwrap();
-        // Moving a cell's first record to the end splits the cell in two.
-        let mut records = ds.records.clone();
-        let moved = records.remove(a);
-        records.push(moved);
-        assert!(UsacDataset::from_records(ds.state, records).is_none());
-        assert!(UsacDataset::from_records(ds.state, ds.records.clone()) == Some(ds));
+            .filter(|r| r.address.block_group() == cell.cbg)
+            .collect();
+        let ids: Vec<AddressId> = in_cbg.iter().map(|r| r.address.id).collect();
+        assert_eq!(ids, cell.ids().collect::<Vec<_>>());
+        assert!(in_cbg.iter().all(|r| r.isp == cell.isp));
+        // The walk over blocks names every record's block.
+        let blocks: Vec<_> = ds
+            .records
+            .iter()
+            .map(|r| (r.address.id, r.address.block))
+            .collect();
+        assert_eq!(geo.address_blocks().collect::<Vec<_>>(), blocks);
     }
 
     #[test]

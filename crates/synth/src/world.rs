@@ -3,16 +3,21 @@
 //! [`World::generate`] is the single entry point the rest of the workspace
 //! uses: it builds, per study state, the census geography, and one
 //! [`TruthTable`] of per-CBG cells answering every Q1 (address, ISP)
-//! pair a campaign can query by drawing it on demand. The USAC CAF-Map
-//! slice and the Q3 block world (with its own stored truth) are built
-//! per state on first read.
+//! pair a campaign can query by drawing it on demand. The geography
+//! fixes every certified address's id, ISP, CBG and block, which is all
+//! the audit reads. The USAC CAF-Map records (a pure function of the
+//! seed, the geography and the state's certified-tier corrections) and
+//! the Q3 block world (with its own stored truth) are built per state on
+//! first read.
 
-use crate::challenge::{self, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome};
+use crate::challenge::{
+    self, CellCorrections, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome,
+};
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
 use crate::q3::{LazyQ3, Q3Recipe};
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{LazyUsac, UsacDataset, UsacRecipe};
+use crate::usac::{LazyUsac, UsacRecipe};
 use caf_exec::{CostHint, EngineConfig};
 use caf_geo::UsState;
 use std::sync::Arc;
@@ -28,7 +33,9 @@ pub struct StateWorld {
     /// Census geography (CBGs, blocks, densities).
     pub geography: StateGeography,
     /// The USAC CAF-Map slice (certified addresses), built the first
-    /// time it is read.
+    /// time it is read. Readers of ids, ISPs, CBGs or blocks alone use
+    /// the geography ([`StateGeography::caf_cells`],
+    /// [`StateGeography::address_blocks`]) and build nothing.
     pub usac: LazyUsac,
     /// The Q3 block world and its truth (empty outside the seven Q3
     /// states), built the first time it is read.
@@ -94,9 +101,10 @@ impl World {
     /// Nothing else is built here. Each state's USAC records
     /// ([`LazyUsac`]) and its Q3 blocks with their truth ([`LazyQ3`])
     /// are built from the seed and the state the first time something
-    /// reads them: the audit reads the records, per state, on its own
-    /// pool; the Q3 analysis reads the Q3 states' blocks, one unit per
-    /// state; neither reads the other's part.
+    /// reads them: the Q3 analysis reads the Q3 states' blocks, one unit
+    /// per state; the audit reads only the geography's address ids, so
+    /// it builds neither. Each call counts its states into
+    /// `caf.synth.world.states_built`.
     ///
     /// Output is **byte-identical at any worker count and shard
     /// policy**: every stream in the generators is entity-keyed
@@ -138,18 +146,27 @@ impl World {
         for (parts, &state) in geo_parts.into_iter().zip(states) {
             let geography =
                 StateGeography::assemble(&config, state, parts.into_iter().flatten().collect());
-            cells.extend(truth::q1_cells(&config, state, &geography.cbgs, 0, |_| {
-                None
-            }));
+            cells.extend(truth::q1_cells(
+                &config,
+                state,
+                geography.certified_cbgs(),
+                |_| None,
+            ));
             state_worlds.push(StateWorld {
                 state,
-                usac: LazyUsac::new(UsacRecipe::new(config, state, Arc::clone(&geography.cbgs))),
+                usac: LazyUsac::new(UsacRecipe::new(
+                    config,
+                    state,
+                    Arc::clone(&geography.cbgs),
+                    Vec::new(),
+                )),
                 q3: LazyQ3::new(Q3Recipe::new(config, state)),
                 geography,
             });
         }
         let mut truth = TruthTable::new();
         truth.install_q1(config.seed, cells);
+        caf_obs::count("caf.synth.world.states_built", states.len() as u64);
         if let Some(start) = wall_start {
             let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             caf_obs::gauge("caf.synth.world.wall_us", micros);
@@ -172,25 +189,22 @@ impl World {
     /// geography before anything mutates, so an `Err` leaves the world
     /// untouched.
     ///
-    /// Each touched cell is rebuilt from the seed baseline through the
-    /// same seams generation uses — records via
-    /// [`UsacDataset::build_for_cbgs`] at the cell's address-id prefix
-    /// (a touched state's dataset is built first if nothing has read it
-    /// yet), the truth cell via `truth::q1_cells` — then the *effective*
-    /// corrections from the merged [`ChallengeSet`] are overlaid:
-    /// certified-tier overrides rewrite the records' certified speeds
-    /// (technology stays at the baseline draw — a restated tier does
-    /// not re-trench fiber), availability overrides replace the cell's
-    /// Beta-drawn serviceability rate that the address draws threshold.
-    /// Because the rebuild starts from the baseline and overlays only
+    /// Each touched CBG's truth cell is rebuilt from the seed baseline
+    /// through `truth::q1_cells`, the seam generation uses, with the
+    /// *effective* availability correction from the merged
+    /// [`ChallengeSet`] in place of the Beta-drawn rate. Each touched
+    /// state's USAC records become an unbuilt [`LazyUsac`] whose recipe
+    /// carries the state's effective certified-tier corrections, which
+    /// the build applies last (rewriting certified speeds; technology
+    /// stays at the baseline draw — a restated tier does not re-trench
+    /// fiber). Because both start from the baseline and overlay only
     /// effective values, applying a delta stream in any batch
     /// decomposition converges to a byte-identical world.
     ///
-    /// Geometry is invariant: corrections never change the geography or
-    /// per-cell address counts, so rebuilt records splice into the
-    /// cell's existing record range and downstream row ranges stay
-    /// stable — the property the incremental audit's dirty-cell
-    /// invalidation relies on.
+    /// Geometry is invariant: corrections never change the geography,
+    /// so address ids and per-cell address counts stay put — the
+    /// property the incremental audit's dirty-cell invalidation relies
+    /// on.
     pub fn apply_deltas(
         &mut self,
         deltas: &[ChallengeDelta],
@@ -226,44 +240,29 @@ impl World {
         let _rebuild_span = caf_obs::span("challenge.rebuild");
         let config = self.config;
         let mut cells_rebuilt: u64 = 0;
-        for (idx, cells) in touched_by_state.iter().enumerate() {
-            let sw = &mut self.states[idx];
-            let state = sw.state;
-            for &cell in cells {
-                let cbg = &sw.geography.cbgs[cell];
-                let base: u64 = sw.geography.cbgs[..cell]
-                    .iter()
-                    .map(|c| u64::from(c.caf_addresses))
-                    .sum();
-                let mut records =
-                    UsacDataset::build_for_cbgs(&config, state, std::slice::from_ref(cbg), base);
-                let effective = self
-                    .challenges
-                    .cell(state, cell)
-                    .copied()
-                    .unwrap_or_default();
-                if let Some((down, up)) = effective.certified {
-                    for record in &mut records {
-                        record.certified_down_mbps = f64::from(down);
-                        record.certified_up_mbps = f64::from(up);
-                    }
-                }
-                let rate_override = effective.availability_rate();
-                for cell in truth::q1_cells(&config, state, std::slice::from_ref(cbg), base, |_| {
-                    rate_override
-                }) {
-                    self.truth.replace_q1_cell(cell);
-                }
-
-                // Splice the rebuilt records into their existing range
-                // (counts are invariant, see above).
-                let range = sw.usac.cbg_range(cbg.isp, cbg.id);
-                debug_assert_eq!(range.len(), records.len());
-                for (slot, record) in sw.usac.records[range].iter_mut().zip(records) {
-                    *slot = record;
-                }
-                cells_rebuilt += 1;
+        for (sw, cells) in self.states.iter_mut().zip(&touched_by_state) {
+            if cells.is_empty() {
+                continue;
             }
+            let state = sw.state;
+            let touched = sw
+                .geography
+                .certified_cbgs()
+                .filter(|(i, _, _)| cells.contains(i));
+            for cell in truth::q1_cells(&config, state, touched, |i| {
+                self.challenges
+                    .cell(state, i)
+                    .and_then(CellCorrections::availability_rate)
+            }) {
+                self.truth.replace_q1_cell(cell);
+            }
+            sw.usac = LazyUsac::new(UsacRecipe::new(
+                config,
+                state,
+                Arc::clone(&sw.geography.cbgs),
+                self.challenges.certified_tiers(state),
+            ));
+            cells_rebuilt += cells.len() as u64;
         }
 
         self.epoch += deltas.len() as u64;
@@ -455,7 +454,14 @@ mod tests {
         let pristine = World::generate_states(config, states);
         let vt = whole.state(UsState::Vermont).unwrap();
         let cbg1 = &vt.geography.cbgs[1];
-        for r in &vt.usac.records[vt.usac.cbg_range(cbg1.isp, cbg1.id)] {
+        let in_cbg1: Vec<_> = vt
+            .usac
+            .records
+            .iter()
+            .filter(|r| r.address.block_group() == cbg1.id)
+            .collect();
+        assert_eq!(in_cbg1.len(), cbg1.caf_addresses as usize);
+        for r in in_cbg1 {
             assert_eq!(r.certified_down_mbps, 10.0);
             assert_eq!(r.certified_up_mbps, 1.0);
         }

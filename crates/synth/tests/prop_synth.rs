@@ -5,10 +5,10 @@
 //! `smoke_*` tests pin a handful of hand-picked fixed points.
 
 use caf_exec::prop;
-use caf_geo::{BlockGroupId, UsState};
+use caf_geo::{AddressId, BlockGroupId, UsState};
 use caf_synth::geography::StateGeography;
 use caf_synth::params::CalibrationParams;
-use caf_synth::{CafRecord, Isp, Q3World, SynthConfig, UsacDataset, World};
+use caf_synth::{Isp, Q3World, SynthConfig, UsacDataset, World};
 use std::collections::BTreeMap;
 
 /// World generation upholds its structural invariants for any seed
@@ -30,7 +30,12 @@ fn check_world_structure_invariants(seed: u64, state: UsState) {
         assert!(ids.insert(cbg.id.geoid()), "duplicate CBG");
         let block_sum: u32 = cbg.blocks.iter().map(|b| b.caf_addresses).sum();
         assert_eq!(block_sum, cbg.caf_addresses);
-        let records = sw.usac.cbg_range(cbg.isp, cbg.id).len();
+        let records = sw
+            .usac
+            .records
+            .iter()
+            .filter(|r| r.address.block_group() == cbg.id)
+            .count();
         assert_eq!(records as u32, cbg.caf_addresses);
     }
     // Address ids unique across the state (Q1 + Q3 spaces disjoint).
@@ -107,11 +112,10 @@ fn check_presence_matrix_is_respected(seed: u64, state: UsState) {
 }
 
 /// Each state's USAC slice, built on first read, equals a direct
-/// [`UsacDataset::build`], and `cbg_cells()` equals a per-record
-/// recomputation: the same (ISP, CBG) keys in ascending order, each
-/// with the same records in order, and the geography's `caf_cells()`
-/// counts. Its Q3 world, also built on first read, equals a direct
-/// [`Q3World::build`].
+/// [`UsacDataset::build`], and the geography's `caf_cells()` equal a
+/// per-record recomputation: the same (ISP, CBG) keys in ascending
+/// order, each with its records' ids in order. Its Q3 world, also built
+/// on first read, equals a direct [`Q3World::build`].
 fn check_lazy_usac_matches_a_direct_build(seed: u64, scale: u32, states: &[UsState]) {
     let config = SynthConfig { seed, scale };
     let world = World::generate_states(config, states);
@@ -123,24 +127,20 @@ fn check_lazy_usac_matches_a_direct_build(seed: u64, scale: u32, states: &[UsSta
         assert!(sw.usac.is_built());
         assert!(*sw.q3 == Q3World::build(&config, sw.state), "{}", sw.state);
 
-        let mut expected: BTreeMap<(Isp, BlockGroupId), Vec<&CafRecord>> = BTreeMap::new();
+        let mut expected: BTreeMap<(Isp, BlockGroupId), Vec<AddressId>> = BTreeMap::new();
         for r in &sw.usac.records {
             expected
                 .entry((r.isp, r.address.block_group()))
                 .or_default()
-                .push(r);
+                .push(r.address.id);
         }
         let cells: Vec<_> = sw
-            .usac
-            .cbg_cells()
-            .map(|(isp, cbg, records)| ((isp, cbg), records.iter().collect::<Vec<_>>()))
-            .collect();
-        let counts: Vec<_> = cells
+            .geography
+            .caf_cells()
             .iter()
-            .map(|&((isp, cbg), ref records)| (isp, cbg, records.len() as u32))
+            .map(|cell| ((cell.isp, cell.cbg), cell.ids().collect::<Vec<_>>()))
             .collect();
         assert_eq!(cells, expected.into_iter().collect::<Vec<_>>());
-        assert_eq!(counts, sw.geography.caf_cells());
     }
 }
 

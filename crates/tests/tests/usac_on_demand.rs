@@ -1,6 +1,7 @@
-//! A state's USAC records are built the first time something reads
-//! them, and only then. Checked in its own test process, so the global
-//! registry's `caf.synth.usac.*` counters count only this file's builds.
+//! A state's USAC records are built only when something reads a record
+//! field, once per state. Checked in its own test process, so the
+//! global registry's `caf.synth.usac.*` counters count only this file's
+//! builds.
 
 use caf_bqt::CampaignConfig;
 use caf_core::{Audit, AuditConfig, EngineConfig, Q3Analysis, SamplingRule, ShardPolicy};
@@ -44,8 +45,8 @@ fn usac_records_are_built_once_per_read_state() {
     assert_eq!(states_built() - before, 0);
     assert!(q3_world.states.iter().all(|sw| !sw.usac.is_built()));
 
-    // The audit builds exactly the audited states, each once, even with
-    // a state split into shards that run on two workers at once.
+    // The audit reads address ids off the geography: it builds no
+    // record, even with states split into shards on two workers.
     let synth = SynthConfig {
         seed: SEED,
         scale: 60,
@@ -62,15 +63,22 @@ fn usac_records_are_built_once_per_read_state() {
         rule: SamplingRule::paper(),
         resample_rounds: 2,
     });
-    let fine = engine.with_shard_policy(ShardPolicy::finest());
-    let subset = audit.run_for(&world, &[UsState::Ohio], fine);
-    assert!(!subset.rows.is_empty());
+    let full = audit.run_with(&world, engine.with_shard_policy(ShardPolicy::finest()));
+    assert!(!full.rows.is_empty());
+    assert_eq!(states_built() - states, 0);
+    assert_eq!(counter("caf.synth.usac.records_built") - records, 0);
+    assert!(world.states.iter().all(|sw| !sw.usac.is_built()));
+
+    // A direct read builds its state, once, and only its state.
+    let ohio = world.state(UsState::Ohio).expect("generated");
+    assert!(!ohio.usac.records.is_empty());
+    assert!(!ohio.usac.records.is_empty());
     assert_eq!(states_built() - states, 1);
     let built: Vec<bool> = world.states.iter().map(|sw| sw.usac.is_built()).collect();
     assert_eq!(built, [false, true, false]);
-
-    let full = audit.run_with(&world, fine);
-    assert!(full.rows.len() > subset.rows.len());
+    for sw in &world.states {
+        assert!(!sw.usac.records.is_empty());
+    }
     assert_eq!(states_built() - states, 3);
     assert_eq!(
         counter("caf.synth.usac.records_built") - records,
@@ -97,10 +105,10 @@ fn usac_records_are_built_once_per_read_state() {
     assert_eq!(lens[0] as u64, world.total_caf_addresses());
     assert_eq!(states_built() - before, 1);
 
-    // The build is charged to its state's world span, wherever it ran.
+    // The build is charged to its state's world span.
     let spans = caf_obs::registry().span_snapshot();
     assert!(
-        spans.iter().any(|(path, _)| path.ends_with("/world.OH")),
+        spans.iter().any(|(path, _)| path.ends_with("world.OH")),
         "{:?}",
         spans.iter().map(|(path, _)| path).collect::<Vec<_>>()
     );

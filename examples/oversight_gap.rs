@@ -33,7 +33,7 @@ fn main() {
     let world = World::generate_states(synth, &[UsState::Mississippi, UsState::Georgia]);
 
     // Layer 1: what the ISP certifies (always compliant, by construction).
-    let certified: usize = world.states.iter().map(|s| s.usac.records.len()).sum();
+    let certified = world.total_caf_addresses();
     println!("Layer 1 — certification: {certified} addresses, 100 % claimed compliant.");
 
     // Layer 2: what USAC's verification process would find.

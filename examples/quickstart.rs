@@ -28,7 +28,7 @@ fn main() {
     let vermont = world.state(UsState::Vermont).expect("generated above");
     println!(
         "World: {} certified CAF addresses across {} CBGs in Vermont",
-        vermont.usac.records.len(),
+        vermont.geography.total_caf_addresses(),
         vermont.geography.cbgs.len()
     );
 
