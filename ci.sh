@@ -14,9 +14,9 @@
 # gate (with the campaign speedup gate on >= 4 cores) and which
 # self-asserts checkpoint resume equality, a checkpoint/resume smoke
 # that SIGKILLs a `campaign_run` mid-flight and byte-diffs the resumed
-# result against an uninterrupted reference, a torn-tail gate that cuts
-# the last 13 bytes off a finished checkpoint log and byte-diffs the
-# resumed result the same way, an observability smoke run (a tiny repro
+# result against an uninterrupted reference, a torn-tail gate that
+# holds a finished checkpoint log to at most 32 bytes per task, cuts its
+# last 13 bytes and byte-diffs the resumed result the same way, an observability smoke run (a tiny repro
 # experiment whose run report must pass the full metrics_check gate), a
 # Q3 on-demand gate (`repro table2` must build no Q3 state and `repro
 # table4` all seven, read off `caf.synth.q3.states_built`), a CAF-Map
@@ -226,12 +226,21 @@ echo "    resumed campaign result is byte-identical to the uninterrupted run"
 # kill mostly lands after a checkpointed run has finished. A completed
 # checkpoint log loses its last 13 bytes — a torn final append — and the
 # resumed run must cut the torn frame, re-run its tasks and match the
-# uninterrupted reference byte for byte.
-gate "campaign checkpoint torn-tail gate: truncate -> resume -> byte-diff"
+# uninterrupted reference byte for byte. Before the cut, the finished log
+# must hold at most 32 bytes per task (SPAN records are stored relative
+# to their task, plans as catalog indices: about 16 bytes a task here).
+gate "campaign checkpoint torn-tail gate: size -> truncate -> resume -> byte-diff"
 torn_smoke="$ci_out/campaign_torn"
 rm -rf "$torn_smoke"
 ./target/release/campaign_run --scale 20 --workers 2 \
-  --checkpoint-dir "$torn_smoke" --checkpoint-every 500 2>/dev/null
+  --checkpoint-dir "$torn_smoke" --checkpoint-every 500 2>"$ci_out/campaign_torn.log"
+torn_tasks=$(sed -n 's/^campaign: \([0-9]*\) tasks.*/\1/p' "$ci_out/campaign_torn.log")
+torn_bytes=$(cat "$torn_smoke"/campaign-*.ckpt | wc -c)
+if [ -z "$torn_tasks" ] || [ "$torn_bytes" -gt $((32 * torn_tasks)) ]; then
+  echo "finished checkpoint holds $torn_bytes bytes for ${torn_tasks:-?} tasks (limit: 32 a task)" >&2
+  exit 1
+fi
+echo "    finished checkpoint: $torn_bytes bytes for $torn_tasks tasks"
 truncate -s -13 "$torn_smoke"/campaign-*.ckpt
 ./target/release/campaign_run --scale 20 --workers 2 \
   --checkpoint-dir "$torn_smoke" --checkpoint-every 500 \

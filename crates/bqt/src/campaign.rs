@@ -24,7 +24,7 @@ use caf_geo::AddressId;
 use caf_synth::params::{CalibrationParams, ErrorCategory};
 use caf_synth::{Isp, TruthTable};
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{Index, IndexMut, Range};
 
 use crate::checkpoint::CheckpointSink;
 use crate::client::QueryClient;
@@ -121,6 +121,39 @@ pub fn adaptive_attempts(base: u32, isp: Isp) -> u32 {
         k += 1;
     }
     k.clamp(base, ceiling)
+}
+
+/// One value per ISP, indexed by [`Isp`]: the campaign's per-ISP
+/// tables (cost hints, pacing lanes, wall-clock tallies), which cost a
+/// fixed array read per task instead of a hash lookup.
+#[derive(Debug)]
+pub(crate) struct PerIsp<T>([T; 7]);
+
+impl<T> PerIsp<T> {
+    /// The table holding `f(isp)` for every ISP.
+    pub(crate) fn from_fn(f: impl FnMut(Isp) -> T) -> PerIsp<T> {
+        // `Isp::all()` lists the ISPs in `Isp::id` order, 1 through 7.
+        PerIsp(Isp::all().map(f))
+    }
+
+    /// The values, in `Isp::all()` order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.0.iter()
+    }
+}
+
+impl<T> Index<Isp> for PerIsp<T> {
+    type Output = T;
+
+    fn index(&self, isp: Isp) -> &T {
+        &self.0[isp.id() as usize - 1]
+    }
+}
+
+impl<T> IndexMut<Isp> for PerIsp<T> {
+    fn index_mut(&mut self, isp: Isp) -> &mut T {
+        &mut self.0[isp.id() as usize - 1]
+    }
 }
 
 /// Expected cost of one query task in microseconds — the planner's
@@ -303,7 +336,7 @@ impl Campaign {
     /// count, shard policy, or steal schedule.
     pub fn run(&self, truth: &TruthTable, tasks: &[QueryTask]) -> CampaignResult {
         let _span = caf_obs::span("bqt.campaign");
-        let plan = self.plan_for(tasks);
+        let plan = self.plan_for(tasks, None);
         let shard_results = self.execute_plan(truth, tasks, &plan, None);
         // One unit spanning the whole task list: shard ranges are
         // contiguous ascending, so concatenation restores task order.
@@ -315,26 +348,24 @@ impl Campaign {
     }
 
     /// Builds the latency-aware plan for a task list: one unit with a
-    /// per-task expected-cost hint, sharded under the configured policy.
-    pub(crate) fn plan_for(&self, tasks: &[QueryTask]) -> UnitPlan {
-        let costs: Vec<u64> = tasks
-            .iter()
-            .map(|t| expected_task_cost_us(&self.config, t.isp))
-            .collect();
-        UnitPlan::build(
-            self.config.workers,
-            &[CostHint::PerElement(costs)],
-            self.config.shard,
-        )
-    }
-
-    /// Per-task cost hints in task order (the checkpoint resume path
-    /// feeds these to [`UnitPlan::build_subset`]).
-    pub(crate) fn cost_hints(&self, tasks: &[QueryTask]) -> Vec<u64> {
-        tasks
-            .iter()
-            .map(|t| expected_task_cost_us(&self.config, t.isp))
-            .collect()
+    /// per-task expected-cost hint, read from a per-ISP cost table and
+    /// sharded under the configured policy. `runs` restricts the plan to
+    /// those ascending, disjoint task ranges (the checkpoint resume
+    /// path); `None` plans every task.
+    pub(crate) fn plan_for(
+        &self,
+        tasks: &[QueryTask],
+        runs: Option<Vec<Range<usize>>>,
+    ) -> UnitPlan {
+        let cost = PerIsp::from_fn(|isp| expected_task_cost_us(&self.config, isp));
+        let hints = [CostHint::PerElement(
+            tasks.iter().map(|t| cost[t.isp]).collect(),
+        )];
+        let (workers, shard) = (self.config.workers, self.config.shard);
+        match runs {
+            None => UnitPlan::build(workers, &hints, shard),
+            Some(runs) => UnitPlan::build_subset(workers, &hints, shard, &[runs]),
+        }
     }
 
     /// Executes every shard of `plan` (whose ranges index into `tasks`),
@@ -441,6 +472,16 @@ mod tests {
                 isp: r.isp,
             })
             .collect()
+    }
+
+    #[test]
+    fn per_isp_tables_index_every_isp_once() {
+        let mut table = PerIsp::from_fn(|isp| (isp, 0));
+        for isp in Isp::all() {
+            assert_eq!(table[isp].0, isp);
+            table[isp].1 += 1;
+        }
+        assert!(table.values().all(|&(_, hits)| hits == 1));
     }
 
     #[test]

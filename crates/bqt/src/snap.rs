@@ -1,5 +1,8 @@
-//! [`Snap`] codecs for query outcomes — the per-address results the
-//! audit dataset embeds, and therefore part of every world snapshot.
+//! [`Snap`] codecs for query outcomes and records: the whole record,
+//! address and ISP included. `campaign_run --out` writes a campaign's
+//! records with them, and ci.sh compares those bytes across runs and
+//! builds, so this encoding must stay byte for byte. (Checkpoints store
+//! records relative to their task instead; see [`crate::checkpoint`].)
 
 use crate::outcome::{QueryOutcome, QueryRecord};
 use caf_snap::{Reader, Snap, SnapError, Writer};

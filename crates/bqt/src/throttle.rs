@@ -10,10 +10,8 @@
 //! the *wall-clock* model only — outcomes are pure functions of the task
 //! list — so the campaign's determinism guarantees are untouched.
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{CampaignResult, PerIsp};
 use crate::outcome::QueryRecord;
-use caf_synth::Isp;
-use std::collections::HashMap;
 
 /// A campaign pacing policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,14 +53,15 @@ impl ThrottlePolicy {
     /// Panics if `workers` is zero.
     pub fn wall_clock_secs(&self, result: &CampaignResult, workers: usize) -> f64 {
         assert!(workers > 0, "need at least one worker");
-        let mut per_isp: HashMap<Isp, (f64, u64)> = HashMap::new();
+        let mut per_isp = PerIsp::from_fn(|_| (0.0, 0u64));
         for record in &result.records {
-            let entry = per_isp.entry(record.isp).or_insert((0.0, 0));
+            let entry = &mut per_isp[record.isp];
             entry.0 += record.duration_secs;
             entry.1 += 1;
         }
         per_isp
             .values()
+            .filter(|&&(_, queries)| queries > 0)
             .map(|&(total_secs, queries)| {
                 let concurrency = self.per_isp_concurrency.min(workers).max(1) as f64;
                 let work_bound = total_secs / concurrency;
@@ -95,12 +94,10 @@ impl ThrottlePolicy {
             .iter()
             .map(|r| r.errors.len() as f64 * self.min_gap_secs)
             .sum();
-        let mut lanes: HashMap<Isp, (usize, Vec<f64>)> = HashMap::new();
+        let mut lanes: PerIsp<(usize, Vec<f64>)> = PerIsp::from_fn(|_| (0, Vec::new()));
         let mut gap_wait = 0.0;
         for record in records {
-            let (next, prev_durs) = lanes
-                .entry(record.isp)
-                .or_insert_with(|| (0, Vec::with_capacity(concurrency)));
+            let (next, prev_durs) = &mut lanes[record.isp];
             if prev_durs.len() < concurrency {
                 // Lane not yet warm: the first query on a lane never waits.
                 prev_durs.push(record.duration_secs);
@@ -120,7 +117,7 @@ mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignConfig, QueryTask};
     use caf_geo::AddressId;
-    use caf_synth::{AddressTruth, PlanCatalog, TruthTable};
+    use caf_synth::{AddressTruth, Isp, PlanCatalog, TruthTable};
 
     fn result_with_two_isps() -> CampaignResult {
         let mut truth = TruthTable::new();
@@ -248,6 +245,50 @@ mod tests {
         let small = tight.pacing_wait_secs(&result.records, 4);
         let large = loose.pacing_wait_secs(&result.records, 4);
         assert!(large > small, "{large} vs {small}");
+    }
+
+    /// The lanes keyed by a `HashMap`, as before the per-ISP arrays.
+    fn hash_map_pacing_wait(
+        policy: &ThrottlePolicy,
+        records: &[QueryRecord],
+        workers: usize,
+    ) -> f64 {
+        let concurrency = policy.per_isp_concurrency.min(workers.max(1)).max(1);
+        let rotation_wait: f64 = records
+            .iter()
+            .map(|r| r.errors.len() as f64 * policy.min_gap_secs)
+            .sum();
+        let mut lanes: std::collections::HashMap<Isp, (usize, Vec<f64>)> = Default::default();
+        let mut gap_wait = 0.0;
+        for record in records {
+            let (next, prev_durs) = lanes.entry(record.isp).or_default();
+            if prev_durs.len() < concurrency {
+                prev_durs.push(record.duration_secs);
+            } else {
+                let lane = *next % concurrency;
+                gap_wait += (policy.min_gap_secs - prev_durs[lane]).max(0.0);
+                prev_durs[lane] = record.duration_secs;
+                *next += 1;
+            }
+        }
+        rotation_wait + gap_wait
+    }
+
+    #[test]
+    fn pacing_wait_matches_hash_map_lanes_bit_for_bit() {
+        let result = result_with_two_isps();
+        for (concurrency, gap) in [(1, 2.0), (3, 7.5), (8, 2.0), (64, 0.25)] {
+            let policy = ThrottlePolicy {
+                per_isp_concurrency: concurrency,
+                min_gap_secs: gap,
+            };
+            for workers in [1, 2, 5, 40] {
+                assert_eq!(
+                    policy.pacing_wait_secs(&result.records, workers).to_bits(),
+                    hash_map_pacing_wait(&policy, &result.records, workers).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

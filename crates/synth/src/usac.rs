@@ -20,7 +20,6 @@ use crate::isp::Isp;
 use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::scoped_rng;
-use caf_dataframe::{Column, DataFrame};
 use caf_geo::{Address, AddressId, LatLon, StreetAddress, UsState};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -128,57 +127,6 @@ impl UsacDataset {
             state: geo.state,
             records: build_records(config, geo.state, &geo.cbgs),
         }
-    }
-
-    /// Total certified addresses for one ISP in this state.
-    pub fn addresses_for(&self, isp: Isp) -> usize {
-        self.records.iter().filter(|r| r.isp == isp).count()
-    }
-
-    /// The dataset as a dataframe (one row per record) for relational
-    /// analysis: columns `addr_id, isp, state, cbg, block, lat, lon,
-    /// certified_down, certified_up, technology, latency_ms`.
-    pub fn to_dataframe(&self) -> DataFrame {
-        let n = self.records.len();
-        let mut addr_id = Vec::with_capacity(n);
-        let mut isp = Vec::with_capacity(n);
-        let mut cbg = Vec::with_capacity(n);
-        let mut block = Vec::with_capacity(n);
-        let mut lat = Vec::with_capacity(n);
-        let mut lon = Vec::with_capacity(n);
-        let mut down = Vec::with_capacity(n);
-        let mut up = Vec::with_capacity(n);
-        let mut tech = Vec::with_capacity(n);
-        let mut latency = Vec::with_capacity(n);
-        for r in &self.records {
-            addr_id.push(r.address.id.0 as i64);
-            isp.push(r.isp.name());
-            cbg.push(r.address.block_group().to_string());
-            block.push(r.address.block.to_string());
-            lat.push(r.address.location.lat());
-            lon.push(r.address.location.lon());
-            down.push(r.certified_down_mbps);
-            up.push(r.certified_up_mbps);
-            tech.push(r.technology.label());
-            latency.push(r.latency_ms);
-        }
-        DataFrame::new(vec![
-            ("addr_id", addr_id.into_iter().collect::<Column>()),
-            ("isp", isp.into_iter().collect::<Column>()),
-            (
-                "state",
-                std::iter::repeat_n(self.state.abbrev(), n).collect::<Column>(),
-            ),
-            ("cbg", cbg.into_iter().collect::<Column>()),
-            ("block", block.into_iter().collect::<Column>()),
-            ("lat", lat.into_iter().collect::<Column>()),
-            ("lon", lon.into_iter().collect::<Column>()),
-            ("certified_down", down.into_iter().collect::<Column>()),
-            ("certified_up", up.into_iter().collect::<Column>()),
-            ("technology", tech.into_iter().collect::<Column>()),
-            ("latency_ms", latency.into_iter().collect::<Column>()),
-        ])
-        .expect("columns constructed with equal lengths")
     }
 }
 
@@ -542,15 +490,6 @@ mod tests {
             .map(|r| (r.address.id, r.address.block))
             .collect();
         assert_eq!(geo.address_blocks().collect::<Vec<_>>(), blocks);
-    }
-
-    #[test]
-    fn dataframe_roundtrip_shape() {
-        let ds = dataset(UsState::NewHampshire);
-        let df = ds.to_dataframe();
-        assert_eq!(df.n_rows(), ds.records.len());
-        assert!(df.has_column("certified_down"));
-        assert_eq!(df.row(0).str("state").unwrap(), "NH");
     }
 
     #[test]

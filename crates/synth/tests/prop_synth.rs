@@ -105,7 +105,7 @@ fn check_presence_matrix_is_respected(seed: u64, state: UsState) {
     let world = World::generate_states(config, &[state]);
     let sw = world.state(state).expect("generated");
     for isp in Isp::audited() {
-        let present = sw.usac.addresses_for(isp) > 0;
+        let present = sw.geography.caf_cells().iter().any(|cell| cell.isp == isp);
         let expected = CalibrationParams::presence(state, isp).is_some();
         assert_eq!(present, expected, "{} in {}", isp, state);
     }
