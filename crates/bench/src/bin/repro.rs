@@ -64,7 +64,7 @@ use caf_obs::RunReport;
 use caf_stats::{median, quantile, UrbanRateBenchmark};
 use caf_synth::params::{CalibrationParams, ErrorCategory};
 use caf_synth::usac::NationalCafSummary;
-use caf_synth::{Isp, SynthConfig, World};
+use caf_synth::{Isp, Q3World, SynthConfig, World};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 
@@ -775,11 +775,13 @@ fn table4(q3: &(World, Q3Analysis)) {
         "state", "caf isp", "CAF", "non-CAF"
     );
     for sw in &world.states {
-        let mut per_isp: HashMap<Isp, (usize, usize)> = HashMap::new();
-        for block in &sw.q3.blocks {
-            let slot = per_isp.entry(block.caf_isp).or_insert((0, 0));
-            slot.0 += block.caf_addresses().count();
-            slot.1 += block.non_caf_addresses().count();
+        // The block specs fix every block's address counts; nothing is
+        // drawn here.
+        let mut per_isp: HashMap<Isp, (u64, u64)> = HashMap::new();
+        for spec in Q3World::block_specs(&world.config, sw.state) {
+            let slot = per_isp.entry(spec.isp).or_insert((0, 0));
+            slot.0 += u64::from(spec.caf_n);
+            slot.1 += u64::from(spec.non_caf_n);
         }
         let mut isps: Vec<_> = per_isp.into_iter().collect();
         isps.sort_by_key(|(isp, _)| *isp);

@@ -242,9 +242,11 @@ impl CampaignStats {
     }
 
     /// Publishes the statistics as `caf.bqt.campaign.*` counters in the
-    /// global telemetry registry. Counters accumulate, so repeated
-    /// campaigns (resample rounds, per-state runs) tally up.
-    pub fn publish(&self) {
+    /// global telemetry registry, and the duration of each of `records`
+    /// (the run they were computed from) into the
+    /// `caf.bqt.campaign.query_us` histogram. Counters accumulate, so
+    /// repeated campaigns (resample rounds, per-state runs) tally up.
+    pub fn publish(&self, records: &[QueryRecord]) {
         caf_obs::count("caf.bqt.campaign.queries", self.queries);
         caf_obs::count("caf.bqt.campaign.attempts", self.attempts);
         caf_obs::count("caf.bqt.campaign.retries", self.retries);
@@ -262,6 +264,12 @@ impl CampaignStats {
             "caf.bqt.campaign.throttle_wait_us",
             (self.throttle_wait_secs * 1e6) as u64,
         );
+        for record in records {
+            caf_obs::observe(
+                "caf.bqt.campaign.query_us",
+                (record.duration_secs * 1e6) as u64,
+            );
+        }
     }
 }
 
@@ -410,13 +418,7 @@ impl Campaign {
         let stats = CampaignStats::from_records(&records, cfg.throttle, cfg.workers);
         let proxy = replay_proxy(&cfg, &records);
         if caf_obs::enabled() {
-            stats.publish();
-            for record in &records {
-                caf_obs::observe(
-                    "caf.bqt.campaign.query_us",
-                    (record.duration_secs * 1e6) as u64,
-                );
-            }
+            stats.publish(&records);
         }
         CampaignResult {
             records,

@@ -11,13 +11,12 @@ use caf_geo::AddressId;
 use caf_synth::params::ErrorCategory;
 use caf_synth::rng::mix2;
 use caf_synth::rng::scoped_rng;
-use caf_synth::{Isp, TruthTable};
-use std::borrow::Cow;
+use caf_synth::{AddressTruth, Isp, TruthTable};
 
 use crate::outcome::{QueryOutcome, QueryRecord};
 use crate::proxy::ProxyPool;
 use crate::timing::{attempt_duration_secs, RETRY_OVERHEAD_SECS};
-use crate::website::{attempt, AttemptResult};
+use crate::website::{walk, AttemptResult};
 
 /// A query client with its own proxy pool.
 #[derive(Debug)]
@@ -72,23 +71,39 @@ impl QueryClient {
         isp: Isp,
         max_attempts: u32,
     ) -> QueryRecord {
+        let unresolvable = AddressTruth {
+            hard_failure: true,
+            ..AddressTruth::unserved()
+        };
+        let address_truth = truth.get(address, isp);
+        let address_truth = address_truth.as_deref().unwrap_or(&unresolvable);
+        self.query_truth(address_truth, address, isp, max_attempts)
+    }
+
+    /// Queries one (address, ISP) pair whose latent truth the caller
+    /// already holds, with an explicit retry budget: the retry loop of
+    /// [`QueryClient::query_with_attempts`] without the table lookup.
+    /// The attempts walk the page flow with no page recorder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_attempts` is zero.
+    pub fn query_truth(
+        &mut self,
+        address_truth: &AddressTruth,
+        address: AddressId,
+        isp: Isp,
+        max_attempts: u32,
+    ) -> QueryRecord {
         assert!(max_attempts >= 1, "need at least one attempt");
         // Per-(address, ISP) RNG: outcome identical under any scheduling.
         let mut rng = scoped_rng(self.seed, "bqt-query", mix2(address.0, isp.id(), 7));
-        let address_truth = truth.get(address, isp).unwrap_or_else(|| {
-            Cow::Owned(caf_synth::AddressTruth {
-                hard_failure: true,
-                ..caf_synth::AddressTruth::unserved()
-            })
-        });
-
         let mut errors: Vec<ErrorCategory> = Vec::new();
         let mut duration = 0.0;
         for attempt_no in 1..=max_attempts {
             let _ip = self.pool.acquire();
             duration += attempt_duration_secs(&mut rng, isp);
-            let trace = attempt(&mut rng, isp, &address_truth);
-            match trace.result {
+            match walk(&mut rng, isp, address_truth, &mut ()) {
                 AttemptResult::Response(outcome) => {
                     return QueryRecord {
                         address,
@@ -137,7 +152,7 @@ fn dominant_category(errors: &[ErrorCategory]) -> ErrorCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caf_synth::{AddressTruth, PlanCatalog};
+    use caf_synth::PlanCatalog;
 
     fn client(seed: u64) -> QueryClient {
         QueryClient::new(seed, 3, ProxyPool::new(seed, 8))

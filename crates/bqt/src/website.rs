@@ -60,11 +60,46 @@ pub struct AttemptTrace {
     pub result: AttemptResult,
 }
 
+/// Where [`walk`] notes each page it visits. A `Vec<Page>` keeps them
+/// in order; `()` drops them, so a query that needs only the result
+/// allocates no page list.
+pub trait PageRecorder {
+    /// Notes one visited page.
+    fn visit(&mut self, page: Page);
+}
+
+impl PageRecorder for Vec<Page> {
+    fn visit(&mut self, page: Page) {
+        self.push(page);
+    }
+}
+
+impl PageRecorder for () {
+    fn visit(&mut self, _page: Page) {}
+}
+
 /// Simulates one attempt against `isp`'s website for an address with the
-/// given latent truth. All randomness comes from `rng` (the per-address
-/// stream), keeping campaigns deterministic under any scheduling.
+/// given latent truth, returning the pages visited with the result. All
+/// randomness comes from `rng` (the per-address stream), keeping
+/// campaigns deterministic under any scheduling.
 pub fn attempt(rng: &mut StdRng, isp: Isp, truth: &AddressTruth) -> AttemptTrace {
-    let mut pages = vec![Page::SearchForm, Page::Dropdown];
+    let mut pages = Vec::new();
+    let result = walk(rng, isp, truth, &mut pages);
+    AttemptTrace { pages, result }
+}
+
+/// The page flow of one attempt: visits each page into `pages` and
+/// returns how the attempt ended. [`attempt`] records into a `Vec`; the
+/// query client passes `()`. The recorder never touches `rng`, so every
+/// recorder sees the same draws and the same result.
+pub fn walk(
+    rng: &mut StdRng,
+    isp: Isp,
+    truth: &AddressTruth,
+    pages: &mut impl PageRecorder,
+) -> AttemptResult {
+    pages.visit(Page::SearchForm);
+    pages.visit(Page::Dropdown);
 
     // Hard failures: the resolver never finds the address, every time
     // (§5's Frontier-in-Wisconsin dropdown pathology). CenturyLink's
@@ -72,15 +107,12 @@ pub fn attempt(rng: &mut StdRng, isp: Isp, truth: &AddressTruth) -> AttemptTrace
     // empty traceback — the only error category in its Table 2 row.
     if truth.hard_failure {
         let category = if isp == Isp::CenturyLink {
-            pages.push(Page::HumanVerification);
+            pages.visit(Page::HumanVerification);
             ErrorCategory::EmptyTraceback
         } else {
             ErrorCategory::SelectDropdown
         };
-        return AttemptTrace {
-            pages,
-            result: AttemptResult::TransientError(category),
-        };
+        return AttemptResult::TransientError(category);
     }
 
     // Transient flakiness: bot walls, UI drift, unclassifiable pages.
@@ -90,30 +122,24 @@ pub fn attempt(rng: &mut StdRng, isp: Isp, truth: &AddressTruth) -> AttemptTrace
         let category = ErrorCategory::all()[idx];
         // Page context for the error, per ISP (§9.2).
         match (isp, category) {
-            (Isp::CenturyLink, _) => pages.push(Page::HumanVerification),
-            (_, ErrorCategory::ClickingButton) => pages.push(Page::PlansPage),
+            (Isp::CenturyLink, _) => pages.visit(Page::HumanVerification),
+            (_, ErrorCategory::ClickingButton) => pages.visit(Page::PlansPage),
             _ => {}
         }
-        return AttemptTrace {
-            pages,
-            result: AttemptResult::TransientError(category),
-        };
+        return AttemptResult::TransientError(category);
     }
 
     // AT&T's ambiguous flow.
     if truth.ambiguous && isp == Isp::Att {
-        pages.push(Page::CallToOrderPage);
-        return AttemptTrace {
-            pages,
-            result: AttemptResult::Response(QueryOutcome::CallToOrder),
-        };
+        pages.visit(Page::CallToOrderPage);
+        return AttemptResult::Response(QueryOutcome::CallToOrder);
     }
 
     if truth.served {
         // CenturyLink hands some CAF obligations to Brightspeed: the CL
         // site redirects and the Brightspeed site shows the plans.
         if isp == Isp::CenturyLink && dist::bernoulli(rng, 0.35) {
-            pages.push(Page::BrightspeedRedirect);
+            pages.visit(Page::BrightspeedRedirect);
         }
         // Consolidated's fiber footprint redirects to Fidium.
         if isp == Isp::Consolidated
@@ -121,41 +147,31 @@ pub fn attempt(rng: &mut StdRng, isp: Isp, truth: &AddressTruth) -> AttemptTrace
                 .max_tier_plan()
                 .is_some_and(|p| p.name.starts_with("Fidium"))
         {
-            pages.push(Page::FidiumRedirect);
+            pages.visit(Page::FidiumRedirect);
         }
         if truth.existing_subscriber {
-            pages.push(Page::ModifyServicePage);
+            pages.visit(Page::ModifyServicePage);
         }
-        pages.push(Page::PlansPage);
-        AttemptTrace {
-            pages,
-            result: AttemptResult::Response(QueryOutcome::Serviceable {
-                plans: truth.plans.clone(),
-                existing_subscriber: truth.existing_subscriber,
-            }),
-        }
-    } else {
+        pages.visit(Page::PlansPage);
+        AttemptResult::Response(QueryOutcome::Serviceable {
+            plans: truth.plans.clone(),
+            existing_subscriber: truth.existing_subscriber,
+        })
+    } else if isp == Isp::Consolidated {
         // Consolidated never shows an explicit no-service page (§9.2): the
         // resolved address lands on "address not found" instead.
-        if isp == Isp::Consolidated {
-            pages.push(Page::AddressNotFoundPage);
-            AttemptTrace {
-                pages,
-                result: AttemptResult::Response(QueryOutcome::AddressNotFound),
-            }
-        } else {
-            pages.push(Page::NoServicePage);
-            AttemptTrace {
-                pages,
-                result: AttemptResult::Response(QueryOutcome::NoService),
-            }
-        }
+        pages.visit(Page::AddressNotFoundPage);
+        AttemptResult::Response(QueryOutcome::AddressNotFound)
+    } else {
+        pages.visit(Page::NoServicePage);
+        AttemptResult::Response(QueryOutcome::NoService)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caf_exec::prop;
     use caf_synth::{BroadbandPlan, PlanCatalog};
 
     fn rng() -> StdRng {
@@ -185,6 +201,43 @@ mod tests {
             }
         }
         panic!("no terminal response in 100 attempts");
+    }
+
+    /// The recorder-free walk the client runs and [`attempt`] make the
+    /// same draws: over seeds, ISPs and truth shapes (served at any
+    /// catalog tier or not, with any of the subscriber, hard-failure and
+    /// ambiguous flags), each of a few consecutive attempts ends alike
+    /// and the two streams end in the same state.
+    #[test]
+    fn recorder_free_walk_matches_attempt() {
+        let shapes = (
+            0u64..u64::MAX,
+            prop::select(Isp::all().to_vec()),
+            0usize..64,
+            prop::any_bool(),
+            0u8..8,
+        );
+        prop::check(512, shapes, |(seed, isp, tier, served, flags)| {
+            let catalog = PlanCatalog::for_isp(isp);
+            let tiers = catalog.tiers();
+            let truth = AddressTruth {
+                served,
+                plans: if served {
+                    vec![catalog.plan_from_tier(&tiers[tier % tiers.len()])]
+                } else {
+                    Vec::new()
+                },
+                existing_subscriber: flags & 1 != 0,
+                hard_failure: flags & 2 != 0,
+                ambiguous: flags & 4 != 0,
+            };
+            let (mut traced, mut bare) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..4 {
+                let trace = attempt(&mut traced, isp, &truth);
+                assert_eq!(walk(&mut bare, isp, &truth, &mut ()), trace.result);
+            }
+            assert_eq!(traced.next_u64(), bare.next_u64());
+        });
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! the pipeline shares: [`group_ranges`], a sort-based replacement for
 //! ad-hoc HashMap bucketing with deterministic group order, and
 //! [`RecordIndex`], a binary-searchable `(address, ISP) → QueryRecord`
-//! view that Q3 and the sensitivity sweep use instead of per-run maps.
+//! view over a campaign's records, in place of a per-run map.
 
 use caf_bqt::QueryRecord;
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
@@ -304,8 +304,9 @@ where
 }
 
 /// A binary-searchable `(address, ISP) → record position` view over a
-/// query-record slice — the per-block grouping Q3 and the sensitivity
-/// analysis use instead of building a `HashMap` per run.
+/// query-record slice, in place of a `HashMap` per run. (The Q3
+/// analysis classifies each block from its own records and needs none;
+/// its oracle test rebuilds the stored-world path with this index.)
 #[derive(Debug)]
 pub struct RecordIndex {
     keys: Vec<(AddressId, Isp)>,

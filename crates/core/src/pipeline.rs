@@ -130,9 +130,9 @@ impl Scenario {
 
 /// Builds the Q3 world over the seven Q3 states and runs the
 /// regulated-vs-unregulated comparison on it. The engine sizes the
-/// geography build; the analysis builds each state's blocks in its own
-/// unit on the campaign's workers ([`campaign_config`] gives it the
-/// engine's).
+/// geography build; the analysis draws, queries and classifies each
+/// state's blocks in its own unit on the campaign's workers
+/// ([`campaign_config`] gives it the engine's).
 pub fn build_q3(
     synth: SynthConfig,
     engine: EngineConfig,

@@ -14,14 +14,12 @@
 //! mode from the competitor outcomes; drop blocks with no served non-CAF
 //! address; then compare block-level averages.
 
-use caf_bqt::{Campaign, CampaignConfig, QueryTask};
+use caf_bqt::{CampaignConfig, CampaignStats, ProxyPool, QueryClient, QueryOutcome, QueryRecord};
 use caf_exec::{CostHint, UnitPlan};
-use caf_geo::{BlockId, UsState};
-use caf_synth::q3::Q3BlockSpec;
-use caf_synth::{Isp, Q3World, StateWorld, World};
+use caf_geo::{Address, AddressId, BlockId, UsState};
+use caf_synth::q3::{Q3Block, Q3BlockSpec};
+use caf_synth::{AddressTruth, Isp, Q3Sink, Q3World, World};
 use std::collections::HashMap;
-
-use crate::index::RecordIndex;
 
 /// A block's derived type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,40 +117,228 @@ pub struct Q3Analysis {
     pub queries_per_isp: HashMap<Isp, (usize, usize)>,
 }
 
+/// One Q3 state's pass: a [`Q3Sink`] that queries and classifies each
+/// block as it is drawn. The draw delivers a block's addresses and
+/// truths in the campaign's task order (every address against the
+/// incumbent; non-CAF addresses then against each footprint
+/// competitor), so each block's tasks run in the order a campaign over
+/// the state's whole task list would run them, on one client.
+struct StatePass<'a> {
+    querier: Querier<'a>,
+    /// The block being drawn: its addresses and, in draw order, their
+    /// truths. Both are emptied, not freed, between blocks.
+    addresses: Vec<(AddressId, bool)>,
+    truths: Vec<(AddressId, Isp, AddressTruth)>,
+    analysis: Q3Analysis,
+}
+
+/// The one-lane campaign of a [`StatePass`].
+struct Querier<'a> {
+    config: &'a CampaignConfig,
+    client: QueryClient,
+    /// With telemetry on, the state's records in task order, whose
+    /// totals the pass publishes as a campaign over them would.
+    records: Option<Vec<QueryRecord>>,
+}
+
+impl Querier<'_> {
+    /// Queries the next task, `(address, isp)`, against the next drawn
+    /// truth, and returns what classification reads: `None` unless the
+    /// address is served, else its maximum download speed and the
+    /// carriage value of its best-tier plan (§4.3 notes the
+    /// carriage-value view "observed similar trends").
+    fn query(
+        &mut self,
+        truths: &mut impl Iterator<Item = (AddressId, Isp, AddressTruth)>,
+        address: AddressId,
+        isp: Isp,
+    ) -> Option<(Option<f64>, Option<f64>)> {
+        let (drawn, drawn_isp, truth) = truths.next().expect("a drawn truth per task");
+        assert!(
+            (drawn, drawn_isp) == (address, isp),
+            "Q3 draw order must be the task order"
+        );
+        let record = self
+            .client
+            .query_truth(&truth, address, isp, self.config.attempts_for(isp));
+        let served = match &record.outcome {
+            QueryOutcome::Serviceable { plans, .. } => Some((
+                record.outcome.max_download_mbps(),
+                plans.first().and_then(|p| p.carriage_value()),
+            )),
+            _ => None,
+        };
+        if let Some(records) = &mut self.records {
+            records.push(record);
+        }
+        served
+    }
+}
+
+impl<'a> StatePass<'a> {
+    fn new(config: &'a CampaignConfig) -> StatePass<'a> {
+        let pool = ProxyPool::new(config.seed, config.proxy_pool_size);
+        StatePass {
+            querier: Querier {
+                config,
+                client: QueryClient::new(config.seed, config.max_attempts, pool),
+                records: caf_obs::enabled().then(Vec::new),
+            },
+            addresses: Vec::new(),
+            truths: Vec::new(),
+            analysis: Q3Analysis::default(),
+        }
+    }
+
+    /// The state's partial analysis. With telemetry on, publishes the
+    /// `caf.bqt.campaign.*` totals a [`caf_bqt::Campaign::run`] over the state's
+    /// task list would.
+    fn finish(self) -> Q3Analysis {
+        if let Some(records) = self.querier.records {
+            let config = self.querier.config;
+            CampaignStats::from_records(&records, config.throttle, config.workers)
+                .publish(&records);
+        }
+        self.analysis
+    }
+}
+
+impl Q3Sink for StatePass<'_> {
+    fn address(&mut self, id: AddressId, is_caf: bool, _address: impl FnOnce() -> Address) {
+        self.addresses.push((id, is_caf));
+    }
+
+    fn truth(&mut self, address: AddressId, isp: Isp, truth: AddressTruth) {
+        self.truths.push((address, isp, truth));
+    }
+
+    /// Queries the block's tasks in task order and classifies the block.
+    fn block(&mut self, block: Q3Block) {
+        let StatePass {
+            querier,
+            addresses,
+            truths,
+            analysis,
+        } = self;
+        let mut drawn = truths.drain(..);
+        let mut caf_speeds: Vec<f64> = Vec::new();
+        let mut mono_speeds: Vec<f64> = Vec::new();
+        let mut comp_speeds: Vec<f64> = Vec::new();
+        let mut caf_cv: Vec<f64> = Vec::new();
+        let mut mono_cv: Vec<f64> = Vec::new();
+        let mut comp_cv: Vec<f64> = Vec::new();
+        for (id, is_caf) in addresses.drain(..) {
+            let served = querier.query(&mut drawn, id, block.caf_isp);
+            let slot = analysis
+                .queries_per_isp
+                .entry(block.caf_isp)
+                .or_insert((0, 0));
+            if is_caf {
+                slot.0 += 1;
+                analysis.caf_queried += 1;
+            } else {
+                slot.1 += 1;
+                analysis.non_caf_queried += 1;
+            }
+            // Mode: competition iff any footprint competitor also serves
+            // this non-CAF address. Every competitor is queried.
+            let mut competitive = false;
+            if !is_caf {
+                for &comp in &block.competitors {
+                    competitive |= querier.query(&mut drawn, id, comp).is_some();
+                    analysis.queries_per_isp.entry(comp).or_insert((0, 0)).1 += 1;
+                }
+            }
+
+            let Some((speed, carriage)) = served else {
+                continue;
+            };
+            let (speeds, cvs) = if is_caf {
+                analysis.caf_served += 1;
+                (&mut caf_speeds, &mut caf_cv)
+            } else {
+                analysis.non_caf_served += 1;
+                if competitive {
+                    (&mut comp_speeds, &mut comp_cv)
+                } else {
+                    (&mut mono_speeds, &mut mono_cv)
+                }
+            };
+            speeds.extend(speed);
+            cvs.extend(carriage);
+        }
+        assert!(drawn.next().is_none(), "every drawn truth is a task");
+
+        // §4.3 filtering: need served CAF addresses and at least one
+        // served non-CAF address.
+        if caf_speeds.is_empty() || (mono_speeds.is_empty() && comp_speeds.is_empty()) {
+            analysis.blocks_dropped += 1;
+            return;
+        }
+        let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let avg_opt = |xs: &[f64]| (!xs.is_empty()).then(|| avg(xs));
+        let block_type = match (!mono_speeds.is_empty(), !comp_speeds.is_empty()) {
+            (true, false) => BlockType::A,
+            (false, true) => BlockType::B,
+            (true, true) => BlockType::C,
+            (false, false) => unreachable!("filtered above"),
+        };
+        analysis.blocks.push(BlockComparison {
+            block: block.id,
+            state: block.state,
+            caf_isp: block.caf_isp,
+            block_type,
+            caf_speed: avg(&caf_speeds),
+            monopoly_speed: avg_opt(&mono_speeds),
+            competition_speed: avg_opt(&comp_speeds),
+            caf_carriage: avg_opt(&caf_cv),
+            monopoly_carriage: avg_opt(&mono_cv),
+            competition_carriage: avg_opt(&comp_cv),
+        });
+    }
+}
+
 impl Q3Analysis {
-    /// Runs the full Q3 pipeline over the world's Q3 blocks.
+    /// Runs the full Q3 pipeline over the world's Q3 states.
     ///
     /// One [`caf_exec::map_units`] pass with one unit per Q3 state,
     /// hinted by the state's address count, on `campaign_config.workers`
-    /// lanes. A unit reads its state's blocks and truth (built on first
-    /// read), runs a one-worker campaign over the state's tasks — the
-    /// pass is the only pool, so no campaign pool nests inside it —
-    /// indexes its own records and classifies its blocks. Partials merge
-    /// in state order, and every query outcome is keyed by (seed,
-    /// address, ISP), so the result is the same at any worker count.
+    /// lanes. A unit draws its state's blocks one at a time
+    /// ([`Q3World::draw`]) and, as each block is drawn, queries its
+    /// tasks against the just-drawn truth on one lane — the pass is the
+    /// only pool, so no campaign pool nests inside it — and classifies
+    /// the block from its own records. No state-wide truth table, task
+    /// list or record index is built. Partials merge in state order, and
+    /// every query outcome is keyed by (seed, address, ISP), so the
+    /// result is the same at any worker count.
     pub fn run(world: &World, campaign_config: CampaignConfig) -> Q3Analysis {
         let _span = caf_obs::span("q3");
-        let states: Vec<&StateWorld> = world
+        let states: Vec<UsState> = world
             .states
             .iter()
-            .filter(|sw| UsState::q3_states().contains(&sw.state))
+            .map(|sw| sw.state)
+            .filter(|state| UsState::q3_states().contains(state))
             .collect();
-        let hints: Vec<CostHint> = states
+        let specs: Vec<Vec<Q3BlockSpec>> = states
             .iter()
-            .map(|sw| {
-                let specs = Q3World::block_specs(&world.config, sw.state);
-                CostHint::opaque(specs.iter().map(Q3BlockSpec::addresses).sum())
-            })
+            .map(|&state| Q3World::block_specs(&world.config, state))
+            .collect();
+        let hints: Vec<CostHint> = specs
+            .iter()
+            .map(|specs| CostHint::opaque(specs.iter().map(Q3BlockSpec::addresses).sum()))
             .collect();
         let plan = UnitPlan::build(campaign_config.workers, &hints, campaign_config.shard);
-        let campaign = Campaign::new(CampaignConfig {
+        let campaign = CampaignConfig {
             workers: 1,
             ..campaign_config
-        });
+        };
         let partials = caf_exec::map_units(&plan, |shard| {
-            let sw = states[shard.unit];
-            let _span = caf_obs::span_with(|| format!("q3.{}", sw.state.abbrev()));
-            Q3Analysis::run_state(&sw.q3, &campaign)
+            let state = states[shard.unit];
+            let _span = caf_obs::span_with(|| format!("q3.{}", state.abbrev()));
+            let mut pass = StatePass::new(&campaign);
+            Q3World::draw(&world.config, state, &specs[shard.unit], &mut pass);
+            caf_obs::count("caf.synth.q3.states_built", 1);
+            pass.finish()
         });
 
         let mut analysis = Q3Analysis::default();
@@ -170,152 +356,6 @@ impl Q3Analysis {
             }
         }
         analysis
-    }
-
-    /// The Q3 pipeline over one state's blocks: query, index, classify.
-    fn run_state(q3: &Q3World, campaign: &Campaign) -> Q3Analysis {
-        // Assemble the query task list: every address vs the incumbent;
-        // non-CAF addresses additionally vs each footprint competitor.
-        let mut tasks: Vec<QueryTask> = Vec::new();
-        let mut caf_queried = 0usize;
-        let mut non_caf_queried = 0usize;
-        let mut queries_per_isp: HashMap<Isp, (usize, usize)> = HashMap::new();
-        for block in &q3.blocks {
-            for a in &block.addresses {
-                tasks.push(QueryTask {
-                    address: a.address.id,
-                    isp: block.caf_isp,
-                });
-                let slot = queries_per_isp.entry(block.caf_isp).or_insert((0, 0));
-                if a.is_caf {
-                    caf_queried += 1;
-                    slot.0 += 1;
-                } else {
-                    non_caf_queried += 1;
-                    slot.1 += 1;
-                    for &comp in &block.competitors {
-                        tasks.push(QueryTask {
-                            address: a.address.id,
-                            isp: comp,
-                        });
-                        queries_per_isp.entry(comp).or_insert((0, 0)).1 += 1;
-                    }
-                }
-            }
-        }
-
-        let result = campaign.run(&q3.truth, &tasks);
-        // The per-(address, ISP) outcome lookup — Q3's analogue of the
-        // audit's AuditIndex, binary-searched instead of hashed.
-        let outcomes = RecordIndex::build(&result.records);
-
-        // Classify blocks.
-        let mut blocks = Vec::new();
-        let mut blocks_dropped = 0usize;
-        let mut caf_served = 0usize;
-        let mut non_caf_served = 0usize;
-        for block in &q3.blocks {
-            let mut caf_speeds: Vec<f64> = Vec::new();
-            let mut mono_speeds: Vec<f64> = Vec::new();
-            let mut comp_speeds: Vec<f64> = Vec::new();
-            let mut caf_cv: Vec<f64> = Vec::new();
-            let mut mono_cv: Vec<f64> = Vec::new();
-            let mut comp_cv: Vec<f64> = Vec::new();
-            for a in &block.addresses {
-                let Some(record) = outcomes.get(&result.records, a.address.id, block.caf_isp)
-                else {
-                    continue;
-                };
-                let served = matches!(record.outcome.is_served(), Some(true));
-                if !served {
-                    continue;
-                }
-                let speed = record.outcome.max_download_mbps();
-                // Carriage value of the best-tier plan (§4.3 notes the
-                // carriage-value view "observed similar trends").
-                let carriage = match &record.outcome {
-                    caf_bqt::QueryOutcome::Serviceable { plans, .. } => {
-                        plans.first().and_then(|p| p.carriage_value())
-                    }
-                    _ => None,
-                };
-                if a.is_caf {
-                    caf_served += 1;
-                    if let Some(s) = speed {
-                        caf_speeds.push(s);
-                    }
-                    if let Some(c) = carriage {
-                        caf_cv.push(c);
-                    }
-                } else {
-                    non_caf_served += 1;
-                    // Mode: competition iff any footprint competitor
-                    // also serves this address.
-                    let competitive = block.competitors.iter().any(|&comp| {
-                        outcomes
-                            .get(&result.records, a.address.id, comp)
-                            .is_some_and(|r| r.outcome.is_served() == Some(true))
-                    });
-                    if let Some(s) = speed {
-                        if competitive {
-                            comp_speeds.push(s);
-                        } else {
-                            mono_speeds.push(s);
-                        }
-                    }
-                    if let Some(c) = carriage {
-                        if competitive {
-                            comp_cv.push(c);
-                        } else {
-                            mono_cv.push(c);
-                        }
-                    }
-                }
-            }
-
-            // §4.3 filtering: need served CAF addresses and at least
-            // one served non-CAF address.
-            if caf_speeds.is_empty() || (mono_speeds.is_empty() && comp_speeds.is_empty()) {
-                blocks_dropped += 1;
-                continue;
-            }
-            let avg = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-            let block_type = match (!mono_speeds.is_empty(), !comp_speeds.is_empty()) {
-                (true, false) => BlockType::A,
-                (false, true) => BlockType::B,
-                (true, true) => BlockType::C,
-                (false, false) => unreachable!("filtered above"),
-            };
-            let avg_opt = |xs: &[f64]| {
-                if xs.is_empty() {
-                    None
-                } else {
-                    Some(xs.iter().sum::<f64>() / xs.len() as f64)
-                }
-            };
-            blocks.push(BlockComparison {
-                block: block.id,
-                state: block.state,
-                caf_isp: block.caf_isp,
-                block_type,
-                caf_speed: avg(&caf_speeds),
-                monopoly_speed: avg_opt(&mono_speeds),
-                competition_speed: avg_opt(&comp_speeds),
-                caf_carriage: avg_opt(&caf_cv),
-                monopoly_carriage: avg_opt(&mono_cv),
-                competition_carriage: avg_opt(&comp_cv),
-            });
-        }
-
-        Q3Analysis {
-            blocks,
-            caf_queried,
-            non_caf_queried,
-            caf_served,
-            non_caf_served,
-            blocks_dropped,
-            queries_per_isp,
-        }
     }
 
     /// Blocks of one type.

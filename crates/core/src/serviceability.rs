@@ -8,9 +8,9 @@
 //!
 //! The per-(ISP, CBG) grouping is read straight off a shared
 //! [`AuditIndex`] — [`ServiceabilityAnalysis::from_index`] is a cheap
-//! projection of the index's cell table, and [`compute`]
-//! (ServiceabilityAnalysis::compute) stays as the one-shot convenience
-//! that builds a throwaway index.
+//! projection of the index's cell table, and
+//! [`compute`](ServiceabilityAnalysis::compute) stays as the one-shot
+//! convenience that builds a throwaway index.
 
 use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, LatLon, UsState};
@@ -54,8 +54,8 @@ pub struct ServiceabilityAnalysis {
 impl ServiceabilityAnalysis {
     /// Computes per-CBG rates from the audit rows by building a
     /// throwaway [`AuditIndex`]. Callers holding a shared index (the
-    /// bench fixture, the repro harness) should use [`from_index`]
-    /// (ServiceabilityAnalysis::from_index) instead.
+    /// bench fixture, the repro harness) should use
+    /// [`from_index`](ServiceabilityAnalysis::from_index) instead.
     pub fn compute(dataset: &AuditDataset) -> ServiceabilityAnalysis {
         ServiceabilityAnalysis::from_index(&AuditIndex::build(dataset))
     }

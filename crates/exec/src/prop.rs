@@ -8,7 +8,7 @@
 //! [`replay`] re-runs exactly that case.
 //!
 //! The strategies are the ones the workspace's property suites use:
-//! integer and `f64` ranges, [`vec`], [`select`], [`any_bool`] and
+//! integer and `f64` ranges, [`vec`](fn@vec), [`select`], [`any_bool`] and
 //! tuples of up to five strategies.
 
 use crate::rng::{mix, SampleUniform, StdRng};
@@ -65,7 +65,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecOf<S> {
     VecOf { element, len }
 }
 
-/// The strategy [`vec`] returns.
+/// The strategy [`vec`](fn@vec) returns.
 pub struct VecOf<S> {
     element: S,
     len: Range<usize>,

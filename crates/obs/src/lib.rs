@@ -5,7 +5,7 @@
 //! where wall-clock goes at higher worker counts. `caf-obs` makes the
 //! pipeline observable without touching its outputs:
 //!
-//! * [`span`] / [`span_with`] — hierarchical scoped timers. Spans nest
+//! * [`span`](fn@span) / [`span_with`] — hierarchical scoped timers. Spans nest
 //!   per thread (a thread-local path stack joins names with `/`) and
 //!   aggregate per path: count, total, min, max, and log-bucket
 //!   histogram quantiles (p50/p99).
@@ -28,7 +28,7 @@
 //! # The zero-overhead contract
 //!
 //! Telemetry is globally off by default. Every instrumentation entry
-//! point ([`span`], [`count`], [`gauge`], [`observe`]) first performs a
+//! point ([`span`](fn@span), [`count`], [`gauge`], [`observe`]) first performs a
 //! single relaxed atomic load ([`enabled`]) and returns immediately when
 //! telemetry is off — no allocation, no clock read, no lock. Turning it
 //! on ([`set_enabled`]) only ever *observes* the pipeline: nothing in

@@ -16,7 +16,7 @@
 //!   (the server maps that to `503`), but the flight itself keeps
 //!   running and still populates the cache.
 //!
-//! Every outcome is counted twice: into the cache's own [`CacheStats`]
+//! Every outcome is counted twice: into the cache's own `CacheStats`
 //! (exact, race-free snapshots for tests and `serve_bench`) and into
 //! the global `caf-obs` registry under `caf.serve.cache.*` (for
 //! `/metrics`).

@@ -271,7 +271,7 @@ impl App {
     /// and restores the newest compatible snapshot: cache entries are
     /// installed synchronously (they are what makes the first request
     /// fast), while the live world + challenge log decode on a
-    /// background thread behind [`RestoreGate`]. Any problem with the
+    /// background thread behind a `RestoreGate`. Any problem with the
     /// snapshot — missing, truncated, corrupt, wrong version, wrong
     /// scenario — degrades to a cold build, never to an error.
     pub fn new(config: AppConfig) -> App {

@@ -3,12 +3,12 @@
 //! A snapshot is a `caf-snap` container holding everything the server
 //! needs to answer its default scenario without rebuilding the world:
 //!
-//! * [`SECTION_WORLD`] — the [`World`](caf_core::World): geography,
+//! * [`SECTION_WORLD`] — the [`World`](caf_synth::World): geography,
 //!   challenge state and epoch. Nothing derivable is stored: Q1 truth
-//!   is re-derived on decode, and each state's USAC records (a function
-//!   of the seed, the geography and its certified-tier corrections) and
-//!   Q3 blocks with their truth (of the seed, the scale and the state)
-//!   are built on first read.
+//!   is re-derived on decode, each state's USAC records (a function of
+//!   the seed, the geography and its certified-tier corrections) are
+//!   built on first read, and the Q3 analysis draws its blocks with
+//!   their truth (of the seed, the scale and the state) as it runs.
 //! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
 //!   server can keep serving per-epoch delta prefixes.
 //! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use caf_snap::peek_header;
 
-/// Section tag for the serialized [`World`](caf_core::World).
+/// Section tag for the serialized [`World`](caf_synth::World).
 pub const SECTION_WORLD: u32 = 0x14;
 /// Section tags of retired world encodings: `0x10` stored every Q1
 /// truth entry, `0x12` every Q3 block and its truth, `0x13` every USAC

@@ -191,19 +191,13 @@ fn small_world() -> World {
 }
 
 /// Every truth lookup a campaign over `world` could make: each USAC
-/// record in the world's table, each Q3 address in its state's.
+/// record in the world's table. (Q3 truth is no part of a world: the Q3
+/// analysis draws it block by block.)
 fn lookup_all(world: &World) -> usize {
     let mut answered = 0;
     for sw in &world.states {
         for r in &sw.usac.records {
             answered += usize::from(world.truth.get(r.address.id, r.isp).is_some());
-        }
-        for block in &sw.q3.blocks {
-            for a in &block.addresses {
-                for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                    answered += usize::from(sw.q3.truth.get(a.address.id, isp).is_some());
-                }
-            }
         }
     }
     answered
@@ -216,9 +210,8 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
     w.put(&world);
     let section = w.into_bytes();
     let records: usize = world.states.iter().map(|sw| sw.usac.records.len()).sum();
-    let q3_entries: usize = world.states.iter().map(|sw| sw.q3.truth.len()).sum();
-    assert!(records > 0 && q3_entries > 0);
-    assert_eq!(lookup_all(&world), world.truth.len() + q3_entries);
+    assert!(records > 0);
+    assert_eq!(lookup_all(&world), world.truth.len());
     let decoded: World = Reader::new(&section).get().unwrap();
     assert!(decoded == world);
     let outcomes = std::sync::Mutex::new([0usize; 2]);
@@ -243,9 +236,9 @@ fn world_decode_gives_a_typed_error_or_a_valid_world() {
             return;
         };
         // A valid world: it stores no truth (Q1 truth is drawn from
-        // re-derived cells, Q3 truth is rebuilt on first read), every
-        // record and Q3 address answers without panic, and the records
-        // built from the decoded geography hold its ids and blocks.
+        // re-derived cells), every record answers without panic, and
+        // the records built from the decoded geography hold its ids and
+        // blocks.
         assert_eq!(world.truth.stored_count(), 0);
         for sw in &world.states {
             for r in &sw.usac.records {

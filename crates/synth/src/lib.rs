@@ -47,7 +47,7 @@ pub use challenge::{ChallengeDelta, ChallengeError, ChallengeSet, Correction, De
 pub use isp::Isp;
 pub use params::{CalibrationParams, SynthConfig};
 pub use plans::{BroadbandPlan, PlanCatalog};
-pub use q3::{LazyQ3, Q3World};
+pub use q3::{Q3Sink, Q3World};
 pub use truth::{AddressTruth, TruthTable};
 pub use usac::{CafRecord, LazyUsac, UsacDataset};
 pub use world::{StateWorld, World};

@@ -1,9 +1,9 @@
 //! Values built the first time they are read.
 //!
 //! A generated world holds the parts that a pass may never read — a
-//! state's USAC records, its Q3 blocks and their truth — as
-//! [`OnDemand`] values: a [`Recipe`] that builds the part from the seed
-//! and the state, run at most once, by whichever reader comes first.
+//! state's USAC records — as [`OnDemand`] values: a [`Recipe`] that
+//! builds the part from the seed and the state, run at most once, by
+//! whichever reader comes first.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

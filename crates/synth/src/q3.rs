@@ -18,7 +18,6 @@
 
 use crate::dist;
 use crate::isp::Isp;
-use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::plans::PlanCatalog;
 use crate::rng::{mix2, scoped_rng, StdRng};
@@ -109,47 +108,59 @@ pub struct Q3World {
     pub truth: TruthTable,
 }
 
-/// A state's [`Q3World`], built the first time it is read: the blocks
-/// and their truth are a pure function of the seed, the scale and the
-/// state, so a pass that reads no block — every Q1/Q2 analysis — builds
-/// none.
-pub type LazyQ3 = OnDemand<Q3Recipe>;
+/// Where [`Q3World::draw`] writes the blocks it draws, one block at a
+/// time and in draw order: each address, each followed by the truths
+/// drawn for it — under the block's CAF ISP, then (non-CAF parcels only)
+/// under each footprint competitor — CAF addresses before non-CAF
+/// parcels, and then the block itself. That order is the Q3 campaign's
+/// task order, so a sink can query each truth as it arrives.
+pub trait Q3Sink {
+    /// One drawn address. `address` builds the full [`Address`] (with
+    /// its formatted street line) for a sink that keeps it; a sink that
+    /// needs only the id builds nothing.
+    fn address(&mut self, id: AddressId, is_caf: bool, address: impl FnOnce() -> Address);
 
-/// The recipe of a state's [`LazyQ3`]. The build opens the
-/// `world.<ABBREV>` span and counts into `caf.synth.q3.states_built` /
-/// `caf.synth.q3.blocks_built`.
-#[derive(Debug, Clone, Copy)]
-pub struct Q3Recipe {
-    config: SynthConfig,
-    state: UsState,
+    /// The truth of (`address`, `isp`).
+    fn truth(&mut self, address: AddressId, isp: Isp, truth: AddressTruth);
+
+    /// The finished block. Its `addresses` are empty: they went to
+    /// [`Q3Sink::address`].
+    fn block(&mut self, block: Q3Block);
 }
 
-impl Q3Recipe {
-    /// The Q3 world of `state` under `config`.
-    pub(crate) fn new(config: SynthConfig, state: UsState) -> Q3Recipe {
-        Q3Recipe { config, state }
+/// The [`Q3Sink`] behind [`Q3World::build`]: keeps every block with its
+/// addresses and every truth in a table.
+struct TableSink {
+    blocks: Vec<Q3Block>,
+    addresses: Vec<Q3Address>,
+    truth: TruthTable,
+}
+
+impl Q3Sink for TableSink {
+    fn address(&mut self, _id: AddressId, is_caf: bool, address: impl FnOnce() -> Address) {
+        self.addresses.push(Q3Address {
+            address: address(),
+            is_caf,
+        });
     }
-}
 
-impl Recipe for Q3Recipe {
-    type Output = Q3World;
+    fn truth(&mut self, address: AddressId, isp: Isp, truth: AddressTruth) {
+        self.truth.insert(address, isp, truth);
+    }
 
-    fn build(&self) -> Q3World {
-        let _span = caf_obs::span_with(|| format!("world.{}", self.state.abbrev()));
-        let world = Q3World::build(&self.config, self.state);
-        caf_obs::count("caf.synth.q3.states_built", 1);
-        caf_obs::count("caf.synth.q3.blocks_built", world.blocks.len() as u64);
-        world
+    fn block(&mut self, mut block: Q3Block) {
+        block.addresses = std::mem::take(&mut self.addresses);
+        self.blocks.push(block);
     }
 }
 
 /// The precomputed parameters of one Q3 block: everything
-/// [`Q3World::build`]'s budget-splitting loop decides *before* any
+/// [`Q3World::block_specs`]' budget-splitting loop decides *before* any
 /// random draw happens. Pure arithmetic on the Table-4 budgets, so the
-/// full spec list is cheap to enumerate up front — which is what lets
-/// the sharded world generator build any contiguous block range
-/// independently (each block's randomness is keyed by `(state, isp,
-/// counter)`).
+/// full spec list is cheap to enumerate up front: it sizes the Q3
+/// analysis's units and Table 4's address counts without drawing, and
+/// lets [`Q3World::draw`] draw any contiguous block range independently
+/// (each block's randomness is keyed by `(state, isp, counter)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Q3BlockSpec {
     /// The CAF incumbent.
@@ -171,20 +182,29 @@ impl Q3BlockSpec {
 }
 
 impl Q3World {
-    /// Builds the Q3 world for `state`: its blocks and their truth, in a
-    /// table sized up front to one entry per address (the competitor
-    /// entries of competitive blocks are the overflow).
+    /// Builds the Q3 world for `state`: every block with its addresses,
+    /// and their truth in a table sized up front to one entry per
+    /// address (the competitor entries of competitive blocks are the
+    /// overflow). The Q3 analysis reads no stored world — it draws each
+    /// block through its own [`Q3Sink`] — so this is for tests and
+    /// inspection. Counts one state and its blocks into
+    /// `caf.synth.q3.states_built` / `caf.synth.q3.blocks_built`.
     ///
     /// Returns an empty world for states outside the seven-state Q3 scope.
     pub fn build(config: &SynthConfig, state: UsState) -> Q3World {
         let specs = Q3World::block_specs(config, state);
         let addresses: u64 = specs.iter().map(Q3BlockSpec::addresses).sum();
-        let mut truth = TruthTable::with_capacity(addresses as usize);
-        let blocks = Q3World::build_specs(config, state, &specs, &mut truth);
+        let mut sink = TableSink {
+            blocks: Vec::with_capacity(specs.len()),
+            addresses: Vec::new(),
+            truth: TruthTable::with_capacity(addresses as usize),
+        };
+        Q3World::draw(config, state, &specs, &mut sink);
+        caf_obs::count("caf.synth.q3.states_built", 1);
         Q3World {
             state,
-            blocks,
-            truth,
+            blocks: sink.blocks,
+            truth: sink.truth,
         }
     }
 
@@ -229,31 +249,23 @@ impl Q3World {
         specs
     }
 
-    /// Materializes a contiguous slice of block specs, inserting the
-    /// blocks' truth entries into `truth`. Each block's randomness is
-    /// keyed by its spec's counter and its address ids by a
-    /// counter-derived base, so disjoint slices concatenate (and their
-    /// truth tables merge) to exactly what one full build produces.
-    pub fn build_specs(
+    /// Draws the blocks of a contiguous slice of `state`'s
+    /// [`block_specs`](Q3World::block_specs) into `sink`, block by
+    /// block — the one Q3 generation path — and counts them into
+    /// `caf.synth.q3.blocks_built`. Each block's randomness is keyed by
+    /// its spec's counter and its address ids by a counter-derived base,
+    /// so disjoint slices concatenate to exactly what one full draw
+    /// produces.
+    pub fn draw(
         config: &SynthConfig,
         state: UsState,
         specs: &[Q3BlockSpec],
-        truth: &mut TruthTable,
-    ) -> Vec<Q3Block> {
-        specs
-            .iter()
-            .map(|spec| {
-                build_block(
-                    config,
-                    state,
-                    spec.isp,
-                    spec.counter,
-                    spec.caf_n,
-                    spec.non_caf_n,
-                    truth,
-                )
-            })
-            .collect()
+        sink: &mut impl Q3Sink,
+    ) {
+        for spec in specs {
+            draw_block(config, state, spec, sink);
+        }
+        caf_obs::count("caf.synth.q3.blocks_built", specs.len() as u64);
     }
 
     /// Total CAF / non-CAF addresses across blocks.
@@ -348,16 +360,14 @@ fn escape_tier_above(catalog: &PlanCatalog, reference: f64, candidate: f64) -> f
         .unwrap_or(reference * 2.0)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_block(
-    config: &SynthConfig,
-    state: UsState,
-    caf_isp: Isp,
-    counter: u64,
-    caf_n: u32,
-    non_caf_n: u32,
-    truth: &mut TruthTable,
-) -> Q3Block {
+/// Draws one block into `sink`, in the order [`Q3Sink`] documents.
+fn draw_block<S: Q3Sink>(config: &SynthConfig, state: UsState, spec: &Q3BlockSpec, sink: &mut S) {
+    let Q3BlockSpec {
+        isp: caf_isp,
+        counter,
+        caf_n,
+        non_caf_n,
+    } = *spec;
     let key = mix2(u64::from(state.fips().code()), caf_isp.id(), counter);
     let mut rng = scoped_rng(config.seed, "q3-block", key);
 
@@ -457,26 +467,28 @@ fn build_block(
         Vec::new()
     };
 
-    // Materialize addresses and truth.
+    // Draw addresses and truth.
     let comp_catalogs: Vec<(Isp, PlanCatalog)> = competitors
         .iter()
         .map(|&c| (c, PlanCatalog::for_isp(c)))
         .collect();
-    let mut addresses: Vec<Q3Address> = Vec::with_capacity((caf_n + non_caf_n) as usize);
     // Id space: state FIPS · 10⁹ + 5·10⁸ offset keeps Q3 ids disjoint
     // from the Q1 USAC ids.
     let id_base = u64::from(state.fips().code()) * 1_000_000_000 + 500_000_000 + counter * 4_000;
 
-    // The block's one dynamic string: formatted once, copied per address.
-    let street_name = format!("Q3 Block Rd {}", counter);
-    let make_address = |rng: &mut StdRng, i: u64| -> Address {
+    // Draws one address's location and house number and hands it to the
+    // sink; the street line (the block's one dynamic string) is
+    // formatted only if the sink builds the address.
+    let draw_address = |rng: &mut StdRng, sink: &mut S, i: u64, is_caf: bool| -> AddressId {
         let jitter_lat = rng.gen_range(-0.005..0.005);
         let jitter_lon = rng.gen_range(-0.005..0.005);
-        Address {
-            id: AddressId(id_base + i),
+        let number = rng.gen_range(100..9_999);
+        let addr_id = AddressId(id_base + i);
+        sink.address(addr_id, is_caf, || Address {
+            id: addr_id,
             street: StreetAddress {
-                number: rng.gen_range(100..9_999),
-                street: Cow::Owned(street_name.clone()),
+                number,
+                street: Cow::Owned(format!("Q3 Block Rd {counter}")),
                 city: Cow::Borrowed("Crossroads"),
                 state_abbrev: Cow::Borrowed(state.abbrev()),
                 zip: 20_000 + (key % 79_999) as u32,
@@ -487,7 +499,8 @@ fn build_block(
             )
             .expect("jittered point in range"),
             block: id,
-        }
+        });
+        addr_id
     };
 
     // Address-level speed jitter around the block's mode speed.
@@ -510,46 +523,40 @@ fn build_block(
     let caf_serviceability =
         CalibrationParams::serviceability_base(caf_isp, state).clamp(0.3, 0.95);
     for i in 0..u64::from(caf_n) {
-        let address = make_address(&mut rng, i);
-        let addr_id = address.id;
-        if dist::bernoulli(&mut rng, caf_serviceability) {
-            let t = truth_with_speed(&mut rng, caf_speed);
-            truth.insert(addr_id, caf_isp, t);
+        let addr_id = draw_address(&mut rng, sink, i, true);
+        let t = if dist::bernoulli(&mut rng, caf_serviceability) {
+            truth_with_speed(&mut rng, caf_speed)
         } else {
-            truth.insert(addr_id, caf_isp, AddressTruth::unserved());
-        }
-        addresses.push(Q3Address {
-            address,
-            is_caf: true,
-        });
+            AddressTruth::unserved()
+        };
+        sink.truth(addr_id, caf_isp, t);
     }
 
     for i in 0..u64::from(non_caf_n) {
-        let address = make_address(&mut rng, 2_000 + i);
-        let addr_id = address.id;
+        let addr_id = draw_address(&mut rng, sink, 2_000 + i, false);
         match latent_type {
             LatentBlockType::NoServedNonCaf => {
-                truth.insert(addr_id, caf_isp, AddressTruth::unserved());
+                sink.truth(addr_id, caf_isp, AddressTruth::unserved());
             }
             LatentBlockType::TypeA => {
                 // Monopoly mode: served by the CAF ISP alone.
-                if dist::bernoulli(&mut rng, 0.85) {
-                    let t = truth_with_speed(&mut rng, mono_speed);
-                    truth.insert(addr_id, caf_isp, t);
+                let t = if dist::bernoulli(&mut rng, 0.85) {
+                    truth_with_speed(&mut rng, mono_speed)
                 } else {
-                    truth.insert(addr_id, caf_isp, AddressTruth::unserved());
-                }
+                    AddressTruth::unserved()
+                };
+                sink.truth(addr_id, caf_isp, t);
             }
             LatentBlockType::TypeB => {
                 // Competition mode: the CAF ISP and the competitor both
                 // serve (a Type-B block has no monopoly-mode address).
                 let t = truth_with_speed(&mut rng, comp_speed);
-                truth.insert(addr_id, caf_isp, t);
+                sink.truth(addr_id, caf_isp, t);
                 for (comp, cat) in &comp_catalogs {
                     // Type B definition: every served non-CAF address is in
                     // competition mode, so the competitor always serves.
                     let t = crate::truth::draw_truth(&mut rng, *comp, cat, 1.0);
-                    truth.insert(addr_id, *comp, t);
+                    sink.truth(addr_id, *comp, t);
                 }
             }
             LatentBlockType::TypeC => {
@@ -558,31 +565,27 @@ fn build_block(
                 let competitive = dist::bernoulli(&mut rng, 0.5);
                 let speed = if competitive { comp_speed } else { mono_speed };
                 let t = truth_with_speed(&mut rng, speed);
-                truth.insert(addr_id, caf_isp, t);
+                sink.truth(addr_id, caf_isp, t);
                 for (comp, cat) in &comp_catalogs {
                     let t = if competitive {
                         crate::truth::draw_truth(&mut rng, *comp, cat, 0.97)
                     } else {
                         AddressTruth::unserved()
                     };
-                    truth.insert(addr_id, *comp, t);
+                    sink.truth(addr_id, *comp, t);
                 }
             }
         }
-        addresses.push(Q3Address {
-            address,
-            is_caf: false,
-        });
     }
 
-    Q3Block {
+    sink.block(Q3Block {
         id,
         state,
         caf_isp,
         competitors,
         latent_type,
-        addresses,
-    }
+        addresses: Vec::new(),
+    });
 }
 
 #[cfg(test)]
@@ -723,18 +726,21 @@ mod tests {
         assert_eq!(specs.len(), full.blocks.len());
 
         for splits in [2usize, 5] {
-            let mut blocks: Vec<Q3Block> = Vec::new();
-            let mut truth = TruthTable::new();
+            let mut sink = TableSink {
+                blocks: Vec::new(),
+                addresses: Vec::new(),
+                truth: TruthTable::new(),
+            };
             let chunk = specs.len().div_ceil(splits);
             for slice in specs.chunks(chunk) {
-                blocks.extend(Q3World::build_specs(&config, state, slice, &mut truth));
+                Q3World::draw(&config, state, slice, &mut sink);
             }
             assert_eq!(
-                format!("{blocks:?}"),
+                format!("{:?}", sink.blocks),
                 format!("{:?}", full.blocks),
-                "{splits}-way spec build must match the full build"
+                "{splits}-way spec draw must match the full build"
             );
-            assert!(truth == full.truth, "{splits}-way truth must match");
+            assert!(sink.truth == full.truth, "{splits}-way truth must match");
         }
     }
 }

@@ -13,9 +13,9 @@
 //!   the effective corrections; decoding re-derives them through the
 //!   same function generation uses. A state's USAC records are a
 //!   function of the seed, the geography and its certified-tier
-//!   corrections, and its Q3 blocks and their truth of the seed, the
-//!   scale and the state: a decoded world builds both on first read, as
-//!   a generated or challenged one does.
+//!   corrections: a decoded world builds them on first read, as a
+//!   generated or challenged one does. Q3 blocks are no part of a world;
+//!   the Q3 analysis draws them from the seed, the scale and the state.
 //! * **Validated decoding.** Enum discriminants and cross-field
 //!   invariants are checked on the way in; a corrupt payload that
 //!   survives the container checksums still cannot materialize an
@@ -25,7 +25,6 @@ use crate::challenge::{CellCorrections, ChallengeSet, Correction};
 use crate::geography::{BlockInfo, CbgInfo, StateGeography};
 use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
-use crate::q3::{LazyQ3, Q3Recipe};
 use crate::truth::{self, Q1Cell, TruthTable};
 use crate::usac::{LazyUsac, UsacRecipe};
 use crate::world::{StateWorld, World};
@@ -310,9 +309,9 @@ impl Snap for ChallengeSet {
 
 impl Snap for World {
     /// Writes the configuration, each state's geography, the epoch and
-    /// the corrections. The Q1 truth cells, the USAC records and the Q3
-    /// worlds are a function of these, so they are not written: a
-    /// generated world's truth table holds nothing else.
+    /// the corrections. The Q1 truth cells and the USAC records are a
+    /// function of these, so they are not written: a generated world's
+    /// truth table holds nothing else.
     fn encode(&self, w: &mut Writer) {
         assert_eq!(self.truth.stored_count(), 0, "stored truth is not encoded");
         w.put(&self.config);
@@ -355,7 +354,6 @@ impl Snap for World {
                         Arc::clone(&geography.cbgs),
                         challenges.certified_tiers(state),
                     )),
-                    q3: LazyQ3::new(Q3Recipe::new(config, state)),
                     geography,
                 }
             })
@@ -375,6 +373,7 @@ impl Snap for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::q3::Q3World;
     use crate::ChallengeDelta;
     use caf_geo::UsState;
 
@@ -390,7 +389,8 @@ mod tests {
 
     /// Asserts that two worlds answer every truth lookup alike: each
     /// USAC record under its ISP, and each Q3 address under its block's
-    /// CAF ISP and competitors (in the state's own Q3 table).
+    /// CAF ISP and competitors (in the Q3 table each world's config
+    /// draws for the state).
     fn assert_same_lookups(a: &World, b: &World) {
         let mut lookups = 0;
         assert_eq!(a.states.len(), b.states.len());
@@ -400,11 +400,15 @@ mod tests {
                 assert_eq!(a.truth.get(id, r.isp), b.truth.get(id, r.isp), "{id}");
                 lookups += 1;
             }
-            for block in &sa.q3.blocks {
+            let (qa, qb) = (
+                Q3World::build(&a.config, sa.state),
+                Q3World::build(&b.config, sb.state),
+            );
+            for block in &qa.blocks {
                 for addr in &block.addresses {
                     let id = addr.address.id;
                     for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                        let (ta, tb) = (sa.q3.truth.get(id, isp), sb.q3.truth.get(id, isp));
+                        let (ta, tb) = (qa.truth.get(id, isp), qb.truth.get(id, isp));
                         assert_eq!(ta, tb, "{id} {isp}");
                         lookups += 1;
                     }
@@ -433,7 +437,6 @@ mod tests {
             assert_eq!(a.state, b.state);
             assert_eq!(a.geography.cbgs.len(), b.geography.cbgs.len());
             assert_eq!(a.usac.records.len(), b.usac.records.len());
-            assert_eq!(a.q3.blocks.len(), b.q3.blocks.len());
         }
     }
 
@@ -445,13 +448,9 @@ mod tests {
         };
         let world = World::generate_states(config, &[UsState::Vermont, UsState::NewHampshire]);
         let (bytes, decoded) = round_trip_bytes(&world);
-        // Neither the USAC records nor the Q3 worlds are in the
-        // encoding: the decoded ones are built on first read, and equal
-        // the generated ones.
-        assert!(decoded
-            .states
-            .iter()
-            .all(|sw| !sw.usac.is_built() && !sw.q3.is_built()));
+        // The USAC records are not in the encoding: the decoded ones are
+        // built on first read, and equal the generated ones.
+        assert!(decoded.states.iter().all(|sw| !sw.usac.is_built()));
         assert!(decoded == world);
         assert_same_lookups(&world, &decoded);
         assert_eq!(format!("{decoded:?}"), format!("{world:?}"));

@@ -15,8 +15,9 @@
 //! The audit queries a sample of the certified addresses, so Q1 truth
 //! is drawn when BQT asks for it, from the address's own keyed stream
 //! and its CBG's rate: bit for bit the entry a full build would store.
-//! Q3 truth, drawn block by block from one stream, stays stored, in
-//! each state's Q3 world, which is itself built when first read.
+//! Q3 truth is drawn block by block with its block, and the Q3
+//! analysis queries each block's truth as it is drawn; only
+//! [`Q3World::build`](crate::q3::Q3World::build) stores it.
 //!
 //! ## Calibration
 //!
@@ -129,8 +130,8 @@ pub(crate) struct Q1Cell {
 
 /// The truth table: latent state for every (address, ISP) pair the
 /// campaigns can touch. Q1 pairs are answered by drawing from their
-/// CBG's [`Q1Cell`]; every other pair (Q3 blocks, hand-built tables) is
-/// a stored entry.
+/// CBG's `Q1Cell`; every other pair ([`Q3World::build`](crate::Q3World::build)'s
+/// Q3 blocks, hand-built tables) is a stored entry.
 #[derive(Clone, Default, PartialEq)]
 pub struct TruthTable {
     /// The world seed that keys the Q1 address draws.

@@ -6,16 +6,16 @@
 //! pair a campaign can query by drawing it on demand. The geography
 //! fixes every certified address's id, ISP, CBG and block, which is all
 //! the audit reads. The USAC CAF-Map records (a pure function of the
-//! seed, the geography and the state's certified-tier corrections) and
-//! the Q3 block world (with its own stored truth) are built per state on
-//! first read.
+//! seed, the geography and the state's certified-tier corrections) are
+//! built per state on first read. The world holds no Q3 block: the Q3
+//! analysis draws each state's blocks from the seed as it queries them
+//! ([`Q3World::draw`](crate::q3::Q3World::draw)).
 
 use crate::challenge::{
     self, CellCorrections, ChallengeDelta, ChallengeError, ChallengeSet, DeltaOutcome,
 };
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
-use crate::q3::{LazyQ3, Q3Recipe};
 use crate::truth::{self, Q1Cell, TruthTable};
 use crate::usac::{LazyUsac, UsacRecipe};
 use caf_exec::{CostHint, EngineConfig};
@@ -23,9 +23,9 @@ use caf_geo::UsState;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything generated for one state. The USAC slice and the Q3 world
-/// are built when first read; cloning leaves an unbuilt part unbuilt,
-/// and `PartialEq` and `Debug` see the built parts.
+/// Everything generated for one state. The USAC slice is built when
+/// first read; cloning leaves it unbuilt if it is, and `PartialEq` and
+/// `Debug` see it built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateWorld {
     /// The state.
@@ -37,9 +37,6 @@ pub struct StateWorld {
     /// the geography ([`StateGeography::caf_cells`],
     /// [`StateGeography::address_blocks`]) and build nothing.
     pub usac: LazyUsac,
-    /// The Q3 block world and its truth (empty outside the seven Q3
-    /// states), built the first time it is read.
-    pub q3: LazyQ3,
 }
 
 /// The full synthetic world.
@@ -50,8 +47,8 @@ pub struct World {
     /// Per-state worlds, in [`UsState::study_states`] order.
     pub states: Vec<StateWorld>,
     /// The latent truth for every Q1 (address, ISP) pair: one cell per
-    /// CBG, drawn on demand. Q3 truth lives with each state's
-    /// [`Q3World`](crate::q3::Q3World). **For `caf-bqt` only** —
+    /// CBG, drawn on demand. Q3 truth is drawn with its block
+    /// ([`Q3World::draw`](crate::q3::Q3World::draw)). **For `caf-bqt` only** —
     /// analysis code must not read it.
     pub truth: TruthTable,
     /// The world's version: the cumulative number of challenge deltas
@@ -99,11 +96,11 @@ impl World {
     /// [`World::truth`].
     ///
     /// Nothing else is built here. Each state's USAC records
-    /// ([`LazyUsac`]) and its Q3 blocks with their truth ([`LazyQ3`])
-    /// are built from the seed and the state the first time something
-    /// reads them: the Q3 analysis reads the Q3 states' blocks, one unit
-    /// per state; the audit reads only the geography's address ids, so
-    /// it builds neither. Each call counts its states into
+    /// ([`LazyUsac`]) are built from the seed and the state the first
+    /// time something reads them; the audit reads only the geography's
+    /// address ids, so it builds none. Q3 blocks are not part of the
+    /// world: the Q3 analysis draws them from the seed and the state as
+    /// it queries them. Each call counts its states into
     /// `caf.synth.world.states_built`.
     ///
     /// Output is **byte-identical at any worker count and shard
@@ -160,7 +157,6 @@ impl World {
                     Arc::clone(&geography.cbgs),
                     Vec::new(),
                 )),
-                q3: LazyQ3::new(Q3Recipe::new(config, state)),
                 geography,
             });
         }
@@ -301,6 +297,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::isp::Isp;
+    use crate::q3::Q3World;
 
     #[test]
     fn two_state_world_assembles() {
@@ -311,9 +308,10 @@ mod tests {
         let world = World::generate_states(config, &[UsState::Vermont, UsState::Utah]);
         assert_eq!(world.states.len(), 2);
         let vt = world.state(UsState::Vermont).unwrap();
-        assert!(vt.q3.blocks.is_empty(), "Vermont is not a Q3 state");
+        let q3_blocks = |state| Q3World::build(&config, state).blocks;
+        assert!(q3_blocks(vt.state).is_empty(), "Vermont is not a Q3 state");
         let ut = world.state(UsState::Utah).unwrap();
-        assert!(!ut.q3.blocks.is_empty(), "Utah is a Q3 state");
+        assert!(!q3_blocks(ut.state).is_empty(), "Utah is a Q3 state");
         assert!(world.total_caf_addresses() > 0);
         // The world's truth covers at least every USAC record.
         let usac_total: usize = world.states.iter().map(|s| s.usac.records.len()).sum();
@@ -352,8 +350,6 @@ mod tests {
             seed: 23,
             scale: 30,
         };
-        // Includes Q3 states, whose blocks the `Debug` comparison
-        // builds on both sides.
         let states = &[UsState::California, UsState::Vermont, UsState::Ohio];
         let baseline = World::generate_states_on(
             config,
@@ -507,15 +503,16 @@ mod tests {
                 assert!(borrowed(&street.city), "{street}");
                 assert!(borrowed(&street.state_abbrev), "{street}");
             }
-            for a in sw.q3.blocks.iter().flat_map(|b| &b.addresses) {
-                let street = &a.address.street;
-                // The per-block street name is the one dynamic string.
-                assert!(!borrowed(&street.street), "{street}");
-                assert!(borrowed(&street.city), "{street}");
-                assert!(borrowed(&street.state_abbrev), "{street}");
-            }
         }
-        for (_, isp, truth) in world.states.iter().flat_map(|sw| sw.q3.truth.entries()) {
+        let q3 = Q3World::build(&config, UsState::Ohio);
+        for a in q3.blocks.iter().flat_map(|b| &b.addresses) {
+            let street = &a.address.street;
+            // The per-block street name is the one dynamic string.
+            assert!(!borrowed(&street.street), "{street}");
+            assert!(borrowed(&street.city), "{street}");
+            assert!(borrowed(&street.state_abbrev), "{street}");
+        }
+        for (_, isp, truth) in q3.truth.entries() {
             competitor_entries += usize::from(matches!(isp, Isp::Xfinity | Isp::Spectrum));
             for plan in &truth.plans {
                 assert!(borrowed(&plan.name), "{isp}: {plan}");
@@ -543,9 +540,10 @@ mod tests {
         assert!(world.truth.get(r.address.id, r.isp).is_some());
         // A Q3 address's truth is present under the block's CAF ISP, in
         // the state's Q3 table, not the world's.
-        let block = &nh.q3.blocks[0];
+        let q3 = Q3World::build(&config, nh.state);
+        let block = &q3.blocks[0];
         let a = &block.addresses[0];
-        assert!(nh.q3.truth.get(a.address.id, block.caf_isp).is_some());
+        assert!(q3.truth.get(a.address.id, block.caf_isp).is_some());
         assert!(world.truth.get(a.address.id, block.caf_isp).is_none());
         assert_eq!(world.truth.stored_count(), 0);
         // NH's Q3 incumbent is Consolidated (Table 4).

@@ -43,7 +43,7 @@ fn check_world_structure_invariants(seed: u64, state: UsState) {
     for record in &sw.usac.records {
         assert!(addr_ids.insert(record.address.id.0));
     }
-    for block in &sw.q3.blocks {
+    for block in &Q3World::build(&config, state).blocks {
         for a in &block.addresses {
             assert!(addr_ids.insert(a.address.id.0), "Q3/Q1 id collision");
         }
@@ -114,18 +114,15 @@ fn check_presence_matrix_is_respected(seed: u64, state: UsState) {
 /// Each state's USAC slice, built on first read, equals a direct
 /// [`UsacDataset::build`], and the geography's `caf_cells()` equal a
 /// per-record recomputation: the same (ISP, CBG) keys in ascending
-/// order, each with its records' ids in order. Its Q3 world, also built
-/// on first read, equals a direct [`Q3World::build`].
+/// order, each with its records' ids in order.
 fn check_lazy_usac_matches_a_direct_build(seed: u64, scale: u32, states: &[UsState]) {
     let config = SynthConfig { seed, scale };
     let world = World::generate_states(config, states);
     for sw in &world.states {
         assert!(!sw.usac.is_built(), "generation builds no record");
-        assert!(!sw.q3.is_built(), "generation builds no Q3 block");
         let direct = UsacDataset::build(&config, &StateGeography::build(&config, sw.state));
         assert!(*sw.usac == direct, "{}", sw.state);
         assert!(sw.usac.is_built());
-        assert!(*sw.q3 == Q3World::build(&config, sw.state), "{}", sw.state);
 
         let mut expected: BTreeMap<(Isp, BlockGroupId), Vec<AddressId>> = BTreeMap::new();
         for r in &sw.usac.records {

@@ -12,7 +12,7 @@
 
 use caf_geo::UsState;
 use caf_snap::fnv1a;
-use caf_synth::{ChallengeDelta, Correction, SynthConfig, World};
+use caf_synth::{ChallengeDelta, Correction, Q3World, SynthConfig, World};
 
 const CONFIG: SynthConfig = SynthConfig {
     seed: 0xCAF_2024,
@@ -38,14 +38,16 @@ fn q1_digest(world: &World) -> u64 {
 }
 
 /// FNV-1a over the lookups of every Q3 address under its block's CAF
-/// ISP and each competitor, in the state's Q3 table.
+/// ISP and each competitor, in the Q3 table the world's config draws for
+/// each state.
 fn q3_digest(world: &World) -> u64 {
     let mut text = String::new();
     for sw in &world.states {
-        for block in &sw.q3.blocks {
+        let q3 = Q3World::build(&world.config, sw.state);
+        for block in &q3.blocks {
             for a in &block.addresses {
                 for &isp in std::iter::once(&block.caf_isp).chain(&block.competitors) {
-                    text.push_str(&format!("{:?}\n", sw.q3.truth.get(a.address.id, isp)));
+                    text.push_str(&format!("{:?}\n", q3.truth.get(a.address.id, isp)));
                 }
             }
         }
