@@ -32,6 +32,8 @@
 # section), and the serving-layer gate: `caf-serve` is started on an
 # ephemeral port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
+# two fetches in one curl invocation must share one kept connection
+# and return the same bytes,
 # its `/v1/debug/traces` flight recorder must show the request's span
 # path (route -> cache lookup -> render), its `/metrics` report must
 # pass the full metrics_check gate including the per-route SLO burn
@@ -369,6 +371,22 @@ for http_workers in 1 4; do
     -o "$ci_out/served_table2.$http_workers.json"
   cmp "$ci_out/served_table2.$http_workers.json" "$golden/table2.json"
   echo "    /v1/table2 is byte-identical to the repro golden"
+
+  # Persistent connections: two transfers in one curl invocation share
+  # one connection (the second makes no new connect), and both bodies
+  # equal the single fetch above.
+  table2_url="http://$addr/v1/table2?seed=$serve_seed&scale=150"
+  connects=$(curl -fsS -w '%{num_connects} ' \
+    "$table2_url" -o "$ci_out/kept_table2.1.$http_workers.json" \
+    "$table2_url" -o "$ci_out/kept_table2.2.$http_workers.json")
+  if [ "$(echo $connects)" != "1 0" ]; then
+    echo "the second transfer did not reuse the connection (new connects per transfer: $connects)" >&2
+    exit 1
+  fi
+  for kept in 1 2; do
+    cmp "$ci_out/kept_table2.$kept.$http_workers.json" "$ci_out/served_table2.$http_workers.json"
+  done
+  echo "    two transfers on one kept connection, both byte-identical"
 
   # Warm requests: the SLO burn gate below must see cheap cache hits,
   # not just the one slow cold build.

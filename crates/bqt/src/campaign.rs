@@ -264,11 +264,12 @@ impl CampaignStats {
             "caf.bqt.campaign.throttle_wait_us",
             (self.throttle_wait_secs * 1e6) as u64,
         );
-        for record in records {
-            caf_obs::observe(
-                "caf.bqt.campaign.query_us",
-                (record.duration_secs * 1e6) as u64,
-            );
+        if caf_obs::enabled() {
+            // One lookup for the whole run, not one per record.
+            let query_us = caf_obs::registry().histogram("caf.bqt.campaign.query_us");
+            for record in records {
+                query_us.record((record.duration_secs * 1e6) as u64);
+            }
         }
     }
 }

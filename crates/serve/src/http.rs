@@ -2,10 +2,13 @@
 //! POST requests the serving API accepts and to write deterministic
 //! responses, with no external dependencies.
 //!
-//! Every response is `Connection: close` — one request per connection
-//! keeps the worker loop trivially bounded and makes the byte-identity
-//! contract easy to state: the response *body* for a `/v1/*` endpoint
-//! is exactly the artifact file `repro --artifacts` writes.
+//! Connections are persistent (HTTP/1.1's default): requests on one
+//! connection are parsed one after another from the same buffered
+//! reader, so pipelined requests are answered in order, and every
+//! request — the second and later ones too — is held to the same head
+//! and body caps. A response says `Connection: close` only when it is
+//! the connection's last. The response *body* for a `/v1/*` endpoint is
+//! exactly the artifact file `repro --artifacts` writes.
 
 use std::io::{BufRead, Read, Write};
 
@@ -23,6 +26,8 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 pub struct Request {
     /// Request method (`GET` or `POST` for every supported endpoint).
     pub method: String,
+    /// Protocol version from the request line, e.g. `HTTP/1.1`.
+    pub version: String,
     /// Percent-decoded path, e.g. `/v1/table2`.
     pub path: String,
     /// Percent-decoded query pairs in request order.
@@ -52,10 +57,22 @@ impl Request {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether the client asked for the connection to close after this
+    /// request: `Connection: close`, or HTTP/1.0 without
+    /// `Connection: keep-alive`.
+    pub fn wants_close(&self) -> bool {
+        let says = |token: &str| {
+            self.header("connection")
+                .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+        };
+        says("close") || self.version == "HTTP/1.0" && !says("keep-alive")
+    }
 }
 
 /// A parse failure, carrying the HTTP status the server should answer
-/// with (`400` or `431`).
+/// with (`400`, `413` or `431`). The bytes after a failed request
+/// cannot be framed, so the server closes the connection after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Status code to respond with.
@@ -107,7 +124,10 @@ pub fn parse_request(stream: &mut impl BufRead) -> Result<Request, ParseError> {
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().ok_or_else(|| bad("missing request target"))?;
-    let version = parts.next().ok_or_else(|| bad("missing HTTP version"))?;
+    let version = parts
+        .next()
+        .ok_or_else(|| bad("missing HTTP version"))?
+        .to_string();
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Err(bad(format!("malformed request line: {request_line:?}")));
     }
@@ -169,6 +189,7 @@ pub fn parse_request(stream: &mut impl BufRead) -> Result<Request, ParseError> {
     }
     Ok(Request {
         method,
+        version,
         path,
         query,
         headers,
@@ -206,8 +227,7 @@ fn percent_decode(raw: &str, plus_is_space: bool) -> Result<String, ParseError> 
     String::from_utf8(out).map_err(|_| bad(format!("target is not UTF-8: {raw:?}")))
 }
 
-/// A response ready to serialize. Responses are always
-/// `Connection: close`.
+/// A response ready to serialize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -279,25 +299,31 @@ impl Response {
         self
     }
 
-    /// Serializes the response to `out` (status line, headers, body).
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        let reason = reason_phrase(self.status);
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    /// Serializes the response to `out` (status line, headers, body)
+    /// in one write; `close` adds `Connection: close`.
+    ///
+    /// One write is what keeps a kept connection fast: a head and a body
+    /// sent as two small writes leave the body behind Nagle's algorithm
+    /// until the client's delayed ACK, tens of milliseconds later.
+    pub fn write_to(&self, out: &mut impl Write, close: bool) -> std::io::Result<()> {
+        let mut bytes = Vec::with_capacity(256 + self.body.len());
+        write!(
+            bytes,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
-            reason,
+            reason_phrase(self.status),
             self.content_type,
             self.body.len()
-        );
-        for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+        )?;
+        if close {
+            bytes.extend_from_slice(b"Connection: close\r\n");
         }
-        head.push_str("\r\n");
-        out.write_all(head.as_bytes())?;
-        out.write_all(&self.body)?;
+        for (name, value) in &self.headers {
+            write!(bytes, "{name}: {value}\r\n")?;
+        }
+        bytes.extend_from_slice(b"\r\n");
+        bytes.extend_from_slice(&self.body);
+        out.write_all(&bytes)?;
         out.flush()
     }
 }
@@ -401,22 +427,86 @@ mod tests {
 
     #[test]
     fn response_bytes_are_exact() {
+        let response = Response::json(b"{}\n".to_vec()).with_header("ETag", "\"abc\"".to_string());
         let mut out = Vec::new();
-        Response::json(b"{}\n".to_vec())
-            .with_header("ETag", "\"abc\"".to_string())
-            .write_to(&mut out)
-            .unwrap();
+        response.write_to(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(
             text,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\nConnection: close\r\nETag: \"abc\"\r\n\r\n{}\n"
         );
+        // A kept connection's response is the same bytes without the
+        // `Connection` header.
+        let mut kept = Vec::new();
+        response.write_to(&mut kept, false).unwrap();
+        assert_eq!(
+            String::from_utf8(kept).unwrap(),
+            text.replace("Connection: close\r\n", "")
+        );
         let mut err = Vec::new();
         Response::error(503, "queue full")
-            .write_to(&mut err)
+            .write_to(&mut err, true)
             .unwrap();
         let text = String::from_utf8(err).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.ends_with("{\"error\": \"queue full\"}\n"));
+    }
+
+    /// Counts the writes a response takes.
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        let mut writes = Writes(Vec::new());
+        Response::text("x".repeat(4096))
+            .with_header("ETag", "\"e\"".to_string())
+            .write_to(&mut writes, false)
+            .unwrap();
+        assert_eq!(writes.0.len(), 1);
+        assert!(writes.0[0].ends_with(&[b'x'; 4096]));
+    }
+
+    #[test]
+    fn requests_on_one_reader_parse_in_order_under_the_same_caps() {
+        let mut raw =
+            b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi".to_vec();
+        raw.extend_from_slice(b"GET /c HTTP/1.1\r\nConnection: close\r\n\r\n");
+        raw.extend_from_slice(
+            format!(
+                "GET /d HTTP/1.1\r\nA: {}\r\n\r\n",
+                "y".repeat(MAX_HEAD_BYTES)
+            )
+            .as_bytes(),
+        );
+        let mut reader = BufReader::new(&raw[..]);
+        let a = parse_request(&mut reader).unwrap();
+        assert_eq!((a.path.as_str(), a.wants_close()), ("/a", false));
+        let b = parse_request(&mut reader).unwrap();
+        assert_eq!((b.path.as_str(), b.body.as_slice()), ("/b", &b"hi"[..]));
+        let c = parse_request(&mut reader).unwrap();
+        assert_eq!((c.path.as_str(), c.wants_close()), ("/c", true));
+        // The head cap binds each request, not only the first.
+        assert_eq!(parse_request(&mut reader).unwrap_err().status, 431);
+    }
+
+    #[test]
+    fn http_1_0_closes_unless_it_asks_to_keep_alive() {
+        assert!(parse("GET / HTTP/1.0\r\n\r\n").unwrap().wants_close());
+        assert!(!parse("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+            .unwrap()
+            .wants_close());
+        assert!(parse("GET / HTTP/1.1\r\nConnection: TE, close\r\n\r\n")
+            .unwrap()
+            .wants_close());
     }
 }

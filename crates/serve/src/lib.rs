@@ -25,10 +25,15 @@
 //! computation; the other N−1 block on the in-flight entry and share
 //! the result.
 //!
+//! Connections are persistent: a worker serves request after request
+//! on the connection it took ([`server`]), and [`client`] keeps one
+//! connection per thread.
+//!
 //! Backpressure is explicit and bounded everywhere: a fixed worker
 //! pool (sized via [`caf_exec::EngineConfig::share`]) drains a bounded
-//! accept queue; when the queue is full the acceptor sheds load with
-//! an immediate `503` instead of queueing unboundedly, and
+//! queue of accepted connections; when the queue is full the acceptor
+//! sheds the new connection with an immediate `503` instead of
+//! queueing unboundedly, and
 //! single-flight joiners time out (also `503`) rather than waiting
 //! forever on a stuck computation.
 //!

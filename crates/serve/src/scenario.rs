@@ -333,7 +333,7 @@ impl App {
     }
 
     /// The flight recorder `/v1/debug/traces` reads; hand a clone to
-    /// [`crate::ServeConfig::recorder`] so the accept path files traces
+    /// [`crate::ServeConfig::recorder`] so the server files request traces
     /// into it.
     pub fn recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.recorder)
@@ -1358,6 +1358,7 @@ mod tests {
     fn request(path: &str, query: &[(&str, &str)]) -> Request {
         Request {
             method: "GET".to_string(),
+            version: "HTTP/1.1".to_string(),
             path: path.to_string(),
             query: query
                 .iter()
@@ -1371,6 +1372,7 @@ mod tests {
     fn post(path: &str, body: &str) -> Request {
         Request {
             method: "POST".to_string(),
+            version: "HTTP/1.1".to_string(),
             path: path.to_string(),
             query: Vec::new(),
             headers: Vec::new(),

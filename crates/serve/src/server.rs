@@ -2,7 +2,22 @@
 //!
 //! One acceptor thread pulls connections off the listener and pushes
 //! them into a **bounded** `sync_channel`; a fixed pool of worker
-//! threads drains it. The two overload responses are explicit:
+//! threads drains it. A worker keeps its connection and serves request
+//! after request on it (HTTP/1.1 persistent connections), so the queue
+//! holds *connections* waiting for a worker, not requests. A worker
+//! closes its connection only between requests: when the client asked
+//! for it (`Connection: close`), after a request that failed to parse
+//! (its framing is lost), when the connection sat idle for
+//! `io_timeout`, or — once it has served a request — when the server is
+//! shutting down or another connection is waiting in the queue. A
+//! worker that reaches the end of a request in those last two cases
+//! answers it with `Connection: close`; one that sits waiting on an
+//! idle kept connection is woken at once (the read side of its socket
+//! is shut down). Either way the worker never starts on a request it
+//! does not answer, so a client may resend a request on a fresh
+//! connection when a kept one gave it no reply at all.
+//!
+//! The two overload responses are explicit:
 //!
 //! * queue full → the *acceptor* writes an immediate `503` and closes
 //!   the connection (`caf.serve.shed`), so a burst degrades to fast
@@ -13,16 +28,17 @@
 //!
 //! Shutdown is cooperative: any handler response with
 //! `shutdown = true` (the `/quitquitquit` endpoint), or an external
-//! [`ShutdownHandle::trigger`], flips the shared flag; the acceptor is
-//! unblocked with a loopback connection, drops the channel sender, and
-//! the workers drain whatever was already queued and exit. `join`
-//! returns only after every thread has exited, so a clean process exit
-//! proves no thread leaked — `ci.sh` gates on exactly that.
+//! [`ShutdownHandle::trigger`], flips the shared flag and wakes the
+//! workers idling on kept connections; the acceptor is unblocked with a
+//! loopback connection, drops the channel sender, and the workers close
+//! their kept connections, drain whatever was already queued and exit.
+//! `join` returns only after every thread has exited, so a clean process
+//! exit proves no thread leaked — `ci.sh` gates on exactly that.
 
 use crate::http::{parse_request, Request, Response};
 use caf_obs::{FlightRecorder, TraceCtx, TraceId};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -36,13 +52,15 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads draining the accept queue.
     pub workers: usize,
-    /// Accept-queue depth; connections beyond it are shed with `503`.
+    /// Accept-queue depth: connections waiting for a worker. Connections
+    /// beyond it are shed with `503`.
     pub queue: usize,
-    /// Per-socket read/write timeout (slow-client bound).
+    /// Per-socket read/write timeout (slow-client bound), and how long a
+    /// kept connection may sit idle between requests.
     pub io_timeout: Duration,
-    /// Seed for deterministic request IDs: the `seq`-th accepted
-    /// connection gets `TraceId::derive(trace_seed, seq)`, echoed as
-    /// `X-Request-Id` on every response.
+    /// Seed for deterministic request IDs: the `seq`-th request the
+    /// server answers (shed `503`s included) gets
+    /// `TraceId::derive(trace_seed, seq)`, echoed as `X-Request-Id`.
     pub trace_seed: u64,
     /// Where finished request traces land (`/v1/debug/traces` reads the
     /// same recorder). `None` keeps IDs but records no traces.
@@ -82,27 +100,103 @@ where
 /// that served `/quitquitquit`).
 #[derive(Clone)]
 pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
+    shared: Arc<Shared>,
 }
 
 impl ShutdownHandle {
-    /// Flips the shutdown flag and unblocks the acceptor with a
-    /// throwaway loopback connection. Idempotent.
+    /// Flips the shutdown flag, wakes the workers idling on kept
+    /// connections, and unblocks the acceptor with a throwaway loopback
+    /// connection. Idempotent.
     pub fn trigger(&self) {
+        self.shared.trigger();
+    }
+}
+
+/// A worker's connection as the acceptor and a shutdown see it.
+#[derive(Default)]
+struct Slot {
+    /// A handle on the worker's connection, to shut its read side.
+    conn: Option<TcpStream>,
+    /// The worker waits for the next request on a kept connection.
+    idle: bool,
+    /// The read side was shut down to wake the worker.
+    woken: bool,
+}
+
+impl Slot {
+    /// Wakes the worker if it idles on a kept connection: its wait
+    /// returns, it sees `woken`, and it closes the connection without
+    /// serving what it may have read.
+    fn wake(&mut self) -> bool {
+        if !self.idle || self.woken {
+            return false;
+        }
+        if let Some(conn) = &self.conn {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        self.woken = true;
+        true
+    }
+}
+
+/// What the acceptor, every worker and every [`ShutdownHandle`] share.
+struct Shared {
+    handler: Arc<dyn Handler>,
+    addr: SocketAddr,
+    flag: AtomicBool,
+    /// Connections accepted and not yet taken by a worker.
+    depth: AtomicU64,
+    /// Workers waiting for a connection.
+    free: AtomicU64,
+    /// One per worker.
+    slots: Vec<Mutex<Slot>>,
+    /// The request-id sequence: one per answered request.
+    next_request: AtomicU64,
+    trace_seed: u64,
+    recorder: Option<Arc<FlightRecorder>>,
+    io_timeout: Duration,
+}
+
+impl Shared {
+    fn trigger(&self) {
         if self.flag.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The dummy connection is closed immediately; if a worker
-        // drains it, the EOF parses as a 400 and the socket is gone.
+        for slot in &self.slots {
+            lock(slot).wake();
+        }
+        // The acceptor sees the flag and drops the dummy connection
+        // unserved.
         let _ = TcpStream::connect(self.addr);
     }
+
+    fn shutting_down(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    fn next_request_id(&self) -> TraceId {
+        TraceId::derive(
+            self.trace_seed,
+            self.next_request.fetch_add(1, Ordering::SeqCst),
+        )
+    }
+
+    /// Whether a kept connection should give its worker up: the server
+    /// is shutting down or another connection is waiting for a worker.
+    fn wants_worker(&self) -> bool {
+        self.shutting_down() || self.depth.load(Ordering::SeqCst) > 0
+    }
+}
+
+fn lock(slot: &Mutex<Slot>) -> std::sync::MutexGuard<'_, Slot> {
+    // Every update leaves a slot valid, so a panic elsewhere while one
+    // was held does not poison its meaning.
+    slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A running server: acceptor + workers, plus the bound address.
 pub struct Server {
-    addr: SocketAddr,
-    shutdown: ShutdownHandle,
+    shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -111,84 +205,55 @@ impl Server {
     /// Binds `config.addr` and starts the acceptor and worker threads.
     pub fn start(config: ServeConfig, handler: Arc<dyn Handler>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let flag = Arc::new(AtomicBool::new(false));
-        let shutdown = ShutdownHandle {
-            flag: Arc::clone(&flag),
-            addr,
-        };
         let workers = config.workers.max(1);
-        let queue = config.queue.max(1);
-        let (sender, receiver) = sync_channel::<(u64, TcpStream)>(queue);
+        let (sender, receiver) = sync_channel::<TcpStream>(config.queue.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
-        let depth = Arc::new(AtomicU64::new(0));
-        let trace_seed = config.trace_seed;
-        let recorder = config.recorder.clone();
+        let shared = Arc::new(Shared {
+            handler,
+            addr: listener.local_addr()?,
+            flag: AtomicBool::new(false),
+            depth: AtomicU64::new(0),
+            free: AtomicU64::new(0),
+            slots: (0..workers).map(|_| Mutex::default()).collect(),
+            next_request: AtomicU64::new(0),
+            trace_seed: config.trace_seed,
+            recorder: config.recorder,
+            io_timeout: config.io_timeout,
+        });
 
         let acceptor = {
-            let flag = Arc::clone(&flag);
-            let depth = Arc::clone(&depth);
-            let recorder = recorder.clone();
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("serve-acceptor".to_string())
                 .spawn(move || {
-                    // Accept counter: request IDs are a pure function of
-                    // (trace_seed, seq), so accept order fixes identity —
-                    // shed connections consume a seq too.
-                    let mut accept_seq: u64 = 0;
                     for stream in listener.incoming() {
-                        if flag.load(Ordering::SeqCst) {
+                        if shared.shutting_down() {
                             break;
                         }
                         let stream = match stream {
                             Ok(stream) => stream,
                             Err(_) => continue,
                         };
-                        let seq = accept_seq;
-                        accept_seq += 1;
                         // Count the slot before handing the stream over, so a
                         // fast worker's decrement can never race ahead of it.
-                        let now = depth.fetch_add(1, Ordering::SeqCst) + 1;
+                        let now = shared.depth.fetch_add(1, Ordering::SeqCst) + 1;
                         caf_obs::gauge("caf.serve.queue.depth", now);
-                        match sender.try_send((seq, stream)) {
+                        match sender.try_send(stream) {
+                            // No worker is free: take one from an idle kept
+                            // connection. (A worker about to idle checks the
+                            // depth under its slot lock, so it cannot miss
+                            // this connection either.)
+                            Ok(()) if shared.free.load(Ordering::SeqCst) == 0 => {
+                                let _ = shared.slots.iter().any(|slot| lock(slot).wake());
+                            }
                             Ok(()) => {}
-                            Err(TrySendError::Full((seq, stream))) => {
-                                depth.fetch_sub(1, Ordering::SeqCst);
+                            Err(TrySendError::Full(stream)) => {
+                                shared.depth.fetch_sub(1, Ordering::SeqCst);
                                 caf_obs::count("caf.serve.shed", 1);
-                                // The 503 body is written off-thread: a slow
-                                // client must not stall the single acceptor
-                                // during overload, which is exactly when fast
-                                // shedding matters. The thread is detached but
-                                // bounded by the 1 s write timeout; if spawning
-                                // fails the connection is simply dropped.
-                                let recorder = recorder.clone();
-                                let _ = std::thread::Builder::new()
-                                    .name("serve-shed".to_string())
-                                    .spawn(move || {
-                                        let request_id = TraceId::derive(trace_seed, seq);
-                                        // Shed 503s are always kept (5xx),
-                                        // so overload leaves a trail in the
-                                        // flight recorder.
-                                        let trace =
-                                            recorder.as_deref().map(|_| TraceCtx::new(request_id));
-                                        if let Some(trace) = &trace {
-                                            trace.annotate("route", "shed");
-                                        }
-                                        let mut stream = stream;
-                                        let _ =
-                                            stream.set_write_timeout(Some(Duration::from_secs(1)));
-                                        let _ = Response::error(503, "server accept queue is full")
-                                            .with_header("X-Request-Id", request_id.to_hex())
-                                            .write_to(&mut stream);
-                                        if let (Some(recorder), Some(trace)) =
-                                            (recorder.as_deref(), &trace)
-                                        {
-                                            recorder.finish(trace, 503, "serve.request");
-                                        }
-                                    });
+                                shed(stream, &shared);
                             }
                             Err(TrySendError::Disconnected(_)) => {
-                                depth.fetch_sub(1, Ordering::SeqCst);
+                                shared.depth.fetch_sub(1, Ordering::SeqCst);
                                 break;
                             }
                         }
@@ -202,42 +267,29 @@ impl Server {
         let worker_handles = (0..workers)
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
-                let handler = Arc::clone(&handler);
-                let shutdown = shutdown.clone();
-                let depth = Arc::clone(&depth);
-                let io_timeout = config.io_timeout;
-                let recorder = recorder.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || loop {
+                        shared.free.fetch_add(1, Ordering::SeqCst);
                         let next = {
                             let receiver = receiver.lock().unwrap();
                             receiver.recv()
                         };
-                        let (seq, stream) = match next {
-                            Ok(next) => next,
-                            Err(_) => break,
+                        shared.free.fetch_sub(1, Ordering::SeqCst);
+                        let Ok(stream) = next else {
+                            break;
                         };
-                        let now = depth.fetch_sub(1, Ordering::SeqCst) - 1;
+                        let now = shared.depth.fetch_sub(1, Ordering::SeqCst) - 1;
                         caf_obs::gauge("caf.serve.queue.depth", now);
-                        let request_id = TraceId::derive(trace_seed, seq);
-                        if serve_connection(
-                            stream,
-                            handler.as_ref(),
-                            io_timeout,
-                            request_id,
-                            recorder.as_deref(),
-                        ) {
-                            shutdown.trigger();
-                        }
+                        serve_connection(stream, &shared, &shared.slots[i]);
                     })
                     .expect("spawn worker thread")
             })
             .collect();
 
         Ok(Server {
-            addr,
-            shutdown,
+            shared,
             acceptor,
             workers: worker_handles,
         })
@@ -245,12 +297,14 @@ impl Server {
 
     /// The bound socket address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// A handle that can trigger shutdown from any thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        self.shutdown.clone()
+        ShutdownHandle {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Blocks until the acceptor and every worker have exited.
@@ -263,74 +317,145 @@ impl Server {
 
     /// Triggers shutdown and waits for every thread to exit.
     pub fn shutdown(self) {
-        self.shutdown.trigger();
+        self.shared.trigger();
         self.join();
     }
 }
 
-/// Serves one connection; returns true when the response requested
-/// server shutdown.
+/// Answers a connection the full queue cannot hold with `503` and
+/// closes it. The body is written off-thread: a slow client must not
+/// stall the single acceptor during overload, which is exactly when
+/// fast shedding matters. The thread is detached but bounded by the
+/// 1 s write timeout; if spawning fails the connection is simply
+/// dropped.
+fn shed(mut stream: TcpStream, shared: &Shared) {
+    let request_id = shared.next_request_id();
+    let recorder = shared.recorder.clone();
+    let _ = std::thread::Builder::new()
+        .name("serve-shed".to_string())
+        .spawn(move || {
+            // Shed 503s are always kept (5xx), so overload leaves a
+            // trail in the flight recorder.
+            let trace = recorder.as_deref().map(|_| TraceCtx::new(request_id));
+            if let Some(trace) = &trace {
+                trace.annotate("route", "shed");
+            }
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+            let _ = Response::error(503, "server accept queue is full")
+                .with_header("X-Request-Id", request_id.to_hex())
+                .write_to(&mut stream, true);
+            if let (Some(recorder), Some(trace)) = (recorder.as_deref(), &trace) {
+                recorder.finish(trace, 503, "serve.request");
+            }
+        });
+}
+
+/// Serves requests on one connection until it should close.
+fn serve_connection(stream: TcpStream, shared: &Shared, slot: &Mutex<Slot>) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(shared.io_timeout));
+    let _ = stream.set_write_timeout(Some(shared.io_timeout));
+    *lock(slot) = Slot {
+        conn: stream.try_clone().ok(),
+        ..Slot::default()
+    };
+    let mut reader = BufReader::new(stream);
+    let mut kept = false;
+    while next_request_arrives(&mut reader, shared, slot, kept)
+        && serve_request(&mut reader, shared)
+    {
+        kept = true;
+    }
+    *lock(slot) = Slot::default();
+}
+
+/// Waits for the first bytes of the next request; false when the
+/// connection should close instead, with those bytes unserved: the
+/// client closed it, it sat idle for `io_timeout`, or — once `kept` (it
+/// has served a request) — a shutdown or a queued connection needs the
+/// worker.
+fn next_request_arrives(
+    reader: &mut BufReader<TcpStream>,
+    shared: &Shared,
+    slot: &Mutex<Slot>,
+    kept: bool,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    if kept {
+        let mut slot = lock(slot);
+        if shared.wants_worker() {
+            return false;
+        }
+        slot.idle = true;
+    }
+    let arrived = matches!(reader.fill_buf(), Ok(bytes) if !bytes.is_empty());
+    let mut slot = lock(slot);
+    slot.idle = false;
+    arrived && !slot.woken
+}
+
+/// Reads, answers and writes one request; returns whether the
+/// connection stays open for the next.
 ///
 /// Every response — parse errors, 405s, panic 500s included — carries
-/// `X-Request-Id: <request_id>`. With a recorder present the whole
-/// exchange runs under a `serve.request` root span inside a
-/// [`TraceCtx`], and the finished trace is filed *before* the response
-/// is written, so a client that reads its `X-Request-Id` can
-/// immediately find the trace in `/v1/debug/traces`.
-fn serve_connection(
-    stream: TcpStream,
-    handler: &dyn Handler,
-    io_timeout: Duration,
-    request_id: TraceId,
-    recorder: Option<&FlightRecorder>,
-) -> bool {
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
+/// `X-Request-Id`. With a recorder present the whole exchange runs
+/// under a `serve.request` root span inside a [`TraceCtx`], and the
+/// finished trace is filed *before* the response is written, so a
+/// client that reads its `X-Request-Id` can immediately find the trace
+/// in `/v1/debug/traces`.
+fn serve_request(reader: &mut BufReader<TcpStream>, shared: &Shared) -> bool {
     let started = Instant::now();
+    let request_id = shared.next_request_id();
     caf_obs::count("caf.serve.requests", 1);
-    let trace = recorder.map(|_| TraceCtx::new(request_id));
-    let response = {
+    let trace = shared.recorder.as_ref().map(|_| TraceCtx::new(request_id));
+    let (response, client_close) = {
         let _trace_guard = trace.as_ref().map(|ctx| ctx.enter());
         let _root = caf_obs::span("serve.request");
-        let mut reader = BufReader::new(stream);
-        let response = match parse_request(&mut reader) {
-            Ok(request) => {
-                if matches!(request.method.as_str(), "GET" | "POST") {
-                    // A panicking handler must cost the client a 500, not the
-                    // server a worker thread: an unwound worker never returns
-                    // to the recv loop, and `Server::join` would panic on it.
-                    // The app's shared state stays coherent across an unwind
-                    // (the cache's FlightGuard fails the in-flight entry), so
-                    // suppressing the UnwindSafe bound is sound here.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handler.handle(&request)
-                    }))
-                    .unwrap_or_else(|_| {
-                        caf_obs::count("caf.serve.handler_panics", 1);
-                        eprintln!(
-                            "caf-serve: handler panicked serving request {}",
-                            request_id.to_hex()
-                        );
-                        Response::error(500, "internal error: handler panicked")
-                    })
-                } else {
-                    Response::error(405, &format!("method {} not supported", request.method))
-                }
+        match parse_request(reader) {
+            Ok(request) if matches!(request.method.as_str(), "GET" | "POST") => {
+                // A panicking handler must cost the client a 500, not the
+                // server a worker thread: an unwound worker never returns
+                // to the recv loop, and `Server::join` would panic on it.
+                // The app's shared state stays coherent across an unwind
+                // (the cache's FlightGuard fails the in-flight entry), so
+                // suppressing the UnwindSafe bound is sound here.
+                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    shared.handler.handle(&request)
+                }))
+                .unwrap_or_else(|_| {
+                    caf_obs::count("caf.serve.handler_panics", 1);
+                    eprintln!(
+                        "caf-serve: handler panicked serving request {}",
+                        request_id.to_hex()
+                    );
+                    Response::error(500, "internal error: handler panicked")
+                });
+                (response, request.wants_close())
             }
-            Err(err) => Response::error(err.status, &err.message),
-        };
-        (reader, response)
+            Ok(request) => (
+                Response::error(405, &format!("method {} not supported", request.method)),
+                request.wants_close(),
+            ),
+            // The rest of the stream cannot be framed.
+            Err(err) => (Response::error(err.status, &err.message), true),
+        }
     };
-    let (reader, response) = response;
-    caf_obs::count(&format!("caf.serve.http.{}", response.status), 1);
-    if let (Some(recorder), Some(ctx)) = (recorder, trace.as_ref()) {
+    if caf_obs::enabled() {
+        caf_obs::count(&format!("caf.serve.http.{}", response.status), 1);
+    }
+    if let (Some(recorder), Some(ctx)) = (shared.recorder.as_deref(), trace.as_ref()) {
         recorder.finish(ctx, response.status, "serve.request");
     }
+    let close = client_close || response.shutdown || shared.wants_worker();
     let response = response.with_header("X-Request-Id", request_id.to_hex());
-    let mut stream = reader.into_inner();
-    let _ = response.write_to(&mut stream);
+    let written = response.write_to(reader.get_mut(), close);
     caf_obs::observe("caf.serve.request_us", started.elapsed().as_micros() as u64);
-    response.shutdown
+    if response.shutdown {
+        shared.trigger();
+    }
+    written.is_ok() && !close
 }
 
 #[cfg(test)]
@@ -434,7 +559,7 @@ mod tests {
     #[test]
     fn responses_carry_deterministic_request_ids() {
         let config = ServeConfig {
-            workers: 1, // serialize accept order == serve order
+            workers: 1, // one request at a time: request order == id order
             trace_seed: 0xCAF_2024,
             ..ServeConfig::default()
         };
@@ -448,7 +573,7 @@ mod tests {
                 .map(|(_, value)| value.clone())
                 .expect("X-Request-Id on every response")
         };
-        // IDs are a pure function of (trace_seed, accept counter).
+        // IDs are a pure function of (trace_seed, request counter).
         assert_eq!(header("/a"), TraceId::derive(0xCAF_2024, 0).to_hex());
         assert_eq!(header("/b"), TraceId::derive(0xCAF_2024, 1).to_hex());
         server.shutdown();

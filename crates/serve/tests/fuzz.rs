@@ -8,7 +8,7 @@
 use caf_core::EngineConfig;
 use caf_exec::prop::{self, Select, VecOf};
 use caf_serve::entry::decode_views;
-use caf_serve::http::parse_request;
+use caf_serve::http::{parse_request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use caf_serve::snapshot::{SECTION_VIEWS, SECTION_WORLD};
 use caf_serve::{App, AppConfig, Handler};
 use caf_snap::{
@@ -349,4 +349,161 @@ fn app_answers_mutated_queries_without_server_errors() {
     // The loop reaches both answers: built scenarios and rejections.
     let statuses = statuses.into_inner().unwrap();
     assert!(statuses.contains_key(&200) && statuses.contains_key(&400));
+}
+
+/// What a server must answer on one connection that carries `bytes` and
+/// then half-closes: one status per request up to the first that fails
+/// to parse (answered, then the connection closes) or asks to close.
+/// This is the server's own parser over the same bytes, so the framing
+/// matches the server's exactly.
+fn expected_statuses(bytes: &[u8]) -> Vec<Result<(), u16>> {
+    use std::io::BufRead;
+    let mut reader = std::io::BufReader::new(bytes);
+    let mut out = Vec::new();
+    while !reader.fill_buf().unwrap().is_empty() {
+        match parse_request(&mut reader) {
+            Ok(request) => {
+                out.push(Ok(()));
+                if request.wants_close() {
+                    break;
+                }
+            }
+            Err(err) => {
+                out.push(Err(err.status));
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// Splits a byte stream of responses into `(status, closes)` pairs.
+fn responses(mut raw: &[u8]) -> Vec<(u16, bool)> {
+    let mut out = Vec::new();
+    while let Some(split) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+        let head = std::str::from_utf8(&raw[..split])
+            .unwrap()
+            .to_ascii_lowercase();
+        let status = head.split(' ').nth(1).unwrap().parse().unwrap();
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        out.push((status, head.contains("\r\nconnection: close")));
+        raw = &raw[split + 4 + len..];
+    }
+    assert!(
+        raw.is_empty(),
+        "a cut response: {:?}",
+        String::from_utf8_lossy(raw)
+    );
+    out
+}
+
+/// Sends `bytes` on a fresh connection, half-closes it, and reads every
+/// response up to the server's close.
+fn exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<(u16, bool)> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // The server stops reading at a request it cannot parse, so the
+    // rest of a long write may be refused; its answer is still there
+    // to read.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    // A reset after the last response ends the stream like an EOF.
+    while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        raw.extend_from_slice(&chunk[..n]);
+    }
+    responses(&raw)
+}
+
+#[test]
+fn every_request_on_a_connection_gets_a_typed_status() {
+    let app = App::new(AppConfig {
+        default_scale: FUZZ_SCALE,
+        min_scale: FUZZ_SCALE,
+        engine: EngineConfig::serial(),
+        ..AppConfig::default()
+    });
+    let server = caf_serve::Server::start(
+        caf_serve::ServeConfig {
+            workers: 1,
+            ..caf_serve::ServeConfig::default()
+        },
+        std::sync::Arc::new(app),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // The caps bind the second request on a connection as they bind
+    // the first: each is answered, and then the connection closes.
+    let valid: &[u8] = b"GET /healthz HTTP/1.1\r\n\r\n";
+    let long_head = format!(
+        "GET /x HTTP/1.1\r\nA: {}\r\n\r\n",
+        "y".repeat(MAX_HEAD_BYTES)
+    );
+    let long_body = format!(
+        "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    );
+    for (second, status) in [(long_head.as_bytes(), 431), (long_body.as_bytes(), 413)] {
+        let bytes = [valid, second, valid].concat();
+        assert_eq!(exchange(addr, &bytes), [(200, false), (status, true)]);
+    }
+
+    let bases: [&[u8]; 4] = [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"GET /v1/table2?scale=20000&isp=AT%26T HTTP/1.1\r\nIf-None-Match: \"e\"\r\n\r\n",
+        b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 12\r\n\r\n{\"cbg\":0}\n\n\n",
+        b"GET /v1/serviceability?scale=20000 HTTP/1.0\nConnection: keep-alive\n\n",
+    ];
+    let request = (prop::select(bases), edits(), prop::any_bool());
+    let strategy = prop::vec(request, 1..5);
+    // Cases that ended in a parse error, and cases that answered two or
+    // more requests on the connection.
+    let reached = std::sync::Mutex::new([0usize; 2]);
+    prop::check(CASES / 2, strategy, |requests| {
+        // Each request is a base, mutated or not.
+        let bytes: Vec<u8> = requests
+            .iter()
+            .flat_map(|(base, edits, mutated)| {
+                if *mutated {
+                    mutate(base, edits)
+                } else {
+                    base.to_vec()
+                }
+            })
+            .collect();
+        let expected = expected_statuses(&bytes);
+        let got = exchange(addr, &bytes);
+        assert_eq!(got.len(), expected.len(), "{got:?} for {expected:?}");
+        for (i, (&(status, closes), want)) in got.iter().zip(&expected).enumerate() {
+            match want {
+                Ok(()) => assert!(
+                    matches!(status, 200..=299 | 304 | 400..=499),
+                    "response {i}: {status}"
+                ),
+                // A parse error is answered with its own status and
+                // closes the connection.
+                Err(want) => assert_eq!((status, closes), (*want, true), "response {i}"),
+            }
+            assert!(!closes || i + 1 == got.len(), "response {i} closes early");
+        }
+        let mut reached = reached.lock().unwrap();
+        reached[0] += usize::from(matches!(expected.last(), Some(Err(_))));
+        reached[1] += usize::from(got.len() >= 2);
+    });
+    let [parse_errors, kept] = reached.into_inner().unwrap();
+    assert!(
+        parse_errors > 0 && kept > 0,
+        "parse errors {parse_errors}, kept {kept}"
+    );
+    server.shutdown();
 }

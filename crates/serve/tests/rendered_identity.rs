@@ -36,6 +36,7 @@ fn get(combo: &Combo, etag: Option<&str>) -> Request {
     }
     Request {
         method: "GET".to_string(),
+        version: "HTTP/1.1".to_string(),
         path: format!("/v1/{route}"),
         query,
         headers: etag
@@ -48,6 +49,7 @@ fn get(combo: &Combo, etag: Option<&str>) -> Request {
 fn post(path: &str, body: String) -> Request {
     Request {
         method: "POST".to_string(),
+        version: "HTTP/1.1".to_string(),
         path: path.to_string(),
         query: Vec::new(),
         headers: Vec::new(),

@@ -175,9 +175,11 @@ fn compute_timeout_sheds_joiners_with_503() {
     let path = "/v1/table2?seed=11&scale=60";
 
     let leader = std::thread::spawn(move || client::get(addr, path).unwrap());
-    // The scale-60 build takes hundreds of ms in debug builds; 50 ms in
-    // is comfortably mid-flight.
-    std::thread::sleep(Duration::from_millis(50));
+    // The leader's miss is counted as its build starts; the build then
+    // runs for tens of milliseconds, far past the 10 ms join timeout.
+    while app.cache_stats().misses == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let (status, body) = client::get(addr, path).unwrap();
     let text = String::from_utf8(body).unwrap();
     assert_eq!(status, 503, "{text}");

@@ -13,6 +13,7 @@ const SCALE: u32 = 2000;
 fn get(query: &[(&str, &str)]) -> Request {
     Request {
         method: "GET".to_string(),
+        version: "HTTP/1.1".to_string(),
         path: "/v1/sweep".to_string(),
         query: query
             .iter()

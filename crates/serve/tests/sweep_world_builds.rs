@@ -25,6 +25,7 @@ fn a_one_world_sweep_request_builds_one_world() {
     // One state at one scale: 2 tiers x 4 caps x 2 rules = 16 cells.
     let request = Request {
         method: "GET".to_string(),
+        version: "HTTP/1.1".to_string(),
         path: "/v1/sweep".to_string(),
         query: [
             ("states", "VT"),

@@ -52,7 +52,7 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 }
 
 /// Every response — success or error — carries an `X-Request-Id`, and
-/// the IDs are the deterministic `derive(seed, accept-seq)` sequence,
+/// the IDs are the deterministic `derive(seed, request-seq)` sequence,
 /// so a rerun against the same seed reproduces them.
 #[test]
 fn every_response_carries_a_deterministic_request_id() {
@@ -116,7 +116,7 @@ fn a_scenario_request_is_followable_in_the_flight_recorder() {
     assert_eq!(
         trace.get("id").and_then(Json::as_str),
         Some(TraceId::derive(SEED, 0).to_hex().as_str()),
-        "the first accepted connection owns the first trace id"
+        "the first request owns the first trace id"
     );
     assert_eq!(trace.get("status").and_then(Json::as_u64), Some(200));
     let annotation = |key: &str| {

@@ -31,7 +31,6 @@ pub mod dist;
 
 pub mod geography;
 pub mod isp;
-pub mod on_demand;
 pub mod params;
 pub mod q3;
 pub mod snap;

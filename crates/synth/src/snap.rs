@@ -26,7 +26,7 @@ use crate::geography::{BlockInfo, CbgInfo, StateGeography};
 use crate::params::{ErrorCategory, SynthConfig};
 use crate::plans::BroadbandPlan;
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{LazyUsac, UsacRecipe};
+use crate::usac::LazyUsac;
 use crate::world::{StateWorld, World};
 use crate::Isp;
 use caf_snap::{Reader, Snap, SnapError, Writer};
@@ -348,12 +348,12 @@ impl Snap for World {
                 let state = geography.state;
                 StateWorld {
                     state,
-                    usac: LazyUsac::new(UsacRecipe::new(
+                    usac: LazyUsac::new(
                         config,
                         state,
                         Arc::clone(&geography.cbgs),
                         challenges.certified_tiers(state),
-                    )),
+                    ),
                     geography,
                 }
             })

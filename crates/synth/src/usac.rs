@@ -17,12 +17,13 @@
 use crate::dist;
 use crate::geography::{certified_cbgs, CbgInfo, StateGeography};
 use crate::isp::Isp;
-use crate::on_demand::{OnDemand, Recipe};
 use crate::params::{CalibrationParams, SynthConfig};
 use crate::rng::scoped_rng;
 use caf_geo::{Address, AddressId, LatLon, StreetAddress, UsState};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 /// Last-mile technology codes used in the CAF Map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,45 +197,53 @@ fn build_records(config: &SynthConfig, state: UsState, cbgs: &[CbgInfo]) -> Vec<
 /// the geography, not copied) and the state's certified-tier
 /// corrections, so a pass that reads no record field builds none: the
 /// audit, the Q3 analysis and the snapshot codec read ids off the
-/// geography instead.
-pub type LazyUsac = OnDemand<UsacRecipe>;
-
-/// The recipe of a state's [`LazyUsac`]: the seeded records with the
-/// state's certified-tier corrections applied as the last step. The
-/// build opens the `world.<ABBREV>` span and counts into
-/// `caf.synth.usac.states_built` / `caf.synth.usac.records_built`.
-#[derive(Debug, Clone)]
-pub struct UsacRecipe {
+/// geography instead. The build is a pure function of those, so
+/// building now or later, here or in a clone, gives the same records;
+/// threads that race for an unbuilt dataset build it once between them.
+/// It applies the corrections as its last step, opens the
+/// `world.<ABBREV>` span and counts into `caf.synth.usac.states_built` /
+/// `caf.synth.usac.records_built`.
+///
+/// Cloning copies the inputs and, if it is built, the dataset: an
+/// unbuilt value clones unbuilt. `PartialEq` and `Debug` act on the
+/// built dataset (building it if need be).
+#[derive(Clone)]
+pub struct LazyUsac {
     config: SynthConfig,
     state: UsState,
     cbgs: Arc<[CbgInfo]>,
     /// `(CBG index, (down, up))` per corrected CBG, ascending by index.
     certified: Vec<(usize, (u32, u32))>,
+    built: OnceLock<UsacDataset>,
 }
 
-impl UsacRecipe {
+impl LazyUsac {
     /// The dataset of `state`'s `cbgs` under `config`, with the restated
     /// tiers `certified` (`(CBG index, (down, up))`, ascending by index)
-    /// in place of the drawn ones.
+    /// in place of the drawn ones; not yet built.
     pub(crate) fn new(
         config: SynthConfig,
         state: UsState,
         cbgs: Arc<[CbgInfo]>,
         certified: Vec<(usize, (u32, u32))>,
-    ) -> UsacRecipe {
-        UsacRecipe {
+    ) -> LazyUsac {
+        LazyUsac {
             config,
             state,
             cbgs,
             certified,
+            built: OnceLock::new(),
         }
     }
-}
 
-impl Recipe for UsacRecipe {
-    type Output = UsacDataset;
+    /// Whether the dataset has been built.
+    pub fn is_built(&self) -> bool {
+        self.built.get().is_some()
+    }
 
     fn build(&self) -> UsacDataset {
+        #[cfg(test)]
+        tests::BUILDS.with(|builds| builds.set(builds.get() + 1));
         let _span = caf_obs::span_with(|| format!("world.{}", self.state.abbrev()));
         let mut records = build_records(&self.config, self.state, &self.cbgs);
         // A restated tier replaces the certified speeds of every record
@@ -258,6 +267,33 @@ impl Recipe for UsacRecipe {
             state: self.state,
             records,
         }
+    }
+}
+
+impl Deref for LazyUsac {
+    type Target = UsacDataset;
+
+    fn deref(&self) -> &UsacDataset {
+        self.built.get_or_init(|| self.build())
+    }
+}
+
+impl DerefMut for LazyUsac {
+    fn deref_mut(&mut self) -> &mut UsacDataset {
+        let _ = self.deref();
+        self.built.get_mut().expect("built above")
+    }
+}
+
+impl PartialEq for LazyUsac {
+    fn eq(&self, other: &LazyUsac) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for LazyUsac {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -405,6 +441,34 @@ impl NationalCafSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`LazyUsac`] builds on this thread: a build runs on the
+        /// reading thread, so a test counts only its own.
+        pub(super) static BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn clones_stay_unbuilt_and_builds_happen_once_per_value() {
+        let geo = StateGeography::build(&cfg(), UsState::Vermont);
+        let builds = || BUILDS.with(Cell::get);
+        let value = LazyUsac::new(cfg(), UsState::Vermont, Arc::clone(&geo.cbgs), Vec::new());
+        let copy = value.clone();
+        assert!(!value.is_built() && !copy.is_built());
+        assert_eq!(builds(), 0);
+        assert_eq!(*value, UsacDataset::build(&cfg(), &geo));
+        assert_eq!(value.records.len() as u64, geo.total_caf_addresses());
+        assert_eq!(builds(), 1);
+        // A clone of a built value carries the value; the earlier clone
+        // builds its own.
+        let built_copy = value.clone();
+        assert!(built_copy.is_built());
+        assert!(!copy.is_built());
+        assert!(copy == value);
+        assert_eq!(builds(), 2);
+        assert_eq!(format!("{value:?}"), format!("{:?}", *copy));
+    }
 
     fn cfg() -> SynthConfig {
         SynthConfig {

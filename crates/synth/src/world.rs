@@ -17,7 +17,7 @@ use crate::challenge::{
 use crate::geography::StateGeography;
 use crate::params::SynthConfig;
 use crate::truth::{self, Q1Cell, TruthTable};
-use crate::usac::{LazyUsac, UsacRecipe};
+use crate::usac::LazyUsac;
 use caf_exec::{CostHint, EngineConfig};
 use caf_geo::UsState;
 use std::sync::Arc;
@@ -151,12 +151,7 @@ impl World {
             ));
             state_worlds.push(StateWorld {
                 state,
-                usac: LazyUsac::new(UsacRecipe::new(
-                    config,
-                    state,
-                    Arc::clone(&geography.cbgs),
-                    Vec::new(),
-                )),
+                usac: LazyUsac::new(config, state, Arc::clone(&geography.cbgs), Vec::new()),
                 geography,
             });
         }
@@ -252,12 +247,12 @@ impl World {
             }) {
                 self.truth.replace_q1_cell(cell);
             }
-            sw.usac = LazyUsac::new(UsacRecipe::new(
+            sw.usac = LazyUsac::new(
                 config,
                 state,
                 Arc::clone(&sw.geography.cbgs),
                 self.challenges.certified_tiers(state),
-            ));
+            );
             cells_rebuilt += cells.len() as u64;
         }
 
