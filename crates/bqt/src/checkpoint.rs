@@ -41,6 +41,7 @@
 //!
 //! [`UnitPlan::build_subset`]: caf_exec::UnitPlan::build_subset
 
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::ops::Range;
@@ -49,7 +50,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use caf_snap::{content_hash64, Log, LogReader, Reader, Writer};
-use caf_synth::plans::CatalogTier;
+use caf_synth::plans::{CatalogTier, PlanList};
 use caf_synth::{BroadbandPlan, Isp, PlanCatalog, TruthTable};
 
 use crate::campaign::{Campaign, CampaignConfig, CampaignResult, QueryTask};
@@ -234,7 +235,7 @@ fn put_record(w: &mut Writer, record: &QueryRecord) {
             w.put_u8(0);
             let tiers = PlanCatalog::for_isp(record.isp).tiers();
             put_small(w, plans.len() as u64);
-            for plan in plans {
+            for plan in plans.iter() {
                 let index = tiers.iter().position(|tier| is_tier(plan, tier));
                 match index.and_then(|i| u8::try_from(i).ok()) {
                     Some(index) if index != ESCAPE => w.put_u8(index),
@@ -266,21 +267,10 @@ fn put_record(w: &mut Writer, record: &QueryRecord) {
 /// bytes left before it sizes an allocation.
 fn record(r: &mut Reader<'_>, task: QueryTask) -> Option<QueryRecord> {
     let outcome = match r.u8().ok()? {
-        0 => {
-            let catalog = PlanCatalog::for_isp(task.isp);
-            let count = small(r)?;
-            let mut plans = Vec::with_capacity(r.check_count(count, 1).ok()?);
-            for _ in 0..count {
-                plans.push(match r.u8().ok()? {
-                    ESCAPE => r.get().ok()?,
-                    index => catalog.plan_from_tier(catalog.tiers().get(usize::from(index))?),
-                });
-            }
-            QueryOutcome::Serviceable {
-                plans,
-                existing_subscriber: r.bool().ok()?,
-            }
-        }
+        0 => QueryOutcome::Serviceable {
+            plans: span_plans(r, &PlanCatalog::for_isp(task.isp))?,
+            existing_subscriber: r.bool().ok()?,
+        },
         1 => QueryOutcome::NoService,
         2 => QueryOutcome::AddressNotFound,
         3 => QueryOutcome::Unknown(r.get().ok()?),
@@ -301,6 +291,33 @@ fn record(r: &mut Reader<'_>, task: QueryTask) -> Option<QueryRecord> {
         errors,
         duration_secs: r.f64().ok()?,
     })
+}
+
+/// Reads a SPAN record's plan list of `catalog`: the catalog's
+/// borrowed offer when the indices spell one, else an owned list.
+fn span_plans(r: &mut Reader<'_>, catalog: &PlanCatalog) -> Option<PlanList> {
+    let count = small(r)?;
+    let tiers = catalog.tiers();
+    let mut ahead = r.clone();
+    let tier_at = |r: &mut Reader<'_>| tiers.get(usize::from(r.u8().ok()?));
+    if let Some(offer) = tier_at(&mut ahead).map(|tier| catalog.offer(tier)) {
+        if offer.len() as u64 == count
+            && offer[1..]
+                .iter()
+                .all(|plan| tier_at(&mut ahead).is_some_and(|tier| is_tier(plan, tier)))
+        {
+            *r = ahead;
+            return Some(Cow::Borrowed(offer));
+        }
+    }
+    let mut plans = Vec::with_capacity(r.check_count(count, 1).ok()?);
+    for _ in 0..count {
+        plans.push(match r.u8().ok()? {
+            ESCAPE => r.get().ok()?,
+            index => catalog.plan_from_tier(tiers.get(usize::from(index))?),
+        });
+    }
+    Some(Cow::Owned(plans))
 }
 
 /// Appends the SPAN frame of the completed tasks `start..start +
@@ -595,7 +612,6 @@ mod tests {
     use caf_snap::SnapshotBuilder;
     use caf_synth::params::ErrorCategory;
     use caf_synth::{SynthConfig, World};
-    use std::borrow::Cow;
 
     fn world() -> World {
         World::generate_states(
@@ -1053,10 +1069,12 @@ mod tests {
     }
 
     /// A record of any shape the SPAN codec must carry, from one seed:
-    /// every outcome, catalog plans (borrowed or owned names), plans that
-    /// are no tier (another ISP's tier, edited fields, `-0.0` and NaN
-    /// prices, no speeds), zero plans, `Unknown` with many errors,
-    /// attempt counts past a byte, and durations of any bit pattern.
+    /// every outcome, catalog offers (borrowed, copied, cut short or
+    /// with an escaped plan), catalog plans (borrowed or owned names),
+    /// plans that are no tier (another ISP's tier, edited fields, `-0.0`
+    /// and NaN prices, no speeds), zero plans, `Unknown` with many
+    /// errors, attempt counts past a byte, and durations of any bit
+    /// pattern.
     fn arbitrary_record(seed: u64) -> QueryRecord {
         let mut rng = StdRng::seed_from_u64(seed);
         let isp = Isp::all()[rng.gen_range(0..7usize)];
@@ -1071,7 +1089,26 @@ mod tests {
             .map(|_| ErrorCategory::all()[rng.gen_range(0..ErrorCategory::all().len())])
             .collect();
         let outcome = match rng.gen_range(0..6u32) {
-            0 | 1 => {
+            0 => {
+                let tier = &catalog.tiers()[rng.gen_range(0..catalog.tiers().len())];
+                let offer = catalog.offer(tier);
+                let plans = match rng.gen_range(0..4u32) {
+                    0 => Cow::Borrowed(offer),
+                    1 => Cow::Owned(offer.to_vec()),
+                    2 => Cow::Owned(offer[..offer.len() - 1].to_vec()),
+                    _ => {
+                        let mut plans = offer.to_vec();
+                        let last = plans.len() - 1;
+                        plans[last].monthly_usd = -0.0;
+                        Cow::Owned(plans)
+                    }
+                };
+                QueryOutcome::Serviceable {
+                    plans,
+                    existing_subscriber: rng.gen_bool(0.5),
+                }
+            }
+            1 => {
                 let plans = (0..rng.gen_range(0..5usize))
                     .map(|_| {
                         let tier = catalog.tiers()[rng.gen_range(0..catalog.tiers().len())];
@@ -1142,6 +1179,27 @@ mod tests {
         let spans = decode_checkpoint(&log, &meta, &tasks).expect("a valid frame");
         let decoded: Vec<QueryRecord> = spans.into_iter().flat_map(|(_, span)| span).collect();
         assert_eq!(snap_bytes(&decoded), snap_bytes(&records));
+        // A list that is its first plan's catalog offer decodes borrowed;
+        // an escaped or other list decodes owned.
+        for (record, sent) in decoded.iter().zip(&records) {
+            let (
+                QueryOutcome::Serviceable { plans, .. },
+                QueryOutcome::Serviceable { plans: sent, .. },
+            ) = (&record.outcome, &sent.outcome)
+            else {
+                continue;
+            };
+            let catalog = PlanCatalog::for_isp(record.isp);
+            let offer = sent
+                .first()
+                .and_then(|plan| catalog.tiers().iter().find(|tier| is_tier(plan, tier)))
+                .map(|tier| catalog.offer(tier));
+            assert_eq!(
+                matches!(plans, Cow::Borrowed(_)),
+                offer.is_some_and(|offer| offer == &sent[..]),
+                "{sent:?}"
+            );
+        }
     }
 
     #[test]
@@ -1172,7 +1230,7 @@ mod tests {
             address: AddressId(9),
             isp: Isp::CenturyLink,
             outcome: QueryOutcome::Serviceable {
-                plans,
+                plans: plans.into(),
                 existing_subscriber: false,
             },
             attempts: 2,
@@ -1317,7 +1375,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        served[0].monthly_usd = -0.0;
+        served.to_mut()[0].monthly_usd = -0.0;
         let meta = CheckpointMeta::for_campaign(campaign.config(), &tasks);
         let log = log_of(
             &meta,

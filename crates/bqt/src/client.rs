@@ -153,6 +153,7 @@ fn dominant_category(errors: &[ErrorCategory]) -> ErrorCategory {
 mod tests {
     use super::*;
     use caf_synth::PlanCatalog;
+    use std::borrow::Cow;
 
     fn client(seed: u64) -> QueryClient {
         QueryClient::new(seed, 3, ProxyPool::new(seed, 8))
@@ -169,7 +170,7 @@ mod tests {
         let tier = cat.tier_near(100.0);
         AddressTruth {
             served: true,
-            plans: vec![cat.plan_from_tier(tier)],
+            plans: vec![cat.plan_from_tier(tier)].into(),
             existing_subscriber: false,
             hard_failure: false,
             ambiguous: false,
@@ -191,6 +192,27 @@ mod tests {
             }
         }
         assert!(ok >= 17, "only {ok}/20 resolved");
+    }
+
+    #[test]
+    fn serviceable_outcomes_borrow_the_truths_offer() {
+        let cat = PlanCatalog::for_isp(Isp::CenturyLink);
+        let offer = cat.offer(cat.tier_near(100.0));
+        let served = AddressTruth {
+            served: true,
+            plans: Cow::Borrowed(offer),
+            ..AddressTruth::unserved()
+        };
+        let truth = table_with(1, Isp::CenturyLink, served);
+        let mut serviceable = 0;
+        for seed in 0..20 {
+            let rec = client(seed).query(&truth, AddressId(1), Isp::CenturyLink);
+            if let QueryOutcome::Serviceable { plans, .. } = rec.outcome {
+                assert!(matches!(plans, Cow::Borrowed(p) if std::ptr::eq(p, offer)));
+                serviceable += 1;
+            }
+        }
+        assert!(serviceable >= 17, "only {serviceable}/20 resolved");
     }
 
     #[test]

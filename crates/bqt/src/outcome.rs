@@ -8,15 +8,17 @@
 
 use caf_geo::AddressId;
 use caf_synth::params::ErrorCategory;
-use caf_synth::{BroadbandPlan, Isp};
+use caf_synth::plans::PlanList;
+use caf_synth::Isp;
 
 /// The terminal classification of one address query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {
     /// The ISP's site displayed plans: the address is served.
     Serviceable {
-        /// Advertised plans, highest tier first.
-        plans: Vec<BroadbandPlan>,
+        /// Advertised plans, highest tier first: the truth's list,
+        /// borrowed when it is a catalog offer.
+        plans: PlanList,
         /// Whether the site showed an existing-subscriber flow.
         existing_subscriber: bool,
     },
@@ -107,6 +109,7 @@ impl QueryRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caf_synth::BroadbandPlan;
 
     fn plan(mbps: f64) -> BroadbandPlan {
         BroadbandPlan {
@@ -121,7 +124,7 @@ mod tests {
     #[test]
     fn served_classification() {
         let s = QueryOutcome::Serviceable {
-            plans: vec![plan(100.0), plan(10.0)],
+            plans: vec![plan(100.0), plan(10.0)].into(),
             existing_subscriber: false,
         };
         assert_eq!(s.is_served(), Some(true));
@@ -163,7 +166,8 @@ mod tests {
                 upload_mbps: None,
                 monthly_usd: 50.0,
                 speed_guaranteed: false,
-            }],
+            }]
+            .into(),
             existing_subscriber: true,
         };
         assert_eq!(s.max_download_mbps(), None);

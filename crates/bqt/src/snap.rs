@@ -30,7 +30,7 @@ impl Snap for QueryOutcome {
     fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         Ok(match r.u8()? {
             0 => QueryOutcome::Serviceable {
-                plans: r.get_seq()?,
+                plans: r.get_seq()?.into(),
                 existing_subscriber: r.bool()?,
             },
             1 => QueryOutcome::NoService,
@@ -87,7 +87,8 @@ mod tests {
                         upload_mbps: Some(20.0),
                         monthly_usd: 55.0,
                         speed_guaranteed: false,
-                    }],
+                    }]
+                    .into(),
                     existing_subscriber: true,
                 },
                 attempts: 2,

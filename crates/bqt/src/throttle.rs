@@ -131,7 +131,7 @@ mod tests {
                     isp,
                     AddressTruth {
                         served: true,
-                        plans: vec![cat.plan_from_tier(tier)],
+                        plans: vec![cat.plan_from_tier(tier)].into(),
                         existing_subscriber: false,
                         hard_failure: false,
                         ambiguous: false,

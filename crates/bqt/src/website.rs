@@ -183,7 +183,7 @@ mod tests {
         let tier = cat.tier_labeled(tier_label).expect("tier exists");
         AddressTruth {
             served: true,
-            plans: vec![cat.plan_from_tier(tier)],
+            plans: vec![cat.plan_from_tier(tier)].into(),
             existing_subscriber: subscriber,
             hard_failure: false,
             ambiguous: false,
@@ -223,9 +223,9 @@ mod tests {
             let truth = AddressTruth {
                 served,
                 plans: if served {
-                    vec![catalog.plan_from_tier(&tiers[tier % tiers.len()])]
+                    vec![catalog.plan_from_tier(&tiers[tier % tiers.len()])].into()
                 } else {
-                    Vec::new()
+                    Default::default()
                 },
                 existing_subscriber: flags & 1 != 0,
                 hard_failure: flags & 2 != 0,
@@ -376,7 +376,7 @@ mod tests {
         let unknown: BroadbandPlan = cat.plan_from_tier(cat.tier_labeled("Unknown Plan").unwrap());
         let truth = AddressTruth {
             served: true,
-            plans: vec![unknown],
+            plans: vec![unknown].into(),
             existing_subscriber: true,
             hard_failure: false,
             ambiguous: false,

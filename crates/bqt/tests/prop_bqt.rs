@@ -25,7 +25,7 @@ fn truth_from(
         let tier = &tiers[tier_idx % tiers.len()];
         AddressTruth {
             served: true,
-            plans: vec![cat.plan_from_tier(tier)],
+            plans: vec![cat.plan_from_tier(tier)].into(),
             existing_subscriber: false,
             hard_failure: hard,
             ambiguous,
@@ -85,9 +85,9 @@ fn check_campaign_is_schedule_invariant(
             AddressTruth {
                 served: i % 3 != 0,
                 plans: if i % 3 != 0 {
-                    vec![cat.plan_from_tier(&tier)]
+                    vec![cat.plan_from_tier(&tier)].into()
                 } else {
-                    vec![]
+                    Default::default()
                 },
                 existing_subscriber: false,
                 hard_failure: i % 7 == 0,
@@ -133,7 +133,7 @@ fn check_proxy_usage_equals_attempts(seed: u64, n: usize) {
             Isp::Att,
             AddressTruth {
                 served: true,
-                plans: vec![cat.plan_from_tier(tier)],
+                plans: vec![cat.plan_from_tier(tier)].into(),
                 existing_subscriber: false,
                 hard_failure: false,
                 ambiguous: false,

@@ -20,8 +20,8 @@ use caf_bqt::{Campaign, CampaignConfig, CampaignResult, QueryRecord, QueryTask};
 use caf_dataframe::{Column, DataFrame};
 use caf_exec::{map_units, CostHint, EngineConfig, UnitPlan};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
+use caf_synth::plans::PlanList;
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
-use std::collections::HashMap;
 
 use crate::sampling::{SamplingPlan, SamplingRule};
 
@@ -62,14 +62,20 @@ pub struct AuditRow {
     pub served: bool,
     /// Maximum advertised download speed, if served and specified.
     pub max_down_mbps: Option<f64>,
-    /// The maximum-tier plan, if served.
-    pub max_plan: Option<BroadbandPlan>,
-    /// Every advertised plan at the address (empty if unserved). The CAF
-    /// conditions are met if *any* of them passes the speed and rate
-    /// standards.
-    pub plans: Vec<BroadbandPlan>,
+    /// Every advertised plan at the address (empty if unserved), highest
+    /// tier first: the query outcome's list, borrowed when it is a
+    /// catalog offer. The CAF conditions are met if *any* of them passes
+    /// the speed and rate standards.
+    pub plans: PlanList,
     /// Whether the site showed an existing-subscriber flow.
     pub existing_subscriber: bool,
+}
+
+impl AuditRow {
+    /// The maximum-tier plan, if served.
+    pub fn max_plan(&self) -> Option<&BroadbandPlan> {
+        self.plans.first()
+    }
 }
 
 /// Per-(ISP, CBG) coverage telemetry for Figures 7 and 8.
@@ -142,8 +148,8 @@ impl AuditDataset {
             density_pct.push(r.density_pct);
             served.push(r.served);
             max_down.push(r.max_down_mbps);
-            price.push(r.max_plan.as_ref().map(|p| p.monthly_usd));
-            guaranteed.push(r.max_plan.as_ref().map(|p| p.speed_guaranteed));
+            price.push(r.max_plan().map(|p| p.monthly_usd));
+            guaranteed.push(r.max_plan().map(|p| p.speed_guaranteed));
         }
         DataFrame::new(vec![
             ("addr_id", addr.into_iter().collect::<Column>()),
@@ -319,22 +325,17 @@ impl Audit {
         let _state_span = caf_obs::span_with(|| format!("state.{}", state_world.state.abbrev()));
         let plan = {
             let _span = caf_obs::span("sample");
-            SamplingPlan::draw_cells(self.config.synth.seed, state_world, self.config.rule, cells)
+            SamplingPlan::draw_cells(
+                self.config.synth.seed,
+                state_world,
+                self.config.rule,
+                cells.clone(),
+            )
         };
 
-        // CBG metadata lookup for row construction.
-        let mut cbg_meta: HashMap<(Isp, BlockGroupId), (usize, f64, f64, LatLon)> = HashMap::new();
-        for cbg in state_world.geography.cbgs.iter() {
-            cbg_meta.insert(
-                (cbg.isp, cbg.id),
-                (
-                    cbg.caf_addresses as usize,
-                    cbg.density,
-                    cbg.density_pct,
-                    cbg.centroid,
-                ),
-            );
-        }
+        // Each sampled cell's CBG, for row construction.
+        let cbgs = state_world.geography.caf_cell_cbgs();
+        let cbgs = &cbgs[cells];
 
         // Round 0: primaries. Later rounds: replacements for cells
         // with non-definitive outcomes.
@@ -347,11 +348,13 @@ impl Audit {
                 coverage: Vec::new(),
             })
             .collect();
-        let mut cell_of: HashMap<AddressId, usize> = HashMap::new();
+        // The campaign returns records in task order, so each task's
+        // cell rides beside it.
         let mut tasks: Vec<QueryTask> = Vec::new();
+        let mut task_cells: Vec<usize> = Vec::new();
         for (cell_idx, cell) in plan.cells.iter().enumerate() {
             for &addr in &cell.primary {
-                cell_of.insert(addr, cell_idx);
+                task_cells.push(cell_idx);
                 tasks.push(QueryTask {
                     address: addr,
                     isp: cell.isp,
@@ -371,39 +374,32 @@ impl Audit {
                 partial.records_by_round.push(Vec::new());
             }
             let mut next_tasks: Vec<QueryTask> = Vec::new();
-            for record in result.records {
-                let cell_idx = cell_of[&record.address];
+            let mut next_cells: Vec<usize> = Vec::new();
+            for (record, cell_idx) in result.records.into_iter().zip(task_cells) {
                 let cell = &plan.cells[cell_idx];
                 if record.outcome.is_definitive() {
                     collected_per_cell[cell_idx] += 1;
-                    let (cbg_total, density, density_pct, centroid) =
-                        cbg_meta[&(cell.isp, cell.cbg)];
+                    let (_, cbg) = cbgs[cell_idx];
                     let served = record.outcome.is_served().expect("definitive");
-                    let (max_down, max_plan, all_plans, subscriber) = match &record.outcome {
+                    let (plans, subscriber) = match &record.outcome {
                         caf_bqt::QueryOutcome::Serviceable {
                             plans,
                             existing_subscriber,
-                        } => (
-                            record.outcome.max_download_mbps(),
-                            plans.first().cloned(),
-                            plans.clone(),
-                            *existing_subscriber,
-                        ),
-                        _ => (None, None, Vec::new(), false),
+                        } => (plans.clone(), *existing_subscriber),
+                        _ => (PlanList::Borrowed(&[]), false),
                     };
                     partials[cell_idx].rows_by_round[round].push(AuditRow {
                         address: record.address,
                         isp: cell.isp,
                         state: state_world.state,
                         cbg: cell.cbg,
-                        cbg_total,
-                        density,
-                        density_pct,
-                        centroid,
+                        cbg_total: cbg.caf_addresses as usize,
+                        density: cbg.density,
+                        density_pct: cbg.density_pct,
+                        centroid: cbg.centroid,
                         served,
-                        max_down_mbps: max_down,
-                        max_plan,
-                        plans: all_plans,
+                        max_down_mbps: record.outcome.max_download_mbps(),
+                        plans,
                         existing_subscriber: subscriber,
                     });
                 } else if (round as u32) < self.config.resample_rounds {
@@ -413,7 +409,7 @@ impl Audit {
                         *cursor += 1;
                         queried_per_cell[cell_idx] += 1;
                         caf_obs::count("caf.core.audit.resampled", 1);
-                        cell_of.insert(replacement, cell_idx);
+                        next_cells.push(cell_idx);
                         next_tasks.push(QueryTask {
                             address: replacement,
                             isp: cell.isp,
@@ -423,6 +419,7 @@ impl Audit {
                 partials[cell_idx].records_by_round[round].push(record);
             }
             tasks = next_tasks;
+            task_cells = next_cells;
             round += 1;
         }
 
@@ -528,9 +525,9 @@ mod tests {
             if r.served {
                 // Served rows may or may not specify a speed (Frontier's
                 // Unknown Plan has none) but always carry a plan.
-                assert!(r.max_plan.is_some());
+                assert!(r.max_plan().is_some());
             } else {
-                assert!(r.max_plan.is_none());
+                assert!(r.max_plan().is_none());
                 assert_eq!(r.max_down_mbps, None);
             }
         }

@@ -76,7 +76,7 @@ impl SpeedBand {
         if !row.served {
             return SpeedBand::Unserved;
         }
-        let plan = row.max_plan.as_ref().expect("served rows carry a plan");
+        let plan = row.max_plan().expect("served rows carry a plan");
         if !plan.speed_guaranteed {
             return if plan.download_mbps.is_none() {
                 SpeedBand::UnknownPlan
@@ -344,7 +344,7 @@ impl ComplianceAnalysis {
                     under_cap += 1;
                 }
             }
-            for plan in &row.plans {
+            for plan in row.plans.iter() {
                 if let Some(d) = plan.download_mbps {
                     if plan.speed_guaranteed && (window_lo..=window_hi).contains(&d) {
                         ten_mbps_prices.push(plan.monthly_usd);
@@ -378,7 +378,7 @@ impl ComplianceAnalysis {
     pub fn carriage_values(&self, dataset: &AuditDataset, isp: Isp) -> Vec<f64> {
         dataset
             .rows_for(isp)
-            .filter_map(|r| r.max_plan.as_ref().and_then(|p| p.carriage_value()))
+            .filter_map(|r| r.max_plan().and_then(|p| p.carriage_value()))
             .collect()
     }
 }
@@ -412,8 +412,7 @@ mod tests {
             centroid: LatLon::new(40.0, -82.0).unwrap(),
             served: plan.is_some(),
             max_down_mbps: plan.as_ref().and_then(|p| p.download_mbps),
-            plans: plan.iter().cloned().collect(),
-            max_plan: plan,
+            plans: plan.into_iter().collect(),
             existing_subscriber: false,
         }
     }

@@ -391,8 +391,7 @@ mod tests {
             centroid: LatLon::new(40.0, -80.0).unwrap(),
             served,
             max_down_mbps: plan.as_ref().and_then(|p| p.download_mbps),
-            plans: plan.iter().cloned().collect(),
-            max_plan: plan,
+            plans: plan.into_iter().collect(),
             existing_subscriber: false,
         }
     }

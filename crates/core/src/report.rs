@@ -155,24 +155,16 @@ mod tests {
             centroid: LatLon::new(40.0, -82.0).unwrap(),
             served,
             max_down_mbps: served.then_some(if compliant { 1000.0 } else { 1.0 }),
-            plans: if served {
-                {
+            plans: served
+                .then(|| {
                     if compliant {
-                        vec![good.clone()]
+                        good.clone()
                     } else {
-                        vec![cat.plan_from_tier(cat.tier_labeled("DSL 1").unwrap())]
+                        cat.plan_from_tier(cat.tier_labeled("DSL 1").unwrap())
                     }
-                }
-            } else {
-                Default::default()
-            },
-            max_plan: served.then(|| {
-                if compliant {
-                    good.clone()
-                } else {
-                    cat.plan_from_tier(cat.tier_labeled("DSL 1").unwrap())
-                }
-            }),
+                })
+                .into_iter()
+                .collect(),
             existing_subscriber: false,
         };
         AuditDataset {

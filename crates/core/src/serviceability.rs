@@ -311,12 +311,7 @@ mod tests {
             centroid: LatLon::new(44.0, -72.5).unwrap(),
             served,
             max_down_mbps: if served { Some(50.0) } else { None },
-            plans: if served {
-                vec![plan.clone()]
-            } else {
-                Vec::new()
-            },
-            max_plan: if served { Some(plan.clone()) } else { None },
+            plans: served.then(|| plan.clone()).into_iter().collect(),
             existing_subscriber: false,
         };
         AuditDataset {

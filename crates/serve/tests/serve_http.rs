@@ -151,14 +151,15 @@ fn health_metrics_and_errors_over_http() {
 
 #[test]
 fn compute_timeout_sheds_joiners_with_503() {
-    // Tiny join timeout + a scenario slow enough (low downscale
-    // factor) that the second request reliably arrives mid-flight.
+    // A 1 ms join timeout and a scenario slow enough (downscale factor
+    // 20: a build of tens of milliseconds even in release) that the
+    // second request provably arrives, and times out, mid-flight.
     let app = Arc::new(App::new(AppConfig {
         default_seed: SEED,
         default_scale: SCALE,
         engine: EngineConfig::serial(),
         cache_capacity: 4,
-        compute_timeout: Duration::from_millis(10),
+        compute_timeout: Duration::from_millis(1),
         min_scale: 1,
         ..AppConfig::default()
     }));
@@ -172,11 +173,11 @@ fn compute_timeout_sheds_joiners_with_503() {
     )
     .unwrap();
     let addr = server.addr();
-    let path = "/v1/table2?seed=11&scale=60";
+    let path = "/v1/table2?seed=11&scale=20";
 
     let leader = std::thread::spawn(move || client::get(addr, path).unwrap());
     // The leader's miss is counted as its build starts; the build then
-    // runs for tens of milliseconds, far past the 10 ms join timeout.
+    // runs for tens of milliseconds, far past the 1 ms join timeout.
     while app.cache_stats().misses == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }

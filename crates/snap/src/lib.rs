@@ -260,7 +260,8 @@ impl Writer {
 
 /// A bounds-checked decoder over a byte slice. Every read returns
 /// `Err(SnapError::UnexpectedEof)` rather than panicking when the
-/// stream is short.
+/// stream is short. A clone reads ahead without moving the original.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -216,8 +216,19 @@ impl StateGeography {
     /// range, in ascending `(Isp, BlockGroupId)` order: the CAF Map's
     /// cells, known without building a record.
     pub fn caf_cells(&self) -> Vec<CafCell> {
-        let mut cells: Vec<CafCell> = self.certified_cbgs().map(|(_, _, cell)| cell).collect();
-        cells.sort_unstable_by_key(|cell| (cell.isp, cell.cbg));
+        self.caf_cell_cbgs()
+            .into_iter()
+            .map(|(cell, _)| cell)
+            .collect()
+    }
+
+    /// [`StateGeography::caf_cells`], each cell with its CBG.
+    pub fn caf_cell_cbgs(&self) -> Vec<(CafCell, &CbgInfo)> {
+        let mut cells: Vec<(CafCell, &CbgInfo)> = self
+            .certified_cbgs()
+            .map(|(_, cbg, cell)| (cell, cbg))
+            .collect();
+        cells.sort_unstable_by_key(|(cell, _)| (cell.isp, cell.cbg));
         cells
     }
 

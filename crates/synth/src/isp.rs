@@ -31,7 +31,7 @@ pub enum Isp {
 
 impl Isp {
     /// Every ISP in the registry.
-    pub fn all() -> [Isp; 7] {
+    pub const fn all() -> [Isp; 7] {
         [
             Isp::Att,
             Isp::CenturyLink,

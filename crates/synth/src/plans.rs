@@ -6,10 +6,21 @@
 //! a monthly price. The catalogs encode the speed tiers observed in
 //! Table 1 and the price points of §4.2 ("prices … for the tier of
 //! 10 Mbps ranged from $30 to $55 per month").
+//!
+//! Every advertised list a catalog generates is one of its *offers*
+//! ([`PlanCatalog::offer`]), built once per process, so truth draws,
+//! query outcomes and audit rows borrow the same `'static` list instead
+//! of copying it per address.
 
 use crate::isp::Isp;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
+
+/// An advertised plan list, highest tier first. A catalog offer borrows
+/// its catalog's `'static` list ([`PlanCatalog::offer`]), so cloning it
+/// copies a pointer; decoded and hand-built lists own theirs.
+pub type PlanList = Cow<'static, [BroadbandPlan]>;
 
 /// One advertised broadband plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -489,6 +500,65 @@ impl PlanCatalog {
             speed_guaranteed: tier.guaranteed,
         }
     }
+
+    /// The plans the ISP's website advertises where `max_tier` (one of
+    /// this catalog's tiers) is the best offer: that tier first, then up
+    /// to two lower tiers. Built once per catalog per process and
+    /// borrowed from then on.
+    ///
+    /// # Panics
+    ///
+    /// If `max_tier` is no tier of this catalog.
+    pub fn offer(&self, max_tier: &CatalogTier) -> &'static [BroadbandPlan] {
+        static OFFERS: [OnceLock<Vec<Vec<BroadbandPlan>>>; Isp::all().len()] =
+            [const { OnceLock::new() }; Isp::all().len()];
+        let offers = OFFERS[self.isp as usize].get_or_init(|| {
+            self.tiers
+                .iter()
+                .map(|tier| {
+                    let mut plans = vec![self.plan_from_tier(tier)];
+                    plans.extend(self.lower_tiers(tier).map(|t| self.plan_from_tier(t)));
+                    plans
+                })
+                .collect()
+        });
+        let i = self
+            .tiers
+            .iter()
+            .position(|tier| tier == max_tier)
+            .expect("an offer's maximum tier belongs to its catalog");
+        &offers[i]
+    }
+
+    /// The guaranteed lower tiers advertised beside `max_tier`, fastest
+    /// first.
+    fn lower_tiers(&self, max_tier: &CatalogTier) -> impl Iterator<Item = &'static CatalogTier> {
+        // Guaranteed lower tiers are also advertised — but only where the
+        // best offer is itself a committed wireline tier. Addresses whose
+        // best offer is an unguaranteed product (Internet Air, Frontier
+        // Internet, tier-less subscriber pages) have no wireline
+        // alternative; that is exactly why the paper classifies them
+        // non-compliant (§4.2). The two fastest qualify, earlier catalog
+        // entries winning speed ties.
+        let mut lower: [Option<&'static CatalogTier>; 2] = [None, None];
+        if max_tier.guaranteed {
+            let max_down = max_tier.download_mbps.unwrap_or(0.0);
+            let faster = |down: f64, slot: Option<&CatalogTier>| {
+                slot.is_none_or(|t| down > t.download_mbps.unwrap_or(0.0))
+            };
+            for tier in self.tiers.iter().filter(|t| t.guaranteed) {
+                let Some(down) = tier.download_mbps.filter(|&d| d < max_down) else {
+                    continue;
+                };
+                if faster(down, lower[0]) {
+                    lower = [Some(tier), lower[0]];
+                } else if faster(down, lower[1]) {
+                    lower[1] = Some(tier);
+                }
+            }
+        }
+        lower.into_iter().flatten()
+    }
 }
 
 #[cfg(test)]
@@ -577,6 +647,66 @@ mod tests {
         assert_eq!(cat.tier_near(9.0).label, "Internet 10");
         assert_eq!(cat.tier_near(4000.0).label, "Fiber 5000");
         assert_eq!(cat.tier_near(0.5).label, "DSL 768k");
+    }
+
+    /// The lower-tier rule as `TruthDraw::materialize` applied it per
+    /// draw before offers were tabled: the oracle for
+    /// [`PlanCatalog::offer`].
+    fn materialized_plans(catalog: &PlanCatalog, max_tier: &CatalogTier) -> Vec<BroadbandPlan> {
+        let mut lower: [Option<&CatalogTier>; 2] = [None, None];
+        if max_tier.guaranteed {
+            let max_down = max_tier.download_mbps.unwrap_or(0.0);
+            let faster = |down: f64, slot: Option<&CatalogTier>| {
+                slot.is_none_or(|t| down > t.download_mbps.unwrap_or(0.0))
+            };
+            for tier in catalog.tiers().iter().filter(|t| t.guaranteed) {
+                let Some(down) = tier.download_mbps.filter(|&d| d < max_down) else {
+                    continue;
+                };
+                if faster(down, lower[0]) {
+                    lower = [Some(tier), lower[0]];
+                } else if faster(down, lower[1]) {
+                    lower[1] = Some(tier);
+                }
+            }
+        }
+        let mut plans = Vec::with_capacity(1 + lower.iter().flatten().count());
+        plans.push(catalog.plan_from_tier(max_tier));
+        plans.extend(
+            lower
+                .into_iter()
+                .flatten()
+                .map(|t| catalog.plan_from_tier(t)),
+        );
+        plans
+    }
+
+    #[test]
+    fn every_offer_equals_the_materialized_plans() {
+        for isp in Isp::all() {
+            let catalog = PlanCatalog::for_isp(isp);
+            for tier in catalog.tiers() {
+                let offer = catalog.offer(tier);
+                assert_eq!(
+                    offer,
+                    materialized_plans(&catalog, tier),
+                    "{isp} {}",
+                    tier.label
+                );
+                // One table per catalog: a second call (or a copied
+                // tier) borrows the same list.
+                let copy = *tier;
+                assert!(std::ptr::eq(offer, catalog.offer(&copy)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to its catalog")]
+    fn an_offer_of_another_catalogs_tier_panics() {
+        let att = PlanCatalog::for_isp(Isp::Att);
+        let xfinity = PlanCatalog::for_isp(Isp::Xfinity);
+        att.offer(&xfinity.tiers()[0]);
     }
 
     #[test]

@@ -508,12 +508,12 @@ fn draw_block<S: Q3Sink>(config: &SynthConfig, state: UsState, spec: &Q3BlockSpe
         let jitter = dist::lognormal(rng, 0.0, 0.10);
         let tier = catalog.tier_near(speed * jitter);
         // Consume a full truth draw but advertise the block-consistent
-        // tier in place of the drawn plans; keep the website-pathology
-        // flags.
+        // tier alone (its offer's head) in place of the drawn plans; keep
+        // the website-pathology flags.
         let draw = TruthDraw::draw(rng, caf_isp, &catalog, 1.0);
         AddressTruth {
             served: true,
-            plans: vec![catalog.plan_from_tier(tier)],
+            plans: Cow::Borrowed(&catalog.offer(tier)[..1]),
             existing_subscriber: draw.existing_subscriber,
             hard_failure: draw.hard_failure,
             ambiguous: draw.ambiguous,

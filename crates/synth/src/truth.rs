@@ -32,7 +32,7 @@ use crate::geography::{CafCell, CbgInfo, StateGeography};
 use crate::isp::Isp;
 use crate::params::CalibrationParams;
 use crate::params::SynthConfig;
-use crate::plans::{BroadbandPlan, CatalogTier, PlanCatalog};
+use crate::plans::{BroadbandPlan, CatalogTier, PlanCatalog, PlanList};
 use crate::rng::{mix2, scoped_rng, StdRng};
 use caf_exec::rng::mix;
 use caf_geo::{AddressId, UsState};
@@ -47,8 +47,9 @@ pub struct AddressTruth {
     /// Whether the ISP genuinely offers service here.
     pub served: bool,
     /// The plans the ISP's website advertises at this address (empty iff
-    /// unserved). The first plan is the maximum tier.
-    pub plans: Vec<BroadbandPlan>,
+    /// unserved). The first plan is the maximum tier. Drawn truth
+    /// borrows its catalog's offer.
+    pub plans: PlanList,
     /// Whether the address already has an active subscription, which
     /// changes the website flow (modify-service pages, Frontier's
     /// tier-less "Unknown Plan" display).
@@ -66,7 +67,7 @@ impl AddressTruth {
     pub fn unserved() -> AddressTruth {
         AddressTruth {
             served: false,
-            plans: Vec::new(),
+            plans: Cow::Borrowed(&[]),
             existing_subscriber: false,
             hard_failure: false,
             ambiguous: false,
@@ -310,11 +311,10 @@ pub(crate) fn draw_truth(
 }
 
 /// Every random decision of one truth draw — the flags and, if served,
-/// the maximum advertised tier — without the plans built from them.
+/// the maximum advertised tier — without the plans.
 /// [`TruthDraw::materialize`] consumes no randomness, so a caller that
 /// supplies its own plans (the Q3 block-consistent tier) draws exactly
-/// the same stream as [`draw_truth`] and builds nothing it would
-/// discard.
+/// the same stream as [`draw_truth`].
 pub(crate) struct TruthDraw {
     /// The maximum advertised tier; `None` iff unserved.
     pub max_tier: Option<&'static CatalogTier>,
@@ -365,8 +365,8 @@ impl TruthDraw {
         }
     }
 
-    /// The truth record with the catalog's plans: the maximum tier
-    /// first, then up to two lower tiers.
+    /// The truth record with the catalog's offer for the maximum tier
+    /// ([`PlanCatalog::offer`]), borrowed.
     pub(crate) fn materialize(self, catalog: &PlanCatalog) -> AddressTruth {
         let Some(max_tier) = self.max_tier else {
             return AddressTruth {
@@ -374,41 +374,9 @@ impl TruthDraw {
                 ..AddressTruth::unserved()
             };
         };
-        // Guaranteed lower tiers are also advertised — but only where the
-        // best offer is itself a committed wireline tier. Addresses whose
-        // best offer is an unguaranteed product (Internet Air, Frontier
-        // Internet, tier-less subscriber pages) have no wireline
-        // alternative; that is exactly why the paper classifies them
-        // non-compliant (§4.2). The two fastest qualify, earlier catalog
-        // entries winning speed ties.
-        let mut lower: [Option<&CatalogTier>; 2] = [None, None];
-        if max_tier.guaranteed {
-            let max_down = max_tier.download_mbps.unwrap_or(0.0);
-            let faster = |down: f64, slot: Option<&CatalogTier>| {
-                slot.is_none_or(|t| down > t.download_mbps.unwrap_or(0.0))
-            };
-            for tier in catalog.tiers().iter().filter(|t| t.guaranteed) {
-                let Some(down) = tier.download_mbps.filter(|&d| d < max_down) else {
-                    continue;
-                };
-                if faster(down, lower[0]) {
-                    lower = [Some(tier), lower[0]];
-                } else if faster(down, lower[1]) {
-                    lower[1] = Some(tier);
-                }
-            }
-        }
-        let mut plans = Vec::with_capacity(1 + lower.iter().flatten().count());
-        plans.push(catalog.plan_from_tier(max_tier));
-        plans.extend(
-            lower
-                .into_iter()
-                .flatten()
-                .map(|t| catalog.plan_from_tier(t)),
-        );
         AddressTruth {
             served: true,
-            plans,
+            plans: Cow::Borrowed(catalog.offer(max_tier)),
             existing_subscriber: self.existing_subscriber,
             hard_failure: self.hard_failure,
             ambiguous: self.ambiguous,

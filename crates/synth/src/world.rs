@@ -509,17 +509,42 @@ mod tests {
         }
         for (_, isp, truth) in q3.truth.entries() {
             competitor_entries += usize::from(matches!(isp, Isp::Xfinity | Isp::Spectrum));
-            for plan in &truth.plans {
+            for plan in truth.plans.iter() {
                 assert!(borrowed(&plan.name), "{isp}: {plan}");
             }
         }
         // Q1 truth drawn on demand borrows its plan names too.
         for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
-            for plan in &world.truth.get(r.address.id, r.isp).unwrap().plans {
+            for plan in world.truth.get(r.address.id, r.isp).unwrap().plans.iter() {
                 assert!(borrowed(&plan.name), "{}: {plan}", r.isp);
             }
         }
         assert!(competitor_entries > 0, "Q3 competitor truth was generated");
+    }
+
+    #[test]
+    fn generated_plan_lists_borrow_their_catalog_offers() {
+        use crate::plans::PlanList;
+        use std::borrow::Cow;
+        let config = SynthConfig {
+            seed: 24,
+            scale: 40,
+        };
+        let borrowed = |plans: &PlanList| matches!(plans, Cow::Borrowed(_));
+        // Q1 truth drawn on demand.
+        let world = World::generate_states(config, &[UsState::Vermont]);
+        let mut served = 0;
+        for (id, isp) in world.states[0].geography.certified_addresses() {
+            let truth = world.truth.get(id, isp).unwrap();
+            assert!(borrowed(&truth.plans), "{isp} {id:?}");
+            served += usize::from(truth.served);
+        }
+        assert!(served > 0, "some Q1 address is served");
+        // Q3 block truths, the CAF ISP's and the competitors'.
+        let q3 = Q3World::build(&config, UsState::Ohio);
+        for (id, isp, truth) in q3.truth.entries() {
+            assert!(borrowed(&truth.plans), "{isp} {id:?}");
+        }
     }
 
     #[test]

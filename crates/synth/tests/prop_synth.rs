@@ -67,7 +67,7 @@ fn check_truth_plans_are_catalog_consistent(seed: u64) {
             assert_eq!(first, Some(max), "first plan must be the max tier");
         }
         let catalog = caf_synth::PlanCatalog::for_isp(record.isp);
-        for plan in &truth.plans {
+        for plan in truth.plans.iter() {
             assert!(
                 catalog.tier_labeled(&plan.name).is_some(),
                 "unknown tier {} for {}",

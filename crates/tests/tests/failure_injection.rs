@@ -134,7 +134,7 @@ fn ambiguous_sites_never_enter_the_analysis() {
             Isp::Att,
             AddressTruth {
                 served: true,
-                plans: vec![cat.plan_from_tier(tier)],
+                plans: vec![cat.plan_from_tier(tier)].into(),
                 existing_subscriber: false,
                 hard_failure: false,
                 ambiguous: true, // every address hits "Call to Order"
@@ -225,7 +225,7 @@ fn tierless_plans_survive_the_full_path() {
         Isp::Frontier,
         AddressTruth {
             served: true,
-            plans: vec![unknown],
+            plans: vec![unknown].into(),
             existing_subscriber: true,
             hard_failure: false,
             ambiguous: false,
