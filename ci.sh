@@ -24,7 +24,7 @@
 # on-demand gate (`repro table2 table3 table4 fig9 ext-oversight` must
 # build no USAC record, read off `caf.synth.usac.records_built`), a
 # paper-scale peak gate (`repro validate --scale 1 --workers 2` must
-# peak under 480 MiB, read off `caf.process.peak_rss_kb`), a
+# peak under 160 MiB, read off `caf.process.peak_rss_kb`), a
 # one-budget gate (`repro table2 table4 --workers 1` must record no
 # `caf.exec.worker.*` gauge: no pool, BQT campaigns included), a
 # repro output gate (every listed experiment but `dump` and `validate`
@@ -297,15 +297,15 @@ if [ "${records_built:-0}" != 0 ]; then
 fi
 echo "    0 USAC records built"
 
-# The paper-scale run (every count at 1:1) must stay under 480 MiB of
+# The paper-scale run (every count at 1:1) must stay under 160 MiB of
 # resident memory, read off the report's VmHWM gauge.
-gate "paper-scale peak gate: repro validate --scale 1 --workers 2 peaks under 480 MiB"
+gate "paper-scale peak gate: repro validate --scale 1 --workers 2 peaks under 160 MiB"
 ./target/release/repro validate --scale 1 --workers 2 \
   --metrics "$ci_out/paper_scale.json" --quiet >/dev/null
 peak_kb=$(sed -n 's/^ *"caf\.process\.peak_rss_kb": \([0-9]*\),\{0,1\}$/\1/p' \
   "$ci_out/paper_scale.json")
-if [ -z "$peak_kb" ] || [ "$peak_kb" -ge 491520 ]; then
-  echo "caf.process.peak_rss_kb: ${peak_kb:-absent} (want < 491520)" >&2
+if [ -z "$peak_kb" ] || [ "$peak_kb" -ge 163840 ]; then
+  echo "caf.process.peak_rss_kb: ${peak_kb:-absent} (want < 163840)" >&2
   exit 1
 fi
 echo "    peak resident set ${peak_kb} KiB"

@@ -103,7 +103,7 @@ fn write_bench_summary() {
     let full_wall = {
         let _span = caf_obs::span("bench.challenge.full_rebuild");
         let start = Instant::now();
-        black_box(full_audit.run_with(&world, engine).rows.len());
+        black_box(full_audit.run_with(&world, engine).row_count());
         start.elapsed().as_secs_f64()
     };
 

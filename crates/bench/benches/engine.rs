@@ -32,7 +32,7 @@ fn write_bench_summary() {
         let audit = Audit::new(audit_config(synth, campaign_config(SEED, engine)));
         let _span = caf_obs::span_with(|| format!("bench.audit.workers_{workers}"));
         let dataset = audit.run_with(&world, engine);
-        black_box(dataset.rows.len());
+        black_box(dataset.row_count());
     }
     caf_obs::set_enabled(false);
 

@@ -509,21 +509,20 @@ fn table3(fixture: &Scenario) {
         for isp in Isp::audited() {
             let rows: Vec<_> = fixture
                 .dataset
-                .rows
-                .iter()
-                .filter(|r| r.state == state && r.isp == isp)
+                .rows()
+                .filter(|(meta, _)| meta.state == state && meta.isp == isp)
                 .collect();
             if rows.is_empty() {
                 continue;
             }
             let mut blocks: Vec<BlockId> = rows
                 .iter()
-                .filter_map(|r| block_of.get(&r.address))
+                .filter_map(|(_, r)| block_of.get(&r.address))
                 .copied()
                 .collect();
             blocks.sort_unstable();
             blocks.dedup();
-            let mut cbgs: Vec<_> = rows.iter().map(|r| r.cbg).collect();
+            let mut cbgs: Vec<_> = rows.iter().map(|(meta, _)| meta.cbg).collect();
             cbgs.sort_unstable();
             cbgs.dedup();
             println!(
@@ -970,7 +969,7 @@ fn table2(fixture: &Scenario) {
     println!("Table 2 — traceback error events per ISP");
     let mut counts: HashMap<(Isp, ErrorCategory), u64> = HashMap::new();
     let mut totals: HashMap<Isp, u64> = HashMap::new();
-    for record in &fixture.dataset.records {
+    for record in fixture.dataset.records() {
         for &category in &record.errors {
             *counts.entry((record.isp, category)).or_insert(0) += 1;
             *totals.entry(record.isp).or_insert(0) += 1;
@@ -1039,8 +1038,7 @@ fn fig11(fixture: &Scenario) {
     for isp in Isp::audited() {
         let times: Vec<f64> = fixture
             .dataset
-            .records
-            .iter()
+            .records()
             .filter(|r| r.isp == isp)
             .map(|r| r.duration_secs)
             .collect();
@@ -1051,8 +1049,7 @@ fn fig11(fixture: &Scenario) {
     }
     let total = fixture
         .dataset
-        .records
-        .iter()
+        .records()
         .map(|r| r.duration_secs)
         .sum::<f64>();
     println!(
@@ -1062,7 +1059,7 @@ fn fig11(fixture: &Scenario) {
     );
     // §3.3 politeness: what pacing costs on top of raw parallelism.
     let mut per_isp: std::collections::HashMap<Isp, (f64, u64)> = std::collections::HashMap::new();
-    for r in &fixture.dataset.records {
+    for r in fixture.dataset.records() {
         let e = per_isp.entry(r.isp).or_insert((0.0, 0));
         e.0 += r.duration_secs;
         e.1 += 1;
@@ -1119,8 +1116,8 @@ fn ablate_weights(fixture: &Scenario) {
     };
     // Address-weighted (by queried addresses, the naive alternative).
     let naive: f64 = {
-        let total = fixture.dataset.rows.len() as f64;
-        fixture.dataset.rows.iter().filter(|r| r.served).count() as f64 / total
+        let total = fixture.dataset.row_count() as f64;
+        fixture.dataset.rows().filter(|(_, r)| r.served).count() as f64 / total
     };
     print!(
         "{}",
@@ -1155,7 +1152,7 @@ fn ablate_sampling(lazy: &Lazy) {
         let analysis = ServiceabilityAnalysis::compute(&dataset);
         println!(
             "  {label:<26} queried {:>7}  serviceability {}",
-            dataset.rows.len(),
+            dataset.row_count(),
             pct(analysis.overall_rate())
         );
     };
@@ -1176,8 +1173,8 @@ fn ablate_retry(lazy: &Lazy) {
             ..*fixture.audit.config()
         });
         let dataset = audit.run_for(&fixture.world, &states, lazy.engine);
-        let collected: usize = dataset.coverage.iter().map(|c| c.collected).sum();
-        let queried: usize = dataset.coverage.iter().map(|c| c.queried).sum();
+        let collected: usize = dataset.coverage().map(|c| c.collected).sum();
+        let queried: usize = dataset.coverage().map(|c| c.queried).sum();
         let analysis = ServiceabilityAnalysis::compute(&dataset);
         println!(
             "  {label:<20} queried {queried:>6}  collected {collected:>6}  serviceability {}",
@@ -1332,7 +1329,7 @@ fn ext_bead(fixture: &Scenario) {
     for isp in Isp::audited() {
         print!("{:<14}", isp.name());
         for r in &rules {
-            match r.compliance_rate_indexed(&fixture.dataset, &fixture.index, Some(isp)) {
+            match r.compliance_rate_indexed(&fixture.index, Some(isp)) {
                 Some(rate) => print!(" {:>16}", pct(rate)),
                 None => print!(" {:>16}", "-"),
             }
@@ -1343,7 +1340,7 @@ fn ext_bead(fixture: &Scenario) {
     for r in &rules {
         print!(
             " {:>16}",
-            r.compliance_rate_indexed(&fixture.dataset, &fixture.index, None)
+            r.compliance_rate_indexed(&fixture.index, None)
                 .map(pct)
                 .unwrap_or_default()
         );
@@ -1486,7 +1483,7 @@ fn dump(fixture: &Scenario) {
     std::fs::write(&cbg_path, cbg_csv).unwrap_or_else(|e| die(&format!("write {cbg_path:?}: {e}")));
 
     let mut records_csv = String::from("addr_id,isp,outcome,attempts,errors,duration_secs\n");
-    for r in &fixture.dataset.records {
+    for r in fixture.dataset.records() {
         records_csv.push_str(&format!(
             "{},{},{},{},{},{:.3}\n",
             r.address.0,
@@ -1503,11 +1500,11 @@ fn dump(fixture: &Scenario) {
 
     println!(
         "wrote {} rows to {}, {} CBGs to {}, {} records to {}",
-        fixture.dataset.rows.len(),
+        fixture.dataset.row_count(),
         audit_path.display(),
         fixture.serviceability.cbg_rates.len(),
         cbg_path.display(),
-        fixture.dataset.records.len(),
+        fixture.dataset.record_count(),
         records_path.display()
     );
 }

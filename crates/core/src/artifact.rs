@@ -336,7 +336,7 @@ pub fn table2(dataset: &AuditDataset) -> Json {
                 .map(|category| (category.label().to_string(), 0u64))
                 .collect();
             categories.sort_by(|a, b| a.0.cmp(&b.0));
-            for record in dataset.records.iter().filter(|r| r.isp == isp) {
+            for record in dataset.records().filter(|r| r.isp == isp) {
                 for &error in &record.errors {
                     total += 1;
                     let label = error.label();

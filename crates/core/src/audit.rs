@@ -22,6 +22,7 @@ use caf_exec::{map_units, CostHint, EngineConfig, UnitPlan};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
 use caf_synth::plans::PlanList;
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
+use std::sync::Arc;
 
 use crate::sampling::{SamplingPlan, SamplingRule};
 
@@ -39,25 +40,13 @@ pub struct AuditConfig {
     pub resample_rounds: u32,
 }
 
-/// One analysis row: a definitive query outcome with its geography.
+/// One analysis row: the per-address fields of a definitive query
+/// outcome. The ISP, state, CBG and CBG metadata it shares with every
+/// other row of its cell live once, on the cell's [`CellMeta`].
 #[derive(Debug, Clone)]
 pub struct AuditRow {
     /// The queried address.
     pub address: AddressId,
-    /// The audited ISP.
-    pub isp: Isp,
-    /// The state.
-    pub state: UsState,
-    /// The census block group.
-    pub cbg: BlockGroupId,
-    /// Total CAF addresses in the CBG (the aggregation weight).
-    pub cbg_total: usize,
-    /// The CBG's population density (people per square mile).
-    pub density: f64,
-    /// The CBG's within-state density percentile.
-    pub density_pct: f64,
-    /// The CBG centroid (Figure 10 mapping).
-    pub centroid: LatLon,
     /// Whether the ISP serves the address.
     pub served: bool,
     /// Maximum advertised download speed, if served and specified.
@@ -76,6 +65,26 @@ impl AuditRow {
     pub fn max_plan(&self) -> Option<&BroadbandPlan> {
         self.plans.first()
     }
+}
+
+/// What every row of one (ISP, CBG) cell shares: the audited ISP and the
+/// CBG's metadata.
+#[derive(Debug, Clone, Copy)]
+pub struct CellMeta {
+    /// The ISP.
+    pub isp: Isp,
+    /// The state (redundant with the CBG's GEOID prefix, kept unpacked).
+    pub state: UsState,
+    /// The census block group.
+    pub cbg: BlockGroupId,
+    /// The CBG's total CAF addresses — the §4.1 aggregation weight.
+    pub weight: f64,
+    /// CBG population density (people per square mile).
+    pub density: f64,
+    /// CBG within-state density percentile.
+    pub density_pct: f64,
+    /// CBG centroid (Figure 10 mapping).
+    pub centroid: LatLon,
 }
 
 /// Per-(ISP, CBG) coverage telemetry for Figures 7 and 8.
@@ -105,28 +114,171 @@ impl CbgCoverage {
     }
 }
 
-/// The audit output.
+/// One audited (ISP, CBG) cell: the unit the audit computes, the
+/// incremental audit replaces and the index orders. Its rows and records
+/// are each one vector, in resample-round order, with the end offset of
+/// every round the cell took part in (a cell's rounds are always a
+/// prefix: a round's replacements come from the round before).
 #[derive(Debug)]
+pub struct AuditCell {
+    /// The metadata every row of the cell shares.
+    pub meta: CellMeta,
+    /// The cell's coverage counters.
+    pub coverage: CbgCoverage,
+    rows: Vec<AuditRow>,
+    records: Vec<QueryRecord>,
+    row_ends: Vec<u32>,
+    record_ends: Vec<u32>,
+}
+
+impl AuditCell {
+    /// An empty cell before its first round, sized for its primaries
+    /// (`coverage.queried`).
+    fn new(meta: CellMeta, coverage: CbgCoverage) -> AuditCell {
+        AuditCell {
+            meta,
+            coverage,
+            rows: Vec::with_capacity(coverage.queried),
+            records: Vec::with_capacity(coverage.queried),
+            row_ends: Vec::new(),
+            record_ends: Vec::new(),
+        }
+    }
+
+    /// Closes the current round, if the cell queried anything in it.
+    fn end_round(&mut self) {
+        if self.records.len() > self.record_ends.last().map_or(0, |&end| end as usize) {
+            self.row_ends.push(self.rows.len() as u32);
+            self.record_ends.push(self.records.len() as u32);
+        }
+    }
+
+    /// The definitive rows, round by round.
+    pub fn rows(&self) -> &[AuditRow] {
+        &self.rows
+    }
+
+    /// Every query record, round by round.
+    pub fn records(&self) -> &[QueryRecord] {
+        &self.records
+    }
+
+    /// Number of definitive rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the cell has no definitive row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// How many of the rows are served.
+    pub fn served_rows(&self) -> usize {
+        self.rows.iter().filter(|row| row.served).count()
+    }
+
+    /// The serviceability rate: served rows over definitive rows.
+    pub fn serviceability_rate(&self) -> f64 {
+        self.served_rows() as f64 / self.len() as f64
+    }
+
+    fn round_rows(&self, round: usize) -> &[AuditRow] {
+        round_slice(&self.rows, &self.row_ends, round)
+    }
+
+    fn round_records(&self, round: usize) -> &[QueryRecord] {
+        round_slice(&self.records, &self.record_ends, round)
+    }
+}
+
+/// The items of round `round`, given each round's end offset (empty past
+/// the last round).
+fn round_slice<'a, T>(items: &'a [T], ends: &[u32], round: usize) -> &'a [T] {
+    let end = |r: usize| ends.get(r).map_or(items.len(), |&end| end as usize);
+    let start = if round == 0 { 0 } else { end(round - 1) };
+    &items[start..end(round)]
+}
+
+/// The audit output: per audited state, in audit order, that state's
+/// cells in `geography.caf_cells()` order (sorted by ISP, then CBG).
+///
+/// The cells are the storage. The whole-state stream a single loop over
+/// the state would emit is *round-major* (every cell's round-0 items in
+/// cell order, then round 1, ...); [`rows`](AuditDataset::rows) and
+/// [`records`](AuditDataset::records) walk it without copying anything.
+/// Every query record is a pure function of (seed, address, ISP) and
+/// replacements are drawn per cell, so that walk is the same at any
+/// worker count or shard policy, and with refreshed cells beside
+/// retained ones. Cloning a dataset clones cell pointers.
+#[derive(Debug, Clone, Default)]
 pub struct AuditDataset {
-    /// Analysis rows (definitive outcomes only).
-    pub rows: Vec<AuditRow>,
-    /// Every query record, including failures and resample rounds.
-    pub records: Vec<QueryRecord>,
-    /// Per-(ISP, CBG) coverage.
-    pub coverage: Vec<CbgCoverage>,
+    pub(crate) states: Vec<Vec<Arc<AuditCell>>>,
 }
 
 impl AuditDataset {
-    /// Rows for one ISP.
+    /// Every cell, state by state in audit order, each state's cells in
+    /// cell order.
+    pub fn cells(&self) -> impl Iterator<Item = &Arc<AuditCell>> {
+        self.states.iter().flatten()
+    }
+
+    /// Analysis rows (definitive outcomes only), each with its cell's
+    /// metadata, in round-major order.
+    pub fn rows(&self) -> impl Iterator<Item = (&CellMeta, &AuditRow)> {
+        self.round_major(AuditCell::round_rows)
+            .map(|(cell, row)| (&cell.meta, row))
+    }
+
+    /// Every query record, including failures and resample rounds, in
+    /// round-major order.
+    pub fn records(&self) -> impl Iterator<Item = &QueryRecord> {
+        self.round_major(AuditCell::round_records)
+            .map(|(_, record)| record)
+    }
+
+    /// Per-(ISP, CBG) coverage, in cell order.
+    pub fn coverage(&self) -> impl Iterator<Item = &CbgCoverage> {
+        self.cells().map(|cell| &cell.coverage)
+    }
+
+    /// Number of analysis rows.
+    pub fn row_count(&self) -> usize {
+        self.cells().map(|cell| cell.rows.len()).sum()
+    }
+
+    /// Number of query records.
+    pub fn record_count(&self) -> usize {
+        self.cells().map(|cell| cell.records.len()).sum()
+    }
+
+    /// Rows for one ISP, in round-major order.
     pub fn rows_for(&self, isp: Isp) -> impl Iterator<Item = &AuditRow> {
-        self.rows.iter().filter(move |r| r.isp == isp)
+        self.rows()
+            .filter(move |(meta, _)| meta.isp == isp)
+            .map(|(_, row)| row)
+    }
+
+    /// Per state: every round, every cell's items of that round.
+    fn round_major<'a, T: 'a>(
+        &'a self,
+        part: fn(&'a AuditCell, usize) -> &'a [T],
+    ) -> impl Iterator<Item = (&'a AuditCell, &'a T)> + 'a {
+        self.states.iter().flat_map(move |cells| {
+            let rounds = cells.iter().map(|cell| cell.record_ends.len()).max();
+            (0..rounds.unwrap_or(0)).flat_map(move |round| {
+                cells
+                    .iter()
+                    .flat_map(move |cell| part(cell, round).iter().map(move |item| (&**cell, item)))
+            })
+        })
     }
 
     /// Converts the analysis rows to a dataframe: `addr_id, isp, state,
     /// cbg, cbg_total, density, density_pct, served, max_down, price,
     /// guaranteed`.
     pub fn to_dataframe(&self) -> DataFrame {
-        let n = self.rows.len();
+        let n = self.row_count();
         let mut addr = Vec::with_capacity(n);
         let mut isp = Vec::with_capacity(n);
         let mut state = Vec::with_capacity(n);
@@ -138,14 +290,14 @@ impl AuditDataset {
         let mut max_down: Vec<Option<f64>> = Vec::with_capacity(n);
         let mut price: Vec<Option<f64>> = Vec::with_capacity(n);
         let mut guaranteed: Vec<Option<bool>> = Vec::with_capacity(n);
-        for r in &self.rows {
+        for (meta, r) in self.rows() {
             addr.push(r.address.0 as i64);
-            isp.push(r.isp.name());
-            state.push(r.state.abbrev());
-            cbg.push(r.cbg.to_string());
-            cbg_total.push(r.cbg_total as i64);
-            density.push(r.density);
-            density_pct.push(r.density_pct);
+            isp.push(meta.isp.name());
+            state.push(meta.state.abbrev());
+            cbg.push(meta.cbg.to_string());
+            cbg_total.push(meta.weight as i64);
+            density.push(meta.density);
+            density_pct.push(meta.density_pct);
             served.push(r.served);
             max_down.push(r.max_down_mbps);
             price.push(r.max_plan().map(|p| p.monthly_usd));
@@ -165,6 +317,56 @@ impl AuditDataset {
             ("guaranteed", Column::Bool(guaranteed)),
         ])
         .expect("columns constructed with equal lengths")
+    }
+}
+
+#[cfg(test)]
+impl AuditDataset {
+    /// A one-state dataset of hand-built cells, each one round of rows
+    /// and no records.
+    pub(crate) fn hand_built(cells: Vec<(CellMeta, CbgCoverage, Vec<AuditRow>)>) -> AuditDataset {
+        let cells = cells
+            .into_iter()
+            .map(|(meta, coverage, rows)| {
+                let mut cell = AuditCell::new(meta, coverage);
+                cell.rows = rows;
+                cell.row_ends.push(cell.rows.len() as u32);
+                cell.record_ends.push(0);
+                Arc::new(cell)
+            })
+            .collect();
+        AuditDataset {
+            states: vec![cells],
+        }
+    }
+
+    /// [`AuditDataset::hand_built`] from hand-built rows: a cell per
+    /// distinct (ISP, CBG) in first-appearance order, with its first
+    /// row's metadata and every row collected.
+    pub(crate) fn from_rows(rows: Vec<(CellMeta, AuditRow)>) -> AuditDataset {
+        let mut cells: Vec<(CellMeta, CbgCoverage, Vec<AuditRow>)> = Vec::new();
+        for (meta, row) in rows {
+            let key = (meta.isp, meta.cbg);
+            let at = match cells.iter().position(|(m, ..)| (m.isp, m.cbg) == key) {
+                Some(at) => at,
+                None => {
+                    let coverage = CbgCoverage {
+                        isp: meta.isp,
+                        cbg: meta.cbg,
+                        total: meta.weight as usize,
+                        queried: 0,
+                        collected: 0,
+                    };
+                    cells.push((meta, coverage, Vec::new()));
+                    cells.len() - 1
+                }
+            };
+            let (_, coverage, cell_rows) = &mut cells[at];
+            coverage.queried += 1;
+            coverage.collected += 1;
+            cell_rows.push(row);
+        }
+        AuditDataset::hand_built(cells)
     }
 }
 
@@ -217,8 +419,8 @@ impl Audit {
 
     /// Runs the per-state units on the engine pool — sharded by
     /// contiguous (ISP, CBG) cell ranges when a state's estimated query
-    /// volume dominates the per-worker share — and assembles the
-    /// dataset in unit order ([`AuditDataset::from_cells`]).
+    /// volume dominates the per-worker share — and keeps their cells in
+    /// unit order.
     fn run_units(
         &self,
         units: &[&StateWorld],
@@ -228,26 +430,26 @@ impl Audit {
         let plan = engine.plan(&self.unit_hints(units));
         Self::record_plan_gauges(engine, &plan);
         let _audit_span = caf_obs::span("audit");
-        let cells = self.run_cells(units, truth, &plan);
-        let _merge_span = caf_obs::span("merge");
-        let dataset = AuditDataset::from_cells(cells);
-        caf_obs::count("caf.core.audit.rows", dataset.rows.len() as u64);
-        caf_obs::count("caf.core.audit.records", dataset.records.len() as u64);
+        let dataset = AuditDataset {
+            states: self.run_cells(units, truth, &plan),
+        };
+        caf_obs::count("caf.core.audit.rows", dataset.row_count() as u64);
+        caf_obs::count("caf.core.audit.records", dataset.record_count() as u64);
         dataset
     }
 
     /// The one cell runner of the batch and incremental audits: runs
     /// every shard of `plan` (built by [`EngineConfig::plan`] or
     /// [`EngineConfig::plan_subset`] over [`Audit::unit_hints`]) and
-    /// returns, per unit, the partials of the cells its shards covered,
-    /// in cell order. The plan is the only pool: each shard's campaign
-    /// runs one lane on the shard's own thread.
+    /// returns, per unit, the cells its shards covered, in cell order.
+    /// The plan is the only pool: each shard's campaign runs one lane on
+    /// the shard's own thread.
     pub(crate) fn run_cells(
         &self,
         units: &[&StateWorld],
         truth: &TruthTable,
         plan: &UnitPlan,
-    ) -> Vec<Vec<StatePartial>> {
+    ) -> Vec<Vec<Arc<AuditCell>>> {
         let campaign = Campaign::new(CampaignConfig {
             workers: 1,
             ..self.config.campaign
@@ -256,8 +458,7 @@ impl Audit {
             self.audit_cells_each(&campaign, truth, units[shard.unit], shard.range.clone())
         })
         .into_iter()
-        // Shards arrive in ascending cell order, each holding one
-        // partial per cell.
+        // Shards arrive in ascending cell order, each holding its cells.
         .map(|shards| shards.into_iter().flatten().collect())
         .collect()
     }
@@ -299,26 +500,22 @@ impl Audit {
     /// a contiguous (ISP, CBG) cell range — the whole state when the
     /// scheduler left the unit unsplit. Scheduling-independent by
     /// construction (every draw is keyed by seed + entity), with rows
-    /// and records grouped **per cell, then per resample round**, so
-    /// callers can reassemble the state's round-major stream across any
-    /// shard decomposition *and* retain or replace individual cells
-    /// (the incremental audit's unit of invalidation).
+    /// and records kept **per cell, in resample-round order**, so the
+    /// dataset can walk the state's round-major stream across any shard
+    /// decomposition *and* the incremental audit can retain or replace
+    /// individual cells (its unit of invalidation).
     ///
-    /// Each cell's partial is independent of which shard computed it:
-    /// sampling, querying, and resampling are per-cell (the replacement
-    /// cursor never crosses cells), and within any round the shard's
-    /// task stream is cell-major — so concatenating per-cell round
-    /// groups in cell order reproduces the shard's record stream, and a
-    /// cell recomputed alone differs from its in-shard computation only
-    /// by absent trailing empty rounds, which the round-major merge
-    /// erases.
+    /// Each cell is independent of which shard computed it: sampling,
+    /// querying, and resampling are per-cell (the replacement cursor
+    /// never crosses cells), within any round the shard's task stream is
+    /// cell-major, and a cell records only the rounds it queried in.
     fn audit_cells_each(
         &self,
         campaign: &Campaign,
         truth: &TruthTable,
         state_world: &StateWorld,
         cells: std::ops::Range<usize>,
-    ) -> Vec<StatePartial> {
+    ) -> Vec<Arc<AuditCell>> {
         // On a pool worker the thread-local span stack is empty, so this
         // roots a per-state hierarchy (`state.VT/sample`, ...) no matter
         // which worker picked the unit (or shard) up.
@@ -333,23 +530,36 @@ impl Audit {
             )
         };
 
-        // Each sampled cell's CBG, for row construction.
+        // Each sampled cell's CBG, for its metadata.
         let cbgs = state_world.geography.caf_cell_cbgs();
-        let cbgs = &cbgs[cells];
-
-        // Round 0: primaries. Later rounds: replacements for cells
-        // with non-definitive outcomes.
-        let mut partials: Vec<StatePartial> = plan
+        let mut out: Vec<AuditCell> = plan
             .cells
             .iter()
-            .map(|_| StatePartial {
-                rows_by_round: Vec::new(),
-                records_by_round: Vec::new(),
-                coverage: Vec::new(),
+            .zip(&cbgs[cells])
+            .map(|(cell, (_, cbg))| {
+                let meta = CellMeta {
+                    isp: cell.isp,
+                    state: state_world.state,
+                    cbg: cell.cbg,
+                    weight: f64::from(cbg.caf_addresses),
+                    density: cbg.density,
+                    density_pct: cbg.density_pct,
+                    centroid: cbg.centroid,
+                };
+                let coverage = CbgCoverage {
+                    isp: cell.isp,
+                    cbg: cell.cbg,
+                    total: cell.total_addresses,
+                    queried: cell.primary.len(),
+                    collected: 0,
+                };
+                AuditCell::new(meta, coverage)
             })
             .collect();
-        // The campaign returns records in task order, so each task's
-        // cell rides beside it.
+
+        // Round 0: primaries. Later rounds: replacements for cells
+        // with non-definitive outcomes. The campaign returns records in
+        // task order, so each task's cell rides beside it.
         let mut tasks: Vec<QueryTask> = Vec::new();
         let mut task_cells: Vec<usize> = Vec::new();
         for (cell_idx, cell) in plan.cells.iter().enumerate() {
@@ -361,25 +571,19 @@ impl Audit {
                 });
             }
         }
-        let mut queried_per_cell: Vec<usize> = plan.cells.iter().map(|c| c.primary.len()).collect();
-        let mut collected_per_cell: Vec<usize> = vec![0; plan.cells.len()];
         let mut replacement_cursor: Vec<usize> = vec![0; plan.cells.len()];
 
         let mut round = 0;
         while !tasks.is_empty() {
             let _round_span = caf_obs::span(if round == 0 { "campaign" } else { "resample" });
             let result: CampaignResult = campaign.run(truth, &tasks);
-            for partial in &mut partials {
-                partial.rows_by_round.push(Vec::new());
-                partial.records_by_round.push(Vec::new());
-            }
             let mut next_tasks: Vec<QueryTask> = Vec::new();
             let mut next_cells: Vec<usize> = Vec::new();
             for (record, cell_idx) in result.records.into_iter().zip(task_cells) {
                 let cell = &plan.cells[cell_idx];
+                let audited = &mut out[cell_idx];
                 if record.outcome.is_definitive() {
-                    collected_per_cell[cell_idx] += 1;
-                    let (_, cbg) = cbgs[cell_idx];
+                    audited.coverage.collected += 1;
                     let served = record.outcome.is_served().expect("definitive");
                     let (plans, subscriber) = match &record.outcome {
                         caf_bqt::QueryOutcome::Serviceable {
@@ -388,15 +592,8 @@ impl Audit {
                         } => (plans.clone(), *existing_subscriber),
                         _ => (PlanList::Borrowed(&[]), false),
                     };
-                    partials[cell_idx].rows_by_round[round].push(AuditRow {
+                    audited.rows.push(AuditRow {
                         address: record.address,
-                        isp: cell.isp,
-                        state: state_world.state,
-                        cbg: cell.cbg,
-                        cbg_total: cbg.caf_addresses as usize,
-                        density: cbg.density,
-                        density_pct: cbg.density_pct,
-                        centroid: cbg.centroid,
                         served,
                         max_down_mbps: record.outcome.max_download_mbps(),
                         plans,
@@ -407,7 +604,7 @@ impl Audit {
                     let cursor = &mut replacement_cursor[cell_idx];
                     if let Some(&replacement) = cell.replacements.get(*cursor) {
                         *cursor += 1;
-                        queried_per_cell[cell_idx] += 1;
+                        audited.coverage.queried += 1;
                         caf_obs::count("caf.core.audit.resampled", 1);
                         next_cells.push(cell_idx);
                         next_tasks.push(QueryTask {
@@ -416,78 +613,22 @@ impl Audit {
                         });
                     }
                 }
-                partials[cell_idx].records_by_round[round].push(record);
+                audited.records.push(record);
             }
+            out.iter_mut().for_each(AuditCell::end_round);
             tasks = next_tasks;
             task_cells = next_cells;
             round += 1;
         }
 
-        for (cell_idx, cell) in plan.cells.iter().enumerate() {
-            partials[cell_idx].coverage.push(CbgCoverage {
-                isp: cell.isp,
-                cbg: cell.cbg,
-                total: cell.total_addresses,
-                queried: queried_per_cell[cell_idx],
-                collected: collected_per_cell[cell_idx],
-            });
-        }
-
-        partials
+        out.into_iter()
+            .map(|mut cell| {
+                cell.rows.shrink_to_fit();
+                cell.records.shrink_to_fit();
+                Arc::new(cell)
+            })
+            .collect()
     }
-}
-
-impl AuditDataset {
-    /// Assembles the dataset from each unit's cell partials, units in
-    /// the given order and cells in cell order: per unit, all cells'
-    /// round-0 rows and records, then round 1, and so on, with coverage
-    /// in cell order.
-    ///
-    /// This reproduces the whole-state loop's record stream exactly: it
-    /// emits records *round-major* (all of round 0 in cell order, then
-    /// round 1, ...), every query record is a pure function of (seed,
-    /// address, ISP), and replacements are drawn per cell — so the
-    /// assembly is byte-identical at any worker count or shard policy,
-    /// and for retained cells spliced beside refreshed ones. A cell
-    /// without round `r` contributes nothing to it, which is exactly how
-    /// a cell that ran out of resample work early behaves inside a
-    /// bigger shard.
-    pub(crate) fn from_cells(units: impl IntoIterator<Item = Vec<StatePartial>>) -> AuditDataset {
-        let mut dataset = AuditDataset {
-            rows: Vec::new(),
-            records: Vec::new(),
-            coverage: Vec::new(),
-        };
-        for mut cells in units {
-            let rounds = cells.iter().map(|c| c.rows_by_round.len()).max();
-            for round in 0..rounds.unwrap_or(0) {
-                for cell in &mut cells {
-                    if let Some(rows) = cell.rows_by_round.get_mut(round) {
-                        dataset.rows.append(rows);
-                    }
-                    if let Some(records) = cell.records_by_round.get_mut(round) {
-                        dataset.records.append(records);
-                    }
-                }
-            }
-            for cell in cells {
-                dataset.coverage.extend(cell.coverage);
-            }
-        }
-        dataset
-    }
-}
-
-/// One cell's output: rows and records grouped by resample round (the
-/// unsharded stream is round-major, so partials must be re-interleaved
-/// per round) and the cell's coverage.
-/// Cloneable so the incremental audit can retain clean cells across
-/// epochs and materialize datasets without recomputing them.
-#[derive(Debug, Clone)]
-pub(crate) struct StatePartial {
-    pub(crate) rows_by_round: Vec<Vec<AuditRow>>,
-    pub(crate) records_by_round: Vec<Vec<QueryRecord>>,
-    pub(crate) coverage: Vec<CbgCoverage>,
 }
 
 #[cfg(test)]
@@ -517,11 +658,11 @@ mod tests {
     #[test]
     fn audit_produces_rows_and_coverage() {
         let (_, ds) = small_audit();
-        assert!(!ds.rows.is_empty());
-        assert!(!ds.coverage.is_empty());
-        assert!(ds.records.len() >= ds.rows.len());
+        assert!(ds.row_count() > 0);
+        assert!(ds.coverage().next().is_some());
+        assert!(ds.record_count() >= ds.row_count());
         // Every row is definitive by construction.
-        for r in &ds.rows {
+        for (_, r) in ds.rows() {
             if r.served {
                 // Served rows may or may not specify a speed (Frontier's
                 // Unknown Plan has none) but always carry a plan.
@@ -536,15 +677,17 @@ mod tests {
     #[test]
     fn coverage_accounting_is_consistent() {
         let (_, ds) = small_audit();
-        for cov in &ds.coverage {
+        for cov in ds.coverage() {
             assert!(cov.collected <= cov.queried);
             assert!(cov.queried <= cov.total);
             assert!(cov.queried_pct() <= 100.0 + 1e-9);
             assert!(cov.collected_pct() <= cov.queried_pct() + 1e-9);
         }
         // Row counts reconcile with collected counts.
-        let collected: usize = ds.coverage.iter().map(|c| c.collected).sum();
-        assert_eq!(collected, ds.rows.len());
+        let collected: usize = ds.coverage().map(|c| c.collected).sum();
+        assert_eq!(collected, ds.row_count());
+        assert_eq!(ds.rows().count(), ds.row_count());
+        assert_eq!(ds.records().count(), ds.record_count());
     }
 
     #[test]
@@ -554,12 +697,12 @@ mod tests {
         // cells must have queried more than their primary draw — visible
         // as records exceeding rows.
         assert!(
-            ds.records.len() > ds.rows.len(),
+            ds.record_count() > ds.row_count(),
             "expected non-definitive records triggering resamples"
         );
         // Replacement addresses are queried at most once each.
         let mut seen = std::collections::HashSet::new();
-        for rec in &ds.records {
+        for rec in ds.records() {
             assert!(seen.insert((rec.address, rec.isp)), "duplicate query");
         }
     }
@@ -568,8 +711,8 @@ mod tests {
     fn dataframe_export_matches_rows() {
         let (_, ds) = small_audit();
         let df = ds.to_dataframe();
-        assert_eq!(df.n_rows(), ds.rows.len());
-        let served_count = ds.rows.iter().filter(|r| r.served).count();
+        assert_eq!(df.n_rows(), ds.row_count());
+        let served_count = ds.rows().filter(|(_, r)| r.served).count();
         let df_served = df.filter(|r| r.bool("served") == Some(true)).n_rows();
         assert_eq!(served_count, df_served);
     }
@@ -578,8 +721,8 @@ mod tests {
     fn audit_is_deterministic() {
         let (_, a) = small_audit();
         let (_, b) = small_audit();
-        assert_eq!(a.rows.len(), b.rows.len());
-        for (x, y) in a.rows.iter().zip(&b.rows) {
+        assert_eq!(a.row_count(), b.row_count());
+        for ((_, x), (_, y)) in a.rows().zip(b.rows()) {
             assert_eq!(x.address, y.address);
             assert_eq!(x.served, y.served);
             assert_eq!(x.max_down_mbps, y.max_down_mbps);
@@ -587,10 +730,10 @@ mod tests {
     }
 
     fn datasets_equal(a: &AuditDataset, b: &AuditDataset) {
-        assert_eq!(a.records, b.records);
+        assert!(a.records().eq(b.records()));
         assert_eq!(a.to_dataframe().to_csv(), b.to_dataframe().to_csv());
-        assert_eq!(a.coverage.len(), b.coverage.len());
-        for (x, y) in a.coverage.iter().zip(&b.coverage) {
+        assert_eq!(a.coverage().count(), b.coverage().count());
+        for (x, y) in a.coverage().zip(b.coverage()) {
             assert_eq!(
                 (x.isp, x.cbg, x.total, x.queried, x.collected),
                 (y.isp, y.cbg, y.total, y.queried, y.collected)
@@ -676,6 +819,6 @@ mod tests {
         datasets_equal(&via_run_for, &via_subset_world);
         // Unknown states are skipped, not errors.
         let none = audit.run_for(&full, &[UsState::Georgia], caf_exec::EngineConfig::serial());
-        assert!(none.rows.is_empty() && none.records.is_empty());
+        assert!(none.row_count() == 0 && none.record_count() == 0);
     }
 }

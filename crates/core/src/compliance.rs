@@ -145,35 +145,31 @@ impl ComplianceAnalysis {
         ComplianceAnalysis::from_index(dataset, &AuditIndex::build(dataset))
     }
 
-    /// Computes the analysis off a pre-built index. Per-cell compliance
-    /// counts walk the index's row ranges (compliance needs each row's
-    /// plan list, which the cell table deliberately does not duplicate);
-    /// the band tallies are order-independent counters over the raw rows.
+    /// Computes the analysis off a pre-built index over `dataset`.
+    /// Per-cell compliance counts walk the index's cells in order; the
+    /// Table-1 band tallies are order-independent counters over the
+    /// dataset's cells.
     pub fn from_index(dataset: &AuditDataset, index: &AuditIndex) -> ComplianceAnalysis {
-        index.check_dataset(dataset);
         let mut band_counts: HashMap<(Isp, SpeedBand), usize> = HashMap::new();
         let mut isp_totals: HashMap<Isp, usize> = HashMap::new();
-        for row in &dataset.rows {
-            *band_counts
-                .entry((row.isp, SpeedBand::of(row)))
-                .or_insert(0) += 1;
-            *isp_totals.entry(row.isp).or_insert(0) += 1;
+        for cell in dataset.cells() {
+            let isp = cell.meta.isp;
+            for row in cell.rows() {
+                *band_counts.entry((isp, SpeedBand::of(row))).or_insert(0) += 1;
+            }
+            *isp_totals.entry(isp).or_insert(0) += cell.len();
         }
         let cbg_rates: Vec<CbgCompliance> = index
             .cells()
             .iter()
             .map(|cell| {
-                let compliant = index
-                    .row_ids(cell)
-                    .iter()
-                    .filter(|&&i| row_is_compliant(&dataset.rows[i as usize]))
-                    .count();
+                let compliant = cell.rows().iter().filter(|r| row_is_compliant(r)).count();
                 CbgCompliance {
-                    isp: cell.isp,
-                    state: cell.state,
-                    cbg: cell.cbg,
+                    isp: cell.meta.isp,
+                    state: cell.meta.state,
+                    cbg: cell.meta.cbg,
                     rate: compliant as f64 / cell.len() as f64,
-                    weight: cell.weight,
+                    weight: cell.meta.weight,
                     n: cell.len(),
                 }
             })
@@ -331,7 +327,7 @@ impl ComplianceAnalysis {
         let mut eligible = 0usize;
         let mut under_cap = 0usize;
         let mut ten_mbps_prices: Vec<f64> = Vec::new();
-        for row in &dataset.rows {
+        for row in dataset.cells().flat_map(|cell| cell.rows()) {
             let cheapest_qualifying = row
                 .plans
                 .iter()
@@ -386,6 +382,7 @@ impl ComplianceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::CellMeta;
     use caf_geo::{AddressId, BlockGroupId, CountyId, LatLon, StateFips, TractId};
     use caf_synth::plans::PlanCatalog;
 
@@ -396,33 +393,32 @@ mod tests {
         BlockGroupId::new(tract, 1).unwrap()
     }
 
-    fn row_with_plan(i: u64, isp: Isp, tier_label: Option<&str>) -> AuditRow {
+    fn row_with_plan(i: u64, isp: Isp, tier_label: Option<&str>) -> (CellMeta, AuditRow) {
         let plan = tier_label.map(|label| {
             let cat = PlanCatalog::for_isp(isp);
             cat.plan_from_tier(cat.tier_labeled(label).unwrap())
         });
-        AuditRow {
-            address: AddressId(i),
+        let meta = CellMeta {
             isp,
             state: UsState::Ohio,
             cbg: cbg(),
-            cbg_total: 50,
+            weight: 50.0,
             density: 100.0,
             density_pct: 0.5,
             centroid: LatLon::new(40.0, -82.0).unwrap(),
+        };
+        let row = AuditRow {
+            address: AddressId(i),
             served: plan.is_some(),
             max_down_mbps: plan.as_ref().and_then(|p| p.download_mbps),
             plans: plan.into_iter().collect(),
             existing_subscriber: false,
-        }
+        };
+        (meta, row)
     }
 
-    fn dataset(rows: Vec<AuditRow>) -> AuditDataset {
-        AuditDataset {
-            rows,
-            records: Vec::new(),
-            coverage: Vec::new(),
-        }
+    fn dataset(rows: Vec<(CellMeta, AuditRow)>) -> AuditDataset {
+        AuditDataset::from_rows(rows)
     }
 
     #[test]
@@ -435,10 +431,10 @@ mod tests {
             row_with_plan(3, Isp::Frontier, Some("Unknown Plan")),
             row_with_plan(4, Isp::Frontier, Some("Fiber 500")),
         ];
-        assert!(!row_is_compliant(&rows[0]));
-        assert!(!row_is_compliant(&rows[1]));
-        assert!(!row_is_compliant(&rows[2]));
-        assert!(row_is_compliant(&rows[3]));
+        assert!(!row_is_compliant(&rows[0].1));
+        assert!(!row_is_compliant(&rows[1].1));
+        assert!(!row_is_compliant(&rows[2].1));
+        assert!(row_is_compliant(&rows[3].1));
         let analysis = ComplianceAnalysis::compute(&dataset(rows));
         let rate = analysis.overall_rate();
         assert!((rate - 0.25).abs() < 1e-12, "got {rate}");
@@ -448,21 +444,21 @@ mod tests {
 
     #[test]
     fn speed_bands_classify_like_table_1() {
-        let unserved = row_with_plan(1, Isp::Att, None);
+        let (_, unserved) = row_with_plan(1, Isp::Att, None);
         assert_eq!(SpeedBand::of(&unserved), SpeedBand::Unserved);
-        let air = row_with_plan(2, Isp::Att, Some("AT&T Internet Air"));
+        let (_, air) = row_with_plan(2, Isp::Att, Some("AT&T Internet Air"));
         assert_eq!(SpeedBand::of(&air), SpeedBand::UnguaranteedPlan);
-        let unknown = row_with_plan(3, Isp::Frontier, Some("Unknown Plan"));
+        let (_, unknown) = row_with_plan(3, Isp::Frontier, Some("Unknown Plan"));
         assert_eq!(SpeedBand::of(&unknown), SpeedBand::UnknownPlan);
-        let dsl = row_with_plan(4, Isp::Att, Some("DSL 768k"));
+        let (_, dsl) = row_with_plan(4, Isp::Att, Some("DSL 768k"));
         assert_eq!(SpeedBand::of(&dsl), SpeedBand::Below10);
-        let ten = row_with_plan(5, Isp::Att, Some("Internet 10"));
+        let (_, ten) = row_with_plan(5, Isp::Att, Some("Internet 10"));
         assert_eq!(SpeedBand::of(&ten), SpeedBand::Exactly10);
-        let mid = row_with_plan(6, Isp::Att, Some("Internet 50"));
+        let (_, mid) = row_with_plan(6, Isp::Att, Some("Internet 50"));
         assert_eq!(SpeedBand::of(&mid), SpeedBand::From11To99);
-        let fiber = row_with_plan(7, Isp::Att, Some("Fiber 300"));
+        let (_, fiber) = row_with_plan(7, Isp::Att, Some("Fiber 300"));
         assert_eq!(SpeedBand::of(&fiber), SpeedBand::From100To999);
-        let gig = row_with_plan(8, Isp::Att, Some("Fiber 1000"));
+        let (_, gig) = row_with_plan(8, Isp::Att, Some("Fiber 1000"));
         assert_eq!(SpeedBand::of(&gig), SpeedBand::GigabitPlus);
     }
 
@@ -538,14 +534,14 @@ mod tests {
     fn weighting_matches_serviceability_scheme() {
         // One compliant CBG (weight 10), one non-compliant (weight 90).
         let mut r1 = row_with_plan(1, Isp::Att, Some("Fiber 1000"));
-        r1.cbg_total = 10;
+        r1.0.weight = 10.0;
         let state = StateFips::new(39).unwrap();
         let county = CountyId::new(state, 2).unwrap();
         let tract = TractId::new(county, 1).unwrap();
         let other_cbg = BlockGroupId::new(tract, 1).unwrap();
         let mut r2 = row_with_plan(2, Isp::Att, None);
-        r2.cbg = other_cbg;
-        r2.cbg_total = 90;
+        r2.0.cbg = other_cbg;
+        r2.0.weight = 90.0;
         let analysis = ComplianceAnalysis::compute(&dataset(vec![r1, r2]));
         let rate = analysis.overall_rate();
         assert!((rate - 0.10).abs() < 1e-12, "got {rate}");

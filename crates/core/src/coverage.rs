@@ -26,8 +26,7 @@ impl CoverageSeries {
     /// the ISP has no audited CBGs.
     pub fn extract(dataset: &AuditDataset, isp: Isp) -> Option<CoverageSeries> {
         let queried: Vec<f64> = dataset
-            .coverage
-            .iter()
+            .coverage()
             .filter(|c| c.isp == isp)
             .map(|c| c.queried_pct())
             .collect();
@@ -35,8 +34,7 @@ impl CoverageSeries {
             return None;
         }
         let collected: Vec<f64> = dataset
-            .coverage
-            .iter()
+            .coverage()
             .filter(|c| c.isp == isp)
             .map(|c| c.collected_pct())
             .collect();
@@ -68,8 +66,8 @@ impl CoverageSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::CbgCoverage;
-    use caf_geo::{BlockGroupId, CountyId, StateFips, TractId};
+    use crate::audit::{CbgCoverage, CellMeta};
+    use caf_geo::{BlockGroupId, CountyId, LatLon, StateFips, TractId, UsState};
 
     fn cbg(n: u8) -> BlockGroupId {
         let state = StateFips::new(17).unwrap();
@@ -78,34 +76,48 @@ mod tests {
         BlockGroupId::new(tract, n).unwrap()
     }
 
+    /// Three cells with coverage counters and no rows.
     fn dataset() -> AuditDataset {
-        AuditDataset {
-            rows: Vec::new(),
-            records: Vec::new(),
-            coverage: vec![
-                CbgCoverage {
-                    isp: Isp::Att,
-                    cbg: cbg(1),
-                    total: 100,
-                    queried: 30,
-                    collected: 25,
-                },
-                CbgCoverage {
-                    isp: Isp::Att,
-                    cbg: cbg(2),
-                    total: 20,
-                    queried: 20,
-                    collected: 4,
-                },
-                CbgCoverage {
-                    isp: Isp::Frontier,
-                    cbg: cbg(3),
-                    total: 50,
-                    queried: 30,
-                    collected: 30,
-                },
-            ],
-        }
+        let coverage = [
+            CbgCoverage {
+                isp: Isp::Att,
+                cbg: cbg(1),
+                total: 100,
+                queried: 30,
+                collected: 25,
+            },
+            CbgCoverage {
+                isp: Isp::Att,
+                cbg: cbg(2),
+                total: 20,
+                queried: 20,
+                collected: 4,
+            },
+            CbgCoverage {
+                isp: Isp::Frontier,
+                cbg: cbg(3),
+                total: 50,
+                queried: 30,
+                collected: 30,
+            },
+        ];
+        AuditDataset::hand_built(
+            coverage
+                .into_iter()
+                .map(|c| {
+                    let meta = CellMeta {
+                        isp: c.isp,
+                        state: UsState::Illinois,
+                        cbg: c.cbg,
+                        weight: c.total as f64,
+                        density: 0.0,
+                        density_pct: 0.0,
+                        centroid: LatLon::new(40.0, -89.0).unwrap(),
+                    };
+                    (meta, c, Vec::new())
+                })
+                .collect(),
+        )
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! handful of (state, CBG, ISP) cells; everything else in the audited
 //! world is untouched. Rerunning [`Audit::run_with`] from scratch after
 //! every batch would redo all of that clean work, so [`IncrementalAudit`]
-//! keeps the audit's per-cell partial results resident and recomputes
-//! **only the invalidated cells**, splicing the refreshed partials into
-//! the retained ones.
+//! keeps the audit's dataset resident — its cells behind shared pointers
+//! — and recomputes **only the invalidated cells**, swapping each
+//! refreshed cell in for its stale one. Clean cells are never copied:
+//! a refreshed dataset shares them with every dataset handed out before.
 //!
 //! This is deliberately a refactor of the existing engine, not a second
 //! one: cells were already the audit's scheduling element (the audit
@@ -14,7 +15,7 @@
 //! reduces to planning a shard schedule over the dirty element runs —
 //! [`EngineConfig::plan_subset`] — and handing it to the audit's one
 //! cell runner, the same one a batch run uses. The same LPT dispatch,
-//! one-lane campaigns inside each shard and positional reassembly
+//! one-lane campaigns inside each shard and positional cell placement
 //! apply.
 //!
 //! ## Determinism contract
@@ -24,72 +25,56 @@
 //! at any worker count and shard policy on either side, and under any
 //! batch decomposition of the delta stream. Three facts carry it:
 //!
-//! 1. Cell partials are pure functions of `(seed, cell state)` — the
+//! 1. Cells are pure functions of `(seed, cell state)` — the
 //!    campaign's query outcomes are entity-keyed and the resample
 //!    cursor never crosses cells.
 //! 2. [`World::apply_deltas`] rebuilds touched cells content-addressed
 //!    (seed baseline + effective corrections), so the cell state a
 //!    refresh sees equals what a fresh world at the same epoch holds.
-//! 3. Dataset assembly is the same cell-order, round-major merge the
-//!    batch path uses, so retained and refreshed partials interleave
-//!    exactly as a full run would emit them.
+//! 3. A dataset is its cells in cell order whichever path built them,
+//!    and its round-major walk reads retained and refreshed cells alike,
+//!    so they interleave exactly as a full run would emit them.
 //!
 //! The contract is pinned by `crates/tests/tests/challenge.rs` across
 //! worker counts × shard policies × batch splits.
 
 use caf_exec::EngineConfig;
-use caf_geo::{BlockGroupId, UsState};
 use caf_synth::challenge::DeltaOutcome;
-use caf_synth::{Isp, StateWorld, World};
-use std::collections::HashMap;
+use caf_synth::{StateWorld, World};
 use std::ops::Range;
 
-use crate::audit::{Audit, AuditDataset, StatePartial};
-
-/// Resident per-cell audit state for one state: one [`StatePartial`]
-/// per (ISP, CBG) cell, in the state's canonical cell order
-/// (`geography.caf_cells()` — sorted by `(Isp, BlockGroupId)`).
-#[derive(Debug, Clone)]
-struct StateCells {
-    state: UsState,
-    cells: Vec<StatePartial>,
-}
+use crate::audit::{Audit, AuditDataset};
 
 /// The audit as a live, epoch-versioned system of record: full compute
 /// once, then cell-granular refreshes as challenge deltas arrive.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalAudit {
     audit: Audit,
     epoch: u64,
-    states: Vec<StateCells>,
+    /// The resident dataset: per world state, its cells in the state's
+    /// canonical cell order (`geography.caf_cells()`).
+    dataset: AuditDataset,
 }
 
 impl IncrementalAudit {
-    /// Runs the full audit over `world`, keeping per-cell partials
-    /// resident. Equivalent in cost to one [`Audit::run_with`], plus
-    /// the retained partials' memory.
+    /// Runs the full audit over `world`, keeping its cells resident.
+    /// Equivalent in cost to one [`Audit::run_with`].
     pub fn build(audit: Audit, world: &World, engine: EngineConfig) -> IncrementalAudit {
         let _span = caf_obs::span("audit.incremental.build");
         let units: Vec<&StateWorld> = world.states.iter().collect();
         let plan = engine.plan(&audit.unit_hints(&units));
         Audit::record_plan_gauges(engine, &plan);
-        let states = audit
-            .run_cells(&units, &world.truth, &plan)
-            .into_iter()
-            .zip(&world.states)
-            .map(|(cells, sw)| StateCells {
-                state: sw.state,
-                cells,
-            })
-            .collect();
+        let dataset = AuditDataset {
+            states: audit.run_cells(&units, &world.truth, &plan),
+        };
         IncrementalAudit {
             audit,
             epoch: world.epoch,
-            states,
+            dataset,
         }
     }
 
-    /// The epoch the resident partials reflect.
+    /// The epoch the resident cells reflect.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -101,7 +86,7 @@ impl IncrementalAudit {
 
     /// Total resident cells across all states.
     pub fn cell_count(&self) -> usize {
-        self.states.iter().map(|s| s.cells.len()).sum()
+        self.dataset.cells().count()
     }
 
     /// Recomputes the cells a delta batch invalidated, against the
@@ -130,7 +115,7 @@ impl IncrementalAudit {
         let units: Vec<&StateWorld> = world.states.iter().collect();
         assert_eq!(
             units.len(),
-            self.states.len(),
+            self.dataset.states.len(),
             "world shape changed under the incremental audit"
         );
 
@@ -143,20 +128,17 @@ impl IncrementalAudit {
                 .iter()
                 .position(|s| s.state == *state)
                 .expect("touched state present in world");
-            debug_assert_eq!(self.states[unit].state, *state);
             let sw = &world.states[unit];
-            let pos_of: HashMap<(Isp, BlockGroupId), usize> = sw
-                .geography
-                .caf_cells()
-                .iter()
-                .enumerate()
-                .map(|(pos, cell)| ((cell.isp, cell.cbg), pos))
-                .collect();
+            // `caf_cells()` is sorted by (ISP, CBG): a binary search
+            // finds each dirty cell.
+            let cells = sw.geography.caf_cells();
             let mut positions: Vec<usize> = geo_indices
                 .iter()
                 .map(|&i| {
                     let cbg = &sw.geography.cbgs[i];
-                    pos_of[&(cbg.isp, cbg.id)]
+                    cells
+                        .binary_search_by_key(&(cbg.isp, cbg.id), |cell| (cell.isp, cell.cbg))
+                        .expect("a touched CBG certifies a cell")
                 })
                 .collect();
             positions.sort_unstable();
@@ -175,25 +157,25 @@ impl IncrementalAudit {
         caf_obs::observe("caf.core.audit.dirty_shards", plan.shard_count() as u64);
         let refreshed = self.audit.run_cells(&units, &world.truth, &plan);
 
-        // Splice refreshed partials into the retained cells: they arrive
-        // in ascending position order, covering exactly the dirty runs.
-        for (unit, (partials, unit_runs)) in refreshed.into_iter().zip(&runs).enumerate() {
+        // Swap the refreshed cells in: they arrive in ascending position
+        // order, covering exactly the dirty runs.
+        for (unit, (cells, unit_runs)) in refreshed.into_iter().zip(&runs).enumerate() {
             let positions = unit_runs.iter().flat_map(|r| r.clone());
-            debug_assert_eq!(partials.len(), positions.clone().count());
-            for (pos, partial) in positions.zip(partials) {
-                self.states[unit].cells[pos] = partial;
+            debug_assert_eq!(cells.len(), positions.clone().count());
+            for (pos, cell) in positions.zip(cells) {
+                self.dataset.states[unit][pos] = cell;
             }
         }
         self.epoch = outcome.epoch;
         caf_obs::gauge("caf.core.audit.epoch", self.epoch);
     }
 
-    /// Materializes the full [`AuditDataset`] at the resident epoch —
-    /// byte-identical to a from-scratch [`Audit::run_with`] over a
-    /// world at the same epoch (see the module docs).
+    /// The [`AuditDataset`] at the resident epoch — byte-identical to a
+    /// from-scratch [`Audit::run_with`] over a world at the same epoch
+    /// (see the module docs). It shares the resident cells: the clone
+    /// copies pointers, not rows.
     pub fn dataset(&self) -> AuditDataset {
-        let _span = caf_obs::span("audit.incremental.dataset");
-        AuditDataset::from_cells(self.states.iter().map(|s| s.cells.clone()))
+        self.dataset.clone()
     }
 }
 
@@ -203,6 +185,7 @@ mod tests {
     use crate::audit::AuditConfig;
     use crate::sampling::SamplingRule;
     use caf_bqt::CampaignConfig;
+    use caf_geo::UsState;
     use caf_synth::challenge::{ChallengeDelta, Correction};
     use caf_synth::SynthConfig;
 
@@ -226,10 +209,10 @@ mod tests {
     }
 
     fn datasets_equal(a: &AuditDataset, b: &AuditDataset) {
-        assert_eq!(a.records, b.records);
+        assert!(a.records().eq(b.records()));
         assert_eq!(a.to_dataframe().to_csv(), b.to_dataframe().to_csv());
-        assert_eq!(a.coverage.len(), b.coverage.len());
-        for (x, y) in a.coverage.iter().zip(&b.coverage) {
+        assert_eq!(a.coverage().count(), b.coverage().count());
+        for (x, y) in a.coverage().zip(b.coverage()) {
             assert_eq!(
                 (x.isp, x.cbg, x.total, x.queried, x.collected),
                 (y.isp, y.cbg, y.total, y.queried, y.collected)

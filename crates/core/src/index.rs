@@ -1,26 +1,25 @@
-//! The shared columnar [`AuditIndex`] every analysis consumes.
+//! The shared [`AuditIndex`] every analysis consumes.
 //!
 //! Before this module existed, each analysis stage — Q1 serviceability,
 //! Q2 compliance, the program-rules scorer, the experienced-quality
 //! join — independently rebuilt the same `HashMap<(Isp, BlockGroupId),
-//! Vec<&AuditRow>>` grouping from the flat row vector. The index is that
-//! grouping built **once**: audit rows sorted by `(isp, state, cbg)` in a
-//! struct-of-arrays layout, with a per-(ISP, CBG) cell table carrying the
-//! CBG metadata (weight, density, percentile, centroid) and contiguous
-//! row ranges, plus per-ISP and per-state slices for filtered views.
+//! Vec<&AuditRow>>` grouping from a flat row vector. The audit dataset
+//! now stores that grouping itself: one [`AuditCell`] per (ISP, CBG),
+//! its metadata held once beside its rows. The index is the dataset's
+//! cells with rows, as shared handles, in `(isp, state, cbg)` order, plus
+//! per-ISP slices for filtered views. It sorts cells, not rows.
 //!
 //! Two ordering facts make the index drop-in compatible with the HashMap
-//! path it replaces (the equivalence tests in `tests/prop_index.rs` pin
+//! path it replaced (the equivalence tests in `tests/prop_index.rs` pin
 //! this down bit-for-bit):
 //!
-//! * [`BlockGroupId`] GEOIDs embed the state FIPS code in their leading
-//!   digits and [`UsState`] enumerates in FIPS order, so sorting by
-//!   `(isp, cbg)` *is* sorting by `(isp, state, cbg)` — cell order
-//!   matches the `sort_by_key(|r| (r.isp, r.cbg))` the analyses used.
-//! * Rows within a cell share their CBG metadata by construction (the
-//!   audit stamps every row from the same per-CBG lookup), so taking the
-//!   metadata from the first row in sorted order equals taking it from
-//!   the first row in insertion order.
+//! * [`BlockGroupId`](caf_geo::BlockGroupId) GEOIDs embed the state
+//!   FIPS code in their leading digits and [`UsState`] enumerates in
+//!   FIPS order, so sorting by `(isp, cbg)` *is* sorting by
+//!   `(isp, state, cbg)` — cell order matches the
+//!   `sort_by_key(|r| (r.isp, r.cbg))` the analyses used.
+//! * Within a cell, rows are in resample-round order: the order a stable
+//!   sort of the round-major rows by `(isp, cbg)` kept them in.
 //!
 //! The module also hosts the two smaller grouping primitives the rest of
 //! the pipeline shares: [`group_ranges`], a sort-based replacement for
@@ -29,81 +28,28 @@
 //! view over a campaign's records, in place of a per-run map.
 
 use caf_bqt::QueryRecord;
-use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
+use caf_geo::{AddressId, UsState};
 use caf_synth::Isp;
+use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Arc;
 
-use crate::audit::AuditDataset;
+use crate::audit::{AuditCell, AuditDataset};
 
-/// One (ISP, CBG) cell of the index: the CBG metadata table entry plus
-/// the contiguous range of sorted row positions belonging to the cell.
-#[derive(Debug, Clone)]
-pub struct CellMeta {
-    /// The ISP.
-    pub isp: Isp,
-    /// The state (redundant with the CBG's GEOID prefix, kept unpacked).
-    pub state: UsState,
-    /// The census block group.
-    pub cbg: BlockGroupId,
-    /// The CBG's total CAF addresses — the §4.1 aggregation weight.
-    pub weight: f64,
-    /// CBG population density (people per square mile).
-    pub density: f64,
-    /// CBG within-state density percentile.
-    pub density_pct: f64,
-    /// CBG centroid.
-    pub centroid: LatLon,
-    /// The cell's row positions in the index's sorted order; use
-    /// [`AuditIndex::row_ids`] to resolve them to dataset rows.
-    pub range: Range<usize>,
-    /// How many of the cell's rows are served.
-    pub served_rows: usize,
-}
-
-impl CellMeta {
-    /// Number of definitive rows in the cell.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the cell has no rows (never true for built indexes: cells
-    /// exist only because at least one row landed in them).
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-
-    /// The cell's serviceability rate: served rows over definitive rows.
-    pub fn serviceability_rate(&self) -> f64 {
-        self.served_rows as f64 / self.len() as f64
-    }
-}
-
-/// The audit dataset indexed for analysis: rows sorted by
-/// `(isp, state, cbg)`, per-cell ranges with CBG metadata, and per-ISP /
-/// per-state slices. Built once per dataset and shared by every analysis.
-///
-/// The index owns no row payloads — it stores sorted row ids (positions
-/// into `dataset.rows`) plus a struct-of-arrays `served` column, so
-/// methods that need full rows take the originating [`AuditDataset`]
-/// alongside.
+/// The audit dataset indexed for analysis: its cells with rows, sorted
+/// by `(isp, state, cbg)`, with per-ISP slices. Built once per dataset
+/// and shared by every analysis. The index holds the cells themselves
+/// (shared with the dataset), so it is read on its own.
 #[derive(Debug)]
 pub struct AuditIndex {
-    pub(crate) n_rows: usize,
+    n_rows: usize,
     /// The world epoch the indexed dataset was computed at (0 for a
     /// pristine, pre-challenge world).
-    pub(crate) epoch: u64,
-    /// Sorted row ids: `order[pos]` is the dataset row at sorted
-    /// position `pos`.
-    pub(crate) order: Vec<u32>,
-    /// The served flag per sorted position (SoA column).
-    pub(crate) served: Vec<bool>,
-    /// Cells in `(isp, state, cbg)` order.
-    pub(crate) cells: Vec<CellMeta>,
+    epoch: u64,
+    /// Cells with rows, in `(isp, state, cbg)` order.
+    cells: Vec<Arc<AuditCell>>,
     /// Per-ISP contiguous cell ranges, in ISP order.
-    pub(crate) isp_cells: Vec<(Isp, Range<usize>)>,
-    /// Per-state cell ids (cells of one state are *not* contiguous —
-    /// state nests under ISP in the sort), in state order.
-    pub(crate) state_cells: Vec<(UsState, Vec<u32>)>,
+    isp_cells: Vec<(Isp, Range<usize>)>,
 }
 
 impl AuditIndex {
@@ -115,70 +61,38 @@ impl AuditIndex {
     }
 
     /// Builds the index from an audit dataset computed at `epoch`. The
-    /// epoch is identity metadata: it changes nothing about the sort or
-    /// the cells, but rides along so downstream artifact envelopes (and
-    /// cache keys) can distinguish pre- from post-challenge views.
+    /// epoch is identity metadata: it changes nothing about the cells,
+    /// but rides along so downstream artifact envelopes (and cache keys)
+    /// can distinguish pre- from post-challenge views.
     pub fn build_at(dataset: &AuditDataset, epoch: u64) -> AuditIndex {
         let _span = caf_obs::span("index.build");
         caf_obs::count("caf.core.index.builds", 1);
-        let rows = &dataset.rows;
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        // Stable key: ties broken by original position so the sorted
-        // order is a total function of the dataset.
-        order.sort_unstable_by_key(|&i| {
-            let r = &rows[i as usize];
-            (r.isp, r.cbg, i)
-        });
-
-        let mut served = Vec::with_capacity(rows.len());
-        let mut cells: Vec<CellMeta> = Vec::new();
-        for (pos, &i) in order.iter().enumerate() {
-            let r = &rows[i as usize];
-            served.push(r.served);
-            match cells.last_mut() {
-                Some(cell) if cell.isp == r.isp && cell.cbg == r.cbg => {
-                    cell.range.end = pos + 1;
-                    cell.served_rows += usize::from(r.served);
-                }
-                _ => cells.push(CellMeta {
-                    isp: r.isp,
-                    state: r.state,
-                    cbg: r.cbg,
-                    weight: r.cbg_total as f64,
-                    density: r.density,
-                    density_pct: r.density_pct,
-                    centroid: r.centroid,
-                    range: pos..pos + 1,
-                    served_rows: usize::from(r.served),
-                }),
-            }
-        }
+        let mut cells: Vec<Arc<AuditCell>> = dataset
+            .cells()
+            .filter(|cell| !cell.is_empty())
+            .cloned()
+            .collect();
+        // Each state's cells are already in (isp, cbg) order; the stable
+        // sort interleaves the states' runs.
+        cells.sort_by_key(|cell| (cell.meta.isp, cell.meta.cbg));
 
         let mut isp_cells: Vec<(Isp, Range<usize>)> = Vec::new();
-        let mut state_cells: Vec<(UsState, Vec<u32>)> = Vec::new();
         for (ci, cell) in cells.iter().enumerate() {
             match isp_cells.last_mut() {
-                Some((isp, range)) if *isp == cell.isp => range.end = ci + 1,
-                _ => isp_cells.push((cell.isp, ci..ci + 1)),
-            }
-            match state_cells.iter_mut().find(|(s, _)| *s == cell.state) {
-                Some((_, ids)) => ids.push(ci as u32),
-                None => state_cells.push((cell.state, vec![ci as u32])),
+                Some((isp, range)) if *isp == cell.meta.isp => range.end = ci + 1,
+                _ => isp_cells.push((cell.meta.isp, ci..ci + 1)),
             }
         }
-        state_cells.sort_by_key(|(state, _)| *state);
-        caf_obs::count("caf.core.index.rows", rows.len() as u64);
+        let n_rows = cells.iter().map(|cell| cell.len()).sum();
+        caf_obs::count("caf.core.index.rows", n_rows as u64);
         caf_obs::count("caf.core.index.cells", cells.len() as u64);
         caf_obs::gauge("caf.core.index.epoch", epoch);
 
         AuditIndex {
-            n_rows: rows.len(),
+            n_rows,
             epoch,
-            order,
-            served,
             cells,
             isp_cells,
-            state_cells,
         }
     }
 
@@ -198,13 +112,13 @@ impl AuditIndex {
     }
 
     /// Every cell, in `(isp, state, cbg)` order.
-    pub fn cells(&self) -> &[CellMeta] {
+    pub fn cells(&self) -> &[Arc<AuditCell>] {
         &self.cells
     }
 
     /// The contiguous cell slice of one ISP (empty if the ISP was not
     /// audited).
-    pub fn cells_for(&self, isp: Isp) -> &[CellMeta] {
+    pub fn cells_for(&self, isp: Isp) -> &[Arc<AuditCell>] {
         caf_obs::count("caf.core.index.lookups", 1);
         self.isp_cells
             .iter()
@@ -219,43 +133,19 @@ impl AuditIndex {
     }
 
     /// The states present, in order.
-    pub fn states(&self) -> impl Iterator<Item = UsState> + '_ {
-        self.state_cells.iter().map(|(state, _)| *state)
+    pub fn states(&self) -> impl Iterator<Item = UsState> {
+        let states: BTreeSet<UsState> = self.cells.iter().map(|cell| cell.meta.state).collect();
+        states.into_iter()
     }
 
-    /// The cells of one state, in `(isp, cbg)` order. State cells are not
-    /// contiguous (state nests under ISP in the sort), so this walks a
-    /// precomputed id list rather than a slice.
-    pub fn cells_for_state(&self, state: UsState) -> impl Iterator<Item = &CellMeta> + '_ {
+    /// The cells of one state, in `(isp, cbg)` order (state nests under
+    /// ISP in the sort, so they are not contiguous).
+    pub fn cells_for_state(&self, state: UsState) -> impl Iterator<Item = &AuditCell> + '_ {
         caf_obs::count("caf.core.index.lookups", 1);
-        self.state_cells
+        self.cells
             .iter()
-            .find(|(s, _)| *s == state)
-            .map(|(_, ids)| ids.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .map(move |&ci| &self.cells[ci as usize])
-    }
-
-    /// The dataset row ids of a cell, in sorted order. Resolve them
-    /// against the dataset the index was built from:
-    /// `&dataset.rows[id as usize]`.
-    pub fn row_ids(&self, cell: &CellMeta) -> &[u32] {
-        &self.order[cell.range.clone()]
-    }
-
-    /// The served column over sorted positions (the SoA layout's hot
-    /// column: per-cell served counts are slices of it).
-    pub fn served(&self) -> &[bool] {
-        &self.served
-    }
-
-    /// Debug-asserts that `dataset` is the one the index was built from
-    /// (by row count) — the index stores positions, not pointers, so
-    /// pairing it with a different dataset would silently misattribute
-    /// rows. Call at the top of any routine that takes both.
-    pub fn check_dataset(&self, dataset: &AuditDataset) {
-        debug_assert_eq!(dataset.rows.len(), self.n_rows, "index/dataset mismatch");
+            .filter(move |cell| cell.meta.state == state)
+            .map(|cell| &**cell)
     }
 }
 
@@ -364,8 +254,8 @@ impl RecordIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditRow;
-    use caf_geo::{CountyId, StateFips, TractId};
+    use crate::audit::{AuditRow, CellMeta};
+    use caf_geo::{BlockGroupId, CountyId, LatLon, StateFips, TractId};
     use caf_synth::plans::PlanCatalog;
 
     fn cbg_in(state_fips: u16, tract: u32, group: u8) -> BlockGroupId {
@@ -375,45 +265,50 @@ mod tests {
         BlockGroupId::new(tract, group).unwrap()
     }
 
-    fn row(i: u64, isp: Isp, state: UsState, cbg: BlockGroupId, served: bool) -> AuditRow {
+    fn row(
+        i: u64,
+        isp: Isp,
+        state: UsState,
+        cbg: BlockGroupId,
+        served: bool,
+    ) -> (CellMeta, AuditRow) {
         let plan = served.then(|| {
             let cat = PlanCatalog::for_isp(isp);
             cat.plan_from_tier(cat.tier_near(50.0))
         });
-        AuditRow {
-            address: AddressId(i),
+        let meta = CellMeta {
             isp,
             state,
             cbg,
-            cbg_total: 40,
+            weight: 40.0,
             density: 120.0,
             density_pct: 0.4,
             centroid: LatLon::new(40.0, -80.0).unwrap(),
+        };
+        let row = AuditRow {
+            address: AddressId(i),
             served,
             max_down_mbps: plan.as_ref().and_then(|p| p.download_mbps),
             plans: plan.into_iter().collect(),
             existing_subscriber: false,
-        }
+        };
+        (meta, row)
     }
 
     fn dataset() -> AuditDataset {
         let oh = cbg_in(39, 1, 1);
         let oh2 = cbg_in(39, 1, 2);
         let vt = cbg_in(50, 1, 1);
-        AuditDataset {
-            rows: vec![
-                // Deliberately interleaved across ISPs, states, CBGs.
-                row(1, Isp::Frontier, UsState::Ohio, oh, true),
-                row(2, Isp::Att, UsState::Ohio, oh2, false),
-                row(3, Isp::Consolidated, UsState::Vermont, vt, true),
-                row(4, Isp::Frontier, UsState::Ohio, oh, false),
-                row(5, Isp::Att, UsState::Ohio, oh, true),
-                row(6, Isp::Consolidated, UsState::Vermont, vt, false),
-                row(7, Isp::Frontier, UsState::Ohio, oh2, true),
-            ],
-            records: Vec::new(),
-            coverage: Vec::new(),
-        }
+        AuditDataset::from_rows(vec![
+            // Deliberately interleaved across ISPs, states, CBGs.
+            row(1, Isp::Frontier, UsState::Ohio, oh, true),
+            row(2, Isp::Att, UsState::Ohio, oh2, false),
+            row(3, Isp::Consolidated, UsState::Vermont, vt, true),
+            row(4, Isp::Frontier, UsState::Ohio, oh, false),
+            row(5, Isp::Att, UsState::Ohio, oh, true),
+            row(6, Isp::Consolidated, UsState::Vermont, vt, false),
+            row(7, Isp::Frontier, UsState::Ohio, oh2, true),
+        ])
     }
 
     #[test]
@@ -421,19 +316,22 @@ mod tests {
         let ds = dataset();
         let index = AuditIndex::build(&ds);
         assert_eq!(index.len(), 7);
-        let keys: Vec<(Isp, BlockGroupId)> = index.cells().iter().map(|c| (c.isp, c.cbg)).collect();
+        let keys: Vec<(Isp, BlockGroupId)> = index
+            .cells()
+            .iter()
+            .map(|c| (c.meta.isp, c.meta.cbg))
+            .collect();
         let mut sorted = keys.clone();
         sorted.sort();
         sorted.dedup();
         assert_eq!(keys, sorted, "cells sorted by (isp, cbg), no duplicates");
-        // Ranges tile the sorted row space without gaps.
-        let mut next = 0usize;
+        // The cells' rows add up to the dataset's, and no cell is empty.
         for cell in index.cells() {
-            assert_eq!(cell.range.start, next);
             assert!(!cell.is_empty());
-            next = cell.range.end;
         }
-        assert_eq!(next, index.len());
+        let total: usize = index.cells().iter().map(|c| c.len()).sum();
+        assert_eq!(total, index.len());
+        assert_eq!(total, ds.row_count());
     }
 
     #[test]
@@ -441,18 +339,21 @@ mod tests {
         let ds = dataset();
         let index = AuditIndex::build(&ds);
         for cell in index.cells() {
-            let mut served = 0usize;
-            for &i in index.row_ids(cell) {
-                let r = &ds.rows[i as usize];
-                assert_eq!((r.isp, r.cbg), (cell.isp, cell.cbg));
-                assert_eq!(r.state, cell.state);
-                served += usize::from(r.served);
-            }
-            assert_eq!(cell.served_rows, served);
-            assert_eq!(cell.len(), index.row_ids(cell).len());
-            // The SoA served column agrees with the rows.
-            let col = &index.served()[cell.range.clone()];
-            assert_eq!(col.iter().filter(|&&s| s).count(), served);
+            // The cell's rows are the dataset's rows of its (ISP, CBG),
+            // in the dataset's order.
+            let want: Vec<AddressId> = ds
+                .rows()
+                .filter(|(m, _)| (m.isp, m.cbg) == (cell.meta.isp, cell.meta.cbg))
+                .map(|(m, r)| {
+                    assert_eq!(m.state, cell.meta.state);
+                    r.address
+                })
+                .collect();
+            let got: Vec<AddressId> = cell.rows().iter().map(|r| r.address).collect();
+            assert_eq!(got, want);
+            let served = cell.rows().iter().filter(|r| r.served).count();
+            assert_eq!(cell.served_rows(), served);
+            assert_eq!(cell.len(), cell.rows().len());
         }
     }
 
@@ -467,7 +368,7 @@ mod tests {
         assert_eq!(index.cells_for(Isp::Consolidated).len(), 1);
         assert!(index.cells_for(Isp::Xfinity).is_empty());
         for cell in index.cells_for(Isp::Frontier) {
-            assert_eq!(cell.isp, Isp::Frontier);
+            assert_eq!(cell.meta.isp, Isp::Frontier);
         }
         let states: Vec<UsState> = index.states().collect();
         assert_eq!(states, vec![UsState::Ohio, UsState::Vermont]);

@@ -59,13 +59,13 @@ pub mod sensitivity;
 pub mod serviceability;
 
 pub use artifact::ScenarioMeta;
-pub use audit::{Audit, AuditConfig, AuditDataset, AuditRow};
+pub use audit::{Audit, AuditCell, AuditConfig, AuditDataset, AuditRow, CellMeta};
 pub use caf_exec::{CostHint, EngineConfig, Shard, ShardPolicy, UnitPlan};
 pub use compliance::ComplianceAnalysis;
 pub use counterfactual::{CompetitionCounterfactual, CounterfactualPoint, SubsidyRule};
 pub use experienced::ExperiencedAnalysis;
 pub use incremental::IncrementalAudit;
-pub use index::{AuditIndex, CellMeta, RecordIndex};
+pub use index::{AuditIndex, RecordIndex};
 pub use oversight::{compare_oversight, OversightConfig};
 pub use pipeline::Scenario;
 pub use program::ProgramRules;

@@ -161,15 +161,15 @@ mod tests {
             &[],
         )
         .expect("an empty delta stream cannot fail validation");
-        assert!(!s.dataset.rows.is_empty());
-        assert_eq!(s.index.len(), s.dataset.rows.len());
+        assert!(s.dataset.row_count() > 0);
+        assert_eq!(s.index.len(), s.dataset.row_count());
         let rate = s.serviceability.overall_rate();
         assert!((0.0..=1.0).contains(&rate));
         let _ = s.compliance.overall_rate();
         // The subset re-run over the scenario's only state reproduces
         // the scenario's own dataset.
         let again = s.audit.run_for(&s.world, &[UsState::Vermont], s.engine);
-        assert_eq!(again.records, s.dataset.records);
+        assert!(again.records().eq(s.dataset.records()));
     }
 
     /// On the serial engine the campaign is the one-lane default the

@@ -12,8 +12,9 @@ use caf_stats::weighted::WeightedSample;
 use caf_stats::weighted_mean;
 use caf_synth::Isp;
 
-use crate::audit::{AuditDataset, AuditRow};
-use crate::index::{AuditIndex, CellMeta};
+use crate::audit::{AuditCell, AuditDataset, AuditRow};
+use crate::index::AuditIndex;
+use std::sync::Arc;
 
 /// The rate-and-service conditions of a subsidy program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,37 +116,27 @@ impl ProgramRules {
     /// build the index once and use
     /// [`compliance_rate_indexed`](ProgramRules::compliance_rate_indexed).
     pub fn compliance_rate(&self, dataset: &AuditDataset) -> Option<f64> {
-        self.compliance_rate_indexed(dataset, &AuditIndex::build(dataset), None)
+        self.compliance_rate_indexed(&AuditIndex::build(dataset), None)
     }
 
     /// CBG-weighted compliance rate for one ISP under these rules.
     pub fn compliance_rate_for(&self, dataset: &AuditDataset, isp: Isp) -> Option<f64> {
-        self.compliance_rate_indexed(dataset, &AuditIndex::build(dataset), Some(isp))
+        self.compliance_rate_indexed(&AuditIndex::build(dataset), Some(isp))
     }
 
     /// CBG-weighted compliance rate off a pre-built index, optionally
     /// restricted to one ISP. Returns `None` when no cell matches the
     /// filter (mirroring the empty-sample behaviour of the old grouping).
-    pub fn compliance_rate_indexed(
-        &self,
-        dataset: &AuditDataset,
-        index: &AuditIndex,
-        isp: Option<Isp>,
-    ) -> Option<f64> {
-        index.check_dataset(dataset);
-        let cells: &[CellMeta] = match isp {
+    pub fn compliance_rate_indexed(&self, index: &AuditIndex, isp: Option<Isp>) -> Option<f64> {
+        let cells: &[Arc<AuditCell>] = match isp {
             Some(isp) => index.cells_for(isp),
             None => index.cells(),
         };
         let samples: Vec<WeightedSample> = cells
             .iter()
             .map(|cell| {
-                let ok = index
-                    .row_ids(cell)
-                    .iter()
-                    .filter(|&&i| self.row_complies(&dataset.rows[i as usize]))
-                    .count();
-                WeightedSample::new(ok as f64 / cell.len() as f64, cell.weight)
+                let ok = cell.rows().iter().filter(|r| self.row_complies(r)).count();
+                WeightedSample::new(ok as f64 / cell.len() as f64, cell.meta.weight)
             })
             .collect();
         weighted_mean(&samples).ok()
@@ -155,10 +146,11 @@ impl ProgramRules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::CellMeta;
     use caf_geo::{AddressId, BlockGroupId, CountyId, LatLon, StateFips, TractId, UsState};
     use caf_synth::plans::PlanCatalog;
 
-    fn row(i: u64, tier_label: Option<&str>) -> AuditRow {
+    fn row(i: u64, tier_label: Option<&str>) -> (CellMeta, AuditRow) {
         let isp = Isp::CenturyLink;
         let plan = tier_label.map(|label| {
             let cat = PlanCatalog::for_isp(isp);
@@ -167,28 +159,27 @@ mod tests {
         let state = StateFips::new(39).unwrap();
         let county = CountyId::new(state, 1).unwrap();
         let tract = TractId::new(county, 1).unwrap();
-        AuditRow {
-            address: AddressId(i),
+        let meta = CellMeta {
             isp,
             state: UsState::Ohio,
             cbg: BlockGroupId::new(tract, 1).unwrap(),
-            cbg_total: 50,
+            weight: 50.0,
             density: 100.0,
             density_pct: 0.5,
             centroid: LatLon::new(40.0, -82.0).unwrap(),
+        };
+        let row = AuditRow {
+            address: AddressId(i),
             served: plan.is_some(),
             max_down_mbps: plan.as_ref().and_then(|p| p.download_mbps),
             plans: plan.into_iter().collect(),
             existing_subscriber: false,
-        }
+        };
+        (meta, row)
     }
 
-    fn dataset(rows: Vec<AuditRow>) -> AuditDataset {
-        AuditDataset {
-            rows,
-            records: Vec::new(),
-            coverage: Vec::new(),
-        }
+    fn dataset(rows: Vec<(CellMeta, AuditRow)>) -> AuditDataset {
+        AuditDataset::from_rows(rows)
     }
 
     #[test]

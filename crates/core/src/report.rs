@@ -133,7 +133,7 @@ impl EfficacyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{AuditDataset, AuditRow};
+    use crate::audit::{AuditDataset, AuditRow, CellMeta};
     use caf_geo::{AddressId, BlockGroupId, CountyId, LatLon, StateFips, TractId, UsState};
     use caf_synth::plans::PlanCatalog;
 
@@ -144,15 +144,17 @@ mod tests {
         let cbg = BlockGroupId::new(tract, 1).unwrap();
         let cat = PlanCatalog::for_isp(Isp::Att);
         let good = cat.plan_from_tier(cat.tier_labeled("Fiber 1000").unwrap());
-        let mk = |i: u64, served: bool, compliant: bool| AuditRow {
-            address: AddressId(i),
+        let meta = CellMeta {
             isp: Isp::Att,
             state: UsState::Ohio,
             cbg,
-            cbg_total: 40,
+            weight: 40.0,
             density: 10.0,
             density_pct: 0.5,
             centroid: LatLon::new(40.0, -82.0).unwrap(),
+        };
+        let mk = |i: u64, served: bool, compliant: bool| AuditRow {
+            address: AddressId(i),
             served,
             max_down_mbps: served.then_some(if compliant { 1000.0 } else { 1.0 }),
             plans: served
@@ -167,16 +169,17 @@ mod tests {
                 .collect(),
             existing_subscriber: false,
         };
-        AuditDataset {
-            rows: vec![
+        AuditDataset::from_rows(
+            [
                 mk(1, true, true),
                 mk(2, true, false),
                 mk(3, false, false),
                 mk(4, false, false),
-            ],
-            records: Vec::new(),
-            coverage: Vec::new(),
-        }
+            ]
+            .into_iter()
+            .map(|row| (meta, row))
+            .collect(),
+        )
     }
 
     #[test]

@@ -69,14 +69,14 @@ impl ServiceabilityAnalysis {
             .cells()
             .iter()
             .map(|cell| CbgRate {
-                isp: cell.isp,
-                state: cell.state,
-                cbg: cell.cbg,
+                isp: cell.meta.isp,
+                state: cell.meta.state,
+                cbg: cell.meta.cbg,
                 rate: cell.serviceability_rate(),
-                weight: cell.weight,
-                density: cell.density,
-                density_pct: cell.density_pct,
-                centroid: cell.centroid,
+                weight: cell.meta.weight,
+                density: cell.meta.density,
+                density_pct: cell.meta.density_pct,
+                centroid: cell.meta.centroid,
                 n: cell.len(),
             })
             .collect();
@@ -287,7 +287,7 @@ impl ServiceabilityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditRow;
+    use crate::audit::{AuditRow, CellMeta};
     use caf_geo::{BlockGroupId, CountyId, StateFips, TractId};
     use caf_synth::plans::PlanCatalog;
 
@@ -300,32 +300,33 @@ mod tests {
         let cbg_b = BlockGroupId::new(tract, 2).unwrap();
         let cat = PlanCatalog::for_isp(Isp::Consolidated);
         let plan = cat.plan_from_tier(cat.tier_near(50.0));
-        let mk = |i: u64, cbg: BlockGroupId, total: usize, served: bool, dens: f64| AuditRow {
-            address: caf_geo::AddressId(i),
-            isp: Isp::Consolidated,
-            state: UsState::Vermont,
-            cbg,
-            cbg_total: total,
-            density: dens,
-            density_pct: dens / 1_000.0,
-            centroid: LatLon::new(44.0, -72.5).unwrap(),
-            served,
-            max_down_mbps: if served { Some(50.0) } else { None },
-            plans: served.then(|| plan.clone()).into_iter().collect(),
-            existing_subscriber: false,
+        let mk = |i: u64, cbg: BlockGroupId, total: f64, served: bool, dens: f64| {
+            let meta = CellMeta {
+                isp: Isp::Consolidated,
+                state: UsState::Vermont,
+                cbg,
+                weight: total,
+                density: dens,
+                density_pct: dens / 1_000.0,
+                centroid: LatLon::new(44.0, -72.5).unwrap(),
+            };
+            let row = AuditRow {
+                address: caf_geo::AddressId(i),
+                served,
+                max_down_mbps: if served { Some(50.0) } else { None },
+                plans: served.then(|| plan.clone()).into_iter().collect(),
+                existing_subscriber: false,
+            };
+            (meta, row)
         };
-        AuditDataset {
-            rows: vec![
-                // CBG A (weight 100): 2 of 2 served → rate 1.0.
-                mk(1, cbg_a, 100, true, 900.0),
-                mk(2, cbg_a, 100, true, 900.0),
-                // CBG B (weight 300): 0 of 2 served → rate 0.0.
-                mk(3, cbg_b, 300, false, 20.0),
-                mk(4, cbg_b, 300, false, 20.0),
-            ],
-            records: Vec::new(),
-            coverage: Vec::new(),
-        }
+        AuditDataset::from_rows(vec![
+            // CBG A (weight 100): 2 of 2 served → rate 1.0.
+            mk(1, cbg_a, 100.0, true, 900.0),
+            mk(2, cbg_a, 100.0, true, 900.0),
+            // CBG B (weight 300): 0 of 2 served → rate 0.0.
+            mk(3, cbg_b, 300.0, false, 20.0),
+            mk(4, cbg_b, 300.0, false, 20.0),
+        ])
     }
 
     #[test]

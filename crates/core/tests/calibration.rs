@@ -348,7 +348,7 @@ fn world_scale_matches_table_3_volumes() {
     let f = fixture();
     // Queried rows should be within a factor ~2 of 537k / SCALE.
     let expected = 537_660 / SCALE as usize;
-    let rows = f.dataset.rows.len();
+    let rows = f.dataset.row_count();
     assert!(
         rows > expected / 3 && rows < expected * 3,
         "rows {rows} vs expected ≈{expected}"

@@ -557,7 +557,9 @@ impl App {
 
         // Publish the refreshed scenario, rendered, so reads at this
         // epoch hit the cache instead of rebuilding from scratch. The
-        // epoch becomes readable only once its entry is in place.
+        // epoch becomes readable only once its entry is in place. The
+        // dataset shares the resident cells (pointer clones), so the
+        // live lock is released before the index and the render.
         let dataset = live.inc.as_ref().expect("materialized above").dataset();
         let epoch = live.world.epoch;
         drop(slot);

@@ -129,10 +129,10 @@ pub fn run_world(seed: u64, group: &[Cell]) -> Vec<CellResult> {
             CellResult {
                 cell: *cell,
                 key: cell.key(seed),
-                records: dataset.rows.len() as u64,
+                records: dataset.row_count() as u64,
                 serviceability: baseline.map(|(q1, _)| q1),
                 compliance_baseline: baseline.map(|(_, q2)| q2),
-                compliance_policy: rules.compliance_rate_indexed(dataset, &scenario.index, None),
+                compliance_policy: rules.compliance_rate_indexed(&scenario.index, None),
                 price_compliance,
                 tier_attainment: q3.tier_attainment(rules.min_down_mbps),
                 cf_mean_mbps: cf_point.map(|p| p.mean_caf_speed),

@@ -15,8 +15,10 @@ use caf_core::{
     artifact, Audit, AuditConfig, AuditDataset, AuditIndex, ComplianceAnalysis, EngineConfig,
     IncrementalAudit, SamplingRule, ScenarioMeta, ServiceabilityAnalysis, ShardPolicy,
 };
-use caf_geo::UsState;
+use caf_geo::{BlockGroupId, UsState};
 use caf_synth::{ChallengeDelta, Correction, SynthConfig, World};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const SEED: u64 = 0xCAF_2024;
 const SCALE: u32 = 40;
@@ -136,10 +138,11 @@ fn incremental_refresh_matches_fresh_rebuild_across_engines() {
     fresh_world
         .apply_deltas(&deltas)
         .expect("stream is valid against its own world");
-    let expected_records = audit
+    let expected_records: Vec<_> = audit
         .run_with(&fresh_world, EngineConfig::serial())
-        .records
-        .clone();
+        .records()
+        .cloned()
+        .collect();
     let expected = canonical_bundle(
         &audit.run_with(&fresh_world, EngineConfig::serial()),
         fresh_world.epoch,
@@ -160,7 +163,8 @@ fn incremental_refresh_matches_fresh_rebuild_across_engines() {
 
             let dataset = inc.dataset();
             assert_eq!(
-                dataset.records, expected_records,
+                dataset.records().cloned().collect::<Vec<_>>(),
+                expected_records,
                 "query records diverged at {workers} workers / {policy:?}"
             );
             assert_eq!(
@@ -236,4 +240,47 @@ fn epoch_prefixes_replay_to_distinct_but_deterministic_views() {
     // Distinct epochs are genuinely distinct views, not a no-op chain
     // (the availability corrections move rates, which moves artifacts).
     assert_ne!(walked[0], walked[deltas.len()]);
+}
+
+/// A write rebuilds only its dirty cells: after each refresh, every
+/// clean cell of the new dataset is the very cell (the same allocation)
+/// the dataset held before the write, and exactly `dirty_cells()` (the
+/// `cells_refreshed` a challenge response reports) cells are new.
+#[test]
+fn refresh_replaces_only_the_dirty_cells() {
+    let engine = EngineConfig::with_workers(2);
+    let mut world = world_at(SEED);
+    let deltas = sample_stream(&world);
+    let mut inc = IncrementalAudit::build(audit_at(SEED), &world, engine);
+    // Pairs: the last pair corrects one Alabama cell twice.
+    for chunk in deltas.chunks(2) {
+        let before = inc.dataset();
+        let outcome = world.apply_deltas(chunk).expect("valid chunk");
+        inc.refresh(&world, &outcome, engine);
+        let after = inc.dataset();
+
+        let dirty: BTreeSet<(UsState, BlockGroupId)> = outcome
+            .touched
+            .iter()
+            .flat_map(|(state, cbgs)| {
+                let sw = world.state(*state).expect("touched state");
+                cbgs.iter().map(move |&i| (*state, sw.geography.cbgs[i].id))
+            })
+            .collect();
+        assert_eq!(before.cells().count(), after.cells().count());
+        assert_eq!(inc.cell_count(), after.cells().count());
+        let mut replaced = 0;
+        for (old, new) in before.cells().zip(after.cells()) {
+            assert_eq!((old.meta.isp, old.meta.cbg), (new.meta.isp, new.meta.cbg));
+            let kept = Arc::ptr_eq(old, new);
+            assert_eq!(
+                kept,
+                !dirty.contains(&(new.meta.state, new.meta.cbg)),
+                "cell {} kept={kept}",
+                new.meta.cbg
+            );
+            replaced += usize::from(!kept);
+        }
+        assert_eq!(replaced, outcome.dirty_cells());
+    }
 }

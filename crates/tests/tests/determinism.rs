@@ -69,7 +69,7 @@ fn dump_csv(dataset: &AuditDataset) -> String {
     }
 
     out.push_str("addr_id,isp,outcome,attempts,errors,duration_secs\n");
-    for r in &dataset.records {
+    for r in dataset.records() {
         out.push_str(&format!(
             "{},{},{},{},{},{:.3}\n",
             r.address.0,
@@ -101,17 +101,17 @@ fn worker_count_does_not_change_audit_output() {
 
         // Structural equality on all three dataset components.
         assert_eq!(
-            serial.records, parallel.records,
+            serial.records().collect::<Vec<_>>(),
+            parallel.records().collect::<Vec<_>>(),
             "query records diverged at {workers} workers"
         );
         assert_eq!(
-            serial.rows.len(),
-            parallel.rows.len(),
+            serial.row_count(),
+            parallel.row_count(),
             "row count diverged at {workers} workers"
         );
         let coverage = |d: &AuditDataset| -> Vec<_> {
-            d.coverage
-                .iter()
+            d.coverage()
                 .map(|c| (c.isp, c.cbg, c.total, c.queried, c.collected))
                 .collect()
         };

@@ -92,7 +92,7 @@ fn pipeline_is_deterministic_and_seed_sensitive() {
     let (_, c) = run_audit(5, 60, &[UsState::Utah]);
     let rate = |ds: &caf_core::AuditDataset| ServiceabilityAnalysis::compute(ds).overall_rate();
     assert_eq!(rate(&a), rate(&b), "same seed, same result");
-    assert_eq!(a.rows.len(), b.rows.len());
+    assert_eq!(a.row_count(), b.row_count());
     assert_ne!(rate(&a), rate(&c), "different seed, different draw");
 }
 
@@ -119,7 +119,7 @@ fn geography_identifiers_flow_through_the_whole_pipeline() {
     // A GEOID minted in caf-geo must arrive intact in the analysis rows.
     let (world, dataset) = run_audit(7, 60, &[UsState::NewHampshire]);
     let nh = world.state(UsState::NewHampshire).expect("generated");
-    for row in &dataset.rows {
+    for (row, _) in dataset.rows() {
         assert_eq!(row.cbg.state().code(), 33, "NH FIPS is 33");
         // The CBG must exist in the generated geography.
         assert!(

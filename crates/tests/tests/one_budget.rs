@@ -37,7 +37,7 @@ fn pools_under(engine: EngineConfig) -> Vec<String> {
     let campaign = campaign_config(SEED, engine);
     let scenario = Scenario::build(synth, &states, engine, campaign, &[])
         .expect("an empty delta stream cannot fail validation");
-    assert!(!scenario.dataset.rows.is_empty());
+    assert!(scenario.dataset.row_count() > 0);
 
     let (_, q3) = pipeline::build_q3(
         SynthConfig {

@@ -189,8 +189,8 @@ fn shard_policy_does_not_change_any_artifact() {
             .unwrap();
         let mut h = DefaultHasher::new();
         world_fingerprint(&world).hash(&mut h);
-        format!("{:?}", dataset.rows).hash(&mut h);
-        format!("{:?}", dataset.records).hash(&mut h);
+        format!("{:?}", dataset.rows().collect::<Vec<_>>()).hash(&mut h);
+        format!("{:?}", dataset.records().collect::<Vec<_>>()).hash(&mut h);
         format!("{ci:?}").hash(&mut h);
         h.finish()
     };

@@ -27,7 +27,7 @@ fn check_audit_invariants(seed: u64) {
         resample_rounds: 1,
     });
     let dataset = audit.run(&world);
-    if dataset.rows.is_empty() {
+    if dataset.row_count() == 0 {
         return;
     }
 
@@ -39,9 +39,9 @@ fn check_audit_invariants(seed: u64) {
     assert!((0.0..=1.0).contains(&c));
     assert!(c <= s + 1e-9);
 
-    let collected: usize = dataset.coverage.iter().map(|x| x.collected).sum();
-    assert_eq!(collected, dataset.rows.len());
-    for cov in &dataset.coverage {
+    let collected: usize = dataset.coverage().map(|x| x.collected).sum();
+    assert_eq!(collected, dataset.row_count());
+    for cov in dataset.coverage() {
         assert!(cov.collected <= cov.queried);
         assert!(cov.queried <= cov.total);
     }

@@ -38,7 +38,7 @@ fn q3_worlds_are_built_once_per_read_state() {
         &[],
     )
     .expect("an empty delta stream cannot fail validation");
-    assert!(!scenario.dataset.rows.is_empty());
+    assert!(scenario.dataset.row_count() > 0);
     assert_eq!(states_built() - before, 0);
 
     // Cloning an unbuilt world builds nothing, USAC records included.

@@ -88,7 +88,7 @@ fn per_cell_pipeline(seed: u64, cell: &Cell) -> caf_sweep::runner::CellResult {
         let q2 = ComplianceAnalysis::from_index(&dataset, &index);
         (Some(q1.overall_rate()), Some(q2.overall_rate()))
     };
-    let compliance_policy = rules.compliance_rate_indexed(&dataset, &index, None);
+    let compliance_policy = rules.compliance_rate_indexed(&index, None);
     let (price_compliance, _range) =
         ComplianceAnalysis::from_index(&dataset, &index).price_compliance_under(&dataset, &rules);
 
@@ -99,7 +99,7 @@ fn per_cell_pipeline(seed: u64, cell: &Cell) -> caf_sweep::runner::CellResult {
     caf_sweep::runner::CellResult {
         cell: *cell,
         key: cell.key(seed),
-        records: dataset.rows.len() as u64,
+        records: dataset.row_count() as u64,
         serviceability,
         compliance_baseline,
         compliance_policy,

@@ -47,8 +47,8 @@ fn main() {
     let dataset = audit.run(&world);
     println!(
         "Audit: {} queries issued, {} definitive outcomes",
-        dataset.records.len(),
-        dataset.rows.len()
+        dataset.record_count(),
+        dataset.row_count()
     );
 
     // 3. The analyses: CBG-weighted serviceability (Q1) and compliance

@@ -81,11 +81,11 @@ fn main() {
         let dataset = audit.run(&world);
         let analysis = ServiceabilityAnalysis::compute(&dataset);
         let fleet_hours: f64 =
-            dataset.records.iter().map(|r| r.duration_secs).sum::<f64>() / 40.0 / 3_600.0;
+            dataset.records().map(|r| r.duration_secs).sum::<f64>() / 40.0 / 3_600.0;
         println!(
             "  {:<24} {:>9} {:>14.1} {:>15.2}%",
             label,
-            dataset.records.len(),
+            dataset.record_count(),
             fleet_hours,
             100.0 * analysis.overall_rate()
         );

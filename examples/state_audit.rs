@@ -101,11 +101,11 @@ fn main() {
         }
     }
 
-    let total_time: f64 = dataset.records.iter().map(|r| r.duration_secs).sum();
+    let total_time: f64 = dataset.records().map(|r| r.duration_secs).sum();
     println!(
         "\nSimulated querying time: {:.1} hours ({} queries); a 40-container fleet: {:.1} h",
         total_time / 3_600.0,
-        dataset.records.len(),
+        dataset.record_count(),
         total_time / 40.0 / 3_600.0
     );
 }
