@@ -57,7 +57,10 @@
 # runs the release `caf-sweep` binary over the committed
 # `testdata/sweep_spec.json` at 1, 2 and 4 workers and byte-compares
 # the 2- and 4-worker results.json/results.csv emissions against the
-# 1-worker reference (the grid-cell determinism contract), and the
+# 1-worker reference (the grid-cell determinism contract), the CSV pin
+# gate holds `repro dump`'s three CSVs and the sweep's results.csv to
+# the digests in `testdata/csv.sha256` (and the dump's stdout to the
+# dump section of `repro_output.txt`), and the
 # sweep bench smoke validates
 # `BENCH_sweep.json` (with the >= 1.0x 4-worker sweep speedup gate on
 # hosts with >= 4 cores). A supply-chain check
@@ -669,6 +672,27 @@ for sweep_workers in 2 4; do
   cmp "$sweep_out/results.csv" "$sweep_ref/results.csv"
 done
 echo "    all three worker counts emitted byte-identical results.json and results.csv"
+
+# The CSV pin gate: `repro dump`'s three CSVs and the committed grid
+# spec's results.csv must hash to the digests in testdata/csv.sha256, so
+# the CSV bytes hold across commits, not only across worker counts in
+# one build. `repro dump` writes into repro_artifacts/ under its working
+# directory, so it runs in $ci_out. Its stdout must equal the dump
+# section of repro_output.txt (the blank line before the header through
+# the line before the validate section's blank line).
+gate "CSV pin gate: repro dump + sweep results.csv == testdata/csv.sha256"
+csv_pin="$ci_out/csv_pin"
+rm -rf "$csv_pin"
+mkdir -p "$csv_pin"
+repo_dir=$PWD
+(cd "$csv_pin" && "$repo_dir/target/release/repro" dump --quiet > dump_stdout.txt)
+./target/release/caf-sweep --spec testdata/sweep_spec.json \
+  --out "$csv_pin/sweep" --workers 2 2>/dev/null
+(cd "$csv_pin" && sha256sum -c --quiet "$repo_dir/testdata/csv.sha256")
+dump_line=$(grep -n '^################ dump ################$' repro_output.txt | cut -d: -f1)
+validate_line=$(grep -n '^################ validate ################$' repro_output.txt | cut -d: -f1)
+sed -n "$((dump_line - 1)),$((validate_line - 2))p" repro_output.txt | cmp - "$csv_pin/dump_stdout.txt"
+echo "    the dump and sweep CSVs match testdata/csv.sha256; dump stdout matches repro_output.txt"
 
 gate "sweep bench smoke: BENCH_sweep.json + schema gate"
 CAF_BENCH_DIR="$ci_out" cargo bench -q -p caf-bench --bench sweep

@@ -52,6 +52,7 @@ use caf_bench::{format_cdf, format_pairs, pct};
 use caf_bqt::QueryOutcome;
 use caf_core::compliance::SpeedBand;
 use caf_core::coverage::CoverageSeries;
+use caf_core::csv::dump_files;
 use caf_core::pipeline::{self, campaign_config, Scenario};
 use caf_core::q3::{BlockComparison, BlockType, ComparisonOutcome};
 use caf_core::sensitivity::SensitivityAnalysis;
@@ -1454,58 +1455,25 @@ fn ext_ci(fixture: &Scenario) {
     }
 }
 
-/// Writes the audit dataset and per-CBG serviceability rates as CSV
-/// artifacts under `repro_artifacts/`, for external plotting.
+/// Writes the audit rows, per-CBG serviceability rates and query
+/// records as CSV artifacts under `repro_artifacts/`, for external
+/// plotting.
 fn dump(fixture: &Scenario) {
     let dir = std::path::Path::new("repro_artifacts");
     std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("create {dir:?}: {e}")));
-
-    let audit_csv = fixture.dataset.to_dataframe().to_csv();
-    let audit_path = dir.join("audit_rows.csv");
-    std::fs::write(&audit_path, audit_csv)
-        .unwrap_or_else(|e| die(&format!("write {audit_path:?}: {e}")));
-
-    let mut cbg_csv = String::from("isp,state,cbg,rate,weight,density,density_pct,n\n");
-    for r in &fixture.serviceability.cbg_rates {
-        cbg_csv.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.isp.name(),
-            r.state.abbrev(),
-            r.cbg,
-            r.rate,
-            r.weight,
-            r.density,
-            r.density_pct,
-            r.n
-        ));
-    }
-    let cbg_path = dir.join("cbg_serviceability.csv");
-    std::fs::write(&cbg_path, cbg_csv).unwrap_or_else(|e| die(&format!("write {cbg_path:?}: {e}")));
-
-    let mut records_csv = String::from("addr_id,isp,outcome,attempts,errors,duration_secs\n");
-    for r in fixture.dataset.records() {
-        records_csv.push_str(&format!(
-            "{},{},{},{},{},{:.3}\n",
-            r.address.0,
-            r.isp.name(),
-            r.outcome.label(),
-            r.attempts,
-            r.errors.len(),
-            r.duration_secs
-        ));
-    }
-    let records_path = dir.join("query_records.csv");
-    std::fs::write(&records_path, records_csv)
-        .unwrap_or_else(|e| die(&format!("write {records_path:?}: {e}")));
-
+    let paths = dump_files(&fixture.dataset, &fixture.serviceability).map(|(name, csv)| {
+        let path = dir.join(name);
+        std::fs::write(&path, csv).unwrap_or_else(|e| die(&format!("write {path:?}: {e}")));
+        path
+    });
     println!(
         "wrote {} rows to {}, {} CBGs to {}, {} records to {}",
         fixture.dataset.row_count(),
-        audit_path.display(),
+        paths[0].display(),
         fixture.serviceability.cbg_rates.len(),
-        cbg_path.display(),
+        paths[1].display(),
         fixture.dataset.record_count(),
-        records_path.display()
+        paths[2].display()
     );
 }
 

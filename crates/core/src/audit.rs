@@ -17,13 +17,13 @@
 //! contract).
 
 use caf_bqt::{Campaign, CampaignConfig, CampaignResult, QueryRecord, QueryTask};
-use caf_dataframe::{Column, DataFrame};
 use caf_exec::{map_units, CostHint, EngineConfig, UnitPlan};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
 use caf_synth::plans::PlanList;
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
 use std::sync::Arc;
 
+use crate::csv::{CsvWriter, Opt};
 use crate::sampling::{SamplingPlan, SamplingRule};
 
 /// Configuration of a full audit ([`crate::pipeline::audit_config`] is
@@ -274,49 +274,40 @@ impl AuditDataset {
         })
     }
 
-    /// Converts the analysis rows to a dataframe: `addr_id, isp, state,
-    /// cbg, cbg_total, density, density_pct, served, max_down, price,
-    /// guaranteed`.
-    pub fn to_dataframe(&self) -> DataFrame {
-        let n = self.row_count();
-        let mut addr = Vec::with_capacity(n);
-        let mut isp = Vec::with_capacity(n);
-        let mut state = Vec::with_capacity(n);
-        let mut cbg = Vec::with_capacity(n);
-        let mut cbg_total = Vec::with_capacity(n);
-        let mut density = Vec::with_capacity(n);
-        let mut density_pct = Vec::with_capacity(n);
-        let mut served = Vec::with_capacity(n);
-        let mut max_down: Vec<Option<f64>> = Vec::with_capacity(n);
-        let mut price: Vec<Option<f64>> = Vec::with_capacity(n);
-        let mut guaranteed: Vec<Option<bool>> = Vec::with_capacity(n);
+    /// The analysis rows as CSV, in round-major order: `addr_id, isp,
+    /// state, cbg, cbg_total, density, density_pct, served, max_down,
+    /// price, guaranteed` (the last three empty for an unserved row).
+    pub fn to_csv(&self) -> String {
+        let mut csv = CsvWriter::new(&[
+            "addr_id",
+            "isp",
+            "state",
+            "cbg",
+            "cbg_total",
+            "density",
+            "density_pct",
+            "served",
+            "max_down",
+            "price",
+            "guaranteed",
+        ]);
         for (meta, r) in self.rows() {
-            addr.push(r.address.0 as i64);
-            isp.push(meta.isp.name());
-            state.push(meta.state.abbrev());
-            cbg.push(meta.cbg.to_string());
-            cbg_total.push(meta.weight as i64);
-            density.push(meta.density);
-            density_pct.push(meta.density_pct);
-            served.push(r.served);
-            max_down.push(r.max_down_mbps);
-            price.push(r.max_plan().map(|p| p.monthly_usd));
-            guaranteed.push(r.max_plan().map(|p| p.speed_guaranteed));
+            let plan = r.max_plan();
+            csv.row(&[
+                &r.address.0,
+                &meta.isp.name(),
+                &meta.state.abbrev(),
+                &meta.cbg,
+                &(meta.weight as i64),
+                &meta.density,
+                &meta.density_pct,
+                &r.served,
+                &Opt(r.max_down_mbps),
+                &Opt(plan.map(|p| p.monthly_usd)),
+                &Opt(plan.map(|p| p.speed_guaranteed)),
+            ]);
         }
-        DataFrame::new(vec![
-            ("addr_id", addr.into_iter().collect::<Column>()),
-            ("isp", isp.into_iter().collect::<Column>()),
-            ("state", state.into_iter().collect::<Column>()),
-            ("cbg", cbg.into_iter().collect::<Column>()),
-            ("cbg_total", cbg_total.into_iter().collect::<Column>()),
-            ("density", density.into_iter().collect::<Column>()),
-            ("density_pct", density_pct.into_iter().collect::<Column>()),
-            ("served", served.into_iter().collect::<Column>()),
-            ("max_down", Column::Float(max_down)),
-            ("price", Column::Float(price)),
-            ("guaranteed", Column::Bool(guaranteed)),
-        ])
-        .expect("columns constructed with equal lengths")
+        csv.finish()
     }
 }
 
@@ -710,11 +701,18 @@ mod tests {
     #[test]
     fn dataframe_export_matches_rows() {
         let (_, ds) = small_audit();
-        let df = ds.to_dataframe();
-        assert_eq!(df.n_rows(), ds.row_count());
+        let csv = ds.to_csv();
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+        let served = header
+            .iter()
+            .position(|&n| n == "served")
+            .expect("served column");
+        let rows: Vec<Vec<&str>> = lines.map(|line| line.split(',').collect()).collect();
+        assert_eq!(rows.len(), ds.row_count());
         let served_count = ds.rows().filter(|(_, r)| r.served).count();
-        let df_served = df.filter(|r| r.bool("served") == Some(true)).n_rows();
-        assert_eq!(served_count, df_served);
+        let csv_served = rows.iter().filter(|row| row[served] == "true").count();
+        assert_eq!(served_count, csv_served);
     }
 
     #[test]
@@ -731,7 +729,7 @@ mod tests {
 
     fn datasets_equal(a: &AuditDataset, b: &AuditDataset) {
         assert!(a.records().eq(b.records()));
-        assert_eq!(a.to_dataframe().to_csv(), b.to_dataframe().to_csv());
+        assert_eq!(a.to_csv(), b.to_csv());
         assert_eq!(a.coverage().count(), b.coverage().count());
         for (x, y) in a.coverage().zip(b.coverage()) {
             assert_eq!(

@@ -210,7 +210,7 @@ mod tests {
 
     fn datasets_equal(a: &AuditDataset, b: &AuditDataset) {
         assert!(a.records().eq(b.records()));
-        assert_eq!(a.to_dataframe().to_csv(), b.to_dataframe().to_csv());
+        assert_eq!(a.to_csv(), b.to_csv());
         assert_eq!(a.coverage().count(), b.coverage().count());
         for (x, y) in a.coverage().zip(b.coverage()) {
             assert_eq!(

@@ -46,6 +46,7 @@ pub mod audit;
 pub mod compliance;
 pub mod counterfactual;
 pub mod coverage;
+pub mod csv;
 pub mod experienced;
 pub mod incremental;
 pub mod index;

@@ -30,9 +30,6 @@ pub enum StatsError {
     },
     /// The statistic is undefined because an input series is constant.
     ZeroVariance,
-    /// A histogram with no bins, or bin edges that are not strictly
-    /// increasing.
-    InvalidBins,
 }
 
 impl fmt::Display for StatsError {
@@ -54,9 +51,6 @@ impl fmt::Display for StatsError {
                 write!(f, "need at least {need} observations, got {got}")
             }
             StatsError::ZeroVariance => write!(f, "statistic undefined for constant input"),
-            StatsError::InvalidBins => {
-                write!(f, "bin edges must be strictly increasing and non-empty")
-            }
         }
     }
 }

@@ -17,10 +17,8 @@
 //! * [`weighted`] — weighted means and weighted quantiles (the paper's
 //!   CBG-weighting).
 //! * [`ecdf`] — empirical CDFs and the evenly-spaced series the figures use.
-//! * [`hist`] — fixed-width and custom-edge histograms.
 //! * [`corr`] — Pearson and Spearman correlation.
 //! * [`kstest`] — the two-sample Kolmogorov–Smirnov test.
-//! * [`regress`] — simple ordinary-least-squares fits.
 //! * [`bootstrap`] — seeded nonparametric bootstrap confidence intervals.
 //! * [`benchmark`] — the FCC's two-sigma "reasonably comparable" rate test.
 
@@ -33,10 +31,8 @@ pub mod corr;
 pub mod descriptive;
 pub mod ecdf;
 pub mod error;
-pub mod hist;
 pub mod kstest;
 pub mod quantile;
-pub mod regress;
 pub mod weighted;
 
 pub use benchmark::UrbanRateBenchmark;
@@ -47,8 +43,6 @@ pub use corr::{pearson, spearman};
 pub use descriptive::{mean, stddev, variance, Summary};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
-pub use hist::Histogram;
 pub use kstest::{ks_two_sample, KsTest};
 pub use quantile::{median, quantile};
-pub use regress::{ols, OlsFit};
 pub use weighted::{weighted_mean, weighted_quantile, WeightedSample};

@@ -15,7 +15,7 @@
 //! counts with `cmp`.
 
 use caf_core::artifact::to_canonical_bytes;
-use caf_sweep::{results_artifact, results_table, SweepOptions, SweepRun, SweepSpec};
+use caf_sweep::{results_artifact, results_csv, SweepOptions, SweepRun, SweepSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
     eprintln!("sweep: done — {} shards, {} steals", run.shards, run.steals);
 
     let json = to_canonical_bytes(&results_artifact(&run));
-    let csv = results_table(&run).to_csv();
+    let csv = results_csv(&run);
     for (name, bytes) in [
         ("results.json", json.as_str()),
         ("results.csv", csv.as_str()),

@@ -23,9 +23,9 @@
 //!    counterfactual — and evaluates every policy cell of the world
 //!    against them, with policy-parameterized thresholds threaded
 //!    through `caf_core::{compliance,counterfactual,q3}`.
-//! 4. Results reduce into a `caf-dataframe` table with canonical
-//!    JSON/CSV emission that is **byte-identical at any worker count
-//!    or steal schedule** — the engine determinism contract, extended
+//! 4. Results reduce into canonical JSON ([`results_artifact`]) and
+//!    CSV ([`results_csv`]) emissions that are **byte-identical at any
+//!    worker count or steal schedule** — the engine determinism contract, extended
 //!    to the grid (and gated in ci.sh).
 //!
 //! The same cells are served live by `caf-serve`'s `GET /v1/sweep`,
@@ -42,6 +42,6 @@ pub mod spec;
 
 pub use grid::{est_records, Cell, ScenarioKey};
 pub use runner::{
-    cell_body, results_artifact, results_table, run_world, world_groups, SweepOptions, SweepRun,
+    cell_body, results_artifact, results_csv, run_world, world_groups, SweepOptions, SweepRun,
 };
 pub use spec::{SpecError, SweepSpec};

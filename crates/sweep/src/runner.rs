@@ -3,9 +3,9 @@
 //! through `caf_core::pipeline`, evaluate its policy cells against it,
 //! and reduce into canonical tables and artifacts.
 
+use caf_core::csv::{CsvWriter, Opt};
 use caf_core::pipeline::campaign_config;
 use caf_core::{CompetitionCounterfactual, EngineConfig, Q3Analysis, Scenario};
-use caf_dataframe::{DataFrame, DataType, Value};
 use caf_exec::{map_units_stats, CostHint, Shard, ShardPolicy, UnitPlan};
 use caf_obs::json::Json;
 use caf_synth::SynthConfig;
@@ -249,49 +249,44 @@ pub fn results_artifact(run: &SweepRun) -> Json {
     ])
 }
 
-/// The results table: one row per cell in canonical grid order, typed
-/// columns, nullable statistics as frame nulls. `to_csv` on this frame
-/// is the sweep's CSV emission.
-pub fn results_table(run: &SweepRun) -> DataFrame {
-    let mut frame = DataFrame::with_schema(&[
-        ("state", DataType::Str),
-        ("scale", DataType::Int),
-        ("tier", DataType::Str),
-        ("cap_multiplier", DataType::Float),
-        ("subsidy_rule", DataType::Str),
-        ("key", DataType::Str),
-        ("records", DataType::Int),
-        ("serviceability", DataType::Float),
-        ("compliance_baseline", DataType::Float),
-        ("compliance_policy", DataType::Float),
-        ("price_compliance", DataType::Float),
-        ("tier_attainment", DataType::Float),
-        ("cf_mean_mbps", DataType::Float),
-        ("cf_median_mbps", DataType::Float),
-    ])
-    .expect("sweep schema is well-formed");
-    let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
+/// The results CSV: one row per cell in canonical grid order, empty
+/// fields for absent statistics. This is the sweep's `results.csv`.
+pub fn results_csv(run: &SweepRun) -> String {
+    let mut csv = CsvWriter::new(&[
+        "state",
+        "scale",
+        "tier",
+        "cap_multiplier",
+        "subsidy_rule",
+        "key",
+        "records",
+        "serviceability",
+        "compliance_baseline",
+        "compliance_policy",
+        "price_compliance",
+        "tier_attainment",
+        "cf_mean_mbps",
+        "cf_median_mbps",
+    ]);
     for r in &run.results {
-        frame
-            .push_row(vec![
-                Value::Str(r.cell.state.abbrev().to_string()),
-                Value::Int(i64::from(r.cell.scale)),
-                Value::Str(r.cell.tier.to_string()),
-                Value::Float(r.cell.cap_multiplier),
-                Value::Str(r.cell.rule.label().to_string()),
-                Value::Str(r.key.hex()),
-                Value::Int(r.records as i64),
-                opt(r.serviceability),
-                opt(r.compliance_baseline),
-                opt(r.compliance_policy),
-                Value::Float(r.price_compliance),
-                opt(r.tier_attainment),
-                opt(r.cf_mean_mbps),
-                opt(r.cf_median_mbps),
-            ])
-            .expect("sweep rows match the schema");
+        csv.row(&[
+            &r.cell.state.abbrev(),
+            &r.cell.scale,
+            &r.cell.tier,
+            &r.cell.cap_multiplier,
+            &r.cell.rule.label(),
+            &r.key.hex(),
+            &r.records,
+            &Opt(r.serviceability),
+            &Opt(r.compliance_baseline),
+            &Opt(r.compliance_policy),
+            &r.price_compliance,
+            &Opt(r.tier_attainment),
+            &Opt(r.cf_mean_mbps),
+            &Opt(r.cf_median_mbps),
+        ]);
     }
-    frame
+    csv.finish()
 }
 
 #[cfg(test)]
@@ -318,7 +313,7 @@ mod tests {
         let spec = tiny_spec();
         let baseline = SweepRun::run(&spec, SweepOptions { workers: 1 });
         let reference = to_canonical_bytes(&results_artifact(&baseline));
-        let reference_csv = results_table(&baseline).to_csv();
+        let reference_csv = results_csv(&baseline);
         for workers in [2, 3, 4] {
             let run = SweepRun::run(&spec, SweepOptions { workers });
             assert_eq!(
@@ -326,7 +321,7 @@ mod tests {
                 reference,
                 "workers={workers}"
             );
-            assert_eq!(results_table(&run).to_csv(), reference_csv);
+            assert_eq!(results_csv(&run), reference_csv);
         }
     }
 
@@ -385,9 +380,8 @@ mod tests {
     fn table_matches_run_shape() {
         let spec = tiny_spec();
         let run = SweepRun::run(&spec, SweepOptions { workers: 1 });
-        let frame = results_table(&run);
-        assert_eq!(frame.n_rows(), spec.cell_count());
-        let csv = frame.to_csv();
+        let csv = results_csv(&run);
+        assert_eq!(csv.lines().count(), 1 + spec.cell_count());
         assert!(csv.starts_with("state,scale,tier,cap_multiplier"), "{csv}");
     }
 }

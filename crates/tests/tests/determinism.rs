@@ -6,10 +6,12 @@
 //! to end: per-state units share only the immutable truth store, every
 //! random draw is entity-keyed, and partials merge in fixed state order,
 //! so the worker count can only move wall-clock time, never bytes. The
-//! CSV assertions replicate the `repro dump` artifact formats so a
-//! regression here is exactly a regression in the shipped artifacts.
+//! CSV assertions render the `repro dump` artifacts through the same
+//! function `repro` calls, so a regression here is exactly a regression
+//! in the shipped artifacts.
 
 use caf_bqt::CampaignConfig;
+use caf_core::csv::dump_files;
 use caf_core::{
     Audit, AuditConfig, AuditDataset, EngineConfig, SamplingRule, ServiceabilityAnalysis,
 };
@@ -46,41 +48,14 @@ fn audit_at(seed: u64) -> (World, Audit) {
     (world, audit)
 }
 
-/// The `repro dump` artifact bundle, rebuilt from a dataset: the audit
-/// row dataframe, the per-CBG serviceability CSV, and the query-record
-/// CSV, concatenated. Formats mirror `crates/bench/src/bin/repro.rs`.
+/// The `repro dump` artifact bundle, rebuilt from a dataset: the three
+/// CSVs `caf_core::csv::dump_files` renders, concatenated.
 fn dump_csv(dataset: &AuditDataset) -> String {
-    let mut out = dataset.to_dataframe().to_csv();
-
-    out.push_str("isp,state,cbg,rate,weight,density,density_pct,n\n");
     let analysis = ServiceabilityAnalysis::compute(dataset);
-    for r in &analysis.cbg_rates {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.isp.name(),
-            r.state.abbrev(),
-            r.cbg,
-            r.rate,
-            r.weight,
-            r.density,
-            r.density_pct,
-            r.n
-        ));
-    }
-
-    out.push_str("addr_id,isp,outcome,attempts,errors,duration_secs\n");
-    for r in dataset.records() {
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.3}\n",
-            r.address.0,
-            r.isp.name(),
-            r.outcome.label(),
-            r.attempts,
-            r.errors.len(),
-            r.duration_secs
-        ));
-    }
-    out
+    dump_files(dataset, &analysis)
+        .into_iter()
+        .map(|(_, csv)| csv)
+        .collect()
 }
 
 fn hash_of(s: &str) -> u64 {

@@ -1,14 +1,14 @@
 //! Cross-crate integration: the full pipeline from synthetic world to
-//! headline report, exercising caf-geo, caf-synth, caf-bqt, caf-core and
-//! caf-dataframe together.
+//! headline report and its CSV export, exercising caf-geo, caf-synth,
+//! caf-bqt and caf-core together.
 
 use caf_bqt::CampaignConfig;
 use caf_core::{
     Audit, AuditConfig, ComplianceAnalysis, EfficacyReport, SamplingRule, ServiceabilityAnalysis,
 };
-use caf_dataframe::{Agg, AggSpec, DataFrame};
 use caf_geo::UsState;
 use caf_synth::{Isp, SynthConfig, World};
+use std::collections::BTreeMap;
 
 fn run_audit(seed: u64, scale: u32, states: &[UsState]) -> (World, caf_core::AuditDataset) {
     let synth = SynthConfig { seed, scale };
@@ -40,30 +40,40 @@ fn pipeline_runs_end_to_end_and_reports() {
     assert!(text.contains("Serviceability rate"));
 }
 
+/// Splits an unquoted CSV document into its header and its rows.
+fn split_csv(csv: &str) -> (Vec<&str>, Vec<Vec<&str>>) {
+    assert!(!csv.contains('"'), "the audit CSV quotes no field");
+    let mut lines = csv.lines();
+    let header = lines.next().expect("header line").split(',').collect();
+    (
+        header,
+        lines.map(|line| line.split(',').collect()).collect(),
+    )
+}
+
 #[test]
 fn audit_dataframe_supports_relational_reanalysis() {
-    // The dataframe path must reproduce what the typed analysis computes:
-    // group the audit rows by ISP and compare FractionTrue(served)
+    // The CSV export must reproduce what the typed analysis computes:
+    // group the audit rows by ISP and compare the served fraction
     // against a hand count.
     let (_, dataset) = run_audit(2, 40, &[UsState::Alabama]);
-    let df = dataset.to_dataframe();
-    let by_isp = df
-        .group_by(
-            &["isp"],
-            &[
-                AggSpec::new(Agg::Count, "n"),
-                AggSpec::new(Agg::FractionTrue("served".into()), "rate"),
-            ],
-        )
-        .expect("valid group-by");
-    assert!(by_isp.n_rows() >= 3);
-    for row in by_isp.rows() {
-        let isp_name = row.str("isp").expect("isp column");
-        let isp = Isp::from_name(&isp_name).expect("known isp");
+    let csv = dataset.to_csv();
+    let (header, rows) = split_csv(&csv);
+    let column = |name: &str| header.iter().position(|&n| n == name).expect(name);
+    let (isp_col, served_col) = (column("isp"), column("served"));
+    let mut by_isp: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for row in &rows {
+        let (n, served) = by_isp.entry(row[isp_col]).or_default();
+        *n += 1;
+        *served += usize::from(row[served_col] == "true");
+    }
+    assert!(by_isp.len() >= 3);
+    for (isp_name, (n, served)) in by_isp {
+        let isp = Isp::from_name(isp_name).expect("known isp");
         let expected_n = dataset.rows_for(isp).count();
         let expected_served = dataset.rows_for(isp).filter(|r| r.served).count();
-        assert_eq!(row.i64("n").expect("count"), expected_n as i64);
-        let rate = row.f64("rate").expect("rate");
+        assert_eq!(n, expected_n);
+        let rate = served as f64 / n as f64;
         assert!((rate - expected_served as f64 / expected_n as f64).abs() < 1e-12);
     }
 }
@@ -71,18 +81,34 @@ fn audit_dataframe_supports_relational_reanalysis() {
 #[test]
 fn audit_dataframe_round_trips_through_csv() {
     let (_, dataset) = run_audit(3, 60, &[UsState::Vermont]);
-    let df = dataset.to_dataframe();
-    let csv = df.to_csv();
-    let back = DataFrame::from_csv(&csv).expect("csv parses");
-    assert_eq!(back.n_rows(), df.n_rows());
-    assert_eq!(back.names(), df.names());
+    let csv = dataset.to_csv();
+    let (header, rows) = split_csv(&csv);
+    assert_eq!(rows.len(), dataset.row_count());
+    assert_eq!(
+        header,
+        [
+            "addr_id",
+            "isp",
+            "state",
+            "cbg",
+            "cbg_total",
+            "density",
+            "density_pct",
+            "served",
+            "max_down",
+            "price",
+            "guaranteed"
+        ]
+    );
     // Spot-check a served row's speed survives the trip.
-    for i in 0..df.n_rows() {
-        if df.row(i).bool("served") == Some(true) {
-            assert_eq!(back.row(i).f64("max_down"), df.row(i).f64("max_down"));
-            break;
-        }
-    }
+    let (row, audit_row) = rows
+        .iter()
+        .zip(dataset.rows())
+        .find(|(_, (_, r))| r.served)
+        .expect("a served row");
+    assert_eq!(row[7], "true");
+    let max_down = (!row[8].is_empty()).then(|| row[8].parse::<f64>().expect("max_down parses"));
+    assert_eq!(max_down, audit_row.1.max_down_mbps);
 }
 
 #[test]

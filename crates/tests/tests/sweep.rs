@@ -15,7 +15,7 @@ use caf_core::{
     Q3Analysis, SamplingRule, ServiceabilityAnalysis,
 };
 use caf_sweep::{
-    cell_body, results_artifact, results_table, Cell, SweepOptions, SweepRun, SweepSpec,
+    cell_body, results_artifact, results_csv, Cell, SweepOptions, SweepRun, SweepSpec,
 };
 use caf_synth::{SynthConfig, World};
 
@@ -42,7 +42,7 @@ fn emissions_are_byte_identical_across_the_full_schedule_matrix() {
     let spec = spec();
     let reference = SweepRun::run(&spec, SweepOptions { workers: 1 });
     let reference_json = to_canonical_bytes(&results_artifact(&reference));
-    let reference_csv = results_table(&reference).to_csv();
+    let reference_csv = results_csv(&reference);
     assert_eq!(reference.results.len(), spec.cell_count());
 
     for workers in [2usize, 4] {
@@ -53,7 +53,7 @@ fn emissions_are_byte_identical_across_the_full_schedule_matrix() {
             reference_json,
             "{label}"
         );
-        assert_eq!(results_table(&run).to_csv(), reference_csv, "{label}");
+        assert_eq!(results_csv(&run), reference_csv, "{label}");
     }
 }
 

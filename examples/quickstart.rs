@@ -58,7 +58,10 @@ fn main() {
     let report = EfficacyReport::assemble(&serviceability, &compliance, None);
     println!("\n{}", report.render());
 
-    // 4. The same rows as a dataframe, ready for CSV export.
-    let df = dataset.to_dataframe();
-    println!("First rows of the audit dataset:\n{}", df.head(5));
+    // 4. The same rows as CSV, the format `repro dump` writes.
+    let csv = dataset.to_csv();
+    println!("First rows of the audit dataset:");
+    for line in csv.lines().take(6) {
+        println!("{line}");
+    }
 }
