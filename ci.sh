@@ -46,7 +46,8 @@
 # `/v1/serviceability?isp=Frontier` and `/v1/compliance?q3_scale=12`
 # warm vs cold), then take a fourth challenge batch on the restored
 # world whose epoch-4 `/v1/table2` must equal a cold server's fed the
-# same four batches, and
+# same four batches; the warm server then snapshots at epoch 4 and a
+# third boot from that snapshot must serve the same epoch-4 bytes, and
 # (on >= 4 cores) the in-process restore must be >= 10x faster than the
 # cold first-200 wall. The challenge-replay gate runs the committed
 # sample delta stream through `challenge_replay` in incremental and
@@ -452,7 +453,7 @@ mkdir -p "$snap_dir"
 # q3_scale override (the one query value outside the cache key).
 snap_queries=("serviceability?isp=Frontier" "compliance?q3_scale=12")
 cold_first_200_ms=0
-for boot in cold warm; do
+for boot in cold warm rewarm; do
   port_file="$ci_out/serve_port.snap.$boot"
   rm -f "$port_file"
   boot_start=$(date +%s%N)
@@ -494,6 +495,12 @@ for boot in cold warm; do
       *'"epoch":3'*) ;;
       *) echo "unexpected /v1/snapshot reply: $snap_reply" >&2; exit 1 ;;
     esac
+  elif [ "$boot" = rewarm ]; then
+    # The third boot restores the snapshot the warm server wrote after
+    # its fourth batch: restore -> challenge -> snapshot -> restore.
+    curl -fsS "http://$addr/v1/table2?epoch=4" -o "$ci_out/snap_table2.e4.rewarm.json"
+    cmp "$ci_out/snap_table2.e4.rewarm.json" "$ci_out/snap_table2.e4.warm.json"
+    echo "    third boot: epoch-4 /v1/table2 is byte-identical to the warm server's"
   else
     health=$(curl -fsS "http://$addr/healthz")
     case "$health" in
@@ -528,6 +535,11 @@ for boot in cold warm; do
     sed -n "4p" "$ci_out/resolved_deltas.jsonl" | curl -fsS -X POST \
       --data-binary @- "http://$addr/v1/challenge" >/dev/null
     curl -fsS "http://$addr/v1/table2?epoch=4" -o "$ci_out/snap_table2.e4.warm.json"
+    snap_reply=$(curl -fsS -X POST "http://$addr/v1/snapshot")
+    case "$snap_reply" in
+      *'"epoch":4'*) ;;
+      *) echo "unexpected /v1/snapshot reply: $snap_reply" >&2; exit 1 ;;
+    esac
   fi
 
   curl -fsS "http://$addr/quitquitquit" >/dev/null

@@ -49,7 +49,6 @@
 //! target — see EXPERIMENTS.md for paper-vs-measured.
 
 use caf_bench::{format_cdf, format_pairs, pct};
-use caf_bqt::QueryOutcome;
 use caf_core::compliance::SpeedBand;
 use caf_core::coverage::CoverageSeries;
 use caf_core::csv::dump_files;
@@ -1086,16 +1085,7 @@ fn summary(lazy: &Lazy) {
     // interior-mutable.
     let q3 = &lazy.q3().1;
     let fixture = lazy.fixture();
-    let mut uplifts = q3.type_a_uplift_percents();
-    uplifts.sort_by(|a, b| a.total_cmp(b));
-    let mut report = EfficacyReport::assemble(&fixture.serviceability, &fixture.compliance, None);
-    report.type_a_split = q3.type_a_outcomes();
-    report.type_b_split = q3.type_b_outcomes();
-    report.median_uplift_pct = if uplifts.is_empty() {
-        None
-    } else {
-        Some(uplifts[uplifts.len() / 2])
-    };
+    let report = EfficacyReport::assemble(&fixture.serviceability, &fixture.compliance, Some(q3));
     println!("§7 headline summary (paper: 55.45 % serviceable, 44.55 % unserved,");
     println!("  33.03 % compliant, Type A 27/54/17, median uplift +75 %)\n");
     print!("{}", report.render());
@@ -1626,11 +1616,4 @@ fn ext_competition(analysis: &Q3Analysis) {
          the paper's 'foster competition' recommendation.",
         100.0 * cf.full_treatment_gain()
     );
-}
-
-/// §7 policy counterfactual placeholder anchor.
-// Silence an unused-import lint when the Q3 queries report is disabled.
-#[allow(dead_code)]
-fn _outcome_label(outcome: &QueryOutcome) -> &'static str {
-    outcome.label()
 }

@@ -1,15 +1,12 @@
-//! [`Snap`] codecs for the geography substrate.
+//! [`Snap`] codecs for the geography values other crates persist: the
+//! state of a challenge delta and the address id of a query record.
 //!
-//! Every type re-enters through its validating constructor: a decoded
-//! GEOID, coordinate, or enum discriminant that would be invalid to
-//! construct is a [`SnapError::Malformed`], never a live invalid value.
-//! That keeps the snapshot path inside the same invariants as the
-//! generators.
+//! A decoded value re-enters through its validating constructor: a
+//! FIPS code or state that would be invalid to construct is a
+//! [`SnapError::Malformed`], never a live invalid value.
 
-use crate::address::{Address, AddressId, StreetAddress};
-use crate::coord::LatLon;
-use crate::density::DensityClass;
-use crate::ids::{decompose_block, decompose_block_group, BlockGroupId, BlockId, StateFips};
+use crate::address::AddressId;
+use crate::ids::StateFips;
 use crate::state::UsState;
 use caf_snap::{Reader, Snap, SnapError, Writer};
 
@@ -38,58 +35,6 @@ impl Snap for UsState {
     }
 }
 
-impl Snap for BlockGroupId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.geoid());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let geoid = r.u64()?;
-        decompose_block_group(geoid).map_err(|e| malformed("block group geoid", e))
-    }
-}
-
-impl Snap for BlockId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.geoid());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let geoid = r.u64()?;
-        decompose_block(geoid).map_err(|e| malformed("block geoid", e))
-    }
-}
-
-impl Snap for LatLon {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(self.lat());
-        w.put_f64(self.lon());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let lat = r.f64()?;
-        let lon = r.f64()?;
-        LatLon::new(lat, lon).map_err(|e| malformed("coordinate", e))
-    }
-}
-
-impl Snap for DensityClass {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            DensityClass::Remote => 0,
-            DensityClass::Rural => 1,
-            DensityClass::Suburban => 2,
-            DensityClass::Urban => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => DensityClass::Remote,
-            1 => DensityClass::Rural,
-            2 => DensityClass::Suburban,
-            3 => DensityClass::Urban,
-            other => return Err(malformed("density class", format_args!("tag {other}"))),
-        })
-    }
-}
-
 impl Snap for AddressId {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.0);
@@ -99,46 +44,9 @@ impl Snap for AddressId {
     }
 }
 
-impl Snap for StreetAddress {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.number);
-        w.put_str(&self.street);
-        w.put_str(&self.city);
-        w.put_str(&self.state_abbrev);
-        w.put_u32(self.zip);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(StreetAddress {
-            number: r.u32()?,
-            street: r.str()?.into(),
-            city: r.str()?.into(),
-            state_abbrev: r.str()?.into(),
-            zip: r.u32()?,
-        })
-    }
-}
-
-impl Snap for Address {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.id);
-        w.put(&self.street);
-        w.put(&self.location);
-        w.put(&self.block);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Address {
-            id: r.get()?,
-            street: r.get()?,
-            location: r.get()?,
-            block: r.get()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{CountyId, TractId};
 
     fn roundtrip<T: Snap + PartialEq + std::fmt::Debug>(value: &T) {
         let mut w = Writer::new();
@@ -149,41 +57,11 @@ mod tests {
         r.finish().unwrap();
     }
 
-    fn sample_block() -> BlockId {
-        let state = StateFips::new(6).unwrap();
-        let county = CountyId::new(state, 83).unwrap();
-        let tract = TractId::new(county, 2_936).unwrap();
-        let group = BlockGroupId::new(tract, 2).unwrap();
-        BlockId::new(group, 17).unwrap()
-    }
-
     #[test]
     fn geo_types_round_trip() {
         roundtrip(&StateFips::new(48).unwrap());
         roundtrip(&UsState::Texas);
-        roundtrip(&sample_block());
-        roundtrip(&sample_block().block_group());
-        roundtrip(&LatLon::new(34.42, -119.7).unwrap());
-        for class in [
-            DensityClass::Remote,
-            DensityClass::Rural,
-            DensityClass::Suburban,
-            DensityClass::Urban,
-        ] {
-            roundtrip(&class);
-        }
-        roundtrip(&Address {
-            id: AddressId(42),
-            street: StreetAddress {
-                number: 123,
-                street: "Main St".into(),
-                city: "Lubbock".into(),
-                state_abbrev: "TX".into(),
-                zip: 79401,
-            },
-            location: LatLon::new(33.57, -101.88).unwrap(),
-            block: sample_block(),
-        });
+        roundtrip(&AddressId(42));
     }
 
     #[test]
@@ -196,21 +74,12 @@ mod tests {
             Reader::new(&bytes).get::<StateFips>(),
             Err(SnapError::Malformed(_))
         ));
-        // An out-of-range latitude fails LatLon's constructor.
+        // FIPS 3 is a valid code that no state holds.
         let mut w = Writer::new();
-        w.put_f64(200.0);
-        w.put_f64(0.0);
+        w.put_u16(3);
         let bytes = w.into_bytes();
         assert!(matches!(
-            Reader::new(&bytes).get::<LatLon>(),
-            Err(SnapError::Malformed(_))
-        ));
-        // A garbage GEOID integer fails decomposition.
-        let mut w = Writer::new();
-        w.put_u64(u64::MAX);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            Reader::new(&bytes).get::<BlockId>(),
+            Reader::new(&bytes).get::<UsState>(),
             Err(SnapError::Malformed(_))
         ));
     }

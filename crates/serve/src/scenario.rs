@@ -49,11 +49,13 @@
 //! `caf-snap` containers (see [`crate::snapshot`]): `POST /v1/snapshot`
 //! writes one synchronously, every accepted challenge batch writes one
 //! on a detached background thread, and startup restores the newest
-//! compatible snapshot. The restore is split for latency: the warm
-//! cache entries (rendered bodies) are installed synchronously — the
-//! next `GET` is served from them without rebuilding the world — while
-//! the live world + challenge log decode on a background thread behind
-//! a condvar gate that rebuilds and challenge batches wait on. The same
+//! compatible snapshot. A snapshot holds the challenge log, not the
+//! world: epoch E is the generated world plus the log's first E
+//! entries. The restore is split for latency: the warm cache entries
+//! (rendered bodies) are installed synchronously — the next `GET` is
+//! served from them without rebuilding the world — while a background
+//! thread regenerates the live world and replays the log over it,
+//! behind a condvar gate that rebuilds and challenge batches wait on. The same
 //! directory hosts the disk LRU tier (`tier/`): cache evictions spill
 //! their bodies there and are promoted back on demand, byte-identically.
 
@@ -61,9 +63,7 @@ use crate::cache::{CacheError, CacheOutcome, ScenarioCache, SpillHook};
 use crate::entry::{body_index, decode_views, put_views, Bundle, Kind, ScenarioKey, TierSpill};
 use crate::http::{Request, Response};
 use crate::server::Handler;
-use crate::snapshot::{
-    self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS, SECTION_WORLD, SECTION_WORLD_RETIRED,
-};
+use crate::snapshot::{self, SnapshotStatus, SECTION_LOG, SECTION_VIEWS};
 use crate::tier::DiskTier;
 use caf_core::pipeline::{self, campaign_config, Scenario};
 use caf_core::{
@@ -100,10 +100,11 @@ struct Live {
 
 /// Blocks what needs the live world — a rebuild of a past epoch, a
 /// challenge batch, a snapshot write — while the background thread is
-/// still decoding the snapshot's world + challenge log. The gate starts
-/// open, closes for the duration of a restore, and reopens whether the
-/// decode succeeded or not (failure just means `live` stays empty — a
-/// 404 for historical epochs, exactly as on a cold boot).
+/// still regenerating the world and replaying the snapshot's challenge
+/// log. The gate starts open, closes for the duration of a restore, and
+/// reopens whether the replay succeeded or not (failure just means
+/// `live` stays empty — a 404 for historical epochs, exactly as on a
+/// cold boot).
 struct RestoreGate {
     restoring: Mutex<bool>,
     done: Condvar,
@@ -270,10 +271,11 @@ impl App {
     /// [`AppConfig::snapshot_dir`] set this also opens the disk tier
     /// and restores the newest compatible snapshot: cache entries are
     /// installed synchronously (they are what makes the first request
-    /// fast), while the live world + challenge log decode on a
-    /// background thread behind a `RestoreGate`. Any problem with the
-    /// snapshot — missing, truncated, corrupt, wrong version, wrong
-    /// scenario — degrades to a cold build, never to an error.
+    /// fast), while a background thread behind a `RestoreGate`
+    /// regenerates the live world and replays the snapshot's challenge
+    /// log over it. Any problem with the snapshot — missing, truncated,
+    /// corrupt, wrong version, wrong scenario, a log that does not
+    /// replay — degrades to a cold build, never to an error.
     pub fn new(config: AppConfig) -> App {
         let tier = config.snapshot_dir.as_ref().and_then(|dir| {
             match DiskTier::open(&dir.join("tier"), config.disk_tier_capacity) {
@@ -293,13 +295,6 @@ impl App {
             ),
             None => ScenarioCache::new(config.cache_capacity),
         };
-        let live: Arc<Mutex<Option<Live>>> = Arc::new(Mutex::new(None));
-        let reached = Arc::new(AtomicU64::new(0));
-        let restore = Arc::new(RestoreGate::new());
-        let snap_status = match &config.snapshot_dir {
-            Some(dir) => restore_snapshot(dir, &config, &cache, &live, &reached, &restore),
-            None => SnapshotStatus::default(),
-        };
 
         let slow_us = config.slow_ms.saturating_mul(1_000);
         let recorder = Arc::new(FlightRecorder::new(config.trace_capacity, slow_us));
@@ -310,21 +305,25 @@ impl App {
             .iter()
             .map(|&(_, label, short)| (label, Slo::new(short, slow_us, 100_000)))
             .collect();
-        App {
+        let mut app = App {
             config,
             cache,
             tier,
             active_computes: Arc::new(AtomicUsize::new(0)),
-            live,
-            reached,
-            restore,
-            snap_status,
+            live: Arc::new(Mutex::new(None)),
+            reached: Arc::new(AtomicU64::new(0)),
+            restore: Arc::new(RestoreGate::new()),
+            snap_status: SnapshotStatus::default(),
             snapshot_inflight: Arc::new(AtomicBool::new(false)),
             snapshot_write_lock: Arc::new(Mutex::new(())),
             recorder,
             slos,
             started: Instant::now(),
+        };
+        if let Some(dir) = app.config.snapshot_dir.clone() {
+            app.snap_status = app.restore_snapshot(&dir);
         }
+        app
     }
 
     /// How this process started: cold, or restored from which snapshot.
@@ -345,11 +344,20 @@ impl App {
     }
 
     /// The live challenge epoch (0 until the first accepted batch).
-    /// While a snapshot's world is still decoding in the background,
-    /// this reports the snapshot's epoch — the epoch the server is
-    /// already answering cached reads at.
+    /// While a snapshot's world is still being rebuilt in the
+    /// background, this reports the snapshot's epoch — the epoch the
+    /// server is already answering cached reads at.
     pub fn live_epoch(&self) -> u64 {
         self.reached.load(Ordering::SeqCst)
+    }
+
+    /// A copy of the live world once any snapshot restore has finished:
+    /// `None` before the first challenge batch of a cold boot, and after
+    /// a restored log failed to replay.
+    pub fn live_world(&self) -> Option<World> {
+        self.restore.wait();
+        let live = self.live.lock().unwrap();
+        live.as_ref().map(|live| live.world.clone())
     }
 
     /// `GET /healthz`: liveness plus staleness — the live challenge
@@ -509,7 +517,7 @@ impl App {
 
         let seed = self.config.default_seed;
         let scale = self.config.default_scale;
-        // A restored world may still be decoding; wait for the gate
+        // A restored world may still be replaying; wait for the gate
         // *before* taking the live lock (the installer takes it too).
         self.restore.wait();
         let mut slot = self.live.lock().unwrap();
@@ -605,18 +613,11 @@ impl App {
             );
         };
         self.restore.wait();
-        let (world, log, epoch) = self.snapshot_source();
+        let log = self.snapshot_source();
         let views = self.cache.ready_entries();
         let _write = self.snapshot_write_lock.lock().unwrap();
-        match write_snapshot_file(
-            &dir,
-            self.config.default_seed,
-            self.config.default_scale,
-            epoch,
-            world.as_ref(),
-            &log,
-            &views,
-        ) {
+        let (seed, scale) = (self.config.default_seed, self.config.default_scale);
+        match write_snapshot_file(&dir, seed, scale, &log, &views) {
             Ok((path, bytes)) => {
                 let file = path
                     .file_name()
@@ -625,7 +626,7 @@ impl App {
                     .to_string();
                 let mut body = Json::Obj(vec![
                     ("bytes".to_string(), Json::UInt(bytes as u64)),
-                    ("epoch".to_string(), Json::UInt(epoch)),
+                    ("epoch".to_string(), Json::UInt(log.len() as u64)),
                     ("file".to_string(), Json::Str(file)),
                 ])
                 .to_compact();
@@ -636,15 +637,14 @@ impl App {
         }
     }
 
-    /// Clones what a snapshot captures: the live world + delta log (if
-    /// materialized) and the current epoch. Clone-then-release keeps
-    /// the serialization work off the live lock.
-    fn snapshot_source(&self) -> (Option<World>, Vec<ChallengeDelta>, u64) {
+    /// Clones what a snapshot keeps of the live scenario: its challenge
+    /// log, empty before the first batch. The log's length is the
+    /// epoch, and the world at that epoch is generation plus the log.
+    /// Clone-then-release keeps the serialization work off the live
+    /// lock.
+    fn snapshot_source(&self) -> Vec<ChallengeDelta> {
         let live = self.live.lock().unwrap();
-        match live.as_ref() {
-            Some(live) => (Some(live.world.clone()), live.log.clone(), live.world.epoch),
-            None => (None, Vec::new(), 0),
-        }
+        live.as_ref().map_or_else(Vec::new, |live| live.log.clone())
     }
 
     /// Writes a snapshot on a detached background thread, at most one
@@ -658,7 +658,7 @@ impl App {
             caf_obs::count("caf.snap.write_skipped", 1);
             return;
         }
-        let (world, log, epoch) = self.snapshot_source();
+        let log = self.snapshot_source();
         let views = self.cache.ready_entries();
         let seed = self.config.default_seed;
         let scale = self.config.default_scale;
@@ -666,9 +666,7 @@ impl App {
         let write_lock = Arc::clone(&self.snapshot_write_lock);
         std::thread::spawn(move || {
             let _write = write_lock.lock().unwrap();
-            if let Err(error) =
-                write_snapshot_file(&dir, seed, scale, epoch, world.as_ref(), &log, &views)
-            {
+            if let Err(error) = write_snapshot_file(&dir, seed, scale, &log, &views) {
                 eprintln!("caf-serve: background snapshot write failed: {error}");
                 caf_obs::count("caf.snap.write_errors", 1);
             }
@@ -992,150 +990,132 @@ impl App {
 /// binary, not on a request thread.
 const MAX_SWEEP_CELLS: usize = 64;
 
-/// Restores the newest compatible snapshot from `dir`, if any: cache
-/// entries into `cache` synchronously, the world + log onto a
-/// background thread that installs `live` and then opens `gate`.
-/// `reached` reports the snapshot's epoch while the world decodes, and
-/// falls back to 0 if it fails to. Returns the status `/healthz`
-/// reports. Every failure path prints one line and returns a cold
-/// status — a bad snapshot must never take the server down or slow it
-/// below a plain cold boot.
-fn restore_snapshot(
-    dir: &Path,
-    config: &AppConfig,
-    cache: &ScenarioCache<ScenarioKey, Bundle>,
-    live: &Arc<Mutex<Option<Live>>>,
-    reached: &Arc<AtomicU64>,
-    gate: &Arc<RestoreGate>,
-) -> SnapshotStatus {
-    if let Err(error) = fs::create_dir_all(dir) {
-        eprintln!("caf-serve: cannot create snapshot dir {dir:?} ({error}); snapshots disabled");
-        return SnapshotStatus::default();
-    }
-    let Some((path, epoch)) = snapshot::find_newest(dir, config.default_seed, config.default_scale)
-    else {
-        return SnapshotStatus::default();
-    };
-    let started = Instant::now();
-    let _span = caf_obs::span("snap.restore");
-    let bytes = match fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(error) => {
-            eprintln!("caf-serve: snapshot {path:?} unreadable ({error}); cold build");
+impl App {
+    /// Restores the newest compatible snapshot from `dir`, if any: its
+    /// cache entries synchronously, and its challenge log on a
+    /// background thread that regenerates the world, replays the log
+    /// over it, installs the result as the live scenario and then opens
+    /// the restore gate. `reached` reports the snapshot's epoch while
+    /// the world is rebuilt, and falls back to 0 if the log does not
+    /// replay. Returns the status `/healthz` reports. Every failure path
+    /// prints one line and returns a cold status — a bad snapshot must
+    /// never take the server down or slow it below a plain cold boot.
+    fn restore_snapshot(&self, dir: &Path) -> SnapshotStatus {
+        let config = &self.config;
+        if let Err(error) = fs::create_dir_all(dir) {
+            eprintln!(
+                "caf-serve: cannot create snapshot dir {dir:?} ({error}); snapshots disabled"
+            );
             return SnapshotStatus::default();
         }
-    };
-    let parsed = match Snapshot::parse(&bytes).and_then(reject_retired_world) {
-        Ok(parsed) => parsed,
-        Err(error) => {
-            eprintln!("caf-serve: snapshot {path:?} rejected ({error:?}); cold build");
-            caf_obs::count("caf.snap.restore_rejected", 1);
+        let Some((path, _)) = snapshot::find_newest(dir, config.default_seed, config.default_scale)
+        else {
             return SnapshotStatus::default();
-        }
-    };
-    // A snapshot from before rendered entries carries its views under
-    // a retired tag, which is never read: its world still restores, and
-    // the views are rebuilt on demand.
-    let views = match parsed.section(SECTION_VIEWS).map(decode_views) {
-        Some(Ok(views)) => views,
-        Some(Err(error)) => {
-            eprintln!("caf-serve: snapshot {path:?} views invalid ({error:?}); cold build");
-            caf_obs::count("caf.snap.restore_rejected", 1);
-            return SnapshotStatus::default();
-        }
-        None => Vec::new(),
-    };
-    for (key, bundle) in views {
-        cache.insert(key, bundle);
-    }
-
-    // The world is only needed to rebuild a past epoch or apply the next
-    // challenge batch; decode it off the startup path so
-    // restart-to-first-200 costs only the entries' copy. Moving the file
-    // buffer (with the section ranges lifted out of the parse borrow)
-    // keeps the multi-megabyte world payload from being copied on the
-    // synchronous path.
-    let world_range = parsed.section_range(SECTION_WORLD);
-    let log_range = parsed.section_range(SECTION_LOG);
-    drop(parsed);
-    if let Some(world_range) = world_range {
-        let live = Arc::clone(live);
-        let reached = Arc::clone(reached);
-        let gate_bg = Arc::clone(gate);
-        reached.store(epoch, Ordering::SeqCst);
-        gate.begin();
-        std::thread::spawn(move || {
-            let _span = caf_obs::span("snap.restore.world");
-            let log_bytes = log_range.map(|range| &bytes[range]);
-            match decode_live(&bytes[world_range], log_bytes, epoch) {
-                Ok(restored) => {
-                    *live.lock().unwrap() = Some(restored);
-                    caf_obs::gauge("caf.serve.challenge.epoch", epoch);
-                }
-                Err(error) => {
-                    eprintln!(
-                        "caf-serve: snapshot world section invalid ({error:?}); \
-                         historical epochs unavailable until rebuilt"
-                    );
-                    caf_obs::count("caf.snap.restore_rejected", 1);
-                    reached.store(0, Ordering::SeqCst);
-                }
+        };
+        let started = Instant::now();
+        let _span = caf_obs::span("snap.restore");
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(error) => {
+                eprintln!("caf-serve: snapshot {path:?} unreadable ({error}); cold build");
+                return SnapshotStatus::default();
             }
-            // Open the gate after installing (or giving up), never
-            // before: waiters must observe the final state.
-            gate_bg.finish();
+        };
+        // Sections under other tags (an older views or world encoding)
+        // are never read.
+        let decoded = Snapshot::parse(&bytes).and_then(|parsed| {
+            let views = parsed
+                .section(SECTION_VIEWS)
+                .map_or(Ok(Vec::new()), decode_views)?;
+            Ok((views, decode_log(&parsed)?))
         });
-    }
+        let (views, log) = match decoded {
+            Ok(decoded) => decoded,
+            Err(error) => {
+                eprintln!("caf-serve: snapshot {path:?} rejected ({error:?}); cold build");
+                caf_obs::count("caf.snap.restore_rejected", 1);
+                return SnapshotStatus::default();
+            }
+        };
+        for (key, bundle) in views {
+            self.cache.insert(key, bundle);
+        }
 
-    let restore_us = started.elapsed().as_micros() as u64;
-    caf_obs::gauge("caf.snap.restore_us", restore_us);
-    caf_obs::count("caf.snap.restores", 1);
-    let file = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .map(str::to_string);
-    println!(
-        "restored snapshot {} (epoch {epoch}) in {:.1} ms",
-        file.as_deref().unwrap_or("?"),
-        restore_us as f64 / 1_000.0
-    );
-    SnapshotStatus {
-        loaded: true,
-        epoch,
-        restore_us,
-        file,
-        mtime: fs::metadata(&path).ok().and_then(|m| m.modified().ok()),
+        // The world is only needed to rebuild a past epoch or apply the
+        // next challenge batch, so it is rebuilt off the startup path and
+        // restart-to-first-200 costs only the entries' copy. The rebuild
+        // is the one a batch makes: generation, then the deltas validated
+        // against the geography, so a forged log is refused as a forged
+        // batch is. An epoch-0 snapshot has no log to replay; the first
+        // batch generates the world, as on a cold boot.
+        let epoch = log.len() as u64;
+        if epoch > 0 {
+            let live = Arc::clone(&self.live);
+            let reached = Arc::clone(&self.reached);
+            let gate = Arc::clone(&self.restore);
+            let synth = SynthConfig {
+                seed: config.default_seed,
+                scale: config.default_scale,
+            };
+            let (engine, guard) = self.compute_engine(config.engine);
+            reached.store(epoch, Ordering::SeqCst);
+            gate.begin();
+            std::thread::spawn(move || {
+                let _span = caf_obs::span("snap.restore.world");
+                let mut world = World::generate_states_on(synth, &UsState::study_states(), engine);
+                match world.apply_deltas(&log) {
+                    Ok(_) => {
+                        *live.lock().unwrap() = Some(Live {
+                            world,
+                            inc: None,
+                            log,
+                        });
+                        caf_obs::gauge("caf.serve.challenge.epoch", epoch);
+                    }
+                    Err(error) => {
+                        eprintln!(
+                            "caf-serve: snapshot log does not replay ({error}); \
+                             historical epochs unavailable until rebuilt"
+                        );
+                        caf_obs::count("caf.snap.restore_rejected", 1);
+                        reached.store(0, Ordering::SeqCst);
+                    }
+                }
+                drop(guard);
+                // Open the gate after installing (or giving up), never
+                // before: waiters must observe the final state.
+                gate.finish();
+            });
+        }
+
+        let restore_us = started.elapsed().as_micros() as u64;
+        caf_obs::gauge("caf.snap.restore_us", restore_us);
+        caf_obs::count("caf.snap.restores", 1);
+        let file = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .map(str::to_string);
+        println!(
+            "restored snapshot {} (epoch {epoch}) in {:.1} ms",
+            file.as_deref().unwrap_or("?"),
+            restore_us as f64 / 1_000.0
+        );
+        SnapshotStatus {
+            loaded: true,
+            epoch,
+            restore_us,
+            file,
+            mtime: fs::metadata(&path).ok().and_then(|m| m.modified().ok()),
+        }
     }
 }
 
-/// Rejects a snapshot whose world is in a retired encoding, before any
-/// of it is restored: its views belong to epochs whose world could not
-/// be rebuilt, so the whole file is worth no more than a cold build.
-fn reject_retired_world(parsed: Snapshot<'_>) -> Result<Snapshot<'_>, SnapError> {
-    match SECTION_WORLD_RETIRED
-        .into_iter()
-        .find(|&tag| parsed.section(tag).is_some())
-    {
-        Some(tag) => Err(SnapError::Malformed(format!(
-            "world section {tag:#x} is a retired encoding; this build reads {SECTION_WORLD:#x}"
-        ))),
-        None => Ok(parsed),
-    }
-}
-
-/// Decodes the `WORLD` (+ optional `LOG`) sections into a [`Live`]
-/// slot, cross-checking that the world's epoch matches both the header
-/// and the log length — a snapshot whose pieces disagree is corrupt
-/// even if every checksum passed.
-fn decode_live(
-    world_bytes: &[u8],
-    log_bytes: Option<&[u8]>,
-    expected_epoch: u64,
-) -> Result<Live, SnapError> {
-    let mut r = Reader::new(world_bytes);
-    let world: World = r.get()?;
-    r.finish()?;
-    let log: Vec<ChallengeDelta> = match log_bytes {
+/// Decodes a snapshot's challenge log (empty without a `LOG`
+/// section). The log must hold exactly the header's epoch of deltas —
+/// epoch E is the log's first E entries — so a file whose pieces
+/// disagree is corrupt even if every checksum passed.
+fn decode_log(parsed: &Snapshot<'_>) -> Result<Vec<ChallengeDelta>, SnapError> {
+    let log: Vec<ChallengeDelta> = match parsed.section(SECTION_LOG) {
         Some(bytes) => {
             let mut r = Reader::new(bytes);
             let log = r.get_seq()?;
@@ -1144,38 +1124,31 @@ fn decode_live(
         }
         None => Vec::new(),
     };
-    if world.epoch != expected_epoch || log.len() as u64 != world.epoch {
+    if log.len() as u64 != parsed.header.epoch {
         return Err(SnapError::Malformed(format!(
-            "epoch disagreement: header {expected_epoch}, world {}, log length {}",
-            world.epoch,
+            "epoch disagreement: header {}, log length {}",
+            parsed.header.epoch,
             log.len()
         )));
     }
-    Ok(Live {
-        world,
-        inc: None,
-        log,
-    })
+    Ok(log)
 }
 
-/// Serializes the app's state as a snapshot container and writes it
+/// Serializes the app's state — its challenge log and its ready cache
+/// entries — as a snapshot container at the log's epoch, and writes it
 /// atomically as `world-<seed>-<scale>-<epoch>.snap` under `dir`.
 /// Returns the path and the container size in bytes.
 fn write_snapshot_file(
     dir: &Path,
     seed: u64,
     scale: u32,
-    epoch: u64,
-    world: Option<&World>,
     log: &[ChallengeDelta],
     views: &[(ScenarioKey, Arc<Bundle>)],
 ) -> std::io::Result<(PathBuf, usize)> {
     let _span = caf_obs::span("snap.write");
+    let epoch = log.len() as u64;
     let mut builder = SnapshotBuilder::new(seed, scale, epoch);
-    if let Some(world) = world {
-        builder.section(SECTION_WORLD, |w| w.put(world));
-        builder.section(SECTION_LOG, |w| w.put_seq(log));
-    }
+    builder.section(SECTION_LOG, |w| w.put_seq(log));
     builder.section(SECTION_VIEWS, |w| put_views(w, views));
     let bytes = builder.finish();
     let path = dir.join(snapshot::file_name(seed, scale, epoch));
@@ -1846,34 +1819,125 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A snapshot whose world is in the retired encoding that stored
-    /// every Q1 truth entry (section `0x10`) is rejected whole: no views,
-    /// no world, a cold build that serves the same bytes.
+    /// Posts `deltas` one batch each, waiting out every background
+    /// snapshot write, and returns the `/v1/table2` bytes at each new
+    /// epoch, read right after its batch.
+    fn post_batches(app: &App, deltas: &[ChallengeDelta]) -> Vec<Vec<u8>> {
+        let mut bodies = Vec::new();
+        for delta in deltas {
+            let body = delta_to_json(delta) + "\n";
+            let accepted = app.handle(&post("/v1/challenge", &body));
+            assert_eq!(accepted.status, 200, "{:?}", accepted.body);
+            let epoch = app.live_epoch().to_string();
+            let table2 = app.handle(&request("/v1/table2", &[("epoch", &epoch)]));
+            assert_eq!(table2.status, 200);
+            bodies.push(table2.body);
+            wait_for_background_snapshot(app);
+        }
+        bodies
+    }
+
+    /// Three valid deltas on three CBGs of the default world at `scale`.
+    fn three_deltas(seed: u64, scale: u32) -> Vec<ChallengeDelta> {
+        let world = World::generate_states(SynthConfig { seed, scale }, &UsState::study_states());
+        let sw = &world.states[0];
+        (0..3)
+            .map(|cbg| ChallengeDelta {
+                state: sw.state,
+                cbg,
+                isp: sw.geography.cbgs[cbg].isp,
+                correction: Correction::Availability {
+                    rate_ppm: 100_000 * (cbg as u32 + 1),
+                },
+            })
+            .collect()
+    }
+
+    /// A snapshot holds the challenge log and the views, and nothing
+    /// else: the restart regenerates the world and replays the log, and
+    /// the result equals the world the first process carried to epoch 3
+    /// incrementally. An epoch the restored server holds in neither its
+    /// views nor its disk tier is rebuilt from the replayed log, byte
+    /// for byte.
+    #[test]
+    fn restore_replays_the_log_into_the_pre_restart_world() {
+        let dir = snap_temp_dir("replay");
+        // Two entries: epoch 1 is evicted (to the tier) when epoch 3 is
+        // published, so the snapshot's views hold epochs 2 and 3.
+        let config = AppConfig {
+            default_scale: 2000,
+            engine: EngineConfig::serial(),
+            cache_capacity: 2,
+            snapshot_dir: Some(dir.clone()),
+            ..AppConfig::default()
+        };
+        let seed = config.default_seed;
+        let deltas = three_deltas(seed, 2000);
+        let (before1, world, log) = {
+            let app = App::new(config.clone());
+            let bodies = post_batches(&app, &deltas);
+            assert_eq!(app.handle(&post("/v1/snapshot", "")).status, 200);
+            let live = app.live.lock().unwrap();
+            let live = live.as_ref().expect("live after three batches");
+            (bodies[0].clone(), live.world.clone(), live.log.clone())
+        };
+        assert_eq!(log, deltas);
+
+        let path = dir.join(snapshot::file_name(seed, 2000, 3));
+        let bytes = fs::read(&path).unwrap();
+        let parsed = Snapshot::parse(&bytes).unwrap();
+        let tags: Vec<u32> = parsed.sections().map(|(tag, _)| tag).collect();
+        assert_eq!(tags, [SECTION_LOG, SECTION_VIEWS]);
+        fs::remove_dir_all(dir.join("tier")).unwrap();
+
+        let app = App::new(config);
+        assert!(app.snapshot_status().loaded);
+        assert_eq!(app.snapshot_status().epoch, 3);
+        assert!(app.live_world() == Some(world), "replayed world differs");
+        assert_eq!(app.live.lock().unwrap().as_ref().unwrap().log, log);
+        let after1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
+        assert_eq!(after1.status, 200);
+        assert_eq!(after1.body, before1, "rebuilt epoch-1 bytes differ");
+        assert_eq!(app.cache_stats().misses, 1, "epoch 1 must be rebuilt");
+        drop(app);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file from an older build that still carries a world section in
+    /// its last encoding (`0x14`) beside its log restores by replay; the
+    /// old section is never read, as an old views section is not.
+    #[test]
+    fn old_world_sections_are_ignored() {
+        restores_beside_world_section(0x14, "old-world");
+    }
+
+    /// The same for the retired encoding that stored every Q1 truth
+    /// entry (section `0x10`): the world starts cold — generated, never
+    /// decoded — and the log replays onto it.
     #[test]
     fn retired_world_section_starts_cold() {
-        starts_cold_with_world_section(SECTION_WORLD_RETIRED[0], "retired");
+        restores_beside_world_section(0x10, "retired");
     }
 
     /// The same for the encoding that stored every Q3 block and its
     /// truth (section `0x12`).
     #[test]
     fn q3_world_section_starts_cold() {
-        assert_eq!(SECTION_WORLD_RETIRED[1], 0x12);
-        starts_cold_with_world_section(SECTION_WORLD_RETIRED[1], "retired-q3");
+        restores_beside_world_section(0x12, "retired-q3");
     }
 
     /// The same for the encoding that stored every USAC record (section
     /// `0x13`).
     #[test]
     fn usac_world_section_starts_cold() {
-        assert_eq!(SECTION_WORLD_RETIRED[2], 0x13);
-        starts_cold_with_world_section(SECTION_WORLD_RETIRED[2], "retired-usac");
+        restores_beside_world_section(0x13, "retired-usac");
     }
 
-    /// Writes a snapshot at epoch 1, moves its world under `retired_tag`
-    /// and checks that the next boot rejects the file and serves the
-    /// same bytes from a cold build.
-    fn starts_cold_with_world_section(retired_tag: u32, name: &str) {
+    /// Writes a snapshot at epoch 1, adds a section under `old_tag` that
+    /// no decoder could read, and checks that the next boot still loads
+    /// the file: the world is generated and the log replayed, so it
+    /// equals the pre-restart world and serves the same epoch-1 bytes.
+    fn restores_beside_world_section(old_tag: u32, name: &str) {
         let dir = snap_temp_dir(name);
         let config = AppConfig {
             default_scale: 2000,
@@ -1883,51 +1947,67 @@ mod tests {
         };
         let seed = config.default_seed;
         let delta = valid_delta(seed, 2000, 60_000);
-        let (before0, before1) = {
+        let (before1, world) = {
             let app = App::new(config.clone());
-            let before0 = app.handle(&request("/v1/table2", &[]));
-            let body = delta_to_json(&delta) + "\n";
-            assert_eq!(app.handle(&post("/v1/challenge", &body)).status, 200);
-            let before1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
+            let bodies = post_batches(&app, &[delta]);
             assert_eq!(app.handle(&post("/v1/snapshot", "")).status, 200);
-            wait_for_background_snapshot(&app);
-            (before0.body, before1.body)
+            (bodies[0].clone(), app.live_world().unwrap())
         };
         let path = dir.join(snapshot::file_name(seed, 2000, 1));
         let current = fs::read(&path).unwrap();
         let parsed = Snapshot::parse(&current).unwrap();
-        let mut retagged = SnapshotBuilder::new(seed, 2000, 1);
+        let mut builder = SnapshotBuilder::new(seed, 2000, 1);
+        builder.section(old_tag, |w| w.put_str("an old world encoding"));
         for (tag, payload) in parsed.sections() {
-            let tag = if tag == SECTION_WORLD {
-                retired_tag
-            } else {
-                tag
-            };
-            retagged.section(tag, |w| w.put_raw(payload));
+            builder.section(tag, |w| w.put_raw(payload));
         }
-        fs::write(&path, retagged.finish()).unwrap();
+        fs::write(&path, builder.finish()).unwrap();
 
-        let app = App::new(config.clone());
-        assert!(
-            !app.snapshot_status().loaded,
-            "a retired world must be rejected"
-        );
-        let cold0 = app.handle(&request("/v1/table2", &[]));
-        assert_eq!(cold0.body, before0);
-        // Nothing was restored: epoch 1 is unreached until the batch is
-        // posted again, and then the cold world serves the same bytes.
-        assert_eq!(
-            app.handle(&request("/v1/table2", &[("epoch", "1")])).status,
-            404
-        );
-        let body = delta_to_json(&delta) + "\n";
-        assert_eq!(app.handle(&post("/v1/challenge", &body)).status, 200);
-        let cold1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
-        assert_eq!(cold1.body, before1);
-        // Epoch 0 was a cold miss; the challenge published epoch 1.
-        assert_eq!(app.cache_stats().misses, 1);
-        wait_for_background_snapshot(&app);
+        let app = App::new(config);
+        assert!(app.snapshot_status().loaded, "{old_tag:#x}");
+        assert!(app.live_world() == Some(world), "{old_tag:#x}");
+        assert_eq!(app.live_epoch(), 1);
+        let after1 = app.handle(&request("/v1/table2", &[("epoch", "1")]));
+        assert_eq!(after1.body, before1, "{old_tag:#x}");
         drop(app);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log whose length disagrees with the header's epoch, or whose
+    /// deltas do not fit the geography, restores no world: the first
+    /// is rejected with the whole file, the second after the replay,
+    /// and either way the server is at epoch 0.
+    #[test]
+    fn a_log_that_does_not_replay_restores_no_world() {
+        let dir = snap_temp_dir("bad-log");
+        fs::create_dir_all(&dir).unwrap();
+        let config = AppConfig {
+            default_scale: 2000,
+            engine: EngineConfig::serial(),
+            snapshot_dir: Some(dir.clone()),
+            ..AppConfig::default()
+        };
+        let seed = config.default_seed;
+        let delta = valid_delta(seed, 2000, 60_000);
+        let forged = ChallengeDelta {
+            cbg: usize::MAX,
+            ..delta
+        };
+        for (epoch, log, loaded) in [(2, vec![delta], false), (1, vec![forged], true)] {
+            let mut builder = SnapshotBuilder::new(seed, 2000, epoch);
+            builder.section(SECTION_LOG, |w| w.put_seq(&log));
+            let path = dir.join(snapshot::file_name(seed, 2000, epoch));
+            fs::write(&path, builder.finish()).unwrap();
+            let app = App::new(config.clone());
+            assert_eq!(app.snapshot_status().loaded, loaded, "epoch {epoch}");
+            assert!(app.live_world().is_none());
+            assert_eq!(app.live_epoch(), 0);
+            assert_eq!(
+                app.handle(&request("/v1/table2", &[("epoch", "1")])).status,
+                404
+            );
+            fs::remove_file(&path).unwrap();
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,21 +1,23 @@
-//! World snapshot files: naming, discovery, and status reporting.
+//! Snapshot files: naming, discovery, and status reporting.
 //!
 //! A snapshot is a `caf-snap` container holding everything the server
-//! needs to answer its default scenario without rebuilding the world:
+//! needs to answer its default scenario without recomputing it:
 //!
-//! * [`SECTION_WORLD`] — the [`World`](caf_synth::World): geography,
-//!   challenge state and epoch. Nothing derivable is stored: Q1 truth
-//!   is re-derived on decode, each state's USAC records (a function of
-//!   the seed, the geography and its certified-tier corrections) are
-//!   built on first read, and the Q3 analysis draws its blocks with
-//!   their truth (of the seed, the scale and the state) as it runs.
-//! * [`SECTION_LOG`] — the accepted challenge-delta log, so a restored
-//!   server can keep serving per-epoch delta prefixes.
+//! * [`SECTION_LOG`] — the accepted challenge-delta log. It is the only
+//!   world state a snapshot holds: epoch E is the world generated from
+//!   `(seed, scale)` plus the log's first E entries, so a restore
+//!   regenerates the world and replays the log, through the same
+//!   validation a challenge batch passes. The header's epoch must equal
+//!   the log's length.
 //! * [`SECTION_VIEWS`] — the warm contents of the scenario cache: per
 //!   entry, its identity and its rendered artifact bodies (13 per Q1/Q2
 //!   epoch, one per Q3 world or sweep cell). Restoring these is what
 //!   makes restart-to-first-200 a copy of a few kilobytes instead of a
 //!   recomputation.
+//!
+//! Sections under any other tag are never read: a file from an older
+//! build that still carries a world section (`0x10`, `0x12`, `0x13` or
+//! `0x14`) or views under `0x20` restores from its log and views alone.
 //!
 //! Files are named `world-<seed>-<scale>-<epoch>.snap`; the header
 //! carries the same identity, and [`find_newest`] trusts only the
@@ -30,19 +32,12 @@ use std::path::{Path, PathBuf};
 
 use caf_snap::peek_header;
 
-/// Section tag for the serialized [`World`](caf_synth::World).
-pub const SECTION_WORLD: u32 = 0x14;
-/// Section tags of retired world encodings: `0x10` stored every Q1
-/// truth entry, `0x12` every Q3 block and its truth, `0x13` every USAC
-/// record. A snapshot carrying one is rejected whole, so the server
-/// builds cold.
-pub const SECTION_WORLD_RETIRED: [u32; 3] = [0x10, 0x12, 0x13];
 /// Section tag for the accepted challenge-delta log.
 pub const SECTION_LOG: u32 = 0x11;
 /// Section tag for the warm scenario-cache entries (rendered bodies).
 /// Tag `0x20` held them as decoded audit datasets and indexes; a
-/// snapshot carrying that section still restores its world, and the
-/// old section is ignored.
+/// snapshot carrying that section still restores its log, and the old
+/// section is ignored.
 pub const SECTION_VIEWS: u32 = 0x21;
 
 /// How the server started, surfaced in `/healthz` under `"snapshot"`.
@@ -127,7 +122,7 @@ mod tests {
 
     fn write_snap(dir: &Path, seed: u64, scale: u32, epoch: u64) {
         let mut builder = SnapshotBuilder::new(seed, scale, epoch);
-        builder.section(SECTION_WORLD, |w| w.put_u8(1));
+        builder.section(SECTION_LOG, |w| w.put_u8(1));
         write_atomic(&dir.join(file_name(seed, scale, epoch)), &builder.finish()).unwrap();
     }
 

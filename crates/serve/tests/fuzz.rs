@@ -1,5 +1,6 @@
 //! Deterministic fuzz loops over the decoders that read untrusted bytes:
-//! snapshot containers and their world and rendered-views sections, HTTP
+//! snapshot containers and their challenge-log and rendered-views
+//! sections (the log through a whole restore), HTTP
 //! request heads and bodies, `/v1/*` query strings, challenge JSONL and
 //! sweep specs. Each loop mutates valid inputs with seeded edits from
 //! `caf_exec::prop`, and the invariant is always the same: the decoder
@@ -7,17 +8,17 @@
 
 use caf_core::EngineConfig;
 use caf_exec::prop::{self, Select, VecOf};
+use caf_geo::UsState;
 use caf_serve::entry::decode_views;
-use caf_serve::http::{parse_request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
-use caf_serve::snapshot::{SECTION_VIEWS, SECTION_WORLD};
+use caf_serve::http::{parse_request, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use caf_serve::snapshot::{file_name, SECTION_LOG, SECTION_VIEWS};
 use caf_serve::{App, AppConfig, Handler};
-use caf_snap::{
-    content_hash64, content_hash64_seeded, Reader, SnapError, Snapshot, SnapshotBuilder, Writer,
-};
+use caf_snap::{content_hash64, content_hash64_seeded, Reader, Snapshot, SnapshotBuilder};
 use caf_sweep::SweepSpec;
-use caf_synth::challenge::deltas_from_jsonl;
+use caf_synth::challenge::{delta_to_json, deltas_from_jsonl};
 use caf_synth::{ChallengeDelta, Correction, SynthConfig, World};
 use std::ops::{Range, RangeInclusive};
+use std::path::PathBuf;
 
 /// Cases per loop.
 const CASES: u32 = 2_000;
@@ -163,129 +164,6 @@ fn views_decode_never_panics_on_resealed_mutations() {
     });
 }
 
-/// A small challenged world: Vermont (Q1 only), Utah and Illinois (Q1
-/// and Q3 blocks, so stored truth entries too), with one availability
-/// correction. Its encoding is about 70 KB.
-fn small_world() -> World {
-    let config = SynthConfig {
-        seed: 0xCAF_2024,
-        scale: 12_000,
-    };
-    let mut world = World::generate_states(
-        config,
-        &[
-            caf_geo::UsState::Vermont,
-            caf_geo::UsState::Utah,
-            caf_geo::UsState::Illinois,
-        ],
-    );
-    let sw = &world.states[0];
-    let delta = ChallengeDelta {
-        state: sw.state,
-        cbg: 0,
-        isp: sw.geography.cbgs[0].isp,
-        correction: Correction::Availability { rate_ppm: 400_000 },
-    };
-    world.apply_deltas(&[delta]).unwrap();
-    world
-}
-
-/// Every truth lookup a campaign over `world` could make: each USAC
-/// record in the world's table. (Q3 truth is no part of a world: the Q3
-/// analysis draws it block by block.)
-fn lookup_all(world: &World) -> usize {
-    let mut answered = 0;
-    for sw in &world.states {
-        for r in &sw.usac.records {
-            answered += usize::from(world.truth.get(r.address.id, r.isp).is_some());
-        }
-    }
-    answered
-}
-
-#[test]
-fn world_decode_gives_a_typed_error_or_a_valid_world() {
-    let world = small_world();
-    let mut w = Writer::new();
-    w.put(&world);
-    let section = w.into_bytes();
-    let records: usize = world.states.iter().map(|sw| sw.usac.records.len()).sum();
-    assert!(records > 0);
-    assert_eq!(lookup_all(&world), world.truth.len());
-    let decoded: World = Reader::new(&section).get().unwrap();
-    assert!(decoded == world);
-    let outcomes = std::sync::Mutex::new([0usize; 2]);
-    prop::check(CASES, edits(), |edits| {
-        // Spread the edits over the whole payload, mutate it, then seal
-        // it in a fresh container, so every edit gets past the checksums
-        // to the world decoder.
-        let edits: Vec<Edit> = edits
-            .into_iter()
-            .map(|(pos, kind, byte)| ((pos * section.len()) >> 16, kind, byte))
-            .collect();
-        let payload = mutate(&section, &edits);
-        let mut builder = SnapshotBuilder::new(0xCAF_2024, 12_000, world.epoch);
-        builder.section(SECTION_WORLD, |w| w.put_raw(&payload));
-        let bytes = builder.finish();
-        let snapshot = Snapshot::parse(&bytes).unwrap();
-        let section = snapshot.section(SECTION_WORLD).unwrap();
-        let mut r = Reader::new(section);
-        let decoded = r.get::<World>();
-        outcomes.lock().unwrap()[usize::from(decoded.is_ok())] += 1;
-        let Ok(world) = decoded else {
-            return;
-        };
-        // A valid world: it stores no truth (Q1 truth is drawn from
-        // re-derived cells), every record answers without panic, and
-        // the records built from the decoded geography hold its ids and
-        // blocks.
-        assert_eq!(world.truth.stored_count(), 0);
-        for sw in &world.states {
-            for r in &sw.usac.records {
-                assert!(
-                    world.truth.get(r.address.id, r.isp).is_some(),
-                    "{}",
-                    r.address.id
-                );
-            }
-            assert!(sw.geography.address_blocks().eq(sw
-                .usac
-                .records
-                .iter()
-                .map(|r| (r.address.id, r.address.block))));
-        }
-        lookup_all(&world);
-    });
-    // The loop reaches both answers: rejected and decoded worlds.
-    let [rejected, valid] = outcomes.into_inner().unwrap();
-    assert!(
-        rejected > 0 && valid > 0,
-        "rejected {rejected}, valid {valid}"
-    );
-}
-
-#[test]
-fn forged_state_count_is_rejected_before_allocating() {
-    let world = small_world();
-    let mut w = Writer::new();
-    w.put(&world);
-    // The encoding after the config (seed, scale) and the state count.
-    let states = w.into_bytes().split_off(8 + 4 + 8);
-    for count in [u64::MAX, 1 << 40, states.len() as u64 + 1] {
-        let mut w = Writer::new();
-        w.put(&world.config);
-        w.put_u64(count);
-        w.put_raw(&states);
-        let bytes = w.into_bytes();
-        let result = Reader::new(&bytes).get::<World>();
-        assert!(
-            matches!(result, Err(SnapError::UnexpectedEof { .. })),
-            "count {count}: {:?}",
-            result.map(|_| ())
-        );
-    }
-}
-
 #[test]
 fn sweep_spec_from_json_gives_a_typed_error() {
     let base = include_str!("../../../testdata/sweep_spec.json").as_bytes();
@@ -349,6 +227,145 @@ fn app_answers_mutated_queries_without_server_errors() {
     // The loop reaches both answers: built scenarios and rejections.
     let statuses = statuses.into_inner().unwrap();
     assert!(statuses.contains_key(&200) && statuses.contains_key(&400));
+}
+
+fn post(path: &str, body: &str) -> Request {
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    parse_request(&mut head.as_bytes()).unwrap()
+}
+
+/// A fresh scratch directory under the system temp dir.
+fn scratch_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("caf-fuzz-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The deltas a `LOG` section holds, if it decodes.
+fn decode_log(bytes: &[u8]) -> Option<Vec<ChallengeDelta>> {
+    let mut r = Reader::new(bytes);
+    let log = r.get_seq().ok()?;
+    r.finish().ok()?;
+    Some(log)
+}
+
+/// A restore reads its world from the `LOG` section alone: each mutated
+/// log, resealed at the header epoch of the server that wrote it, either
+/// installs generation plus a replay of the decoded log, or leaves the
+/// server at epoch 0 with the rejection counted. It never panics.
+#[test]
+fn mutated_snapshot_logs_replay_or_restore_no_world() {
+    caf_obs::set_enabled(true);
+    let rejected = || {
+        caf_obs::registry()
+            .counter("caf.snap.restore_rejected")
+            .get()
+    };
+    let config = AppConfig {
+        default_scale: FUZZ_SCALE,
+        min_scale: FUZZ_SCALE,
+        engine: EngineConfig::serial(),
+        ..AppConfig::default()
+    };
+    let seed = config.default_seed;
+    let pristine = World::generate_states(
+        SynthConfig {
+            seed,
+            scale: FUZZ_SCALE,
+        },
+        &UsState::study_states(),
+    );
+    let sw = pristine
+        .states
+        .iter()
+        .find(|sw| sw.geography.cbgs.len() >= 3)
+        .expect("a study state with three CBGs");
+    let deltas: Vec<ChallengeDelta> = (0..3)
+        .map(|cbg| ChallengeDelta {
+            state: sw.state,
+            cbg,
+            isp: sw.geography.cbgs[cbg].isp,
+            correction: if cbg == 1 {
+                Correction::CertifiedTier {
+                    down_mbps: 25,
+                    up_mbps: 3,
+                }
+            } else {
+                Correction::Availability { rate_ppm: 400_000 }
+            },
+        })
+        .collect();
+
+    // The log of a server that took three batches. Its background
+    // snapshot writes stay in their own directory.
+    let written = scratch_dir("log-written");
+    let section = {
+        let app = App::new(AppConfig {
+            snapshot_dir: Some(written.clone()),
+            ..config.clone()
+        });
+        for delta in &deltas {
+            let response = app.handle(&post("/v1/challenge", &(delta_to_json(delta) + "\n")));
+            assert_eq!(response.status, 200);
+        }
+        assert_eq!(app.handle(&post("/v1/snapshot", "")).status, 200);
+        let bytes = std::fs::read(written.join(file_name(seed, FUZZ_SCALE, 3))).unwrap();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        snapshot.section(SECTION_LOG).unwrap().to_vec()
+    };
+    assert_eq!(decode_log(&section).as_deref(), Some(&deltas[..]));
+
+    let dir = scratch_dir("log-restored");
+    let outcomes = std::sync::Mutex::new([0usize; 2]);
+    prop::check(CASES, edits(), |edits| {
+        // Spread the edits over the whole section, then seal it in a
+        // fresh container, so every edit gets past the checksums.
+        let edits: Vec<Edit> = edits
+            .into_iter()
+            .map(|(pos, kind, byte)| ((pos * section.len()) >> 16, kind, byte))
+            .collect();
+        let payload = mutate(&section, &edits);
+        let mut builder = SnapshotBuilder::new(seed, FUZZ_SCALE, 3);
+        builder.section(SECTION_LOG, |w| w.put_raw(&payload));
+        std::fs::write(dir.join(file_name(seed, FUZZ_SCALE, 3)), builder.finish()).unwrap();
+        let expected = decode_log(&payload)
+            .filter(|log| log.len() == 3)
+            .and_then(|log| {
+                let mut world = pristine.clone();
+                world.apply_deltas(&log).ok().map(|_| world)
+            });
+
+        let before = rejected();
+        let app = App::new(AppConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..config.clone()
+        });
+        let live = app.live_world();
+        outcomes.lock().unwrap()[usize::from(expected.is_some())] += 1;
+        match expected {
+            Some(world) => {
+                assert_eq!(app.live_epoch(), 3);
+                assert!(live == Some(world), "the installed world is not the replay");
+            }
+            None => {
+                assert_eq!(app.live_epoch(), 0);
+                assert!(live.is_none());
+                assert_eq!(rejected() - before, 1);
+            }
+        }
+    });
+    // The loop reaches both answers: rejected and replayed logs.
+    let [rejected, replayed] = outcomes.into_inner().unwrap();
+    assert!(
+        rejected > 0 && replayed > 0,
+        "rejected {rejected}, replayed {replayed}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&written);
 }
 
 /// What a server must answer on one connection that carries `bytes` and

@@ -1,9 +1,9 @@
 //! A versioned, checksummed binary snapshot container.
 //!
-//! `caf-snap` is the serialization substrate for persistent world
-//! snapshots and the disk cache tier: a deliberately boring,
-//! dependency-free binary format that favors *verifiability* over
-//! compactness. Every value is fixed-width little-endian or
+//! `caf-snap` is the serialization substrate for persistent server
+//! snapshots, campaign checkpoints and the disk cache tier: a
+//! deliberately boring, dependency-free binary format that favors
+//! *verifiability* over compactness. Every value is fixed-width little-endian or
 //! length-prefixed, every section carries its own checksum, and
 //! the header carries a content hash over the whole section region —
 //! a snapshot is either provably intact or it is rejected. Nothing in
@@ -641,18 +641,12 @@ impl SnapshotBuilder {
     }
 }
 
-/// A parsed, fully verified snapshot container.
-///
-/// Sections are stored as byte ranges into the buffer handed to
-/// [`Snapshot::parse`], so a caller that owns the buffer can lift a
-/// range out with [`Snapshot::section_range`], drop the parse borrow,
-/// and move the buffer elsewhere (e.g. to a background decode thread)
-/// without copying the payload.
+/// A parsed, fully verified snapshot container, borrowing its sections
+/// from the buffer handed to [`Snapshot::parse`].
 pub struct Snapshot<'a> {
     /// The verified header.
     pub header: SnapshotHeader,
-    bytes: &'a [u8],
-    sections: Vec<(u32, core::ops::Range<usize>)>,
+    sections: Vec<(u32, &'a [u8])>,
 }
 
 /// Reads just the header, verifying magic and version but not the
@@ -704,38 +698,23 @@ impl<'a> Snapshot<'a> {
             if content_hash64(payload) != checksum {
                 return Err(SnapError::ChecksumMismatch { tag });
             }
-            // Offset arithmetic on pointers into the same allocation:
-            // `payload` is a subslice of `bytes` by construction.
-            let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
-            sections.push((tag, start..start + payload.len()));
+            sections.push((tag, payload));
         }
         r.finish()?;
-        Ok(Snapshot {
-            header,
-            bytes,
-            sections,
-        })
+        Ok(Snapshot { header, sections })
     }
 
     /// The payload of the first section with `tag`, if present.
     pub fn section(&self, tag: u32) -> Option<&'a [u8]> {
-        self.section_range(tag).map(|range| &self.bytes[range])
-    }
-
-    /// The byte range of the first section with `tag` within the
-    /// buffer passed to [`Snapshot::parse`], if present.
-    pub fn section_range(&self, tag: u32) -> Option<core::ops::Range<usize>> {
         self.sections
             .iter()
             .find(|(t, _)| *t == tag)
-            .map(|(_, range)| range.clone())
+            .map(|&(_, payload)| payload)
     }
 
     /// All section tags in file order.
     pub fn sections(&self) -> impl Iterator<Item = (u32, &'a [u8])> + '_ {
-        self.sections
-            .iter()
-            .map(|(tag, range)| (*tag, &self.bytes[range.clone()]))
+        self.sections.iter().copied()
     }
 }
 

@@ -142,12 +142,6 @@ impl ChallengeSet {
             .collect()
     }
 
-    /// Installs a cell's effective corrections verbatim (snapshot
-    /// restore; everywhere else folds deltas via `merge_delta`).
-    pub(crate) fn insert_cell(&mut self, state_fips: u16, cbg: usize, cell: CellCorrections) {
-        self.cells.insert((state_fips, cbg), cell);
-    }
-
     /// Number of corrected cells.
     pub fn len(&self) -> usize {
         self.cells.len()

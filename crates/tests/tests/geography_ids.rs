@@ -3,12 +3,12 @@
 //! build no record. These checks pin that the two agree: over all
 //! fifteen study states at 1:60, pristine and after a fixed batch of
 //! availability and certified-tier corrections, the geography's cells
-//! and block walk equal the built records', a snapshot round trip
-//! builds the same records as the live world, and a certified-tier
-//! correction changes exactly its CBG's certified speeds.
+//! and block walk equal the built records', a snapshot restore
+//! (generation plus a replay of the challenge log) builds the same
+//! records as the live world, and a certified-tier correction changes
+//! exactly its CBG's certified speeds.
 
 use caf_geo::UsState;
-use caf_snap::{Reader, Writer};
 use caf_synth::geography::CafCell;
 use caf_synth::{ChallengeDelta, Correction, StateWorld, SynthConfig, World};
 
@@ -102,14 +102,15 @@ fn check_geography_matches_records(world: &World) {
     }
 }
 
-fn check_snapshot_builds_the_live_records(world: &World) {
-    let mut w = Writer::new();
-    w.put(world);
-    let bytes = w.into_bytes();
-    let decoded: World = Reader::new(&bytes).get().expect("decodes");
-    assert_eq!(decoded.states.len(), world.states.len());
-    for (live, restored) in world.states.iter().zip(&decoded.states) {
-        assert!(!restored.usac.is_built(), "the snapshot holds no record");
+/// A snapshot restore rebuilds the world from its recipe and its
+/// challenge log: the restored states build their records only when
+/// read, and build the live world's.
+fn check_snapshot_builds_the_live_records(world: &World, log: &[ChallengeDelta]) {
+    let mut restored = World::generate_states(CONFIG, &UsState::study_states());
+    restored.apply_deltas(log).expect("the live log replays");
+    assert_eq!(restored.states.len(), world.states.len());
+    for (live, restored) in world.states.iter().zip(&restored.states) {
+        assert!(!restored.usac.is_built(), "the replay builds no record");
         assert!(
             restored.usac.records == live.usac.records,
             "{}: restored records differ",
@@ -122,13 +123,13 @@ fn check_snapshot_builds_the_live_records(world: &World) {
 fn geography_cells_and_blocks_match_the_records() {
     let mut world = World::generate_states(CONFIG, &UsState::study_states());
     check_geography_matches_records(&world);
-    check_snapshot_builds_the_live_records(&world);
+    check_snapshot_builds_the_live_records(&world, &[]);
     let pristine = world.clone();
 
     let deltas = delta_batch(&world);
     world.apply_deltas(&deltas).expect("valid batch");
     check_geography_matches_records(&world);
-    check_snapshot_builds_the_live_records(&world);
+    check_snapshot_builds_the_live_records(&world, &deltas);
 
     // A certified-tier correction restates its CBG's certified speeds
     // and leaves every other field, and every other CBG, as drawn.

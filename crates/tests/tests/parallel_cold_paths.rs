@@ -16,7 +16,7 @@
 
 use caf_core::{artifact, EngineConfig, Q3Analysis, ServiceabilityAnalysis, ShardPolicy};
 use caf_geo::UsState;
-use caf_snap::{fnv1a, Writer};
+use caf_snap::fnv1a;
 use caf_stats::{bootstrap_ci, bootstrap_ci_on, bootstrap_indices_ci, bootstrap_indices_ci_on};
 use caf_synth::{SynthConfig, World};
 use std::collections::hash_map::DefaultHasher;
@@ -42,16 +42,13 @@ fn states() -> [UsState; 4] {
     ]
 }
 
-/// A content fingerprint of a generated world: FNV-1a of its canonical
-/// `caf-snap` encoding, which covers every state's geography, followed
-/// by the `Debug` form of every USAC record's truth lookup. Q1 truth is
-/// drawn on demand and the USAC records are built on first read, so the
-/// encoding alone holds neither. (Q3 blocks are no part of a world: the
-/// Q3 analysis draws them, and the test below pins its artifact.)
-fn world_fingerprint(world: &World) -> u64 {
-    let mut w = Writer::new();
-    w.put(world);
-    let mut bytes = w.into_bytes();
+/// The `Debug` form of every USAC record's truth lookup, FNV-1a
+/// hashed. `World: PartialEq` compares the geography, the truth cells
+/// and the records (built on first read); this checks that the cells
+/// answer each record alike. (Q3 blocks are no part of a world: the Q3
+/// analysis draws them, and the test below pins its artifact.)
+fn truth_lookups(world: &World) -> u64 {
+    let mut bytes = Vec::new();
     for r in world.states.iter().flat_map(|sw| &sw.usac.records) {
         let lookup = world.truth.get(r.address.id, r.isp);
         bytes.extend_from_slice(format!("{lookup:?}\n").as_bytes());
@@ -66,18 +63,19 @@ fn worker_count_does_not_change_generated_world() {
         scale: SCALE,
     };
     let serial = World::generate_states(config, &states());
-    let serial_print = world_fingerprint(&serial);
+    let serial_lookups = truth_lookups(&serial);
 
     let workers = equiv_workers();
     let parallel =
         World::generate_states_on(config, &states(), EngineConfig::with_workers(workers));
+    assert!(parallel == serial, "world diverged at {workers} workers");
     assert_eq!(
-        world_fingerprint(&parallel),
-        serial_print,
-        "world fingerprint diverged at {workers} workers"
+        truth_lookups(&parallel),
+        serial_lookups,
+        "truth lookups diverged at {workers} workers"
     );
 
-    // Guard against the degenerate explanation (a fingerprint blind to
+    // Guard against the degenerate explanation (a comparison blind to
     // its input would also be "deterministic").
     let other = World::generate_states(
         SynthConfig {
@@ -86,10 +84,14 @@ fn worker_count_does_not_change_generated_world() {
         },
         &states(),
     );
-    assert_ne!(
-        world_fingerprint(&other),
-        serial_print,
+    assert!(
+        other != serial,
         "distinct seeds must produce distinct worlds"
+    );
+    assert_ne!(
+        truth_lookups(&other),
+        serial_lookups,
+        "distinct seeds must draw distinct truth"
     );
 }
 
@@ -188,20 +190,25 @@ fn shard_policy_does_not_change_any_artifact() {
             .overall_rate_ci_on(engine, 400, 0.95, 99)
             .unwrap();
         let mut h = DefaultHasher::new();
-        world_fingerprint(&world).hash(&mut h);
+        truth_lookups(&world).hash(&mut h);
         format!("{:?}", dataset.rows().collect::<Vec<_>>()).hash(&mut h);
         format!("{:?}", dataset.records().collect::<Vec<_>>()).hash(&mut h);
         format!("{ci:?}").hash(&mut h);
-        h.finish()
+        (world, h.finish())
     };
-    let baseline = run(EngineConfig::serial().with_shard_policy(ShardPolicy::disabled()));
+    let (baseline_world, baseline) =
+        run(EngineConfig::serial().with_shard_policy(ShardPolicy::disabled()));
     for policy in [
         ShardPolicy::finest(),
         ShardPolicy::default_policy(),
         ShardPolicy::disabled(),
     ] {
         for workers in [1usize, 2, 4] {
-            let hash = run(EngineConfig::with_workers(workers).with_shard_policy(policy));
+            let (world, hash) = run(EngineConfig::with_workers(workers).with_shard_policy(policy));
+            assert!(
+                world == baseline_world,
+                "world diverged under {policy:?} at {workers} workers"
+            );
             assert_eq!(
                 hash, baseline,
                 "artifacts diverged under {policy:?} at {workers} workers"
