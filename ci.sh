@@ -29,7 +29,9 @@
 # `caf.exec.worker.*` gauge: no pool, BQT campaigns included), a
 # repro output gate (every listed experiment but `dump` and `validate`
 # must print exactly the committed `repro_output.txt` up to its dump
-# section), and the serving-layer gate: `caf-serve` is started on an
+# section), a repro validate gate (`repro validate` must exit 0 or 1 and
+# print exactly the committed validate section), and the serving-layer
+# gate: `caf-serve` is started on an
 # ephemeral port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
 # two fetches in one curl invocation must share one kept connection
@@ -328,8 +330,8 @@ echo "    no caf.exec.worker.* gauge at --workers 1"
 
 # The committed repro_output.txt is what `repro` prints at its defaults.
 # Every experiment `repro --help` lists runs, except `dump` (it writes
-# CSVs into repro_artifacts/ in the working tree) and `validate` (its
-# shape checks do not all pass yet, so it exits 1; ROADMAP item 1). The
+# CSVs into repro_artifacts/ in the working tree) and `validate` (it
+# exits 1 while shape checks fail; the next gate holds its stdout). The
 # stdout must equal the committed file cut before the dump section
 # (each section header is printed after a blank line, so the cut drops
 # that line too).
@@ -342,6 +344,21 @@ repro_experiments=$(./target/release/repro --help 2>&1 | sed -n 's/^experiments:
 dump_line=$(grep -n '^################ dump ################$' repro_output.txt | cut -d: -f1)
 head -n "$((dump_line - 2))" repro_output.txt | cmp - "$ci_out/repro_output.txt"
 echo "    $(echo $repro_experiments | wc -w) experiments reproduce repro_output.txt byte for byte"
+
+# `repro validate` at its defaults must print exactly the committed
+# validate section (the blank line before its header through the end of
+# the file). It exits 1 while shape checks fail (ROADMAP item 1), so
+# status 0 and 1 pass; 2 is `die`.
+gate "repro validate gate: repro validate stdout == the validate section of repro_output.txt"
+validate_status=0
+./target/release/repro validate --quiet > "$ci_out/validate.txt" || validate_status=$?
+if [ "$validate_status" -gt 1 ]; then
+  echo "repro validate exited $validate_status (want 0 or 1)" >&2
+  exit 1
+fi
+validate_line=$(grep -n '^################ validate ################$' repro_output.txt | cut -d: -f1)
+tail -n "+$((validate_line - 1))" repro_output.txt | cmp - "$ci_out/validate.txt"
+echo "    repro validate (exit $validate_status) prints the committed validate section"
 
 # The serving-layer gate. The /v1/table2 bytes must equal the golden
 # artifact repro just wrote — the determinism contract extended across

@@ -42,7 +42,14 @@
 //!
 //! Experiments: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //! table1 table2 table3 table4 rates summary ablate-weights
-//! ablate-sampling ablate-retry ablate-granularity`.
+//! ablate-sampling ablate-retry ablate-granularity ext-experienced
+//! ext-oversight ext-bead ext-carriage ext-ci ext-competition dump
+//! validate`. `dump` writes CSVs under `repro_artifacts/`; `validate`
+//! prints the shape checks and exits 1 if one fails.
+//!
+//! Each reported number is one `caf_core` value (`Table2`, `Table3`,
+//! `Q3Summary`, `EfficacyReport`), computed once; the printers here and
+//! `caf_core::artifact` both read it.
 //!
 //! Absolute numbers come from the calibrated synthetic world; the *shape*
 //! (orderings, approximate magnitudes, crossovers) is the reproduction
@@ -53,20 +60,21 @@ use caf_core::compliance::SpeedBand;
 use caf_core::coverage::CoverageSeries;
 use caf_core::csv::dump_files;
 use caf_core::pipeline::{self, campaign_config, Scenario};
-use caf_core::q3::{BlockComparison, BlockType, ComparisonOutcome};
+use caf_core::q3::{outcome_split, BlockComparison, BlockType, Q3Summary, Uplift};
+use caf_core::report::{Table2, Table3, Volume};
 use caf_core::sensitivity::SensitivityAnalysis;
 use caf_core::{
     Audit, AuditConfig, EfficacyReport, EngineConfig, Q3Analysis, SamplingRule,
     ServiceabilityAnalysis, ShardPolicy,
 };
-use caf_geo::{AddressId, BlockId, UsState};
+use caf_geo::UsState;
 use caf_obs::RunReport;
 use caf_stats::{median, quantile, UrbanRateBenchmark};
 use caf_synth::params::{CalibrationParams, ErrorCategory};
 use caf_synth::usac::NationalCafSummary;
 use caf_synth::{Isp, Q3World, SynthConfig, World};
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const ALL: &[&str] = &[
     "fig1",
@@ -228,11 +236,8 @@ fn die(msg: &str) -> ! {
 }
 
 /// Lazily-built shared state so single-experiment runs stay fast. The
-/// fixtures live in `OnceCell`s, so every accessor takes `&self` — the
-/// experiments below can hold the Q3 fixture and the Q1/Q2 fixture at
-/// the same time without the `&mut` re-borrow dance the old
-/// `Option`-based cache forced, and nothing can accidentally rebuild a
-/// fixture that already exists.
+/// fixtures live in `OnceCell`s: each is built at most once, and an
+/// experiment can hold both.
 struct Lazy {
     seed: u64,
     scale: u32,
@@ -493,64 +498,26 @@ fn fig1(seed: u64) {
 
 fn table3(fixture: &Scenario) {
     println!("Table 3 — CAF addresses queried per ISP per state");
+    let line = |state: &str, isp: Isp, v: &Volume| {
+        println!(
+            "{state:<16} {:<13} {:>10} {:>8} {:>6}",
+            isp.name(),
+            v.addresses,
+            v.blocks,
+            v.cbgs
+        );
+    };
     println!(
         "{:<16} {:<13} {:>10} {:>8} {:>6}",
         "state", "isp", "addresses", "blocks", "CBGs"
     );
-    // Block lookup from the geography (ids walk each CBG's blocks).
-    let block_of: HashMap<AddressId, BlockId> = fixture
-        .world
-        .states
-        .iter()
-        .flat_map(|sw| sw.geography.address_blocks())
-        .collect();
-    let mut totals: HashMap<Isp, (usize, usize, usize)> = HashMap::new();
-    for state in UsState::study_states() {
-        for isp in Isp::audited() {
-            let rows: Vec<_> = fixture
-                .dataset
-                .rows()
-                .filter(|(meta, _)| meta.state == state && meta.isp == isp)
-                .collect();
-            if rows.is_empty() {
-                continue;
-            }
-            let mut blocks: Vec<BlockId> = rows
-                .iter()
-                .filter_map(|(_, r)| block_of.get(&r.address))
-                .copied()
-                .collect();
-            blocks.sort_unstable();
-            blocks.dedup();
-            let mut cbgs: Vec<_> = rows.iter().map(|(meta, _)| meta.cbg).collect();
-            cbgs.sort_unstable();
-            cbgs.dedup();
-            println!(
-                "{:<16} {:<13} {:>10} {:>8} {:>6}",
-                state.name(),
-                isp.name(),
-                rows.len(),
-                blocks.len(),
-                cbgs.len()
-            );
-            let slot = totals.entry(isp).or_insert((0, 0, 0));
-            slot.0 += rows.len();
-            slot.1 += blocks.len();
-            slot.2 += cbgs.len();
-        }
+    let table = Table3::count(&fixture.dataset, &fixture.world);
+    for (state, isp, volume) in &table.rows {
+        line(state.name(), *isp, volume);
     }
     println!("--");
-    for isp in Isp::audited() {
-        if let Some((a, b, c)) = totals.get(&isp) {
-            println!(
-                "{:<16} {:<13} {:>10} {:>8} {:>6}",
-                "TOTAL",
-                isp.name(),
-                a,
-                b,
-                c
-            );
-        }
+    for (isp, volume) in &table.totals {
+        line("TOTAL", *isp, volume);
     }
 }
 
@@ -705,18 +672,14 @@ fn table1(fixture: &Scenario) {
             println!("    {mbps:>7.1} Mbps  {share:>7.3} %");
         }
         println!("  advertised (observed via BQT):");
-        for (band, pct_value) in fixture.compliance.advertised_band_percentages(isp) {
-            if pct_value > 0.0 {
-                println!("    {:<18} {pct_value:>7.3} %", band.label());
-            }
+        let bands = fixture.compliance.advertised_band_percentages(isp);
+        for (band, pct_value) in bands.iter().filter(|(_, p)| *p > 0.0) {
+            println!("    {:<18} {pct_value:>7.3} %", band.label());
         }
-        let unserved = fixture
-            .compliance
-            .advertised_band_percentages(isp)
+        let unserved = bands
             .iter()
             .find(|(b, _)| *b == SpeedBand::Unserved)
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0);
+            .map_or(0.0, |(_, p)| *p);
         println!("  (unserved {unserved:.2} % — every certified tier was ≥ 10 Mbps)");
     }
 }
@@ -776,15 +739,13 @@ fn table4(q3: &(World, Q3Analysis)) {
     for sw in &world.states {
         // The block specs fix every block's address counts; nothing is
         // drawn here.
-        let mut per_isp: HashMap<Isp, (u64, u64)> = HashMap::new();
+        let mut per_isp: BTreeMap<Isp, (u64, u64)> = BTreeMap::new();
         for spec in Q3World::block_specs(&world.config, sw.state) {
             let slot = per_isp.entry(spec.isp).or_insert((0, 0));
             slot.0 += u64::from(spec.caf_n);
             slot.1 += u64::from(spec.non_caf_n);
         }
-        let mut isps: Vec<_> = per_isp.into_iter().collect();
-        isps.sort_by_key(|(isp, _)| *isp);
-        for (isp, (caf, non_caf)) in isps {
+        for (isp, (caf, non_caf)) in per_isp {
             println!(
                 "{:<16} {:<13} {:>8} {:>9}",
                 sw.state.abbrev(),
@@ -794,14 +755,15 @@ fn table4(q3: &(World, Q3Analysis)) {
             );
         }
     }
+    let summary = analysis.summary();
     println!("--");
     println!(
         "queried totals: {} CAF, {} non-CAF (incumbent queries)",
-        analysis.caf_queried, analysis.non_caf_queried
+        summary.caf_queried, summary.non_caf_queried
     );
     println!(
         "served after filtering: {} CAF, {} non-CAF; {} blocks dropped (no served non-CAF)",
-        analysis.caf_served, analysis.non_caf_served, analysis.blocks_dropped
+        summary.caf_served, summary.non_caf_served, summary.blocks_dropped
     );
     let mut per_isp: Vec<_> = analysis.queries_per_isp.iter().collect();
     per_isp.sort_by_key(|(isp, _)| **isp);
@@ -814,8 +776,9 @@ fn table4(q3: &(World, Q3Analysis)) {
 
 fn fig4(analysis: &Q3Analysis) {
     println!("Figure 4 — Type A (CAF + monopoly) census blocks");
+    let summary = analysis.summary();
     let n = analysis.blocks_of(BlockType::A).count();
-    if let Some([better, tie, worse]) = analysis.type_a_outcomes() {
+    if let Some([better, tie, worse]) = summary.type_a {
         println!(
             "4a: over {n} blocks — CAF better {}, identical {}, monopoly better {}",
             pct(better),
@@ -823,12 +786,10 @@ fn fig4(analysis: &Q3Analysis) {
             pct(worse)
         );
     }
-    let winning = analysis.type_a_winning_speeds();
-    let caf: Vec<f64> = winning.iter().map(|(c, _)| *c).collect();
-    let mono: Vec<f64> = winning.iter().map(|(_, m)| *m).collect();
+    let (caf, mono): (Vec<f64>, Vec<f64>) = analysis.type_a_winning_speeds().into_iter().unzip();
     println!(
         "\n4b: avg max download speeds where CAF wins ({} blocks)",
-        winning.len()
+        caf.len()
     );
     print!("{}", format_cdf("CAF speeds (Mbps)", &caf, 11));
     print!("{}", format_cdf("monopoly speeds (Mbps)", &mono, 11));
@@ -839,16 +800,22 @@ fn fig4(analysis: &Q3Analysis) {
             pct(under_100)
         );
     }
-    let uplifts = analysis.type_a_uplift_percents();
     println!("\n4c: percent CAF speed increase over monopoly where CAF wins");
-    print!("{}", format_cdf("uplift (%)", &uplifts, 11));
-    if !uplifts.is_empty() {
-        println!(
-            "median uplift {:.0} %, p80 {:.0} % (paper: 75 % / 400 %)",
-            median(&uplifts).expect("non-empty"),
-            quantile(&uplifts, 0.8).expect("non-empty")
-        );
+    print!(
+        "{}",
+        format_cdf("uplift (%)", &analysis.type_a_uplift_percents(), 11)
+    );
+    if let Some(uplift) = &summary.uplift {
+        println!("{}", uplift_line(uplift));
     }
+}
+
+/// Figure 4c's quantile line.
+fn uplift_line(uplift: &Uplift) -> String {
+    format!(
+        "median uplift {:.0} %, p80 {:.0} % (paper: 75 % / 400 %)",
+        uplift.median, uplift.p80
+    )
 }
 
 // ---------------------------------------------------------------- fig 5
@@ -864,12 +831,10 @@ fn fig5(analysis: &Q3Analysis) {
             pct(worse)
         );
     }
-    let winning = analysis.type_b_winning_speeds();
-    let caf: Vec<f64> = winning.iter().map(|(c, _)| *c).collect();
-    let comp: Vec<f64> = winning.iter().map(|(_, c)| *c).collect();
+    let (caf, comp): (Vec<f64>, Vec<f64>) = analysis.type_b_winning_speeds().into_iter().unzip();
     println!(
         "\n5b: avg max download speeds where CAF wins ({} blocks)",
-        winning.len()
+        caf.len()
     );
     print!("{}", format_cdf("CAF speeds (Mbps)", &caf, 11));
     print!("{}", format_cdf("competitive speeds (Mbps)", &comp, 11));
@@ -967,32 +932,25 @@ fn fig8(fixture: &Scenario) {
 
 fn table2(fixture: &Scenario) {
     println!("Table 2 — traceback error events per ISP");
-    let mut counts: HashMap<(Isp, ErrorCategory), u64> = HashMap::new();
-    let mut totals: HashMap<Isp, u64> = HashMap::new();
-    for record in fixture.dataset.records() {
-        for &category in &record.errors {
-            *counts.entry((record.isp, category)).or_insert(0) += 1;
-            *totals.entry(record.isp).or_insert(0) += 1;
-        }
-    }
-    print!("{:<22}", "isp (total errors)");
+    print!("{}", table2_text(&Table2::count(&fixture.dataset)));
+}
+
+/// Table 2's rows under a category header; a zero count prints `-`.
+fn table2_text(table: &Table2) -> String {
+    let mut out = format!("{:<22}", "isp (total errors)");
     for category in ErrorCategory::all() {
-        print!(" {:>24}", category.label());
+        out += &format!(" {:>24}", category.label());
     }
-    println!();
-    for isp in Isp::audited() {
-        let total = totals.get(&isp).copied().unwrap_or(0);
-        print!("{:<22}", format!("{} ({})", isp.name(), total));
-        for category in ErrorCategory::all() {
-            let count = counts.get(&(isp, category)).copied().unwrap_or(0);
-            if count == 0 {
-                print!(" {:>24}", "-");
-            } else {
-                print!(" {count:>24}");
+    for row in &table.rows {
+        out += &format!("\n{:<22}", format!("{} ({})", row.isp.name(), row.total));
+        for count in row.counts {
+            match count {
+                0 => out += &format!(" {:>24}", "-"),
+                count => out += &format!(" {count:>24}"),
             }
         }
-        println!();
     }
+    out + "\n"
 }
 
 // ---------------------------------------------------------------- fig 9
@@ -1035,6 +993,11 @@ fn fig9(seed: u64, scale: u32, engine: EngineConfig) {
 
 fn fig11(fixture: &Scenario) {
     println!("Figure 11 — per-address query times per ISP (seconds)");
+    // §3.3 politeness: what pacing costs on top of raw parallelism. The
+    // slowest ISP bounds the campaign.
+    let polite = caf_bqt::ThrottlePolicy::polite();
+    let lanes = polite.per_isp_concurrency.min(40) as f64;
+    let mut bound = 0.0f64;
     for isp in Isp::audited() {
         let times: Vec<f64> = fixture
             .dataset
@@ -1046,6 +1009,8 @@ fn fig11(fixture: &Scenario) {
             "{}",
             format_cdf(&format!("{} query time (s)", isp.name()), &times, 11)
         );
+        let secs: f64 = times.iter().sum();
+        bound = bound.max((secs / lanes).max(times.len() as f64 * polite.min_gap_secs / lanes));
     }
     let total = fixture
         .dataset
@@ -1057,21 +1022,6 @@ fn fig11(fixture: &Scenario) {
         total / 3_600.0,
         total / 40.0 / 3_600.0
     );
-    // §3.3 politeness: what pacing costs on top of raw parallelism.
-    let mut per_isp: std::collections::HashMap<Isp, (f64, u64)> = std::collections::HashMap::new();
-    for r in fixture.dataset.records() {
-        let e = per_isp.entry(r.isp).or_insert((0.0, 0));
-        e.0 += r.duration_secs;
-        e.1 += 1;
-    }
-    let polite = caf_bqt::ThrottlePolicy::polite();
-    let bound = per_isp
-        .values()
-        .map(|&(secs, q)| {
-            let c = polite.per_isp_concurrency.min(40) as f64;
-            (secs / c).max(q as f64 * polite.min_gap_secs / c)
-        })
-        .fold(0.0, f64::max);
     println!(
         "under the polite policy (8 containers/ISP, 2 s spacing): {:.1} hours",
         bound / 3_600.0
@@ -1081,8 +1031,6 @@ fn fig11(fixture: &Scenario) {
 // --------------------------------------------------------------- summary
 
 fn summary(lazy: &Lazy) {
-    // Both fixtures can be borrowed simultaneously now that the cache is
-    // interior-mutable.
     let q3 = &lazy.q3().1;
     let fixture = lazy.fixture();
     let report = EfficacyReport::assemble(&fixture.serviceability, &fixture.compliance, Some(q3));
@@ -1178,7 +1126,14 @@ fn ablate_retry(lazy: &Lazy) {
 fn ablate_granularity(lazy: &Lazy) {
     println!("Ablation — census-block vs block-group granularity for Q3 neighbors");
     let analysis = &lazy.q3().1;
-    let block_split = analysis.type_a_outcomes();
+    if let Some([better, tie, worse]) = analysis.type_a_outcomes() {
+        println!(
+            "  block granularity (paper): CAF better {}, tie {}, worse {}",
+            pct(better),
+            pct(tie),
+            pct(worse)
+        );
+    }
     // Re-aggregate Type-A comparisons at block-group granularity: merge
     // blocks sharing a CBG by averaging their mode speeds.
     let mut groups: HashMap<u64, (Vec<f64>, Vec<f64>)> = HashMap::new();
@@ -1189,30 +1144,15 @@ fn ablate_granularity(lazy: &Lazy) {
             entry.1.push(mono);
         }
     }
-    let mut counts = [0usize; 3];
-    for (caf, mono) in groups.values() {
-        let avg = |xs: &Vec<f64>| xs.iter().sum::<f64>() / xs.len() as f64;
-        match caf_core::q3::compare_speeds(avg(caf), avg(mono)) {
-            ComparisonOutcome::CafBetter => counts[0] += 1,
-            ComparisonOutcome::Tie => counts[1] += 1,
-            ComparisonOutcome::OtherBetter => counts[2] += 1,
-        }
-    }
-    let total = counts.iter().sum::<usize>().max(1) as f64;
-    if let Some([better, tie, worse]) = block_split {
-        println!(
-            "  block granularity (paper): CAF better {}, tie {}, worse {}",
-            pct(better),
-            pct(tie),
-            pct(worse)
-        );
-    }
+    let avg = |xs: &Vec<f64>| xs.iter().sum::<f64>() / xs.len() as f64;
+    let cbg_split = outcome_split(groups.values().map(|(caf, mono)| (avg(caf), avg(mono))));
+    let [better, tie, worse] = cbg_split.unwrap_or([0.0; 3]);
     println!(
         "  CBG granularity ({} groups): CAF better {}, tie {}, worse {}",
         groups.len(),
-        pct(counts[0] as f64 / total),
-        pct(counts[1] as f64 / total),
-        pct(counts[2] as f64 / total)
+        pct(better),
+        pct(tie),
+        pct(worse)
     );
     println!("Coarser neighborhoods blur the within-block contrast the paper relies on.");
 }
@@ -1406,34 +1346,11 @@ fn ext_ci(fixture: &Scenario) {
         Err(e) => println!("compliance CI unavailable: {e}"),
     }
     for isp in Isp::audited() {
-        let rates: Vec<(f64, f64)> = fixture
-            .serviceability
-            .cbg_rates
-            .iter()
-            .filter(|r| r.isp == isp)
-            .map(|r| (r.rate, r.weight))
-            .collect();
-        if rates.len() < 3 {
-            continue;
-        }
-        let ci = caf_stats::bootstrap_indices_ci_on(
-            fixture.engine,
-            rates.len(),
-            |idx| {
-                let (num, den) = idx.iter().fold((0.0, 0.0), |(n, d), &i| {
-                    (n + rates[i].0 * rates[i].1, d + rates[i].1)
-                });
-                if den > 0.0 {
-                    num / den
-                } else {
-                    0.0
-                }
-            },
-            800,
-            0.95,
-            isp.id(),
-        );
-        if let Ok(ci) = ci {
+        if let Ok(ci) =
+            fixture
+                .serviceability
+                .rate_ci_for_isp_on(fixture.engine, isp, 800, 0.95, isp.id())
+        {
             println!(
                 "  {:<13} {} ({} – {})",
                 isp.name(),
@@ -1479,42 +1396,13 @@ fn validate(lazy: &Lazy) {
         }
     };
 
-    {
-        let q3 = &lazy.q3().1;
-        if let Some([better, tie, worse]) = q3.type_a_outcomes() {
-            check(
-                "Type A split ~ 27/54/17",
-                (better - 0.27).abs() < 0.10
-                    && (tie - 0.54).abs() < 0.12
-                    && (worse - 0.17).abs() < 0.10,
-                format!(
-                    "{:.1}/{:.1}/{:.1}",
-                    100.0 * better,
-                    100.0 * tie,
-                    100.0 * worse
-                ),
-            );
-        } else {
-            check("Type A split ~ 27/54/17", false, "no Type A blocks".into());
-        }
-        let mut uplifts = q3.type_a_uplift_percents();
-        uplifts.sort_by(|a, b| a.total_cmp(b));
-        if uplifts.is_empty() {
-            check("uplift median/p80", false, "no CAF wins".into());
-        } else {
-            let med = uplifts[uplifts.len() / 2];
-            let p80 = uplifts[(uplifts.len() as f64 * 0.8) as usize];
-            check(
-                "uplift p80 >> median (paper 400 vs 75)",
-                p80 > 1.8 * med && med > 25.0,
-                format!("median {med:.0} %, p80 {p80:.0} %"),
-            );
-        }
-    }
-
+    let q3 = &lazy.q3().1;
     let fixture = lazy.fixture();
-    let s = &fixture.serviceability;
-    let c = &fixture.compliance;
+    let report = EfficacyReport::assemble(&fixture.serviceability, &fixture.compliance, Some(q3));
+    q3_checks(report.q3.as_ref(), &mut check);
+
+    let serviceability = |isp| report.isp(isp).map(|rates| rates.serviceability);
+    let compliance = |isp| report.isp(isp).map(|rates| rates.compliance);
     // Frontier's published 70.71 % happens to be 1/sqrt(2); it is a
     // coincidence of the paper's data, not an approximated constant.
     #[allow(clippy::approx_constant)]
@@ -1525,38 +1413,40 @@ fn validate(lazy: &Lazy) {
         (Isp::Consolidated, 0.8395),
     ];
     for (isp, target) in targets {
-        let rate = s.rate_for_isp(isp).unwrap_or(0.0);
+        let rate = serviceability(isp).unwrap_or(0.0);
         check(
             &format!("{} serviceability ~ {:.1} %", isp.name(), 100.0 * target),
             (rate - target).abs() < 0.09,
             pct(rate),
         );
     }
-    let serv_order = s.rate_for_isp(Isp::CenturyLink) > s.rate_for_isp(Isp::Consolidated)
-        && s.rate_for_isp(Isp::Consolidated) > s.rate_for_isp(Isp::Frontier)
-        && s.rate_for_isp(Isp::Frontier) > s.rate_for_isp(Isp::Att);
+    let serv_order = serviceability(Isp::CenturyLink) > serviceability(Isp::Consolidated)
+        && serviceability(Isp::Consolidated) > serviceability(Isp::Frontier)
+        && serviceability(Isp::Frontier) > serviceability(Isp::Att);
     check(
         "serviceability ordering CL>Cons>Frontier>AT&T",
         serv_order,
         String::new(),
     );
-    let comp_order = c.rate_for_isp(Isp::Consolidated) > c.rate_for_isp(Isp::CenturyLink)
-        && c.rate_for_isp(Isp::CenturyLink) > c.rate_for_isp(Isp::Att)
-        && c.rate_for_isp(Isp::Att) > c.rate_for_isp(Isp::Frontier);
+    let comp_order = compliance(Isp::Consolidated) > compliance(Isp::CenturyLink)
+        && compliance(Isp::CenturyLink) > compliance(Isp::Att)
+        && compliance(Isp::Att) > compliance(Isp::Frontier);
     check(
         "compliance ordering Cons>CL>AT&T>Frontier",
         comp_order,
         String::new(),
     );
-    let overall_c = c.overall_rate();
     check(
         "overall compliance in the paper's 28-33 % band (±7)",
-        (0.21..0.40).contains(&overall_c),
-        pct(overall_c),
+        (0.21..0.40).contains(&report.compliance),
+        pct(report.compliance),
     );
-    let (price_ok, _) = c.price_compliance(&fixture.dataset);
+    let (price_ok, _) = fixture.compliance.price_compliance(&fixture.dataset);
     check("price compliance ~ 100 %", price_ok > 0.999, pct(price_ok));
-    match s.density_correlation(Isp::Att, UsState::Georgia) {
+    match fixture
+        .serviceability
+        .density_correlation(Isp::Att, UsState::Georgia)
+    {
         Some((r, _)) => check(
             "AT&T GA density correlation > 0.15",
             r > 0.15,
@@ -1574,6 +1464,34 @@ fn validate(lazy: &Lazy) {
     } else {
         println!("{failures} shape check(s) FAILED");
         std::process::exit(1);
+    }
+}
+
+/// `validate`'s Q3 checks: the Type A split and the uplift quantiles.
+fn q3_checks(summary: Option<&Q3Summary>, check: &mut impl FnMut(&str, bool, String)) {
+    let split_label = "Type A split ~ 27/54/17";
+    match summary.and_then(|s| s.type_a) {
+        Some([better, tie, worse]) => check(
+            split_label,
+            (better - 0.27).abs() < 0.10
+                && (tie - 0.54).abs() < 0.12
+                && (worse - 0.17).abs() < 0.10,
+            format!(
+                "{:.1}/{:.1}/{:.1}",
+                100.0 * better,
+                100.0 * tie,
+                100.0 * worse
+            ),
+        ),
+        None => check(split_label, false, "no Type A blocks".into()),
+    }
+    match summary.and_then(|s| s.uplift) {
+        Some(Uplift { median, p80, .. }) => check(
+            "uplift p80 >> median (paper 400 vs 75)",
+            p80 > 1.8 * median && median > 25.0,
+            format!("median {median:.0} %, p80 {p80:.0} %"),
+        ),
+        None => check("uplift median/p80", false, "no CAF wins".into()),
     }
 }
 
@@ -1616,4 +1534,132 @@ fn ext_competition(analysis: &Q3Analysis) {
          the paper's 'foster competition' recommendation.",
         100.0 * cf.full_treatment_gain()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caf_core::artifact;
+    use caf_geo::{BlockGroupId, BlockId, CountyId, StateFips, TractId};
+    use caf_obs::json::Json;
+
+    /// Vermont at 1:200, audited and analysed.
+    fn small_scenario() -> Scenario {
+        let engine = EngineConfig::serial();
+        Scenario::build(
+            SynthConfig {
+                seed: 7,
+                scale: 200,
+            },
+            &[UsState::Vermont],
+            engine,
+            campaign_config(7, engine),
+            &[],
+        )
+        .expect("no deltas")
+    }
+
+    /// Type-A blocks where CAF beats a 100 Mbps monopoly by `uplifts`
+    /// percent.
+    fn type_a_wins(uplifts: &[f64]) -> Q3Analysis {
+        let county = CountyId::new(StateFips::new(50).unwrap(), 1).unwrap();
+        let cbg = BlockGroupId::new(TractId::new(county, 1).unwrap(), 1).unwrap();
+        let blocks = uplifts
+            .iter()
+            .zip(1..)
+            .map(|(&uplift, suffix)| BlockComparison {
+                block: BlockId::new(cbg, suffix).unwrap(),
+                state: UsState::Vermont,
+                caf_isp: Isp::Consolidated,
+                block_type: BlockType::A,
+                caf_speed: 100.0 + uplift,
+                monopoly_speed: Some(100.0),
+                competition_speed: None,
+                caf_carriage: None,
+                monopoly_carriage: None,
+                competition_carriage: None,
+            })
+            .collect();
+        Q3Analysis {
+            blocks,
+            ..Q3Analysis::default()
+        }
+    }
+
+    #[test]
+    fn every_printed_uplift_quantile_is_the_interpolated_one() {
+        // An even count: the upper-middle element (30) and the element
+        // at index ⌊0.8·n⌋ (40) are not the interpolated 25 and 34.
+        let q3 = type_a_wins(&[40.0, 10.0, 30.0, 20.0]);
+        let uplifts = q3.type_a_uplift_percents();
+        let median = quantile(&uplifts, 0.5).unwrap();
+        let p80 = quantile(&uplifts, 0.8).unwrap();
+        assert_eq!((median, p80), (25.0, 34.0));
+
+        let fixture = small_scenario();
+        let report =
+            EfficacyReport::assemble(&fixture.serviceability, &fixture.compliance, Some(&q3));
+        let uplift = report
+            .q3
+            .and_then(|s| s.uplift)
+            .expect("CAF wins four blocks");
+        assert_eq!((uplift.n, uplift.median, uplift.p80), (4, median, p80));
+        assert!(report
+            .render()
+            .contains("Median CAF uplift where CAF wins: +25 %"));
+
+        let rendered = artifact::q3(&q3);
+        let rendered = rendered.get("uplift").expect("an uplift section");
+        assert_eq!(rendered.get("median_pct"), Some(&Json::Num(median)));
+        assert_eq!(rendered.get("p80_pct"), Some(&Json::Num(p80)));
+
+        assert_eq!(
+            uplift_line(&uplift),
+            "median uplift 25 %, p80 34 % (paper: 75 % / 400 %)"
+        );
+        let mut printed = Vec::new();
+        q3_checks(report.q3.as_ref(), &mut |label, _, detail| {
+            printed.push(format!("{label}: {detail}"))
+        });
+        assert_eq!(
+            printed[1],
+            "uplift p80 >> median (paper 400 vs 75): median 25 %, p80 34 %"
+        );
+    }
+
+    #[test]
+    fn a_category_without_events_prints_a_dash_and_renders_zero() {
+        let fixture = small_scenario();
+        let table = Table2::count(&fixture.dataset);
+        let text = table2_text(&table);
+        let rendered = artifact::table2(&fixture.dataset);
+        let (mut zeros, mut events) = (0, 0);
+        for (row, line) in table.rows.iter().zip(text.lines().skip(1)) {
+            let isp = rendered
+                .get("isps")
+                .and_then(|isps| isps.get(row.isp.name()))
+                .expect("every audited ISP has an entry");
+            assert!(line.starts_with(&format!("{} ({})", row.isp.name(), row.total)));
+            assert_eq!(isp.get("total").and_then(Json::as_u64), Some(row.total));
+            let cells: Vec<&str> = line.split_whitespace().collect();
+            let cells = &cells[cells.len() - ErrorCategory::all().len()..];
+            for ((&count, &cell), category) in
+                row.counts.iter().zip(cells).zip(ErrorCategory::all())
+            {
+                let json = isp.get("errors").and_then(|e| e.get(category.label()));
+                assert_eq!(json.and_then(Json::as_u64), Some(count));
+                if count == 0 {
+                    zeros += 1;
+                    assert_eq!(cell, "-", "{:?} {category:?}", row.isp);
+                } else {
+                    events += 1;
+                    assert_eq!(cell, count.to_string());
+                }
+            }
+        }
+        assert!(
+            zeros > 0 && events > 0,
+            "{zeros} zero and {events} non-zero cells"
+        );
+    }
 }

@@ -22,13 +22,13 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use caf_obs::json::Json;
-use caf_stats::{median, quantile};
 use caf_synth::params::ErrorCategory;
 use caf_synth::Isp;
 
 use crate::audit::AuditDataset;
 use crate::compliance::ComplianceAnalysis;
 use crate::q3::Q3Analysis;
+use crate::report::Table2;
 use crate::serviceability::ServiceabilityAnalysis;
 
 /// The scenario identity an artifact was computed under. Everything that
@@ -266,98 +266,60 @@ fn outcome_split(split: Option<[f64; 3]>) -> Json {
     }
 }
 
-/// The Q3 artifact: query accounting, the Type-A and Type-B outcome
-/// splits, and the Type-A uplift distribution.
+/// The Q3 artifact: [`Q3Analysis::summary`]'s query accounting, Type-A
+/// and Type-B outcome splits and Type-A uplift quantiles.
 pub fn q3(analysis: &Q3Analysis) -> Json {
-    let uplifts = analysis.type_a_uplift_percents();
-    let uplift = if uplifts.is_empty() {
-        Json::Null
-    } else {
-        Json::Obj(vec![
-            (
-                "median_pct".to_string(),
-                num(median(&uplifts).expect("non-empty")),
-            ),
-            ("n".to_string(), Json::UInt(uplifts.len() as u64)),
-            (
-                "p80_pct".to_string(),
-                num(quantile(&uplifts, 0.8).expect("non-empty")),
-            ),
-        ])
+    let summary = analysis.summary();
+    let count = |n: usize| Json::UInt(n as u64);
+    let uplift = match summary.uplift {
+        Some(uplift) => Json::Obj(vec![
+            ("median_pct".to_string(), num(uplift.median)),
+            ("n".to_string(), count(uplift.n)),
+            ("p80_pct".to_string(), num(uplift.p80)),
+        ]),
+        None => Json::Null,
     };
     Json::Obj(vec![
-        (
-            "blocks".to_string(),
-            Json::UInt(analysis.blocks.len() as u64),
-        ),
-        (
-            "blocks_dropped".to_string(),
-            Json::UInt(analysis.blocks_dropped as u64),
-        ),
-        (
-            "caf_queried".to_string(),
-            Json::UInt(analysis.caf_queried as u64),
-        ),
-        (
-            "caf_served".to_string(),
-            Json::UInt(analysis.caf_served as u64),
-        ),
+        ("blocks".to_string(), count(summary.blocks)),
+        ("blocks_dropped".to_string(), count(summary.blocks_dropped)),
+        ("caf_queried".to_string(), count(summary.caf_queried)),
+        ("caf_served".to_string(), count(summary.caf_served)),
         ("experiment".to_string(), Json::Str("q3".to_string())),
         (
             "non_caf_queried".to_string(),
-            Json::UInt(analysis.non_caf_queried as u64),
+            count(summary.non_caf_queried),
         ),
-        (
-            "non_caf_served".to_string(),
-            Json::UInt(analysis.non_caf_served as u64),
-        ),
-        (
-            "type_a".to_string(),
-            outcome_split(analysis.type_a_outcomes()),
-        ),
-        (
-            "type_b".to_string(),
-            outcome_split(analysis.type_b_outcomes()),
-        ),
+        ("non_caf_served".to_string(), count(summary.non_caf_served)),
+        ("type_a".to_string(), outcome_split(summary.type_a)),
+        ("type_b".to_string(), outcome_split(summary.type_b)),
         ("uplift".to_string(), uplift),
     ])
 }
 
-/// The Table-2 artifact: traceback error-event counts per ISP per error
-/// category (the serve gate's byte-diff target — small, fully integer,
-/// and exercised by the cheapest experiment the fixture supports).
+/// The Table-2 artifact: [`Table2`]'s traceback error-event counts per
+/// ISP per error category (the serve gate's byte-diff target — small,
+/// fully integer, and exercised by the cheapest experiment the fixture
+/// supports).
 pub fn table2(dataset: &AuditDataset) -> Json {
-    let isp_entries: Vec<(String, Json)> = isps_sorted(None)
-        .into_iter()
-        .map(|isp| {
-            let mut total = 0u64;
-            let mut categories: Vec<(String, u64)> = ErrorCategory::all()
-                .into_iter()
-                .map(|category| (category.label().to_string(), 0u64))
+    let mut rows = Table2::count(dataset).rows;
+    rows.sort_by_key(|row| row.isp.name());
+    let mut columns: Vec<(usize, ErrorCategory)> =
+        ErrorCategory::all().into_iter().enumerate().collect();
+    columns.sort_by_key(|(_, category)| category.label());
+    let isp_entries: Vec<(String, Json)> = rows
+        .iter()
+        .map(|row| {
+            let errors = columns
+                .iter()
+                .map(|&(column, category)| {
+                    (category.label().to_string(), Json::UInt(row.counts[column]))
+                })
                 .collect();
-            categories.sort_by(|a, b| a.0.cmp(&b.0));
-            for record in dataset.records().filter(|r| r.isp == isp) {
-                for &error in &record.errors {
-                    total += 1;
-                    let label = error.label();
-                    if let Some(slot) = categories.iter_mut().find(|(k, _)| k == label) {
-                        slot.1 += 1;
-                    }
-                }
-            }
             (
-                isp.name().to_string(),
+                row.isp.name().to_string(),
                 Json::Obj(vec![
-                    (
-                        "errors".to_string(),
-                        Json::Obj(
-                            categories
-                                .into_iter()
-                                .map(|(k, v)| (k, Json::UInt(v)))
-                                .collect(),
-                        ),
-                    ),
-                    ("total".to_string(), Json::UInt(total)),
+                    ("errors".to_string(), Json::Obj(errors)),
+                    ("total".to_string(), Json::UInt(row.total)),
                 ]),
             )
         })

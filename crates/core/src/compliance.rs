@@ -11,14 +11,14 @@
 
 use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, UsState};
-use caf_stats::weighted::WeightedSample;
-use caf_stats::{weighted_mean, Summary};
+use caf_stats::{BootstrapCi, StatsError, Summary};
 use caf_synth::params::CalibrationParams;
 use caf_synth::Isp;
 use std::collections::HashMap;
 
 use crate::audit::{AuditDataset, AuditRow};
 use crate::index::AuditIndex;
+use crate::serviceability::{weighted_rate, weighted_rate_ci};
 
 /// The advertised-speed band an address falls in, for Table 1's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -181,77 +181,45 @@ impl ComplianceAnalysis {
         }
     }
 
-    fn weighted(rates: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
-        let samples: Vec<WeightedSample> = rates.map(|(r, w)| WeightedSample::new(r, w)).collect();
-        weighted_mean(&samples).ok()
-    }
-
     /// The overall weighted compliance rate (§4.2: 33.03 %, abstract:
     /// 27.72 % — the paper reports both; see EXPERIMENTS.md).
     pub fn overall_rate(&self) -> f64 {
-        Self::weighted(self.cbg_rates.iter().map(|r| (r.rate, r.weight)))
+        self.rate_where(|_| true)
             .expect("analysis requires at least one CBG")
     }
 
     /// A bootstrap confidence interval on the overall compliance rate,
-    /// resampling census block groups — the same clustering unit as the
-    /// serviceability CI.
-    pub fn overall_rate_ci(
-        &self,
-        replicates: usize,
-        level: f64,
-        seed: u64,
-    ) -> Result<caf_stats::BootstrapCi, caf_stats::StatsError> {
-        self.overall_rate_ci_on(EngineConfig::serial(), replicates, level, seed)
-    }
-
-    /// [`overall_rate_ci`](ComplianceAnalysis::overall_rate_ci) with the
-    /// replicates chunked across an engine worker pool. Bit-identical to
-    /// the serial variant at any worker count.
+    /// resampling census block groups — the same clustering unit and
+    /// statistic as
+    /// [`ServiceabilityAnalysis::overall_rate_ci_on`](crate::ServiceabilityAnalysis::overall_rate_ci_on).
+    /// Bit-identical at any worker count.
     pub fn overall_rate_ci_on(
         &self,
         engine: EngineConfig,
         replicates: usize,
         level: f64,
         seed: u64,
-    ) -> Result<caf_stats::BootstrapCi, caf_stats::StatsError> {
-        let rows: Vec<(f64, f64)> = self.cbg_rates.iter().map(|r| (r.rate, r.weight)).collect();
-        caf_stats::bootstrap_indices_ci_on(
-            engine,
-            rows.len(),
-            |idx| {
-                let (num, den) = idx.iter().fold((0.0, 0.0), |(n, d), &i| {
-                    (n + rows[i].0 * rows[i].1, d + rows[i].1)
-                });
-                if den > 0.0 {
-                    num / den
-                } else {
-                    0.0
-                }
-            },
-            replicates,
-            level,
-            seed,
-        )
+    ) -> Result<BootstrapCi, StatsError> {
+        let pairs: Vec<(f64, f64)> = self.cbg_rates.iter().map(|r| (r.rate, r.weight)).collect();
+        weighted_rate_ci(engine, &pairs, replicates, level, seed)
     }
 
     /// The weighted compliance rate for one ISP (§4.2: 16.58 % AT&T,
     /// 69.30 % CenturyLink, 15 % Frontier, 85.56 % Consolidated).
     pub fn rate_for_isp(&self, isp: Isp) -> Option<f64> {
-        Self::weighted(
-            self.cbg_rates
-                .iter()
-                .filter(|r| r.isp == isp)
-                .map(|r| (r.rate, r.weight)),
-        )
+        self.rate_where(|r| r.isp == isp)
     }
 
     /// The weighted compliance rate for one state.
     pub fn rate_for_state(&self, state: UsState) -> Option<f64> {
-        Self::weighted(
+        self.rate_where(|r| r.state == state)
+    }
+
+    fn rate_where(&self, keep: impl Fn(&CbgCompliance) -> bool) -> Option<f64> {
+        weighted_rate(
             self.cbg_rates
                 .iter()
-                .filter(|r| r.state == state)
+                .filter(|r| keep(r))
                 .map(|r| (r.rate, r.weight)),
         )
     }

@@ -19,8 +19,9 @@
 //! Supporting stages: the §3.1 address [`sampling`] strategy
 //! (max(30, 10 %) per CBG, resampling on persistent failure), the
 //! end-to-end [`audit`] orchestrator, campaign [`coverage`] telemetry
-//! (Figures 7/8), the §9.1 [`sensitivity`] analysis (Figure 9), and the
-//! headline [`report`].
+//! (Figures 7/8), the §9.1 [`sensitivity`] analysis (Figure 9), and
+//! [`report`]: one value per reported number (Tables 2 and 3, the
+//! headline report), which `repro` prints and [`artifact`] renders.
 //!
 //! Two shared execution layers sit underneath: [`index`] builds the
 //! columnar [`AuditIndex`] once per dataset so every analysis consumes
@@ -70,7 +71,7 @@ pub use index::{AuditIndex, RecordIndex};
 pub use oversight::{compare_oversight, OversightConfig};
 pub use pipeline::Scenario;
 pub use program::ProgramRules;
-pub use q3::{BlockType, Q3Analysis};
-pub use report::EfficacyReport;
+pub use q3::{BlockType, Q3Analysis, Q3Summary};
+pub use report::{EfficacyReport, Table2, Table3};
 pub use sampling::{SamplingPlan, SamplingRule};
 pub use serviceability::ServiceabilityAnalysis;

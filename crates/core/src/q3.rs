@@ -97,6 +97,58 @@ pub fn compare_speeds(caf: f64, other: f64) -> ComparisonOutcome {
     }
 }
 
+/// The `(CAF better, tie, other better)` fractions over `(CAF, other)`
+/// value pairs, or `None` without a pair.
+pub fn outcome_split(pairs: impl Iterator<Item = (f64, f64)>) -> Option<[f64; 3]> {
+    let mut counts = [0usize; 3];
+    for (caf, other) in pairs {
+        counts[match compare_speeds(caf, other) {
+            ComparisonOutcome::CafBetter => 0,
+            ComparisonOutcome::Tie => 1,
+            ComparisonOutcome::OtherBetter => 2,
+        }] += 1;
+    }
+    let total: usize = counts.iter().sum();
+    (total > 0).then(|| counts.map(|count| count as f64 / total as f64))
+}
+
+/// The reported Q3 numbers (§4.3), computed once from a [`Q3Analysis`]:
+/// `repro` prints them and [`crate::artifact::q3`] renders them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Q3Summary {
+    /// Surviving blocks.
+    pub blocks: usize,
+    /// Blocks dropped by the no-served-non-CAF filter.
+    pub blocks_dropped: usize,
+    /// CAF addresses queried.
+    pub caf_queried: usize,
+    /// CAF addresses served.
+    pub caf_served: usize,
+    /// Non-CAF addresses queried against the incumbent.
+    pub non_caf_queried: usize,
+    /// Non-CAF addresses the incumbent serves.
+    pub non_caf_served: usize,
+    /// [`Q3Analysis::type_a_outcomes`] (Figure 4a).
+    pub type_a: Option<[f64; 3]>,
+    /// [`Q3Analysis::type_b_outcomes`] (Figure 5a).
+    pub type_b: Option<[f64; 3]>,
+    /// Figure 4c's uplift quantiles, if CAF wins any Type-A block.
+    pub uplift: Option<Uplift>,
+}
+
+/// The distribution of [`Q3Analysis::type_a_uplift_percents`]: its
+/// median and 80th percentile by `caf_stats::quantile`'s linear
+/// interpolation, the one definition every printed copy uses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Uplift {
+    /// Type-A blocks where CAF wins.
+    pub n: usize,
+    /// Median uplift, percent (paper: 75 %).
+    pub median: f64,
+    /// 80th-percentile uplift, percent (paper: 400 %).
+    pub p80: f64,
+}
+
 /// The Q3 analysis results.
 #[derive(Debug, Default)]
 pub struct Q3Analysis {
@@ -358,6 +410,29 @@ impl Q3Analysis {
         analysis
     }
 
+    /// The reported numbers; the uplift quantiles come from one sort.
+    pub fn summary(&self) -> Q3Summary {
+        let uplifts = self.type_a_uplift_percents();
+        let uplift = caf_stats::quantile::quantiles(&uplifts, &[0.5, 0.8])
+            .ok()
+            .map(|q| Uplift {
+                n: uplifts.len(),
+                median: q[0],
+                p80: q[1],
+            });
+        Q3Summary {
+            blocks: self.blocks.len(),
+            blocks_dropped: self.blocks_dropped,
+            caf_queried: self.caf_queried,
+            caf_served: self.caf_served,
+            non_caf_queried: self.non_caf_queried,
+            non_caf_served: self.non_caf_served,
+            type_a: self.type_a_outcomes(),
+            type_b: self.type_b_outcomes(),
+            uplift,
+        }
+    }
+
     /// Blocks of one type.
     pub fn blocks_of(&self, block_type: BlockType) -> impl Iterator<Item = &BlockComparison> {
         self.blocks
@@ -368,105 +443,60 @@ impl Q3Analysis {
     /// Outcome fractions `(CAF better, tie, other better)` for Type-A
     /// blocks vs the monopoly mode (Figure 4a: 27 % / 54 % / 17 %).
     pub fn type_a_outcomes(&self) -> Option<[f64; 3]> {
-        self.outcome_fractions(BlockType::A, |b| b.monopoly_speed)
+        outcome_split(
+            self.blocks_of(BlockType::A)
+                .filter_map(|b| Some((b.caf_speed, b.monopoly_speed?))),
+        )
     }
 
     /// Outcome fractions for Type-B blocks vs the competition mode
     /// (Figure 5a: 32.1 % / 37.2 % / 30.7 %).
     pub fn type_b_outcomes(&self) -> Option<[f64; 3]> {
-        self.outcome_fractions(BlockType::B, |b| b.competition_speed)
+        outcome_split(
+            self.blocks_of(BlockType::B)
+                .filter_map(|b| Some((b.caf_speed, b.competition_speed?))),
+        )
     }
 
     /// Type-A outcome fractions measured on *carriage value* rather than
     /// speed — the alternative metric §4.3 reports as showing "similar
     /// trends".
     pub fn type_a_outcomes_by_carriage(&self) -> Option<[f64; 3]> {
-        let mut counts = [0usize; 3];
-        let mut total = 0usize;
-        for b in self.blocks_of(BlockType::A) {
-            let (Some(caf), Some(mono)) = (b.caf_carriage, b.monopoly_carriage) else {
-                continue;
-            };
-            total += 1;
-            match compare_speeds(caf, mono) {
-                ComparisonOutcome::CafBetter => counts[0] += 1,
-                ComparisonOutcome::Tie => counts[1] += 1,
-                ComparisonOutcome::OtherBetter => counts[2] += 1,
-            }
-        }
-        if total == 0 {
-            return None;
-        }
-        Some([
-            counts[0] as f64 / total as f64,
-            counts[1] as f64 / total as f64,
-            counts[2] as f64 / total as f64,
-        ])
-    }
-
-    fn outcome_fractions<F>(&self, block_type: BlockType, other: F) -> Option<[f64; 3]>
-    where
-        F: Fn(&BlockComparison) -> Option<f64>,
-    {
-        let mut counts = [0usize; 3];
-        let mut total = 0usize;
-        for b in self.blocks_of(block_type) {
-            let Some(other_speed) = other(b) else {
-                continue;
-            };
-            total += 1;
-            match compare_speeds(b.caf_speed, other_speed) {
-                ComparisonOutcome::CafBetter => counts[0] += 1,
-                ComparisonOutcome::Tie => counts[1] += 1,
-                ComparisonOutcome::OtherBetter => counts[2] += 1,
-            }
-        }
-        if total == 0 {
-            return None;
-        }
-        Some([
-            counts[0] as f64 / total as f64,
-            counts[1] as f64 / total as f64,
-            counts[2] as f64 / total as f64,
-        ])
+        outcome_split(
+            self.blocks_of(BlockType::A)
+                .filter_map(|b| Some((b.caf_carriage?, b.monopoly_carriage?))),
+        )
     }
 
     /// Percentage speed increases of CAF over monopoly in Type-A blocks
     /// where CAF wins (Figure 4c: median 75 %, p80 400 %).
     pub fn type_a_uplift_percents(&self) -> Vec<f64> {
-        self.blocks_of(BlockType::A)
-            .filter_map(|b| {
-                let mono = b.monopoly_speed?;
-                if compare_speeds(b.caf_speed, mono) == ComparisonOutcome::CafBetter && mono > 0.0 {
-                    Some(100.0 * (b.caf_speed - mono) / mono)
-                } else {
-                    None
-                }
-            })
+        self.type_a_winning_speeds()
+            .into_iter()
+            .filter(|&(_, mono)| mono > 0.0)
+            .map(|(caf, mono)| 100.0 * (caf - mono) / mono)
             .collect()
     }
 
     /// `(caf, monopoly)` average speeds for Type-A blocks where CAF wins
     /// (Figure 4b's two CDFs).
     pub fn type_a_winning_speeds(&self) -> Vec<(f64, f64)> {
-        self.blocks_of(BlockType::A)
-            .filter_map(|b| {
-                let mono = b.monopoly_speed?;
-                (compare_speeds(b.caf_speed, mono) == ComparisonOutcome::CafBetter)
-                    .then_some((b.caf_speed, mono))
-            })
-            .collect()
+        self.winning_speeds(BlockType::A, |b| b.monopoly_speed)
     }
 
     /// `(caf, competition)` average speeds for Type-B blocks where CAF
     /// wins (Figure 5b).
     pub fn type_b_winning_speeds(&self) -> Vec<(f64, f64)> {
-        self.blocks_of(BlockType::B)
-            .filter_map(|b| {
-                let comp = b.competition_speed?;
-                (compare_speeds(b.caf_speed, comp) == ComparisonOutcome::CafBetter)
-                    .then_some((b.caf_speed, comp))
-            })
+        self.winning_speeds(BlockType::B, |b| b.competition_speed)
+    }
+
+    fn winning_speeds<F>(&self, block_type: BlockType, other: F) -> Vec<(f64, f64)>
+    where
+        F: Fn(&BlockComparison) -> Option<f64>,
+    {
+        self.blocks_of(block_type)
+            .filter_map(|b| Some((b.caf_speed, other(b)?)))
+            .filter(|&(caf, other)| compare_speeds(caf, other) == ComparisonOutcome::CafBetter)
             .collect()
     }
 
@@ -603,10 +633,9 @@ mod tests {
     #[test]
     fn uplift_is_substantial_where_caf_wins() {
         let q3 = analysis();
-        let mut uplifts = q3.type_a_uplift_percents();
+        let uplifts = q3.type_a_uplift_percents();
         assert!(!uplifts.is_empty());
-        uplifts.sort_by(|a, b| a.total_cmp(b));
-        let median = uplifts[uplifts.len() / 2];
+        let median = q3.summary().uplift.expect("CAF wins somewhere").median;
         // Figure 4c: median ≈ 75 %. Allow generous slack at small scale.
         assert!((25.0..250.0).contains(&median), "median uplift {median}");
         assert!(uplifts.iter().all(|&u| u > 0.0));

@@ -15,7 +15,7 @@
 use caf_exec::EngineConfig;
 use caf_geo::{BlockGroupId, LatLon, UsState};
 use caf_stats::weighted::WeightedSample;
-use caf_stats::{pearson, spearman, weighted_mean, Summary};
+use caf_stats::{pearson, spearman, weighted_mean, BootstrapCi, StatsError, Summary};
 use caf_synth::Isp;
 
 use crate::audit::AuditDataset;
@@ -42,6 +42,45 @@ pub struct CbgRate {
     pub centroid: LatLon,
     /// Definitive queries behind the rate.
     pub n: usize,
+}
+
+/// The CBG-weighted rate `Σ rate·weight / Σ weight` of `(rate, weight)`
+/// pairs (§4.1), or `None` without a pair or a positive total weight.
+/// Q1 and Q2 aggregate with it alike.
+pub(crate) fn weighted_rate(pairs: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
+    let samples: Vec<WeightedSample> = pairs
+        .map(|(rate, weight)| WeightedSample::new(rate, weight))
+        .collect();
+    weighted_mean(&samples).ok()
+}
+
+/// A percentile bootstrap CI on the CBG-weighted rate of `pairs`, each
+/// replicate resampling pairs (CBGs) by index. The one copy of the
+/// statistic every weighted-rate CI uses.
+pub(crate) fn weighted_rate_ci(
+    engine: EngineConfig,
+    pairs: &[(f64, f64)],
+    replicates: usize,
+    level: f64,
+    seed: u64,
+) -> Result<BootstrapCi, StatsError> {
+    caf_stats::bootstrap_indices_ci_on(
+        engine,
+        pairs.len(),
+        |idx| {
+            let (num, den) = idx.iter().fold((0.0, 0.0), |(n, d), &i| {
+                (n + pairs[i].0 * pairs[i].1, d + pairs[i].1)
+            });
+            if den > 0.0 {
+                num / den
+            } else {
+                0.0
+            }
+        },
+        replicates,
+        level,
+        seed,
+    )
 }
 
 /// The serviceability analysis over an audit dataset.
@@ -83,34 +122,17 @@ impl ServiceabilityAnalysis {
         ServiceabilityAnalysis { cbg_rates }
     }
 
-    fn weighted(rates: impl Iterator<Item = (f64, f64)>) -> Option<f64> {
-        let samples: Vec<WeightedSample> = rates
-            .map(|(rate, weight)| WeightedSample::new(rate, weight))
-            .collect();
-        weighted_mean(&samples).ok()
-    }
-
     /// The overall weighted serviceability rate (the paper's 55.45 %).
     pub fn overall_rate(&self) -> f64 {
-        Self::weighted(self.cbg_rates.iter().map(|r| (r.rate, r.weight)))
+        self.rate_where(|_| true)
             .expect("analysis requires at least one CBG")
     }
 
     /// A bootstrap confidence interval on the overall rate, resampling
     /// *census block groups* (the unit of clustering — resampling
-    /// addresses would understate the uncertainty the CBG design induces).
-    pub fn overall_rate_ci(
-        &self,
-        replicates: usize,
-        level: f64,
-        seed: u64,
-    ) -> Result<caf_stats::BootstrapCi, caf_stats::StatsError> {
-        self.overall_rate_ci_on(EngineConfig::serial(), replicates, level, seed)
-    }
-
-    /// [`overall_rate_ci`](ServiceabilityAnalysis::overall_rate_ci) with
-    /// the replicates chunked across an engine worker pool. Bit-identical
-    /// to the serial variant at any worker count (the bootstrap keys each
+    /// addresses would understate the uncertainty the CBG design
+    /// induces), with the replicates chunked across an engine worker
+    /// pool. Bit-identical at any worker count (the bootstrap keys each
     /// replicate's stream by its index).
     pub fn overall_rate_ci_on(
         &self,
@@ -118,87 +140,83 @@ impl ServiceabilityAnalysis {
         replicates: usize,
         level: f64,
         seed: u64,
-    ) -> Result<caf_stats::BootstrapCi, caf_stats::StatsError> {
-        let rows: Vec<(f64, f64)> = self.cbg_rates.iter().map(|r| (r.rate, r.weight)).collect();
-        caf_stats::bootstrap_indices_ci_on(
-            engine,
-            rows.len(),
-            |idx| {
-                let (num, den) = idx.iter().fold((0.0, 0.0), |(n, d), &i| {
-                    (n + rows[i].0 * rows[i].1, d + rows[i].1)
-                });
-                if den > 0.0 {
-                    num / den
-                } else {
-                    0.0
-                }
-            },
-            replicates,
-            level,
-            seed,
-        )
+    ) -> Result<BootstrapCi, StatsError> {
+        let pairs: Vec<(f64, f64)> = self.cbg_rates.iter().map(|r| (r.rate, r.weight)).collect();
+        weighted_rate_ci(engine, &pairs, replicates, level, seed)
+    }
+
+    /// [`overall_rate_ci_on`](ServiceabilityAnalysis::overall_rate_ci_on)
+    /// over one ISP's CBGs. Fewer than three give
+    /// [`StatsError::InsufficientData`].
+    pub fn rate_ci_for_isp_on(
+        &self,
+        engine: EngineConfig,
+        isp: Isp,
+        replicates: usize,
+        level: f64,
+        seed: u64,
+    ) -> Result<BootstrapCi, StatsError> {
+        let pairs: Vec<(f64, f64)> = self
+            .cbg_rates
+            .iter()
+            .filter(|r| r.isp == isp)
+            .map(|r| (r.rate, r.weight))
+            .collect();
+        if pairs.len() < 3 {
+            return Err(StatsError::InsufficientData {
+                got: pairs.len(),
+                need: 3,
+            });
+        }
+        weighted_rate_ci(engine, &pairs, replicates, level, seed)
     }
 
     /// The weighted rate for one ISP (§4.1: 31.53 % AT&T, 90.42 %
     /// CenturyLink, 70.71 % Frontier, 83.95 % Consolidated).
     pub fn rate_for_isp(&self, isp: Isp) -> Option<f64> {
-        Self::weighted(
-            self.cbg_rates
-                .iter()
-                .filter(|r| r.isp == isp)
-                .map(|r| (r.rate, r.weight)),
-        )
+        self.rate_where(|r| r.isp == isp)
     }
 
     /// The weighted rate for one state.
     pub fn rate_for_state(&self, state: UsState) -> Option<f64> {
-        Self::weighted(
-            self.cbg_rates
-                .iter()
-                .filter(|r| r.state == state)
-                .map(|r| (r.rate, r.weight)),
-        )
+        self.rate_where(|r| r.state == state)
     }
 
     /// The weighted rate for a (state, ISP) pair.
     pub fn rate_for_pair(&self, state: UsState, isp: Isp) -> Option<f64> {
-        Self::weighted(
-            self.cbg_rates
-                .iter()
-                .filter(|r| r.state == state && r.isp == isp)
-                .map(|r| (r.rate, r.weight)),
-        )
+        self.rate_where(|r| r.state == state && r.isp == isp)
     }
 
     /// The distribution of CBG-level rates for one ISP (Figure 2a's
     /// box-plot series).
     pub fn distribution_for_isp(&self, isp: Isp) -> Option<Summary> {
-        let rates: Vec<f64> = self
-            .cbg_rates
-            .iter()
-            .filter(|r| r.isp == isp)
-            .map(|r| r.rate)
-            .collect();
-        Summary::of(&rates).ok()
+        self.distribution_where(|r| r.isp == isp)
     }
 
     /// The distribution of CBG-level rates for one state (Figure 2b).
     pub fn distribution_for_state(&self, state: UsState) -> Option<Summary> {
-        let rates: Vec<f64> = self
-            .cbg_rates
-            .iter()
-            .filter(|r| r.state == state)
-            .map(|r| r.rate)
-            .collect();
-        Summary::of(&rates).ok()
+        self.distribution_where(|r| r.state == state)
     }
 
     /// The distribution for a (state, ISP) pair (Figure 2c's AT&T rows).
     pub fn distribution_for_pair(&self, state: UsState, isp: Isp) -> Option<Summary> {
+        self.distribution_where(|r| r.state == state && r.isp == isp)
+    }
+
+    fn rate_where(&self, keep: impl Fn(&CbgRate) -> bool) -> Option<f64> {
+        weighted_rate(
+            self.cbg_rates
+                .iter()
+                .filter(|r| keep(r))
+                .map(|r| (r.rate, r.weight)),
+        )
+    }
+
+    fn distribution_where(&self, keep: impl Fn(&CbgRate) -> bool) -> Option<Summary> {
         let rates: Vec<f64> = self
             .cbg_rates
             .iter()
-            .filter(|r| r.state == state && r.isp == isp)
+            .filter(|r| keep(r))
             .map(|r| r.rate)
             .collect();
         Summary::of(&rates).ok()

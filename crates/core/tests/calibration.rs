@@ -338,7 +338,7 @@ fn report_assembles_the_headline() {
     let report = EfficacyReport::assemble(&f.serviceability, &f.compliance, Some(&f.q3));
     assert_eq!(report.per_isp.len(), 4);
     assert!((report.serviceability + report.unserved - 1.0).abs() < 1e-12);
-    assert!(report.median_uplift_pct.unwrap() > 0.0);
+    assert!(report.q3.unwrap().uplift.unwrap().median > 0.0);
     let text = report.render();
     assert!(text.contains("Type A blocks"));
 }

@@ -9,7 +9,7 @@
 use caf_bqt::CampaignConfig;
 use caf_core::q3::{BlockType, Q3Analysis};
 use caf_geo::UsState;
-use caf_stats::{median, quantile};
+use caf_stats::median;
 use caf_synth::{SynthConfig, World};
 
 fn main() {
@@ -32,12 +32,10 @@ fn main() {
         },
     );
 
+    let summary = analysis.summary();
     println!(
         "Queried {} CAF and {} non-CAF addresses; {} blocks survived filtering ({} dropped)\n",
-        analysis.caf_queried,
-        analysis.non_caf_queried,
-        analysis.blocks.len(),
-        analysis.blocks_dropped
+        summary.caf_queried, summary.non_caf_queried, summary.blocks, summary.blocks_dropped
     );
 
     for block_type in [BlockType::A, BlockType::B, BlockType::C] {
@@ -45,7 +43,7 @@ fn main() {
         println!("{}: {} blocks", block_type.label(), n);
     }
 
-    if let Some([better, tie, worse]) = analysis.type_a_outcomes() {
+    if let Some([better, tie, worse]) = summary.type_a {
         println!("\nRegulated vs unregulated monopoly (Type A blocks):");
         println!(
             "  CAF better {:5.1} %   identical {:5.1} %   monopoly better {:5.1} %",
@@ -56,17 +54,14 @@ fn main() {
         println!("  (paper: 27 % / 54 % / 17 % — regulation helps, inconsistently)");
     }
 
-    let uplifts = analysis.type_a_uplift_percents();
-    if !uplifts.is_empty() {
+    if let Some(uplift) = summary.uplift {
         println!(
             "  where CAF wins: median uplift +{:.0} %, p80 +{:.0} % over {} blocks",
-            median(&uplifts).expect("non-empty"),
-            quantile(&uplifts, 0.8).expect("non-empty"),
-            uplifts.len()
+            uplift.median, uplift.p80, uplift.n
         );
     }
 
-    if let Some([better, tie, worse]) = analysis.type_b_outcomes() {
+    if let Some([better, tie, worse]) = summary.type_b {
         println!("\nCAF vs competitively-served neighbors (Type B blocks):");
         println!(
             "  CAF better {:5.1} %   identical {:5.1} %   competition better {:5.1} %",
